@@ -19,15 +19,8 @@ vs the dense schedule it replaced, on the catalog-dominated synthetic
 fixture where most embedding rows never receive a gradient — epochs/
 second plus the per-phase training-step breakdown. Both modes train
 bit-identical models; the dense column is the schedule this repo ran
-before the row-sparse pipeline landed.
-
-Tape addendum: step-tape replay (``REPRO_TAPE=1``, the default since
-ISSUE 6) vs the per-step dict sweep, same fixture. The honest result:
-the backward sweep's bookkeeping was already a small slice of a step —
-real-model graphs are tens-to-hundreds of nodes of numpy-heavy
-closures — so taping is roughly neutral here (within measurement
-noise); the wins it was hoped to unlock only materialize on deep
-cheap-op graphs. The assertions gate on "no regression", not a gain.
+before the row-sparse pipeline landed. The heterogeneous models
+(Firzen, KGAT) get the same per-phase breakdown on beauty/small.
 
 Serving-latency addendum (ISSUE 8): client-observed p50/p99 of the
 micro-batched daemon path under concurrent closed-loop load, against a
@@ -45,8 +38,7 @@ snapshot republish happens off the query path. Gates are no-regression
 floors on the batched/sequential ratio.
 
 Backend addendum: the opt-in ``fast`` array backend (float32 params,
-pooled replay buffers, accelerated scatter kernels; ``REPRO_BACKEND=
-fast``) vs the bit-exact reference tier, interleaved rotated-order
+accelerated scatter kernels; ``REPRO_BACKEND=fast``) vs the bit-exact reference tier, interleaved rotated-order
 rounds on the propagation-bound LightGCN fixtures. The honest result:
 ~1.3-1.4x, not the 2.3x the PR 2 snapshot recorded for the raw
 ``PARAM_DTYPE=float32`` flip — that number predates the interleaved
@@ -66,12 +58,10 @@ from repro.analysis.timing import (breakdown_rows,
                                    catalog_dominated_dataset,
                                    measure_backend_training_throughput,
                                    measure_feature_sets,
-                                   measure_forward_throughput,
                                    measure_ranking_throughput,
                                    measure_serving_latency,
                                    measure_sparse_training_throughput,
                                    measure_step_breakdown,
-                                   measure_tape_training_throughput,
                                    measure_training_throughput,
                                    synthetic_serving_store)
 from repro.train import TrainConfig
@@ -89,17 +79,6 @@ SEED_EPOCHS_PER_SECOND = {
     "LightGCN (3 layers)": 61.6,
     "KGAT": 1.17,
     "Firzen": 1.59,
-}
-
-#: epochs/second recorded by the PR 3 run of this harness (commit
-#: 792e98f, "Training addendum" engine column: 8 epochs, best of 3
-#: repeats) — the before/after record of the PR 4 fused
-#: relation-batched attention kernels and forward memo. The forward
-#: addendum below measures with the same epochs/repeats so the column
-#: is apples-to-apples; same machine, same noise caveats.
-PR3_EPOCHS_PER_SECOND = {
-    "KGAT": 1.67,
-    "Firzen": 2.28,
 }
 
 
@@ -143,8 +122,6 @@ def test_table7_timing(benchmark):
         catalog, model_names=("BPR",), epochs=12, embedding_dim=64)
     breakdown = measure_step_breakdown(catalog, "BPR", epochs=4,
                                        embedding_dim=64)
-    tape_rows = measure_tape_training_throughput(
-        catalog, model_names=("BPR",), epochs=12, embedding_dim=64)
 
     backend_rows = measure_backend_training_throughput(
         dataset, model_names=("LightGCN",), epochs=8, embedding_dim=32)
@@ -155,17 +132,6 @@ def test_table7_timing(benchmark):
         row.model = f"{row.model} (3 layers)"
     backend_rows += deep_backend_rows
 
-    forward_rows = measure_forward_throughput(
-        dataset, model_names=("Firzen", "KGAT"), epochs=8, repeats=3)
-    forward_table = []
-    for row in forward_rows:
-        cells = row.as_row()
-        pr3_eps = PR3_EPOCHS_PER_SECOND.get(row.model)
-        cells["PR3 (epochs/s)"] = pr3_eps
-        cells["Speedup vs PR3"] = (
-            round(row.fast_epochs_per_second / pr3_eps, 2)
-            if pr3_eps else None)
-        forward_table.append(cells)
     hetero_breakdowns = []
     for name in ("Firzen", "KGAT"):
         hetero_breakdowns += breakdown_rows(
@@ -197,22 +163,11 @@ def test_table7_timing(benchmark):
                        "training-step cost on the catalog-dominated "
                        "fixture (step includes every replay of "
                        "deferred row updates, wherever triggered; "
-                       "taped column: REPRO_TAPE=1 plan replay, "
                        "interleaved rotated-order rounds, best of 3)")
-        + "\n\n"
-        + format_table([row.as_row() for row in tape_rows],
-                       "Tape addendum: step-tape replay vs per-step "
-                       "dict sweep, whole-run epochs/second on the "
-                       "catalog-dominated fixture (bit-identical "
-                       "models; ISSUE 6 hoped for >=1.2x here — the "
-                       "honest measurement is ~1.0x/neutral, because "
-                       "real-model backward time is numpy closure "
-                       "work, not sweep bookkeeping; see the per-"
-                       "phase table's Tape speedup column)")
         + "\n\n"
         + format_table([row.as_row() for row in backend_rows],
                        "Backend addendum: opt-in fast tier (float32 "
-                       "params, pooled replay, accelerated scatter; "
+                       "params, accelerated scatter; "
                        "tolerance parity, not bit parity) vs the "
                        "bit-exact reference backend (beauty/small, "
                        "interleaved rotated-order rounds; the PR 2 "
@@ -220,19 +175,9 @@ def test_table7_timing(benchmark):
                        "methodology and a ~2x-faster reference — see "
                        "module docstring)")
         + "\n\n"
-        + format_table(forward_table,
-                       "Forward addendum: fused relation-batched "
-                       "attention + forward memo vs the legacy "
-                       "per-relation forward path (beauty/small; all "
-                       "modes train bit-identical models — the fused "
-                       "kernels replay the exact legacy FP sequence, "
-                       "so the gain is dispatch/allocation only and "
-                       "the single-core float64 kernel floor bounds "
-                       "it; PR3 column: commit 792e98f snapshot)")
-        + "\n\n"
         + format_table(hetero_breakdowns,
-                       "Forward addendum: per-phase training-step "
-                       "cost of the heterogeneous models "
+                       "Optimizer/gradient addendum: per-phase "
+                       "training-step cost of the heterogeneous models "
                        "(beauty/small; extra = discriminator + "
                        "TransR per-epoch phases, amortized per step)")
         + "\n\n"
@@ -268,23 +213,11 @@ def test_table7_timing(benchmark):
     # The sparse forward pays a real ~10-15% for lazy-gather
     # bookkeeping (PR 4's "no slower than dense" reading came from the
     # old fixed measurement order, which handed the first-measured mode
-    # an undecayed CPU clock; the interleaved rotated-order rounds that
-    # landed with the tape work cancel that bias). The floor bounds the
+    # an undecayed CPU clock; interleaved rotated-order rounds cancel
+    # that bias). The floor bounds the
     # bookkeeping cost so it cannot silently grow — the sparse *total*
     # still wins ~2.5x, which the assertions above gate directly.
     assert sparse_bd.forward_ms <= 1.25 * dense_bd.forward_ms
-
-    # Step-tape replay: bit-identical by contract and roughly neutral
-    # on throughput for real models (the ISSUE 6 target of >=1.2x did
-    # not survive honest interleaved measurement — see the module
-    # docstring). Gate on no-regression with the usual noise margin,
-    # and on the planner actually replaying rather than re-tracing.
-    assert tape_rows[0].speedup >= 0.85
-    taped_bd = breakdown["taped"]
-    assert taped_bd.total_ms <= 1.15 * sparse_bd.total_ms
-    stats = taped_bd.tape_stats
-    assert stats is not None and stats["fallbacks"] == 0
-    assert stats["replays"] > stats["traces"]
 
     # The fast backend must deliver a real win on the propagation-
     # bound fixtures — the reference machine measures ~1.3-1.4x under
@@ -298,16 +231,6 @@ def test_table7_timing(benchmark):
         assert row.reference_info["param_dtype"] == "float64"
         assert row.fast_info["param_dtype"] == "float32"
         assert row.speedup >= 1.1
-
-    # The fused relation-batched kernels + memo must never regress
-    # below the legacy per-relation path (both train bit-identical
-    # models, so this is pure representation cost; the measured gain
-    # is ~1.05-1.15x on this single-core machine and noise is +-40%,
-    # hence a no-regression floor rather than a gain floor).
-    for row in forward_rows:
-        assert row.fast_epochs_per_second > 0
-        assert row.legacy_epochs_per_second > 0
-        assert row.speedup >= 0.85
 
     # The batched serving path must beat the seed's one-query-at-a-time
     # serving by a wide margin on a production-sized batch — on the

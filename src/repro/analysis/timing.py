@@ -2,7 +2,7 @@
 
 Measures wall-clock training time and per-user inference latency for
 Firzen variants that consume increasing feature sets: BA only, +KA, +VA,
-+TA — the exact rows of Table VII — plus three addenda:
++TA — the exact rows of Table VII — plus these addenda:
 
 * serving: full-ranking top-k throughput of the seed per-user Python
   loop vs the batched :class:`repro.serve.ranker.BatchRanker` path;
@@ -16,11 +16,6 @@ Firzen variants that consume increasing feature sets: BA only, +KA, +VA,
   catalog-dominated fixture (:func:`measure_sparse_training_throughput`
   over :func:`catalog_dominated_dataset`), both training bit-identical
   models in either mode;
-* step tape: the trace-once/replay plan (:mod:`repro.engine.plan`,
-  ``REPRO_TAPE``) vs the per-step dict sweep — a ``taped`` mode in the
-  step breakdown and epochs/second via
-  :func:`measure_tape_training_throughput`, again training
-  bit-identical models in either mode;
 * array backend: the float64 bit-exact reference tier vs the opt-in
   accelerated tier (:mod:`repro.backend`, ``REPRO_BACKEND``) via
   :func:`measure_backend_training_throughput` — the one addendum whose
@@ -38,7 +33,7 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +42,6 @@ from .. import engine as _engine
 from ..backend import backend_mode as _backend_mode
 from ..backend import runtime_info as _runtime_info
 from ..autograd import optim as ag_optim
-from ..autograd.forward_cache import ForwardMemo
 from ..autograd.optim import Adam, clip_grad_norm
 from ..baselines import create_model
 from ..core.config import FirzenConfig
@@ -56,7 +50,6 @@ from ..data import build_dataset
 from ..data.datasets import RecDataset
 from ..data.splits import ColdStartSplit
 from ..data.world import WorldConfig
-from ..engine.plan import tape_mode as _tape_mode
 from ..serve.daemon import LoadShedError, MicroBatcher
 from ..serve.ranker import BatchRanker, interactions_to_csr
 from ..serve.snapshot import SnapshotManager
@@ -779,7 +772,7 @@ class StepPhaseBreakdown:
     """
 
     model: str
-    mode: str  # "taped" | "sparse" | "dense"
+    mode: str  # "sparse" | "dense"
     steps: int
     sample_ms: float
     forward_ms: float
@@ -787,8 +780,6 @@ class StepPhaseBreakdown:
     clip_ms: float
     step_ms: float
     extra_ms: float = 0.0
-    #: step-plan trace/replay counters; only the ``taped`` mode has them
-    tape_stats: dict | None = None
     runtime: dict = field(default_factory=runtime_columns)
 
     PHASES = ("sample", "forward", "backward", "clip", "step", "extra")
@@ -808,37 +799,29 @@ def measure_step_breakdown(dataset: RecDataset, model_name: str,
                            embedding_dim: int = 32, seed: int = 0,
                            grad_clip: float = 10.0, repeats: int = 3,
                            **model_kwargs) -> dict[str, StepPhaseBreakdown]:
-    """Time each training-step phase in three gradient modes.
+    """Time each training-step phase in two gradient modes.
 
     Runs the trainer's exact inner loop (sample / forward / backward /
     clip / step) phase-by-phase under a wall clock, one full training
     run per mode from the same seed, and returns
-    ``{"taped": ..., "sparse": ..., "dense": ...}``:
+    ``{"sparse": ..., "dense": ...}``:
 
-    * ``taped`` — row-sparse gradients plus the step tape
-      (:class:`repro.engine.plan.StepPlanner`): the shipped default;
-    * ``sparse`` — row-sparse gradients, per-step dict sweep;
+    * ``sparse`` — row-sparse gradients: the shipped default;
     * ``dense`` — the historical dense schedule.
 
-    All runs do identical numerical work — the bit-reproducibility
+    Both runs do identical numerical work — the bit-reproducibility
     contract — so the per-phase deltas are pure representation and
-    dispatch cost. In the taped mode the tape-recording overhead lands
-    in the forward column and plan validation in the backward column,
-    exactly where a training run pays them.
+    dispatch cost.
 
     Each mode is measured ``repeats`` times in interleaved rounds with
     the mode order rotated per round, keeping the per-phase minimum —
     a fixed measurement order would hand whichever mode runs first the
     benefit of an undecayed CPU clock and bias every cross-mode ratio.
-    With three rounds over the three modes, every mode's position sum
-    in the schedule is equal, cancelling any monotonic machine drift.
     """
-    from ..engine.plan import StepPlanner
-    modes = ("taped", "sparse", "dense")
+    modes = ("sparse", "dense")
 
     def run_once(mode: str) -> StepPhaseBreakdown:
-        with _sparse_mode(mode != "dense"):
-            planner = StepPlanner() if mode == "taped" else None
+        with _sparse_mode(mode == "sparse"):
             model = create_model(model_name, dataset, seed=seed,
                                  embedding_dim=embedding_dim,
                                  **model_kwargs)
@@ -856,25 +839,17 @@ def measure_step_breakdown(dataset: RecDataset, model_name: str,
                 phase_s["sample"] += time.perf_counter() - start
                 for users, pos, neg in batches:
                     optimizer.zero_grad()
-                    record = (planner.recording() if planner is not None
-                              else nullcontext())
-                    with record:
-                        start = time.perf_counter()
-                        replay_before = ag_optim.REPLAY_SECONDS
-                        loss = model.loss(users, pos, neg)
-                        moved = ag_optim.REPLAY_SECONDS - replay_before
-                        # Deferred-row replays triggered by forward
-                        # gathers are optimizer-step work: attribute
-                        # them there.
-                        phase_s["forward"] += \
-                            time.perf_counter() - start - moved
-                        phase_s["step"] += moved
-                        start = time.perf_counter()
-                        if planner is not None:
-                            planner.backward(loss)
-                        else:
-                            loss.backward()
-                        phase_s["backward"] += time.perf_counter() - start
+                    start = time.perf_counter()
+                    replay_before = ag_optim.REPLAY_SECONDS
+                    loss = model.loss(users, pos, neg)
+                    moved = ag_optim.REPLAY_SECONDS - replay_before
+                    # Deferred-row replays triggered by forward gathers
+                    # are optimizer-step work: attribute them there.
+                    phase_s["forward"] += time.perf_counter() - start - moved
+                    phase_s["step"] += moved
+                    start = time.perf_counter()
+                    loss.backward()
+                    phase_s["backward"] += time.perf_counter() - start
                     start = time.perf_counter()
                     clip_grad_norm(optimizer.params, grad_clip)
                     phase_s["clip"] += time.perf_counter() - start
@@ -898,8 +873,6 @@ def measure_step_breakdown(dataset: RecDataset, model_name: str,
             optimizer.release()
             return StepPhaseBreakdown(
                 model=model_name, mode=mode, steps=steps,
-                tape_stats=(planner.stats() if planner is not None
-                            else None),
                 **{f"{phase}_ms": 1000.0 * seconds / max(steps, 1)
                    for phase, seconds in phase_s.items()})
 
@@ -920,13 +893,8 @@ def measure_step_breakdown(dataset: RecDataset, model_name: str,
 
 
 def breakdown_rows(breakdowns: dict[str, StepPhaseBreakdown]) -> list[dict]:
-    """Render a per-phase comparison table (taped / sparse / dense).
-
-    The ``taped`` column appears when the breakdown measured it; older
-    two-mode breakdowns render the historical sparse-vs-dense table.
-    """
+    """Render a per-phase comparison table (sparse vs dense)."""
     sparse, dense = breakdowns["sparse"], breakdowns["dense"]
-    taped = breakdowns.get("taped")
     rows = []
     for phase in StepPhaseBreakdown.PHASES + ("total",):
         dense_ms = (dense.total_ms if phase == "total"
@@ -940,12 +908,6 @@ def breakdown_rows(breakdowns: dict[str, StepPhaseBreakdown]) -> list[dict]:
             "Sparse (ms/step)": round(sparse_ms, 3),
             "Speedup": round(dense_ms / max(sparse_ms, 1e-9), 2),
         }
-        if taped is not None:
-            taped_ms = (taped.total_ms if phase == "total"
-                        else taped.phase_ms(phase))
-            row["Taped (ms/step)"] = round(taped_ms, 3)
-            row["Tape speedup"] = round(
-                sparse_ms / max(taped_ms, 1e-9), 2)
         row.update(sparse.runtime)
         rows.append(row)
     return rows
@@ -979,188 +941,6 @@ class SparseThroughputRow:
             "Sparse speedup": round(self.speedup, 2),
             **self.runtime,
         }
-
-
-# ----------------------------------------------------------------------
-# forward addendum: fused attention + forward cache vs the legacy path
-# ----------------------------------------------------------------------
-@contextmanager
-def _forward_mode(cache: bool, batched: bool):
-    """Force the forward-cache and batched-kernel toggles for one
-    measurement."""
-    previous = {name: os.environ.get(name)
-                for name in ("REPRO_FORWARD_CACHE",
-                             "REPRO_BATCHED_ATTENTION")}
-    os.environ["REPRO_FORWARD_CACHE"] = "1" if cache else "0"
-    os.environ["REPRO_BATCHED_ATTENTION"] = "1" if batched else "0"
-    try:
-        yield
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-@dataclass
-class ForwardModeRow:
-    """Epochs/second under the three forward configurations.
-
-    ``fast`` is the shipped path (relation-batched attention kernels +
-    parameter-versioned forward memo); ``cache_off`` disables only the
-    memo (``REPRO_FORWARD_CACHE=0``); ``legacy`` additionally restores
-    the per-relation node graphs (``REPRO_BATCHED_ATTENTION=0``) — the
-    forward path this repo ran before the fused kernels. All three
-    train bit-identical models (the parity suites pin it); only
-    wall-clock and the memo's hit counters differ. Under the default
-    trainer every encoder parameter changes every step, so training-
-    time hits are structurally rare — the hit column reports what
-    actually happened rather than implying reuse that didn't.
-    """
-
-    model: str
-    epochs: int
-    fast_epochs_per_second: float
-    cache_off_epochs_per_second: float
-    legacy_epochs_per_second: float
-    #: memo traffic of ONE training run (warm-up step included),
-    #: averaged over the measurement repeats — not the total across
-    #: every repeat, which would overstate reuse.
-    cache_hits: int
-    cache_misses: int
-    runtime: dict = field(default_factory=runtime_columns)
-
-    @property
-    def speedup(self) -> float:
-        """Fast path vs the pre-fused-kernel forward."""
-        return self.fast_epochs_per_second / max(
-            self.legacy_epochs_per_second, 1e-12)
-
-    def as_row(self) -> dict:
-        return {
-            "Model": self.model,
-            "Epochs": self.epochs,
-            "Fused+memo (epochs/s)": round(
-                self.fast_epochs_per_second, 2),
-            "Memo off (epochs/s)": round(
-                self.cache_off_epochs_per_second, 2),
-            "Legacy loop (epochs/s)": round(
-                self.legacy_epochs_per_second, 2),
-            "Speedup vs legacy": round(self.speedup, 2),
-            "Memo hits/run": self.cache_hits,
-            "Memo misses/run": self.cache_misses,
-            **self.runtime,
-        }
-
-
-def measure_forward_throughput(
-        dataset: RecDataset, model_names: tuple = ("Firzen", "KGAT"),
-        epochs: int = 8, seed: int = 0, repeats: int = 3,
-        train_config: TrainConfig | None = None,
-        **model_kwargs) -> list[ForwardModeRow]:
-    """Epochs/second per model: fused kernels + forward memo vs memo
-    off vs the full legacy forward path.
-
-    Same protocol as :func:`measure_training_throughput` (fresh model
-    per repeat, one warm-up step outside the timer, final-epoch
-    validation included, best-of-``repeats``).
-    """
-    train_config = train_config or TrainConfig(batch_size=512,
-                                               learning_rate=0.05)
-    rows = []
-    for name in model_names:
-        with _forward_mode(cache=True, batched=True):
-            ForwardMemo.reset_stats()
-            fast_eps = _epochs_per_second(
-                name, dataset, epochs, train_config, seed, repeats,
-                **model_kwargs)
-            hits, misses = ForwardMemo.reset_stats()
-            # Per-run traffic: each repeat trains one fresh model.
-            runs = max(repeats, 1)
-            hits, misses = round(hits / runs), round(misses / runs)
-        with _forward_mode(cache=False, batched=True):
-            cache_off_eps = _epochs_per_second(
-                name, dataset, epochs, train_config, seed, repeats,
-                **model_kwargs)
-        with _forward_mode(cache=False, batched=False):
-            legacy_eps = _epochs_per_second(
-                name, dataset, epochs, train_config, seed, repeats,
-                **model_kwargs)
-        rows.append(ForwardModeRow(
-            model=name, epochs=epochs,
-            fast_epochs_per_second=fast_eps,
-            cache_off_epochs_per_second=cache_off_eps,
-            legacy_epochs_per_second=legacy_eps,
-            cache_hits=hits, cache_misses=misses,
-        ))
-    return rows
-
-
-@dataclass
-class TapeThroughputRow:
-    """Epochs/second with the step tape on vs off.
-
-    Both runs use the shipped gradient pipeline (row-sparse on); the
-    only difference is whether backward replays a traced
-    :class:`~repro.engine.plan.StepPlan` (``REPRO_TAPE=1``) or runs the
-    per-step dict sweep (``REPRO_TAPE=0``). The two trajectories are
-    bit-identical; only wall-clock differs.
-    """
-
-    model: str
-    epochs: int
-    taped_epochs_per_second: float
-    untaped_epochs_per_second: float
-    runtime: dict = field(default_factory=runtime_columns)
-
-    @property
-    def speedup(self) -> float:
-        return self.taped_epochs_per_second / max(
-            self.untaped_epochs_per_second, 1e-12)
-
-    def as_row(self) -> dict:
-        return {
-            "Model": self.model,
-            "Epochs": self.epochs,
-            "Taped (epochs/s)": round(self.taped_epochs_per_second, 2),
-            "Untaped (epochs/s)": round(
-                self.untaped_epochs_per_second, 2),
-            "Tape speedup": round(self.speedup, 2),
-            **self.runtime,
-        }
-
-
-def measure_tape_training_throughput(
-        dataset: RecDataset, model_names: tuple = ("BPR",),
-        epochs: int = 12, seed: int = 0, repeats: int = 3,
-        train_config: TrainConfig | None = None,
-        **model_kwargs) -> list[TapeThroughputRow]:
-    """Epochs/second per model, step tape on vs off.
-
-    Same protocol as :func:`measure_training_throughput` (fresh model
-    per repeat, one warm-up step outside the timer, final-epoch
-    validation included, best-of-``repeats``), toggled over
-    ``REPRO_TAPE``.
-    """
-    train_config = train_config or TrainConfig(batch_size=512,
-                                               learning_rate=0.05)
-    rows = []
-    for name in model_names:
-        with _tape_mode(True):
-            taped_eps = _epochs_per_second(
-                name, dataset, epochs, train_config, seed, repeats,
-                **model_kwargs)
-        with _tape_mode(False):
-            untaped_eps = _epochs_per_second(
-                name, dataset, epochs, train_config, seed, repeats,
-                **model_kwargs)
-        rows.append(TapeThroughputRow(
-            model=name, epochs=epochs,
-            taped_epochs_per_second=taped_eps,
-            untaped_epochs_per_second=untaped_eps,
-        ))
-    return rows
 
 
 # ----------------------------------------------------------------------

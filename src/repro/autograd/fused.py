@@ -33,9 +33,8 @@ replace:
   downstream consumes them sparsely, the full-table bincount otherwise
   (the same ``take_rows`` emission logic, see ``_gather_grad``).
 
-Bit-parity against the legacy path is pinned by
-``tests/autograd/test_fused.py``, which ``REPRO_BATCHED_ATTENTION=0``
-restores.
+Bit-parity is pinned by ``tests/autograd/test_fused.py``, which keeps
+the per-relation graphs as its reference.
 
 Segment maxima are computed with a precomputed sort + ``reduceat``
 instead of ``np.maximum.at`` — ``max`` is exact, so any evaluation
@@ -44,14 +43,10 @@ order yields identical bits.
 Scratch lifetime contract: a fused node's backward never clobbers its
 stored forward intermediates, so running the same node's backward again
 is exact *as long as no new forward of the same layer ran in between*
-(a new forward may reclaim the pooled scratch). The memo-served case is
-safe by construction — a memo hit means exactly that no new forward
-ran.
+(a new forward may reclaim the pooled scratch).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -61,22 +56,13 @@ from .rowsparse import GradParts, RowSparseGrad
 from .tensor import Tensor
 
 
-def batched_enabled() -> bool:
-    """Whether the fused relation-batched kernels are active.
-
-    ``REPRO_BATCHED_ATTENTION=0`` restores the legacy per-relation
-    node graphs (the bit-parity reference). Read per call, like the
-    other engine toggles.
-    """
-    return os.environ.get("REPRO_BATCHED_ATTENTION", "1") != "0"
-
-
 def _gather_grad(source: Tensor, indices: np.ndarray, flat, g_block,
                  shape: tuple, dtype):
     """One gather node's gradient, in the representation the historical
     ``take_rows`` backward would have emitted for the same gather
     (``Tensor._sparse_grad_ok`` is the single source of truth for the
-    emission rule, so the fused and legacy paths can never drift)."""
+    emission rule, so the fused and per-relation graphs can never
+    drift)."""
     if source._sparse_grad_ok(indices.size, shape[0]):
         return RowSparseGrad.from_gather(indices, g_block, shape, dtype,
                                          via_bincount=True)
@@ -111,16 +97,10 @@ class RelationPlan:
     index arrays in ascending-relation order, the per-relation slice
     bounds, flattened scatter indices for the backward bincounts, and
     the segment-max sort. ``segments`` equals the concatenated heads —
-    the same segmentation the legacy path fed the segment softmax.
+    the segmentation a per-relation graph feeds the segment softmax.
     """
 
-    _seq = 0
-
     def __init__(self, by_relation: list, num_nodes: int, dim: int):
-        RelationPlan._seq += 1
-        #: monotone id — rebinds build a new plan, so memo keys that
-        #: include it invalidate when the frozen layout changes.
-        self.seq = RelationPlan._seq
         self.num_nodes = num_nodes
         self.dim = dim
         self.rels = []          # (relation, start, end) for nonempty ones
@@ -199,9 +179,10 @@ def attention_message(nodes: Tensor, w_stack: Tensor, rel_emb: Tensor,
     """Fused eq. 9-11: per-relation projections, attention logits, and
     the segment-softmax-weighted neighborhood message, as one node.
 
-    Replaces, bit-for-bit, the legacy per-relation loop in
-    :class:`repro.components.kgat.KnowledgeGraphAttention` — everything
-    between the node matrix and the bi-interaction aggregator.
+    Equals, bit-for-bit, a per-relation loop of gathers, matmuls and
+    logits followed by the segment softmax — everything in
+    :class:`repro.components.kgat.KnowledgeGraphAttention` between the
+    node matrix and the bi-interaction aggregator.
     """
     indicator, indicator_t = operators
     heads, tails = plan.heads, plan.tails
@@ -270,8 +251,8 @@ def attention_message(nodes: Tensor, w_stack: Tensor, rel_emb: Tensor,
         g2 = np.broadcast_to(v_scratch2[:, None], (n, k))
         g_projt = np.multiply(g2, th, out=pr)
         g_th = np.multiply(g2, proj_t, out=g_nk)
-        # th stays intact: a memo-served subgraph may run this backward
-        # again, so no forward intermediate is ever clobbered.
+        # th stays intact: no forward intermediate is ever clobbered
+        # (the scratch lifetime contract above).
         np.multiply(th, th, out=th2)
         np.subtract(1.0, th2, out=th2)
         g_mm_h = np.multiply(g_th, th2, out=g_th)
@@ -311,11 +292,10 @@ def transr_scores(entity_emb: Tensor, w_list: list, rel_emb: Tensor,
     """Fused eq. 30 triplet scores ``-|| W_r e_h + e_r - W_r e_t ||^2``
     in input order, as one node.
 
-    Replaces the per-relation loop in
-    :class:`repro.components.transr.TransRScorer` bit-for-bit: the
-    stable relation sort equals the historical unique/flatnonzero
-    grouping, and the backward replays each replaced node's expression
-    and arrival order (heads before tails per relation, ascending).
+    Equals a per-relation loop bit-for-bit: the stable relation sort
+    equals a unique/flatnonzero grouping, and the backward replays each
+    replaced node's expression and arrival order (heads before tails
+    per relation, ascending).
 
     ``w_list`` stays a *list* of per-relation parameters, not a stacked
     tensor: relations absent from a sampled batch historically received

@@ -72,7 +72,6 @@ class Module:
                 target, index = _stacked_block_target(named, name, value)
                 if target is not None:
                     target.data[index][...] = value
-                    target.bump_version()
                     continue
                 raise KeyError(f"unknown parameter {name!r}")
             if named[name].data.shape != value.shape:
@@ -81,7 +80,6 @@ class Module:
                     f"{named[name].data.shape} vs {value.shape}"
                 )
             named[name].data[...] = value
-            named[name].bump_version()
 
     # -- training snapshots (repro.train.snapshot) ---------------------
     def training_state(self) -> dict:
@@ -94,30 +92,6 @@ class Module:
 
     def load_training_state(self, state: dict) -> None:
         """Restore what :meth:`training_state` captured."""
-
-    # -- forward-reuse memo (repro.autograd.forward_cache) -------------
-    def memoized(self, key: str, deps: list, compute, rng=None,
-                 extra_key=()):
-        """Run ``compute`` through this module's forward memo: reuse the
-        previous result while no dependency tensor changed (see
-        :class:`repro.autograd.forward_cache.ForwardMemo`)."""
-        from .forward_cache import ForwardMemo
-        memo = self.__dict__.get("_forward_memo")
-        if memo is None:
-            memo = self._forward_memo = ForwardMemo()
-        return memo.cached(key, deps, compute, rng=rng,
-                           extra_key=extra_key)
-
-    def bump_memos(self) -> None:
-        """Invalidate the forward memos of this module and every
-        submodule (frozen structure changed, or an untracked in-place
-        mutation may have occurred)."""
-        memo = self.__dict__.get("_forward_memo")
-        if memo is not None:
-            memo.bump()
-        for value in self.__dict__.values():
-            for module in _collect_modules(value):
-                module.bump_memos()
 
 
 def _stacked_block_target(named: dict, name: str, value):

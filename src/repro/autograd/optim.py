@@ -253,10 +253,6 @@ class Optimizer:
             grad = p.grad
             if grad is None:
                 continue
-            # The logical value changes now even when row updates are
-            # deferred — any read replays them first — so the forward
-            # memo keys on step time.
-            p._version += 1
             state = self._states[i] if i < len(self._states) else None
             if isinstance(grad, RowSparseGrad):
                 if state is not None:

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..backend import active as _active_backend
 from . import rowsparse
-from . import tape as _tape
 from .rowsparse import RowSparseGrad
 
 
@@ -83,7 +82,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name", "_lazy", "_version", "_tape_idx")
+                 "name", "_lazy")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
@@ -95,27 +94,6 @@ class Tensor:
         #: deferred-update states installed by lazy optimizers (see
         #: :class:`_LazyParam`); ``None`` for ordinary tensors.
         self._lazy = None
-        #: logical-state counter for the forward-reuse memo
-        #: (:mod:`repro.autograd.forward_cache`). Bumped by optimizer
-        #: writes — at *step* time for deferred lazy-row schedules, since
-        #: any read replays them — and by ``load_state_dict``.
-        self._version = 0
-        #: position on the active step tape (:mod:`repro.autograd.tape`);
-        #: ``-1`` for tensors created outside a taped step. Recording is
-        #: inlined (equivalent to ``StepTape.record``) — this runs for
-        #: every graph node of every taped training step.
-        tape = _tape._ACTIVE
-        if tape is not None and self.requires_grad:
-            nodes = tape.nodes
-            self._tape_idx = len(nodes)
-            nodes.append(self)
-        else:
-            self._tape_idx = -1
-
-    def bump_version(self) -> None:
-        """Mark the tensor's value as logically changed (cache keys on
-        this; in-place mutations outside the optimizer should call it)."""
-        self._version += 1
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -227,9 +205,53 @@ class Tensor:
                 raise ValueError("backward() without grad requires a scalar output")
             grad = np.ones_like(self.data)
         grad = _as_array(grad)
-        # The sweep lives in repro.autograd.tape so plain execution and
-        # plan tracing share one implementation.
-        _tape.run_backward(self, grad)
+        # Topological order via iterative DFS (avoids recursion limits on
+        # deep GNN stacks).
+        topo: list = []
+        visited: set[int] = set()
+        stack: list[tuple] = [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                topo.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for parent in node._parents:
+                if id(parent) not in visited and parent.requires_grad:
+                    stack.append((parent, False))
+
+        # Apply gradients LIFO: every contribution to a node arrives
+        # before the node runs, folded left in arrival order.
+        grads: dict[int, np.ndarray] = {id(self): grad}
+        for node in reversed(topo):
+            node_grad = grads.pop(id(node), None)
+            if node_grad is None:
+                continue
+            if node._backward is None:
+                node._accumulate(node_grad)
+                continue
+            if isinstance(node_grad, RowSparseGrad) and not getattr(
+                    node._backward, "accepts_sparse", False):
+                # Only sparse-aware closures (axis-0 concat) can route a
+                # row-sparse gradient; everything else gets the dense
+                # array the closure was written against.
+                node_grad = node_grad.to_dense()
+            parent_grads = node._backward(node_grad)
+            if not isinstance(parent_grads, tuple):
+                parent_grads = (parent_grads,)
+            for parent, pgrad in zip(node._parents, parent_grads):
+                if pgrad is None or not parent.requires_grad:
+                    continue
+                if parent._backward is None and not parent._parents:
+                    parent._accumulate(pgrad)
+                elif id(parent) in grads:
+                    grads[id(parent)] = rowsparse.grad_sum(
+                        grads[id(parent)], pgrad)
+                else:
+                    grads[id(parent)] = rowsparse.first_arrival(pgrad)
 
     # ------------------------------------------------------------------
     # elementwise arithmetic

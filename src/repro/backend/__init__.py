@@ -12,14 +12,14 @@ embedding lookups — dispatches through the *active backend*
     Training fingerprints, the committed golden suite, and every
     published results/ table are defined on it.
 ``fast``
-    The opt-in accelerated tier: float32 parameters, pooled StepPlan
-    replay buffers, optional torch/cupy matmul dispatch when those
-    libraries are importable (neither is a dependency). Numerics drift
+    The opt-in accelerated tier: float32 parameters, accelerated
+    scatter/gather kernels, optional torch/cupy matmul dispatch when
+    those libraries are importable (neither is a dependency). Numerics drift
     by rounding; per-model tolerance parity is pinned in
     ``tests/backend/test_parity.py``.
 
-Selection contract (the same one ``REPRO_TAPE`` established)
-------------------------------------------------------------
+Selection contract
+------------------
 * ``ExperimentSpec.backend`` pins a backend for one experiment and
   **folds into the train content address** — pinned specs get distinct
   artifacts.
@@ -86,8 +86,8 @@ def active() -> ArrayBackend:
     Reads ``REPRO_BACKEND`` per call (one dict lookup on the hot path;
     the instance itself is a cached singleton) so tests and
     measurements can flip the environment toggle without re-importing —
-    the same call-time contract as ``REPRO_SPARSE_GRAD`` and
-    ``REPRO_TAPE``. Unset or empty means the reference tier.
+    the same call-time contract as ``REPRO_SPARSE_GRAD``. Unset or
+    empty means the reference tier.
     """
     name = os.environ.get("REPRO_BACKEND")
     if not name:
@@ -103,9 +103,9 @@ def backend_mode(name: str):
     """Force ``REPRO_BACKEND`` for the duration of a block.
 
     Used by parity measurements and by experiment specs that pin
-    :attr:`repro.experiments.spec.ExperimentSpec.backend` (mirrors
-    ``repro.engine.plan.tape_mode``). Validates the name up front so a
-    typo fails at the ``with`` statement, not mid-training.
+    :attr:`repro.experiments.spec.ExperimentSpec.backend`. Validates
+    the name up front so a typo fails at the ``with`` statement, not
+    mid-training.
     """
     get_backend(name)
     previous = os.environ.get("REPRO_BACKEND")

@@ -10,7 +10,7 @@ body is the exact NumPy expression the call sites ran before the
 backend seam existed, so a backend that overrides nothing reproduces
 the historical floating-point sequence bit for bit.
 
-Backends carry three capability fields the rest of the system consults:
+Backends carry two capability fields the rest of the system consults:
 
 ``param_dtype``
     Trainable-parameter dtype override (``None`` follows
@@ -20,13 +20,6 @@ Backends carry three capability fields the rest of the system consults:
     suites (golden fingerprints, exact replay tests) refuse to run on
     accelerated backends — drifted fingerprints would be attributed to
     regressions they are not.
-``pooled_replay``
-    Whether :meth:`repro.engine.plan.StepPlan.replay` may accumulate
-    dense gradients into plan-owned buffers (in-place ``np.add``)
-    instead of allocating per fold. The in-place add computes the same
-    sum, but the reference tier keeps the historical allocation-pure
-    path anyway so its replay is *structurally* identical to the dict
-    sweep it is tested against.
 """
 
 from __future__ import annotations
@@ -45,8 +38,6 @@ class ArrayBackend:
     param_dtype: np.dtype | None = None
     #: True when numerics may differ from the reference by rounding
     accelerated = False
-    #: True when StepPlan.replay may reuse pooled accumulation buffers
-    pooled_replay = False
 
     # -- dense BLAS -----------------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,9 +11,6 @@ inside tolerance bounds the parity suite pins per model
   rotated-order rounds (the PR 2 snapshot's 2.3x predates that
   methodology and today's ~2x-faster float64 reference — see the
   Table VII backend addendum).
-* **pooled StepPlan replay** — the traced backward schedule accumulates
-  dense gradients into plan-owned buffers instead of allocating per
-  fold (``StepPlan.replay``); same sums, no allocator churn.
 * **accelerated scatter/gather** — the gather-backward scatter switches
   to a dtype-preserving sort/segment-sum above a table-size crossover
   (the reference flat bincount pays a float64 round-trip and a
@@ -71,12 +68,11 @@ def _load_cupy():
 
 
 class FastBackend(ArrayBackend):
-    """float32 parameters, pooled replay buffers, optional torch/cupy."""
+    """float32 parameters, accelerated scatter, optional torch/cupy."""
 
     name = "fast"
     param_dtype = np.float32
     accelerated = True
-    pooled_replay = True
 
     def __init__(self):
         self._torch = _load_torch()

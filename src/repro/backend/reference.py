@@ -21,4 +21,3 @@ class ReferenceBackend(ArrayBackend):
     name = "reference"
     param_dtype = None  # follow init.PARAM_DTYPE (float64 by default)
     accelerated = False
-    pooled_replay = False

@@ -85,10 +85,6 @@ class Recommender(Module):
     def invalidate(self) -> None:
         self._cached_users = None
         self._cached_items = None
-        # Forward memos validate on parameter versions, but invalidate()
-        # is also the documented hook after frozen-structure rebinds and
-        # untracked in-place mutations — so it clears them too.
-        self.bump_memos()
 
     def user_matrix(self) -> np.ndarray:
         if self._cached_users is None:

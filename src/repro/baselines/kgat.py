@@ -54,14 +54,7 @@ class KGATModel(Recommender):
             self.transr.parameters() + self.node_emb.parameters(), lr=kg_lr)
 
     def _forward(self) -> Tensor:
-        """Concatenated multi-layer node representations (memoized on
-        the parameter versions while nothing changes between calls)."""
-        return self.memoized(
-            "forward", self.parameters(), self._propagate,
-            extra_key=tuple(layer._plan.seq
-                            for layer in self.attention_layers))
-
-    def _propagate(self) -> Tensor:
+        """Concatenated multi-layer node representations."""
         current = self.node_emb.weight
         outputs = [current]
         for layer in self.attention_layers:

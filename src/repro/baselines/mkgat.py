@@ -98,14 +98,6 @@ class MKGATModel(Recommender):
     def _node_matrix(self) -> Tensor:
         """Assemble the full CKG node matrix in id order:
         [kg entities][modality nodes][users]."""
-        return self.memoized(
-            "node_matrix",
-            [self.node_emb.weight]
-            + [p for m in self.modalities
-               for p in self.projectors[m].parameters()],
-            self._assemble_nodes)
-
-    def _assemble_nodes(self) -> Tensor:
         base = self.node_emb.weight[:self._base_entities]
         modal_parts = [self.projectors[m](self._features[m])
                        for m in self.modalities]
@@ -113,12 +105,6 @@ class MKGATModel(Recommender):
         return concat([base] + modal_parts + [users], axis=0)
 
     def _forward(self) -> Tensor:
-        return self.memoized(
-            "forward", self.parameters(), self._propagate,
-            extra_key=tuple(layer._plan.seq
-                            for layer in self.attention_layers))
-
-    def _propagate(self) -> Tensor:
         current = self._node_matrix()
         outputs = [current]
         for layer in self.attention_layers:

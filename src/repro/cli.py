@@ -56,17 +56,9 @@ Commands
     benchmarks the row-sparse gradient pipeline against the dense
     schedule on the catalog-dominated synthetic fixture (optionally
     enforcing ``--min-sparse-speedup``, the CI smoke gate for the
-    sparse pipeline). ``--forward-compare`` benchmarks the fused
-    relation-batched attention kernels plus the parameter-versioned
-    forward memo against the legacy per-relation forward path
-    (``REPRO_BATCHED_ATTENTION=0`` / ``REPRO_FORWARD_CACHE=0``), with
-    memo hit counts and an optional ``--min-forward-speedup`` floor
-    (the CI no-regression gate). ``--tape-compare`` benchmarks step-tape
-    replay (``REPRO_TAPE=1``) against the per-step dict sweep on the
-    same catalog-dominated fixture, with an optional
-    ``--min-tape-speedup`` floor. ``--backend-compare`` benchmarks the
-    bit-exact reference backend against the opt-in accelerated tier
-    (``REPRO_BACKEND=fast``: float32 params, pooled replay buffers,
+    sparse pipeline). ``--backend-compare`` benchmarks the bit-exact
+    reference backend against the opt-in accelerated tier
+    (``REPRO_BACKEND=fast``: float32 params, accelerated scatter,
     optional torch/cupy dispatch) in interleaved order-rotated rounds —
     the one comparison whose two modes are tolerance-parity rather than
     bit-identical — with ``--min-backend-speedup`` gating the fast/
@@ -90,8 +82,8 @@ Commands
     combined tables as the Table-VII scaling addendum.
     ``--breakdown`` adds the per-phase
     (sample/forward/backward/clip/step/extra) training-step cost table
-    for any model, heterogeneous ones included — taped, sparse-untaped,
-    and dense columns.
+    for any model, heterogeneous ones included — sparse and dense
+    columns.
 """
 
 from __future__ import annotations
@@ -371,10 +363,8 @@ def _bench_scaling(args) -> int:
 def cmd_bench(args) -> int:
     from .analysis.timing import (breakdown_rows, catalog_dominated_dataset,
                                   measure_backend_training_throughput,
-                                  measure_forward_throughput,
                                   measure_sparse_training_throughput,
                                   measure_step_breakdown,
-                                  measure_tape_training_throughput,
                                   measure_training_throughput)
     def print_breakdowns(dataset) -> None:
         if not args.breakdown:
@@ -392,17 +382,8 @@ def cmd_bench(args) -> int:
         print("--min-sparse-speedup only applies with --sparse-compare",
               file=sys.stderr)
         return 2
-    if not (args.sparse_compare or args.tape_compare) \
-            and args.fixture_scale != 1.0:
-        print("--fixture-scale only applies with --sparse-compare or "
-              "--tape-compare", file=sys.stderr)
-        return 2
-    if not args.forward_compare and args.min_forward_speedup is not None:
-        print("--min-forward-speedup only applies with --forward-compare",
-              file=sys.stderr)
-        return 2
-    if not args.tape_compare and args.min_tape_speedup is not None:
-        print("--min-tape-speedup only applies with --tape-compare",
+    if not args.sparse_compare and args.fixture_scale != 1.0:
+        print("--fixture-scale only applies with --sparse-compare",
               file=sys.stderr)
         return 2
     if not args.backend_compare and args.min_backend_speedup is not None:
@@ -434,16 +415,14 @@ def cmd_bench(args) -> int:
                       file=sys.stderr)
                 return 2
     if args.scaling:
-        if args.sparse_compare or args.forward_compare \
-                or args.tape_compare or args.backend_compare \
+        if args.sparse_compare or args.backend_compare \
                 or args.serving_latency:
             print("--scaling is a separate benchmark; pick one",
                   file=sys.stderr)
             return 2
         return _bench_scaling(args)
     if args.serving_latency:
-        if args.sparse_compare or args.forward_compare \
-                or args.tape_compare or args.backend_compare:
+        if args.sparse_compare or args.backend_compare:
             print("--serving-latency is a separate benchmark; pick one",
                   file=sys.stderr)
             return 2
@@ -478,7 +457,7 @@ def cmd_bench(args) -> int:
             return 1
         return 0
     if args.backend_compare:
-        if args.sparse_compare or args.forward_compare or args.tape_compare:
+        if args.sparse_compare:
             print("--backend-compare is a separate benchmark; pick one",
                   file=sys.stderr)
             return 2
@@ -512,55 +491,6 @@ def cmd_bench(args) -> int:
                   f"{slowest.reference_epochs_per_second:.2f} epochs/s, "
                   f"below the --min-throughput floor of "
                   f"{args.min_throughput}", file=sys.stderr)
-            return 1
-        return 0
-    if args.tape_compare:
-        if args.sparse_compare or args.forward_compare:
-            print("--tape-compare is a separate benchmark; pick one",
-                  file=sys.stderr)
-            return 2
-        dataset = catalog_dominated_dataset(scale=args.fixture_scale,
-                                            seed=args.seed)
-        rows = measure_tape_training_throughput(
-            dataset, model_names=tuple(args.models), epochs=args.epochs,
-            seed=args.seed, train_config=_train_config(args),
-            embedding_dim=args.embedding_dim)
-        print(format_table(
-            [row.as_row() for row in rows],
-            title="Step-tape replay vs per-step dict sweep "
-                  f"on {dataset.name} (bit-identical models)"))
-        print_breakdowns(dataset)
-        worst = min(rows, key=lambda row: row.speedup)
-        if args.min_tape_speedup is not None \
-                and worst.speedup < args.min_tape_speedup:
-            print(f"FAIL: {worst.model} taped steps are only "
-                  f"{worst.speedup:.2f}x the untaped sweep, below the "
-                  f"--min-tape-speedup floor of {args.min_tape_speedup}",
-                  file=sys.stderr)
-            return 1
-        return 0
-    if args.forward_compare:
-        if args.sparse_compare:
-            print("--forward-compare and --sparse-compare are separate "
-                  "benchmarks; pick one", file=sys.stderr)
-            return 2
-        dataset = _load_dataset(args.dataset, args.size)
-        rows = measure_forward_throughput(
-            dataset, model_names=tuple(args.models), epochs=args.epochs,
-            seed=args.seed, train_config=_train_config(args),
-            embedding_dim=args.embedding_dim)
-        print(format_table(
-            [row.as_row() for row in rows],
-            title="Fused attention + forward memo vs legacy forward "
-                  f"path on {dataset.name} (bit-identical models)"))
-        print_breakdowns(dataset)
-        worst = min(rows, key=lambda row: row.speedup)
-        if args.min_forward_speedup is not None \
-                and worst.speedup < args.min_forward_speedup:
-            print(f"FAIL: {worst.model} fused forward path is only "
-                  f"{worst.speedup:.2f}x the legacy loop, below the "
-                  f"--min-forward-speedup floor of "
-                  f"{args.min_forward_speedup}", file=sys.stderr)
             return 1
         return 0
     if args.sparse_compare:
@@ -905,23 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--fixture-scale", type=float, default=1.0,
                          help="size multiplier for the catalog-dominated "
                               "fixture (smaller is faster; CI uses 0.5)")
-    p_bench.add_argument("--forward-compare", action="store_true",
-                         help="benchmark the fused relation-batched "
-                              "attention kernels + forward memo against "
-                              "the legacy per-relation forward path "
-                              "(REPRO_BATCHED_ATTENTION=0)")
-    p_bench.add_argument("--min-forward-speedup", type=float, default=None,
-                         help="with --forward-compare: exit nonzero when "
-                              "the fused/legacy epochs-per-second ratio "
-                              "falls below this floor")
-    p_bench.add_argument("--tape-compare", action="store_true",
-                         help="benchmark step-tape replay (REPRO_TAPE=1) "
-                              "against the per-step dict sweep on the "
-                              "catalog-dominated synthetic fixture")
-    p_bench.add_argument("--min-tape-speedup", type=float, default=None,
-                         help="with --tape-compare: exit nonzero when "
-                              "the taped/untaped epochs-per-second ratio "
-                              "falls below this floor")
     p_bench.add_argument("--backend-compare", action="store_true",
                          help="benchmark the bit-exact reference backend "
                               "against the accelerated fast tier "
@@ -985,8 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--breakdown", action="store_true",
                          help="also print the per-phase "
                               "(sample/forward/backward/clip/step) "
-                              "training-step cost, taped vs sparse "
-                              "vs dense")
+                              "training-step cost, sparse vs dense")
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     return parser

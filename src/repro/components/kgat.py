@@ -14,8 +14,8 @@ The per-relation work runs through the fused relation-batched kernel
 precomputed relation-sorted permutation of the triplets, block-sliced
 matmuls against the stacked ``(num_relations, dim, relation_dim)``
 projection tensor, and no per-forward concatenation — bit-identical to
-the legacy per-relation node graph, which ``REPRO_BATCHED_ATTENTION=0``
-restores (the parity suite pins the equivalence).
+a per-relation node graph, which ``tests/autograd/test_fused.py`` keeps
+as its reference.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ..autograd import fused
 from ..autograd.init import param_dtype, xavier_uniform
 from ..autograd.nn import Module
 from ..graphs.ckg import CollaborativeKG
-from .segments import segment_operators, segment_softmax_weighted_sum
+from .segments import segment_operators
 
 
 def stacked_relation_projections(rng: np.random.Generator,
@@ -71,57 +71,27 @@ class KnowledgeGraphAttention(Module):
             raise ValueError("relation vocabulary changed")
         self.ckg = ckg
         triplets = ckg.triplets
-        self._by_relation = []
+        by_relation = []
         for relation in range(ckg.num_relations):
             mask = triplets[:, 1] == relation
-            self._by_relation.append((
-                triplets[mask, 0].copy(), triplets[mask, 2].copy()))
+            by_relation.append((triplets[mask, 0].copy(),
+                                triplets[mask, 2].copy()))
         # The relation-sorted layout is as frozen as the CKG itself:
         # precompute the concatenated index arrays, per-relation slice
         # bounds, scatter indices, the segment-max sort, and the
         # indicator-operator pair once instead of per forward call.
-        self._plan = fused.RelationPlan(self._by_relation, ckg.num_nodes,
+        self._plan = fused.RelationPlan(by_relation, ckg.num_nodes,
                                         self.dim)
-        self._segments = self._plan.segments
-        self._segment_ops = segment_operators(self._segments,
+        self._segment_ops = segment_operators(self._plan.segments,
                                               ckg.num_nodes)
 
     def forward(self, node_emb: Tensor) -> Tensor:
         """Aggregate one attention hop; input/output are (num_nodes, dim)."""
-        if fused.batched_enabled():
-            neighborhood = fused.attention_message(
-                node_emb, self.relation_proj, self.relation_emb,
-                self._plan, self._segment_ops)
-        else:
-            neighborhood = self._legacy_neighborhood(node_emb)
+        neighborhood = fused.attention_message(
+            node_emb, self.relation_proj, self.relation_emb,
+            self._plan, self._segment_ops)
 
         # Bi-interaction aggregator (eq. 13).
         summed = (node_emb + neighborhood).matmul(self.w_sum).leaky_relu()
         prod = (node_emb * neighborhood).matmul(self.w_prod).leaky_relu()
         return summed + prod
-
-    def _legacy_neighborhood(self, node_emb: Tensor) -> Tensor:
-        """The historical per-relation node graph (one gather pair,
-        matmul pair, and logits chain per relation, then two concats).
-        Kept as the bit-parity reference for the fused kernel."""
-        logits_parts: list[Tensor] = []
-        tails_parts: list[Tensor] = []
-        for relation, (heads, tails) in enumerate(self._by_relation):
-            if len(heads) == 0:
-                continue
-            x_h = node_emb.take_rows(heads)
-            x_t = node_emb.take_rows(tails)
-            w_r = self.relation_proj[relation]
-            e_r = self.relation_emb[relation]
-            proj_t = x_t.matmul(w_r)
-            proj_h = (x_h.matmul(w_r) + e_r).tanh()
-            logits_parts.append((proj_t * proj_h).sum(axis=1))
-            tails_parts.append(x_t)
-
-        from ..autograd import concat
-        logits = concat(logits_parts, axis=0)
-        tails = concat(tails_parts, axis=0)
-
-        return segment_softmax_weighted_sum(
-            logits, tails, self._segments, self.ckg.num_nodes,
-            operators=self._segment_ops)

@@ -22,8 +22,8 @@ class TransRScorer(Module):
     (:func:`repro.autograd.fused.transr_scores`): a stable relation
     sort, one gather pair, and block-sliced matmuls against the stacked
     ``(num_relations, entity_dim, relation_dim)`` projection tensor —
-    bit-identical to the historical per-relation node graph, which
-    ``REPRO_BATCHED_ATTENTION=0`` restores.
+    bit-identical to a per-relation node graph, which
+    ``tests/autograd/test_fused.py`` keeps as its reference.
     """
 
     def __init__(self, num_relations: int, entity_dim: int,
@@ -41,26 +41,9 @@ class TransRScorer(Module):
     def score(self, entity_emb: Tensor, heads: np.ndarray,
               relations: np.ndarray, tails: np.ndarray) -> Tensor:
         """Batched triplet scores, grouped internally by relation."""
-        relations = np.asarray(relations, dtype=np.int64)
-        if fused.batched_enabled():
-            return fused.transr_scores(
-                entity_emb, self.relation_proj, self.relation_emb,
-                heads, relations, tails)
-        parts: list[tuple[np.ndarray, Tensor]] = []
-        for relation in np.unique(relations):
-            mask = np.flatnonzero(relations == relation)
-            w_r = self.relation_proj[int(relation)]
-            e_r = self.relation_emb[int(relation)]
-            h = entity_emb.take_rows(heads[mask]).matmul(w_r)
-            t = entity_emb.take_rows(tails[mask]).matmul(w_r)
-            diff = h + e_r - t
-            parts.append((mask, -(diff * diff).sum(axis=1)))
-        # Reassemble in input order via a scatter of concatenated parts.
-        from ..autograd import concat
-        order = np.concatenate([mask for mask, _ in parts])
-        stacked = concat([score for _, score in parts], axis=0)
-        inverse = np.argsort(order, kind="stable")
-        return stacked.take_rows(inverse)
+        return fused.transr_scores(
+            entity_emb, self.relation_proj, self.relation_emb,
+            heads, relations, tails)
 
 
 def transr_loss(scorer: TransRScorer, entity_emb: Tensor,

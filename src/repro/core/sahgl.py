@@ -45,11 +45,6 @@ class BehaviorEncoder(Module):
         self.num_layers = num_layers
 
     def forward(self):
-        return self.memoized(
-            "behavior", [self.user_emb.weight, self.item_emb.weight],
-            self._propagate, extra_key=(self.graph,))
-
-    def _propagate(self):
         return lightgcn_propagate(
             self.graph.norm_adjacency, self.user_emb.weight,
             self.item_emb.weight, self.num_layers)
@@ -83,23 +78,9 @@ class ModalityEncoder(Module):
         # The transpose is a fresh one-shot matrix: nothing to cache on.
         self._to_items = engine.normalized(user_item.T.tocsr(), "row",
                                            cache=False)
-        self.bump_memos()
 
     def forward(self):
         """Returns ``(x_u, x_i, projected_items)`` for this modality."""
-        if self.training and self.dropout_rate > 0:
-            # Dropout consumes the generator, so two consecutive
-            # forwards can never share a pre-draw stream position — a
-            # memo hit is structurally impossible while training (the
-            # RNG-state-keyed entry exists for rewind/replay consumers;
-            # see ForwardMemo). Skip the lookup instead of paying
-            # fingerprinting on a guaranteed miss every step.
-            return self._propagate()
-        return self.memoized(
-            "modality", self.projector.parameters(), self._propagate,
-            extra_key=(self.training,))
-
-    def _propagate(self):
         engine = get_engine()
         projected = self.projector(self.features)
         projected = ag_dropout(projected, self.dropout_rate, self._drop_rng,
@@ -130,13 +111,6 @@ class KnowledgeEncoder(Module):
                        for _ in range(num_layers)]
 
     def node_matrix(self) -> Tensor:
-        return self.memoized(
-            "node_matrix",
-            [self.item_emb.weight, self.entity_emb.weight,
-             self.user_emb.weight],
-            self._assemble_nodes)
-
-    def _assemble_nodes(self) -> Tensor:
         from ..autograd import concat
         return concat([
             self.item_emb.weight,       # entities [0, num_items)
@@ -145,11 +119,6 @@ class KnowledgeEncoder(Module):
         ], axis=0)
 
     def forward(self):
-        return self.memoized(
-            "forward", self.parameters(), self._propagate,
-            extra_key=tuple(layer._plan.seq for layer in self.layers))
-
-    def _propagate(self):
         nodes = self.node_matrix()
         for layer in self.layers:
             nodes = layer(nodes).normalize()

@@ -29,7 +29,6 @@ the layer-by-layer schedule — the two paths are numerically equivalent
 from .fold import MAX_COST_RATIO, MAX_DENSITY, fold_walk
 from .ops import (OPERATOR_DTYPE, apply_dense, as_operator, density,
                   mean_aggregation_operator)
-from .plan import BufferPool, StepPlan, StepPlanner
 from .propagate import (PropagationEngine, PropagationPlan, configure,
                         get_engine, normalized_adjacency, propagate)
 
@@ -37,11 +36,8 @@ __all__ = [
     "OPERATOR_DTYPE",
     "MAX_COST_RATIO",
     "MAX_DENSITY",
-    "BufferPool",
     "PropagationEngine",
     "PropagationPlan",
-    "StepPlan",
-    "StepPlanner",
     "apply_dense",
     "as_operator",
     "configure",

@@ -247,17 +247,8 @@ class Runner:
                 / "snapshot.npz"
             with self._backend_scope(spec):
                 model = self._create_model(spec, model_name, dataset)
-                if spec.tape is None:
-                    result = train_model(model, dataset, spec.train,
-                                         snapshot_path=snapshot)
-                else:
-                    # Pinned tape mode (A/B parity specs): bit-identical
-                    # by contract, so only explicitly pinned specs fold
-                    # it into their train_key.
-                    from ..engine.plan import tape_mode
-                    with tape_mode(spec.tape):
-                        result = train_model(model, dataset, spec.train,
-                                             snapshot_path=snapshot)
+                result = train_model(model, dataset, spec.train,
+                                     snapshot_path=snapshot)
             staged = self.store.stage_dir("train", key)
             save_checkpoint(model, staged / "model.npz", metadata={
                 "model": model_name, "dataset": spec.dataset,

@@ -12,8 +12,8 @@ Hash keys also fold in the code-relevant knobs that change numerics:
 the parameter dtype (``PARAM_DTYPE``) and :data:`PIPELINE_VERSION`,
 which must be bumped by any PR that intentionally changes training or
 evaluation semantics (everything else — sparse gradients, folded
-operators, fused kernels, forward memos — is bit-identical by contract
-and therefore excluded on purpose).
+operators, fused kernels — is bit-identical by contract and therefore
+excluded on purpose).
 """
 
 from __future__ import annotations
@@ -117,18 +117,12 @@ class ExperimentSpec:
     #: one optional sweep axis: (model-config field, values); expanded by
     #: :func:`expand_sweep` into one child spec per value
     sweep: tuple = ()
-    #: pin step-tape replay on/off for this experiment's training runs
-    #: (``None`` — the default — follows ``REPRO_TAPE``). The toggle is
-    #: bit-identical by contract, so it only enters the content address
-    #: when explicitly pinned: A/B parity specs get distinct artifacts,
-    #: ordinary specs keep their existing addresses.
-    tape: bool | None = None
     #: pin the array backend for this experiment's training runs
-    #: (``None`` — the default — follows ``REPRO_BACKEND``). Unlike
-    #: ``tape``, the ``"fast"`` tier is *not* bit-identical (float32
-    #: params, accelerated kernels), so a pinned backend always enters
-    #: the content address; the env var stays address-neutral like
-    #: every other runtime toggle.
+    #: (``None`` — the default — follows ``REPRO_BACKEND``). The
+    #: ``"fast"`` tier is *not* bit-identical (float32 params,
+    #: accelerated kernels), so a pinned backend always enters the
+    #: content address; the env var stays address-neutral like every
+    #: other runtime toggle.
     backend: str | None = None
     description: str = ""
 
@@ -176,8 +170,6 @@ class ExperimentSpec:
             "embedding_dim": self.embedding_dim,
             "seed": self.seed,
         }
-        if self.tape is not None:
-            payload["tape"] = self.tape
         if self.backend is not None:
             payload["backend"] = self.backend
         return content_key(payload)
@@ -202,6 +194,9 @@ class ExperimentSpec:
             (s["name"], s.get("params", {})) if isinstance(s, dict) else s
             for s in payload.get("scenarios", [])]
         payload["sweep"] = tuple(payload.get("sweep", ()) or ())
+        # Older spec files carry a step-tape pin; that execution mode
+        # no longer exists and never changed results.
+        payload.pop("tape", None)
         return cls(**payload)
 
     @classmethod

@@ -33,7 +33,10 @@ Overload and shutdown are explicit states, not accidents
   finish inside a grace period, then the server closes;
 * every error response is structured JSON
   (``{"error": ..., "snapshot_version": ...}``) — the stdlib HTML error
-  page is overridden away.
+  page is overridden away;
+* POST bodies are validated before they are read: a ``Content-Length``
+  that is not a non-negative integer is answered **400**, one above
+  :data:`MAX_BODY_BYTES` **413**, and the connection is closed.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ import numpy as np
 
 from ..reliability import fire
 from .snapshot import SnapshotManager
+
+#: largest POST body the daemon reads; a longer declared body is
+#: answered 413 unread (ingest payloads are a few feature rows)
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class LoadShedError(RuntimeError):
@@ -325,6 +332,9 @@ class _Handler(BaseHTTPRequestHandler):
     """JSON endpoint dispatch; the daemon instance rides on the server."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the second
+    # waits for the client's delayed ACK (~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
 
     # quiet: pytest/CI logs should not fill with per-request lines
     def log_message(self, format, *args):  # noqa: A002
@@ -387,9 +397,33 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._error(f"unknown endpoint {parsed.path}", status=404)
 
+    def _body_length(self) -> int | None:
+        """The declared body length, or ``None`` once the request was
+        answered 400 (not a non-negative integer) or 413 (above
+        :data:`MAX_BODY_BYTES`). A rejected body stays unread, so the
+        connection closes instead of parsing it as the next request."""
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        close = {"Connection": "close"}
+        if length < 0:
+            self._error("Content-Length must be a non-negative integer, "
+                        f"not {declared!r}", headers=close)
+            return None
+        if length > MAX_BODY_BYTES:
+            self._error(f"request body of {length} bytes exceeds the "
+                        f"{MAX_BODY_BYTES}-byte limit", status=413,
+                        headers=close)
+            return None
+        return length
+
     def do_POST(self) -> None:  # noqa: N802
         parsed = urlparse(self.path)
-        length = int(self.headers.get("Content-Length", 0))
+        length = self._body_length()
+        if length is None:
+            return
         try:
             payload = json.loads(self.rfile.read(length) or b"{}")
         except json.JSONDecodeError:

@@ -1,9 +1,8 @@
 """Training fingerprints: one short hash per trained model.
 
 The repository's central promise is bit-exact reproducibility — every
-performance path (row-sparse gradients, fused kernels, forward memos,
-step-tape replay) must leave the training trajectory untouched down to
-the last bit. A :func:`training_fingerprint` condenses a finished run
+performance path (row-sparse gradients, fused kernels) must leave the
+training trajectory untouched down to the last bit. A :func:`training_fingerprint` condenses a finished run
 into a few SHA-256 digests:
 
 * ``params`` — every ``state_dict`` entry (name, shape, dtype, bytes);

@@ -185,16 +185,8 @@ def save_training_snapshot(path: str | Path, model: Module, *,
                            optimizer: Optimizer,
                            sampler_rng: np.random.Generator,
                            stopper, scheduler, result, epoch: int,
-                           best_state: dict | None,
-                           planner=None) -> None:
-    """Capture the complete training state after ``epoch`` completed.
-
-    ``planner`` (a :class:`repro.engine.plan.StepPlanner`, when step
-    taping is on) contributes only its trace/replay counters: a
-    :class:`~repro.engine.plan.StepPlan` stores no values — schedules
-    are re-traced from the first resumed step, which is what keeps
-    resume bit-exact with or without taping.
-    """
+                           best_state: dict | None) -> None:
+    """Capture the complete training state after ``epoch`` completed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -247,7 +239,6 @@ def save_training_snapshot(path: str | Path, model: Module, *,
         },
         "scheduler": {"epoch": scheduler.epoch,
                       "lr": scheduler.optimizer.lr},
-        "planner": planner.stats() if planner is not None else None,
         "result": {
             "losses": result.losses,
             "val_history": [list(entry) for entry in result.val_history],
@@ -319,7 +310,7 @@ def restore_training_snapshot(snapshot: TrainingSnapshot, model: Module, *,
                               optimizer: Optimizer,
                               sampler_rng: np.random.Generator,
                               stopper, scheduler,
-                              result, planner=None) -> dict | None:
+                              result) -> dict | None:
     """Restore everything captured by :func:`save_training_snapshot`
     into freshly-constructed training objects; returns the best-state
     parameter snapshot (or None)."""
@@ -370,11 +361,6 @@ def restore_training_snapshot(snapshot: TrainingSnapshot, model: Module, *,
 
     scheduler.epoch = int(header["scheduler"]["epoch"])
     scheduler.optimizer.lr = float(header["scheduler"]["lr"])
-
-    # Plans are structural (no values), so only the counters carry over;
-    # the resumed run re-traces on its first step.
-    if planner is not None and header.get("planner"):
-        planner.load_stats(header["planner"])
 
     res = header["result"]
     result.losses = list(res["losses"])

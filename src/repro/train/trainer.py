@@ -70,9 +70,6 @@ class TrainResult:
     best_epoch: int = -1
     train_seconds: float = 0.0
     epochs_run: int = 0
-    #: step-tape counters (traces/replays/fallbacks) when ``REPRO_TAPE``
-    #: was on for the run, else ``None``
-    tape_stats: dict | None = None
 
 
 def _monitor_value(model, dataset: RecDataset, config: TrainConfig) -> float:
@@ -125,12 +122,6 @@ def train_model(model, dataset: RecDataset,
     result = TrainResult()
     best_state = None
     start_epoch = 0
-    # Step taping (REPRO_TAPE=1, the default): trace the first step of
-    # each graph structure into a StepPlan and replay it afterwards.
-    # Replays run the identical FP sequence, so the trajectory is
-    # bit-identical either way (tests/engine/test_plan.py asserts it).
-    from ..engine.plan import StepPlanner, enabled as tape_enabled
-    planner = StepPlanner() if tape_enabled() else None
 
     if snapshot_path is not None and resume and Path(snapshot_path).exists():
         from .snapshot import CorruptSnapshotError, \
@@ -149,8 +140,7 @@ def train_model(model, dataset: RecDataset,
         else:
             best_state = restore_training_snapshot(
                 snapshot, model, optimizer=optimizer, sampler_rng=rng,
-                stopper=stopper, scheduler=scheduler, result=result,
-                planner=planner)
+                stopper=stopper, scheduler=scheduler, result=result)
             start_epoch = snapshot.epoch + 1
 
     base_seconds = result.train_seconds
@@ -164,13 +154,8 @@ def train_model(model, dataset: RecDataset,
         num_batches = 0
         for users, pos, neg in sampler.epoch_batches(config.batch_size):
             optimizer.zero_grad()
-            if planner is not None:
-                with planner.recording():
-                    loss = model.loss(users, pos, neg)
-                    planner.backward(loss)
-            else:
-                loss = model.loss(users, pos, neg)
-                loss.backward()
+            loss = model.loss(users, pos, neg)
+            loss.backward()
             clip_grad_norm(optimizer.params, config.grad_clip)
             optimizer.step()
             epoch_loss += loss.item()
@@ -206,8 +191,7 @@ def train_model(model, dataset: RecDataset,
             save_training_snapshot(
                 snapshot_path, model, optimizer=optimizer,
                 sampler_rng=rng, stopper=stopper, scheduler=scheduler,
-                result=result, epoch=epoch, best_state=best_state,
-                planner=planner)
+                result=result, epoch=epoch, best_state=best_state)
         # Injection seam: a "crash" here simulates a kill right after
         # the epoch's snapshot landed — the canonical point the chaos
         # suite interrupts at to prove resume is bit-exact.
@@ -220,8 +204,6 @@ def train_model(model, dataset: RecDataset,
     # Training is over: detach the lazy-update hooks so parameters go
     # back to plain tensors (flushes any remaining deferred rows).
     optimizer.release()
-    if planner is not None:
-        result.tape_stats = planner.stats()
     if best_state is not None:
         model.load_state_dict(best_state)
     result.best_epoch = stopper.best_epoch

@@ -1,5 +1,10 @@
-"""Bit-parity of the fused relation-batched kernels vs the legacy
-per-relation node graphs (``REPRO_BATCHED_ATTENTION=0``).
+"""Bit-parity of the fused relation-batched kernels vs per-relation
+node graphs.
+
+The reference graphs live here, not in the library: one gather pair,
+matmul pair and logits chain per relation, then concatenation — the
+graphs the fused kernels replaced. Tests swap them in for
+``fused.attention_message`` / ``fused.transr_scores`` and compare.
 
 Everything here asserts *exact* equality — same bits, not tolerances:
 the fused kernels replay the replaced graph's floating-point expression
@@ -9,15 +14,16 @@ depend on that staying true.
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, concat, fused
 from repro.autograd.optim import Adam, clip_grad_norm
 from repro.autograd.rowsparse import GradParts, RowSparseGrad, grad_sum
 from repro.baselines import create_model
+from repro.components.segments import segment_softmax_weighted_sum
 from repro.components.transr import TransRScorer, transr_loss
 from repro.data import load_amazon
 from repro.train.trainer import TrainConfig, train_model
@@ -28,21 +34,66 @@ def dataset():
     return load_amazon("beauty", size="tiny")
 
 
-class _Batched:
-    """Context manager forcing the fused kernels on or off."""
+def per_relation_attention(nodes, w_stack, rel_emb, plan, operators):
+    """Eq. 9-11 as one autograd subgraph per relation (the reference
+    for :func:`repro.autograd.fused.attention_message`)."""
+    logits_parts, tails_parts = [], []
+    for relation, start, end in plan.rels:
+        x_h = nodes.take_rows(plan.heads[start:end])
+        x_t = nodes.take_rows(plan.tails[start:end])
+        w_r = w_stack[relation]
+        proj_t = x_t.matmul(w_r)
+        proj_h = (x_h.matmul(w_r) + rel_emb[relation]).tanh()
+        logits_parts.append((proj_t * proj_h).sum(axis=1))
+        tails_parts.append(x_t)
+    return segment_softmax_weighted_sum(
+        concat(logits_parts, axis=0), concat(tails_parts, axis=0),
+        plan.segments, plan.num_nodes, operators=operators)
 
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
 
-    def __enter__(self):
-        self.prev = os.environ.get("REPRO_BATCHED_ATTENTION")
-        os.environ["REPRO_BATCHED_ATTENTION"] = "1" if self.enabled else "0"
+def per_relation_transr(entity_emb, w_list, rel_emb, heads, relations,
+                        tails):
+    """Eq. 30 scores as one autograd subgraph per relation, reassembled
+    in input order (the reference for
+    :func:`repro.autograd.fused.transr_scores`)."""
+    relations = np.asarray(relations, dtype=np.int64)
+    parts = []
+    for relation in np.unique(relations):
+        mask = np.flatnonzero(relations == relation)
+        w_r = w_list[int(relation)]
+        h = entity_emb.take_rows(heads[mask]).matmul(w_r)
+        t = entity_emb.take_rows(tails[mask]).matmul(w_r)
+        diff = h + rel_emb[int(relation)] - t
+        parts.append((mask, -(diff * diff).sum(axis=1)))
+    order = np.concatenate([mask for mask, _ in parts])
+    stacked = concat([score for _, score in parts], axis=0)
+    return stacked.take_rows(np.argsort(order, kind="stable"))
 
-    def __exit__(self, *exc):
-        if self.prev is None:
-            os.environ.pop("REPRO_BATCHED_ATTENTION", None)
-        else:
-            os.environ["REPRO_BATCHED_ATTENTION"] = self.prev
+
+@contextmanager
+def _reference_graphs(monkeypatch):
+    """Run the per-relation reference graphs in place of the fused
+    kernels, and fail if no kernel call was actually redirected."""
+    calls = []
+
+    def attention(*args):
+        calls.append("attention")
+        return per_relation_attention(*args)
+
+    def transr(*args):
+        calls.append("transr")
+        return per_relation_transr(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fused, "attention_message", attention)
+        patch.setattr(fused, "transr_scores", transr)
+        yield
+    assert calls, "the per-relation reference never ran"
+
+
+def _kernels(monkeypatch, fused_on: bool):
+    """The fused kernels (``fused_on``) or the per-relation reference."""
+    return nullcontext() if fused_on else _reference_graphs(monkeypatch)
 
 
 class TestGradParts:
@@ -79,8 +130,8 @@ class TestGradParts:
 
 
 class TestAttentionParity:
-    def _run(self, dataset, batched: bool):
-        with _Batched(batched):
+    def _run(self, dataset, monkeypatch, fused_on: bool):
+        with _kernels(monkeypatch, fused_on):
             model = create_model("KGAT", dataset, seed=0)
             layer = model.attention_layers[0]
             x = Tensor(np.random.default_rng(1).normal(
@@ -91,35 +142,34 @@ class TestAttentionParity:
                     layer.relation_emb.grad, layer.w_sum.grad,
                     layer.w_prod.grad)
 
-    def test_layer_forward_and_grads_bit_equal(self, dataset):
-        fused_out = self._run(dataset, True)
-        legacy_out = self._run(dataset, False)
-        for got, want in zip(fused_out, legacy_out):
+    def test_layer_forward_and_grads_bit_equal(self, dataset, monkeypatch):
+        fused_out = self._run(dataset, monkeypatch, True)
+        reference_out = self._run(dataset, monkeypatch, False)
+        for got, want in zip(fused_out, reference_out):
             assert np.array_equal(got, want)
 
     def test_scratch_pool_recovers_after_unbackwarded_forward(self,
                                                               dataset):
         # An inference forward whose graph is discarded without a
         # backward must not strand the plan's scratch buffers forever.
-        with _Batched(True):
-            model = create_model("KGAT", dataset, seed=0)
-            layer = model.attention_layers[0]
-            plan = layer._plan
-            x = Tensor(np.random.default_rng(1).normal(
-                size=(model.ckg.num_nodes, 32)), requires_grad=True)
-            layer(x)                     # never backwarded
-            out = layer(x)               # allocates + repools a set
-            out.backward(np.ones_like(out.data))
-            assert plan._scratch_free    # back in the pool
-            pooled = plan._scratch
-            out2 = layer(x)
-            out2.backward(np.ones_like(out2.data))
-            assert plan._scratch is pooled   # reuse resumed
+        model = create_model("KGAT", dataset, seed=0)
+        layer = model.attention_layers[0]
+        plan = layer._plan
+        x = Tensor(np.random.default_rng(1).normal(
+            size=(model.ckg.num_nodes, 32)), requires_grad=True)
+        layer(x)                     # never backwarded
+        out = layer(x)               # allocates + repools a set
+        out.backward(np.ones_like(out.data))
+        assert plan._scratch_free    # back in the pool
+        pooled = plan._scratch
+        out2 = layer(x)
+        out2.backward(np.ones_like(out2.data))
+        assert plan._scratch is pooled   # reuse resumed
 
-    def test_trained_kgat_bit_equal(self, dataset):
+    def test_trained_kgat_bit_equal(self, dataset, monkeypatch):
         states = []
-        for batched in (True, False):
-            with _Batched(batched):
+        for fused_on in (True, False):
+            with _kernels(monkeypatch, fused_on):
                 model = create_model("KGAT", dataset, seed=0)
                 train_model(model, dataset,
                             TrainConfig(epochs=2, eval_every=3, seed=0))
@@ -147,11 +197,11 @@ class TestAttentionParity:
                 loaded = model.named_parameters()[key].data
                 assert np.array_equal(loaded, value + 1.0)
 
-    def test_trained_firzen_bit_equal(self, dataset):
+    def test_trained_firzen_bit_equal(self, dataset, monkeypatch):
         states = []
         losses = []
-        for batched in (True, False):
-            with _Batched(batched):
+        for fused_on in (True, False):
+            with _kernels(monkeypatch, fused_on):
                 model = create_model("Firzen", dataset, seed=0)
                 result = train_model(model, dataset,
                                      TrainConfig(epochs=2, eval_every=3,
@@ -164,8 +214,8 @@ class TestAttentionParity:
 
 
 class TestTransRParity:
-    def _loss_grads(self, batched: bool, lazy: bool):
-        with _Batched(batched):
+    def _loss_grads(self, monkeypatch, fused_on: bool, lazy: bool):
+        with _kernels(monkeypatch, fused_on):
             rng = np.random.default_rng(5)
             scorer = TransRScorer(4, 8, 8, rng)
             emb = Tensor(np.random.default_rng(7).normal(size=(600, 8)),
@@ -189,34 +239,33 @@ class TestTransRParity:
                     + [scorer.relation_emb.data.copy()])
 
     @pytest.mark.parametrize("lazy", [False, True])
-    def test_trained_transr_bit_equal(self, lazy):
-        fused_state = self._loss_grads(True, lazy)
-        legacy_state = self._loss_grads(False, lazy)
-        for got, want in zip(fused_state, legacy_state):
+    def test_trained_transr_bit_equal(self, monkeypatch, lazy):
+        fused_state = self._loss_grads(monkeypatch, True, lazy)
+        reference_state = self._loss_grads(monkeypatch, False, lazy)
+        for got, want in zip(fused_state, reference_state):
             assert np.array_equal(got, want)
 
-    def test_scores_match_input_order(self, dataset):
+    def test_scores_match_input_order(self, monkeypatch):
         # Forward values in input order, both paths.
-        with _Batched(True):
-            rng = np.random.default_rng(5)
-            scorer = TransRScorer(3, 8, 8, rng)
-            emb = Tensor(np.random.default_rng(7).normal(size=(40, 8)))
-            r = np.random.default_rng(11)
-            heads = r.integers(0, 40, 30)
-            rels = r.integers(0, 3, 30)
-            tails = r.integers(0, 40, 30)
-            fused_scores = scorer.score(emb, heads, rels, tails).data
-        with _Batched(False):
-            legacy_scores = scorer.score(emb, heads, rels, tails).data
-        assert np.array_equal(fused_scores, legacy_scores)
+        rng = np.random.default_rng(5)
+        scorer = TransRScorer(3, 8, 8, rng)
+        emb = Tensor(np.random.default_rng(7).normal(size=(40, 8)))
+        r = np.random.default_rng(11)
+        heads = r.integers(0, 40, 30)
+        rels = r.integers(0, 3, 30)
+        tails = r.integers(0, 40, 30)
+        fused_scores = scorer.score(emb, heads, rels, tails).data
+        with _reference_graphs(monkeypatch):
+            reference_scores = scorer.score(emb, heads, rels, tails).data
+        assert np.array_equal(fused_scores, reference_scores)
 
-    def test_distinct_entity_and_relation_dims(self):
+    def test_distinct_entity_and_relation_dims(self, monkeypatch):
         # entity_dim != relation_dim: the entity gradient is
         # entity_dim wide (regression: the fused backward once sized it
         # with relation_dim and crashed).
         results = []
-        for batched in (True, False):
-            with _Batched(batched):
+        for fused_on in (True, False):
+            with _kernels(monkeypatch, fused_on):
                 rng = np.random.default_rng(5)
                 scorer = TransRScorer(3, entity_dim=8, relation_dim=4,
                                       rng=rng)
@@ -235,19 +284,18 @@ class TestTransRParity:
 
     def test_absent_relations_receive_no_grad(self):
         # Adam skips grad-less parameters; a relation absent from the
-        # batch must keep grad None exactly like the historical loop.
-        with _Batched(True):
-            rng = np.random.default_rng(5)
-            scorer = TransRScorer(4, 8, 8, rng)
-            emb = Tensor(np.random.default_rng(7).normal(size=(40, 8)),
-                         requires_grad=True)
-            heads = np.array([0, 1, 2])
-            rels = np.array([0, 0, 2])
-            tails = np.array([3, 4, 5])
-            loss = transr_loss(scorer, emb, heads, rels, pos_tails=tails,
-                               neg_tails=tails[::-1].copy())
-            loss.backward()
-            assert scorer.relation_proj[0].grad is not None
-            assert scorer.relation_proj[1].grad is None
-            assert scorer.relation_proj[2].grad is not None
-            assert scorer.relation_proj[3].grad is None
+        # batch must keep grad None exactly like the per-relation loop.
+        rng = np.random.default_rng(5)
+        scorer = TransRScorer(4, 8, 8, rng)
+        emb = Tensor(np.random.default_rng(7).normal(size=(40, 8)),
+                     requires_grad=True)
+        heads = np.array([0, 1, 2])
+        rels = np.array([0, 0, 2])
+        tails = np.array([3, 4, 5])
+        loss = transr_loss(scorer, emb, heads, rels, pos_tails=tails,
+                           neg_tails=tails[::-1].copy())
+        loss.backward()
+        assert scorer.relation_proj[0].grad is not None
+        assert scorer.relation_proj[1].grad is None
+        assert scorer.relation_proj[2].grad is not None
+        assert scorer.relation_proj[3].grad is None

@@ -3,10 +3,10 @@
 Two layers of coverage:
 
 * the per-op classes below — one hand-picked case per primitive;
-* :class:`TestPrimitiveGrid` — every primitive the step tape records
-  (``src/repro/autograd/tape.py``), swept over a grid of random shapes
-  and parameter dtypes, plus the fused KGAT-attention / TransR kernels
-  and the row-sparse gather paths whose closures the tape replays.
+* :class:`TestPrimitiveGrid` — every primitive ``Tensor.backward``
+  sweeps through (``src/repro/autograd/tensor.py``), over a grid of
+  random shapes and parameter dtypes, plus the fused KGAT-attention /
+  TransR kernels and the row-sparse gather paths.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ class TestCombinators:
 
 
 # ---------------------------------------------------------------------------
-# shape/dtype grid over every tape-recorded primitive
+# shape/dtype grid over every differentiable primitive
 # ---------------------------------------------------------------------------
 
 def _dense(grad):
@@ -299,7 +299,7 @@ class TestPrimitiveGrid:
 
 class TestFusedKernelGradcheck:
     """Finite differences through the fused KGAT kernels themselves —
-    the largest single closures the step tape replays."""
+    the largest single closures in any backward sweep."""
 
     def _plan(self):
         by_relation = [

@@ -1,7 +1,6 @@
 """Backend selection contract: registry, env toggle, content addresses.
 
-Mirrors the REPRO_TAPE contract tests: the ``REPRO_BACKEND``
-*environment* override is address-neutral (it must never fracture the
+The ``REPRO_BACKEND`` *environment* override is address-neutral (it must never fracture the
 artifact store), while a backend *pinned on the spec* always enters the
 train content address because the fast tier is tolerance-parity, not
 bit-parity. Golden fingerprints refuse to run off-reference outright.
@@ -46,9 +45,9 @@ class TestRegistry:
 
     def test_tier_properties(self):
         reference, fast = get_backend("reference"), get_backend("fast")
-        assert not reference.accelerated and not reference.pooled_replay
+        assert not reference.accelerated
         assert reference.param_dtype is None
-        assert fast.accelerated and fast.pooled_replay
+        assert fast.accelerated
         assert fast.param_dtype == np.float32
 
 
@@ -75,8 +74,8 @@ class TestBackendMode:
 
 class TestContentAddresses:
     def test_env_override_is_address_neutral(self, monkeypatch):
-        # Same contract as REPRO_TAPE: the env override is an execution
-        # detail, so cached reference artifacts stay addressable.
+        # The env override is an execution detail, so cached reference
+        # artifacts stay addressable.
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         key = _spec().train_key("BPR")
         with backend_mode("fast"):

@@ -6,10 +6,6 @@ train every roster model on the tiny world under both backends and
 assert ranking metrics agree within a per-model absolute tolerance.
 (On the tiny world the discrete rankings typically coincide exactly;
 the tolerances leave honest headroom for real accelerators.)
-
-Also pins the one bit-level fact the fast tier *does* guarantee:
-pooled tape replay changes allocation, not arithmetic, so fast+tape
-equals fast+no-tape bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +15,8 @@ import pytest
 
 from repro.backend import backend_mode
 from repro.baselines import create_model
-from repro.engine.plan import tape_mode
 from repro.eval import evaluate_model
 from repro.train import TrainConfig, train_model
-from repro.train.fingerprint import training_fingerprint
 
 #: absolute tolerance on every ranking metric, per model — float32
 #: params admit tiny score reorderings, nothing more
@@ -66,18 +60,3 @@ def test_fast_params_are_float32(tiny_dataset):
     with backend_mode("reference"):
         model = create_model("BPR", tiny_dataset, embedding_dim=8, seed=0)
     assert all(p.data.dtype == np.float64 for p in model.parameters())
-
-
-@pytest.mark.parametrize("model_name", ("BPR", "LightGCN"))
-def test_fast_pooled_tape_replay_is_bit_exact(model_name, tiny_dataset):
-    # Pooled buffers reuse memory across steps but every accumulation
-    # is the same IEEE sum in the same order — so the tape path must
-    # reproduce the eager fast path exactly, not just approximately.
-    def fingerprint(tape: bool):
-        with backend_mode("fast"), tape_mode(tape):
-            model = create_model(model_name, tiny_dataset,
-                                 embedding_dim=8, seed=0)
-            result = train_model(model, tiny_dataset, _train_config())
-            return training_fingerprint(model, result)
-
-    assert fingerprint(True) == fingerprint(False)

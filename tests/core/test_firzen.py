@@ -129,3 +129,15 @@ class TestInferenceGating:
         warm = ~tiny_dataset.split.is_cold
         # removing the mask lets cold signal reach warm rows
         assert not np.allclose(masked[warm], unmasked[warm])
+
+
+class TestNormalColdStart:
+    def test_adapt_to_interactions_changes_representations(
+            self, tiny_dataset):
+        # New links rebuild the frozen graphs; invalidate() must drop
+        # the cached representations computed on the old ones.
+        model = FirzenModel(tiny_dataset, embedding_dim=16,
+                            rng=np.random.default_rng(0))
+        users_before = model.user_matrix().copy()
+        model.adapt_to_interactions(tiny_dataset.split.cold_test[:4])
+        assert not np.array_equal(users_before, model.user_matrix())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -82,6 +83,15 @@ class TestSerialization:
         for model in spec.models:
             assert restored.train_key(model) == spec.train_key(model)
             assert restored.eval_key(model) == spec.eval_key(model)
+
+    def test_spec_file_with_a_tape_pin_still_loads(self):
+        # Spec files written while the step tape existed carry a
+        # "tape" key; it never changed results, so it is dropped.
+        spec = _spec()
+        payload = json.loads(spec.to_json())
+        payload["tape"] = None
+        restored = ExperimentSpec.from_json(json.dumps(payload))
+        assert restored.train_key("BPR") == spec.train_key("BPR")
 
     def test_unknown_size_rejected(self):
         with pytest.raises(ValueError, match="tiny, small, medium"):

@@ -5,6 +5,7 @@ structured errors, and the never-torn-response guarantee.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -17,6 +18,7 @@ from repro.reliability import FaultPlan, FaultSpec, inject
 from repro.serve import (BatchRanker, DeadlineExceededError,
                          EmbeddingStore, LoadShedError, MicroBatcher,
                          ServingDaemon, SnapshotManager)
+from repro.serve.daemon import MAX_BODY_BYTES
 
 
 def make_store(seed, num_items=40):
@@ -42,6 +44,23 @@ def _get_raw(url: str) -> tuple[int, dict, dict]:
     except urllib.error.HTTPError as error:
         body = json.loads(error.read())
         return error.code, dict(error.headers), body
+
+
+def _post_declaring(daemon, content_length: str) -> tuple[int, dict]:
+    """POST /ingest over a raw socket with a hand-written Content-Length
+    and no body; returns (status, JSON body). Reads until the server
+    closes the connection, so a handler waiting for the body times out
+    instead of passing."""
+    with socket.create_connection((daemon.host, daemon.port),
+                                  timeout=10) as sock:
+        sock.sendall((f"POST /ingest HTTP/1.1\r\nHost: {daemon.host}\r\n"
+                      f"Content-Length: {content_length}\r\n\r\n"
+                      ).encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 class TestBoundedAdmission:
@@ -210,6 +229,27 @@ class TestStructuredErrors:
             body = info.value.read()
             assert b"<html" not in body.lower()
             assert "error" in json.loads(body)
+
+    def test_non_integer_content_length_is_400(self, manager):
+        with ServingDaemon(manager) as daemon:
+            status, body = _post_declaring(daemon, "abc")
+            assert status == 400
+            assert "Content-Length" in body["error"]
+            assert _get_raw(daemon.url + "/healthz")[0] == 200
+
+    def test_negative_content_length_is_400(self, manager):
+        with ServingDaemon(manager) as daemon:
+            status, body = _post_declaring(daemon, "-1")
+            assert status == 400
+            assert body["snapshot_version"] == 1
+
+    def test_oversized_content_length_is_413_unread(self, manager):
+        with ServingDaemon(manager) as daemon:
+            for declared in (MAX_BODY_BYTES + 1, 5_000_000_000):
+                status, body = _post_declaring(daemon, str(declared))
+                assert status == 413
+                assert str(MAX_BODY_BYTES) in body["error"]
+            assert _get_raw(daemon.url + "/healthz")[0] == 200
 
     def test_bad_request_carries_snapshot_version(self, manager):
         with ServingDaemon(manager) as daemon:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -139,6 +142,24 @@ class TestServingDaemon:
                 _get(daemon.url + path)
             assert 400 <= excinfo.value.code < 500
             assert "error" in json.loads(excinfo.value.read())
+
+    def test_keep_alive_requests_do_not_stall(self, daemon):
+        # Replies leave as a header write and a body write; with Nagle
+        # on, each keep-alive reply waited ~40 ms for a delayed ACK.
+        conn = http.client.HTTPConnection(daemon.host, daemon.port,
+                                          timeout=30)
+        latencies = []
+        try:
+            for user in range(20):
+                start = time.perf_counter()
+                conn.request("GET", f"/topk?user={user}&k=5")
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.010, latencies
 
     def test_swap_round_trip(self, daemon, manager, tmp_path):
         new_store = make_store(2)

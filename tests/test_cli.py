@@ -37,19 +37,6 @@ class TestParser:
         assert args.queries is None
         assert args.block_size == 1024
 
-    def test_bench_forward_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--forward-compare", "--models", "Firzen",
-             "--min-forward-speedup", "0.9"])
-        assert args.forward_compare and args.min_forward_speedup == 0.9
-
-    def test_min_forward_speedup_requires_forward_compare(self):
-        assert main(["bench", "--min-forward-speedup", "1.0"]) == 2
-
-    def test_forward_and_sparse_compare_conflict(self):
-        assert main(["bench", "--forward-compare",
-                     "--sparse-compare"]) == 2
-
     def test_serve_store_and_checkpoint_conflict(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--store", "s.npz",

@@ -11,12 +11,16 @@ streams.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.baselines import create_model
 from repro.train import TrainConfig, train_model
-from repro.train.snapshot import (collect_optimizers, collect_rng_streams,
+from repro.train.fingerprint import training_fingerprint
+from repro.train.snapshot import (HEADER_KEY, collect_optimizers,
+                                  collect_rng_streams,
                                   load_training_snapshot)
 
 MODELS = ("KGAT", "Firzen")
@@ -133,6 +137,44 @@ def test_kill_at_every_epoch_boundary(model_name, tiny_dataset, tmp_path):
         train_model(resumed, tiny_dataset, config, snapshot_path=snapshot)
         _assert_state_equal(expected, resumed.state_dict(),
                             f"killed after epoch {kill_epoch}")
+
+
+@pytest.mark.parametrize("model_name", ("BPR", "Firzen"))
+def test_snapshot_with_step_planner_counters_resumes(model_name,
+                                                     tiny_dataset,
+                                                     tmp_path):
+    """Snapshots written while the trainer still ran a step planner
+    carry its trace/replay counters in the header; resuming from one
+    ignores them and lands on the uninterrupted run's fingerprint."""
+    config = _config(epochs=3)
+    reference = _fresh(model_name, tiny_dataset)
+    ref_result = train_model(reference, tiny_dataset, config)
+
+    snapshot = tmp_path / "planner.npz"
+
+    def kill_hook(epoch, model):
+        if epoch == 1:
+            raise _Killed()
+
+    with pytest.raises(_Killed):
+        train_model(_fresh(model_name, tiny_dataset), tiny_dataset, config,
+                    snapshot_path=snapshot, epoch_hook=kill_hook)
+    with np.load(snapshot) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    header = json.loads(arrays[HEADER_KEY].tobytes().decode("utf-8"))
+    header["planner"] = {"traces": 2, "replays": 40, "fallbacks": 0}
+    arrays[HEADER_KEY] = np.frombuffer(json.dumps(header).encode("utf-8"),
+                                       dtype=np.uint8)
+    np.savez_compressed(snapshot, **arrays)
+
+    resumed = _fresh(model_name, tiny_dataset)
+    epochs_run = []
+    res_result = train_model(
+        resumed, tiny_dataset, config, snapshot_path=snapshot,
+        epoch_hook=lambda epoch, model: epochs_run.append(epoch))
+    assert epochs_run == [2]   # resumed, not restarted
+    assert training_fingerprint(resumed, res_result) == \
+        training_fingerprint(reference, ref_result)
 
 
 def test_snapshot_captures_every_stream_and_optimizer(tiny_dataset):
