@@ -35,7 +35,7 @@ Overload and shutdown are explicit states, not accidents
   (``{"error": ..., "snapshot_version": ...}``) — the stdlib HTML error
   page is overridden away;
 * POST bodies are validated before they are read: a ``Content-Length``
-  that is not a non-negative integer is answered **400**, one above
+  that is not ASCII digits only is answered **400**, one above
   :data:`MAX_BODY_BYTES` **413**, and the connection is closed.
 """
 
@@ -399,19 +399,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body_length(self) -> int | None:
         """The declared body length, or ``None`` once the request was
-        answered 400 (not a non-negative integer) or 413 (above
-        :data:`MAX_BODY_BYTES`). A rejected body stays unread, so the
-        connection closes instead of parsing it as the next request."""
+        answered 400 (not ASCII digits only, as HTTP's ``1*DIGIT``) or
+        413 (above :data:`MAX_BODY_BYTES`). A rejected body stays unread,
+        so the connection closes instead of parsing it as the next
+        request."""
         declared = self.headers.get("Content-Length", "0")
-        try:
-            length = int(declared)
-        except ValueError:
-            length = -1
         close = {"Connection": "close"}
-        if length < 0:
+        if not (declared.isascii() and declared.isdigit()):
             self._error("Content-Length must be a non-negative integer, "
                         f"not {declared!r}", headers=close)
             return None
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             self._error(f"request body of {length} bytes exceeds the "
                         f"{MAX_BODY_BYTES}-byte limit", status=413,

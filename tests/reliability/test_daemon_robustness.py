@@ -231,10 +231,13 @@ class TestStructuredErrors:
             assert "error" in json.loads(body)
 
     def test_non_integer_content_length_is_400(self, manager):
+        # Python's int() would read "1_0" as 10 and "+5" as 5; neither
+        # is an HTTP Content-Length (ASCII digits only)
         with ServingDaemon(manager) as daemon:
-            status, body = _post_declaring(daemon, "abc")
-            assert status == 400
-            assert "Content-Length" in body["error"]
+            for declared in ("abc", "1_0", "+5"):
+                status, body = _post_declaring(daemon, declared)
+                assert status == 400
+                assert "Content-Length" in body["error"]
             assert _get_raw(daemon.url + "/healthz")[0] == 200
 
     def test_negative_content_length_is_400(self, manager):

@@ -45,8 +45,24 @@ def _assert_state_equal(left: dict, right: dict, context: str) -> None:
         assert np.array_equal(left[key], right[key]), (context, key)
 
 
+def _add_planner_counters(snapshot) -> None:
+    """Give the snapshot header the step planner's trace/replay
+    counters, as snapshots written before the planner was removed
+    carry them."""
+    with np.load(snapshot) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    header = json.loads(arrays[HEADER_KEY].tobytes().decode("utf-8"))
+    header["planner"] = {"traces": 2, "replays": 40, "fallbacks": 0}
+    arrays[HEADER_KEY] = np.frombuffer(json.dumps(header).encode("utf-8"),
+                                       dtype=np.uint8)
+    np.savez_compressed(snapshot, **arrays)
+
+
+@pytest.mark.parametrize("edit_header", (None, _add_planner_counters),
+                         ids=("as_written", "planner_counters"))
 @pytest.mark.parametrize("model_name", MODELS)
-def test_kill_resume_bit_exact(model_name, tiny_dataset, tmp_path):
+def test_kill_resume_bit_exact(model_name, edit_header, tiny_dataset,
+                               tmp_path):
     config = _config()
 
     # Reference: uninterrupted run without any snapshotting.
@@ -75,9 +91,15 @@ def test_kill_resume_bit_exact(model_name, tiny_dataset, tmp_path):
                     snapshot_path=tmp_path / "killed.npz",
                     epoch_hook=kill_hook)
 
+    if edit_header is not None:
+        edit_header(tmp_path / "killed.npz")
+
     resumed = _fresh(model_name, tiny_dataset)
-    res_result = train_model(resumed, tiny_dataset, config,
-                             snapshot_path=tmp_path / "killed.npz")
+    resumed_epochs = []
+    res_result = train_model(
+        resumed, tiny_dataset, config, snapshot_path=tmp_path / "killed.npz",
+        epoch_hook=lambda epoch, model: resumed_epochs.append(epoch))
+    assert resumed_epochs[0] == 2   # resumed, not restarted
 
     # 1. Trained parameters (and model buffers like Firzen's betas).
     _assert_state_equal(reference.state_dict(), resumed.state_dict(),
@@ -87,6 +109,8 @@ def test_kill_resume_bit_exact(model_name, tiny_dataset, tmp_path):
     assert res_result.val_history == ref_result.val_history
     assert res_result.best_epoch == ref_result.best_epoch
     assert res_result.epochs_run == ref_result.epochs_run
+    assert training_fingerprint(resumed, res_result) == \
+        training_fingerprint(reference, ref_result)
 
     # 3. Adam moments, lazy-row bookkeeping (flushed state), RNG
     #    positions: the final snapshots of the two trajectories must be
@@ -137,44 +161,6 @@ def test_kill_at_every_epoch_boundary(model_name, tiny_dataset, tmp_path):
         train_model(resumed, tiny_dataset, config, snapshot_path=snapshot)
         _assert_state_equal(expected, resumed.state_dict(),
                             f"killed after epoch {kill_epoch}")
-
-
-@pytest.mark.parametrize("model_name", ("BPR", "Firzen"))
-def test_snapshot_with_step_planner_counters_resumes(model_name,
-                                                     tiny_dataset,
-                                                     tmp_path):
-    """Snapshots written while the trainer still ran a step planner
-    carry its trace/replay counters in the header; resuming from one
-    ignores them and lands on the uninterrupted run's fingerprint."""
-    config = _config(epochs=3)
-    reference = _fresh(model_name, tiny_dataset)
-    ref_result = train_model(reference, tiny_dataset, config)
-
-    snapshot = tmp_path / "planner.npz"
-
-    def kill_hook(epoch, model):
-        if epoch == 1:
-            raise _Killed()
-
-    with pytest.raises(_Killed):
-        train_model(_fresh(model_name, tiny_dataset), tiny_dataset, config,
-                    snapshot_path=snapshot, epoch_hook=kill_hook)
-    with np.load(snapshot) as archive:
-        arrays = {key: archive[key] for key in archive.files}
-    header = json.loads(arrays[HEADER_KEY].tobytes().decode("utf-8"))
-    header["planner"] = {"traces": 2, "replays": 40, "fallbacks": 0}
-    arrays[HEADER_KEY] = np.frombuffer(json.dumps(header).encode("utf-8"),
-                                       dtype=np.uint8)
-    np.savez_compressed(snapshot, **arrays)
-
-    resumed = _fresh(model_name, tiny_dataset)
-    epochs_run = []
-    res_result = train_model(
-        resumed, tiny_dataset, config, snapshot_path=snapshot,
-        epoch_hook=lambda epoch, model: epochs_run.append(epoch))
-    assert epochs_run == [2]   # resumed, not restarted
-    assert training_fingerprint(resumed, res_result) == \
-        training_fingerprint(reference, ref_result)
 
 
 def test_snapshot_captures_every_stream_and_optimizer(tiny_dataset):
