@@ -22,18 +22,15 @@ bit-identical models; the dense column is the schedule this repo ran
 before the row-sparse pipeline landed. The heterogeneous models
 (Firzen, KGAT) get the same per-phase breakdown on beauty/small.
 
-Serving-latency addendum (ISSUE 8): client-observed p50/p99 of the
-micro-batched daemon path under concurrent closed-loop load, against a
-sequential one-query-at-a-time baseline over the same snapshot, across
-shard counts — plus ingest-under-load (hot-swaps racing the query
-stream). Honest numbers from the reference machine (24k-item synthetic
-catalog, 8 clients): micro-batching wins ~1.4-2.1x on throughput at
-every shard count because batches form from the backlog that
-accumulates while the previous batch computes (any positive straggler
-window only adds latency — the default max_delay_ms is 0 for exactly
-that reason), and sharding on this single-core BLAS host is roughly
-neutral — the thread pool has no second core to use, so its value here
-is the bit-parity proof, not speed. Ingest-under-load stays ~1.0x:
+Serving-latency addendum: client-observed p50/p99 of the micro-batched
+daemon path under concurrent closed-loop load, against a sequential
+one-query-at-a-time baseline over the same snapshot — plus
+ingest-under-load (hot-swaps racing the query stream). Honest numbers
+from the reference machine (24k-item synthetic catalog, 8 clients):
+micro-batching wins ~1.3-2.1x on throughput because batches form from
+the backlog that accumulates while the previous batch computes (any
+positive straggler window only adds latency — the default max_delay_ms
+is 0 for exactly that reason). Ingest-under-load stays ~1.0-1.4x:
 snapshot republish happens off the query path. Gates are no-regression
 floors on the batched/sequential ratio.
 
@@ -46,7 +43,8 @@ methodology (the fixed measurement order handed the first-measured
 mode an undecayed CPU clock, the same artifact the optimizer addendum
 documents), and the float64 reference it was measured against has
 since been made ~2x faster at default settings (row-sparse gradients,
-fused kernels, engine folding), which compresses the dtype ratio.
+fused kernels, the frozen-graph engine's cached plans), which
+compresses the dtype ratio.
 Python graph construction and closure dispatch — identical in both
 tiers — now bound the step; the remaining fast-tier headroom is
 torch/cupy dispatch on hosts that have them. Gates are no-regression
@@ -113,7 +111,7 @@ def test_table7_timing(benchmark):
         seed_eps = SEED_EPOCHS_PER_SECOND.get(row.model)
         cells["Seed (epochs/s)"] = seed_eps
         cells["Speedup vs seed"] = (
-            round(row.engine_epochs_per_second / seed_eps, 2)
+            round(row.epochs_per_second / seed_eps, 2)
             if seed_eps else None)
         training_table.append(cells)
 
@@ -139,7 +137,7 @@ def test_table7_timing(benchmark):
 
     serving_rows = measure_serving_latency(
         synthetic_serving_store(seed=0), clients=8, requests_per_client=40,
-        k=20, shard_counts=(1, 2, 4), repeats=3, seed=0)
+        k=20, repeats=3, seed=0)
 
     write_result(
         "table7_timing.txt",
@@ -189,15 +187,12 @@ def test_table7_timing(benchmark):
                        "rotated-order rounds, best of 3; max_delay_ms=0 "
                        "— batches form from compute-time backlog, a "
                        "positive straggler window only adds latency; "
-                       "sharding is parity-not-speed on this "
-                       "single-core BLAS host; ingest row: 5 hot-swap "
-                       "republishes racing the stream)"))
+                       "ingest row: 5 hot-swap republishes racing the "
+                       "stream)"))
 
-    # Engine and layer-by-layer schedules both train; their throughput
-    # must be real (positive) and the engine path must not collapse.
+    # Every model trains at a real (positive) throughput.
     for row in training_rows:
-        assert row.engine_epochs_per_second > 0
-        assert row.layerwise_epochs_per_second > 0
+        assert row.epochs_per_second > 0
 
     # The row-sparse pipeline must clearly beat the dense schedule on
     # the catalog-dominated fixture (the reference machine records
@@ -243,19 +238,17 @@ def test_table7_timing(benchmark):
     assert warm.speedup >= 1.5
 
     # Micro-batched serving under concurrent load must at least match
-    # the sequential baseline at every shard count (the reference
-    # machine measures ~1.4-2.1x; 1.0 is the noise-tolerant floor),
-    # with real latency percentiles and actual coalescing. The ingest
-    # scenario must keep serving while snapshots republish (republish
-    # is off the query path, so ~1.0x; 0.8 bounds the interference).
-    topk_rows = [r for r in serving_rows if r.scenario == "topk under load"]
-    assert [r.num_shards for r in topk_rows] == [1, 2, 4]
-    for row in topk_rows:
-        assert 0 < row.p50_ms <= row.p99_ms
-        assert row.mean_batch_size > 1.0
-        assert row.speedup >= 1.0
-    (ingest_row,) = [r for r in serving_rows
-                     if r.scenario == "ingest under load"]
+    # the sequential baseline (the reference machine measures
+    # ~1.3-2.1x; 1.0 is the noise-tolerant floor), with real latency
+    # percentiles and actual coalescing. The ingest scenario must keep
+    # serving while snapshots republish (republish is off the query
+    # path, so ~1.0x; 0.8 bounds the interference).
+    topk_row, ingest_row = serving_rows
+    assert topk_row.scenario == "topk under load"
+    assert 0 < topk_row.p50_ms <= topk_row.p99_ms
+    assert topk_row.mean_batch_size > 1.0
+    assert topk_row.speedup >= 1.0
+    assert ingest_row.scenario == "ingest under load"
     assert ingest_row.ingests > 0
     assert ingest_row.speedup >= 0.8
 

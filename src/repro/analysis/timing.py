@@ -7,9 +7,7 @@ Firzen variants that consume increasing feature sets: BA only, +KA, +VA,
 * serving: full-ranking top-k throughput of the seed per-user Python
   loop vs the batched :class:`repro.serve.ranker.BatchRanker` path;
 * training: epochs/second per model through the frozen-graph engine
-  (:func:`measure_training_throughput`), with the engine's precompiled
-  (folded) schedule compared against the layer-by-layer schedule the
-  seed ran;
+  (:func:`measure_training_throughput`);
 * optimizer/gradient: the row-sparse gradient pipeline vs the dense
   schedule — a per-phase training-step breakdown
   (:func:`measure_step_breakdown`) and epochs/second on a
@@ -38,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import engine as _engine
 from ..backend import backend_mode as _backend_mode
 from ..backend import runtime_info as _runtime_info
 from ..autograd import optim as ag_optim
@@ -283,39 +280,19 @@ def _measure_scenario(model, ranker: BatchRanker, scenario: str,
 # ----------------------------------------------------------------------
 @dataclass
 class TrainingThroughputRow:
-    """Training throughput for one model, engine schedule vs fallback.
-
-    ``engine_epochs_per_second`` uses the engine as configured (operator
-    folding allowed wherever the density guard accepts it);
-    ``layerwise_epochs_per_second`` forces the layer-by-layer schedule —
-    the propagation schedule the seed implementation ran. The two paths
-    are numerically equivalent; only wall-clock may differ.
-    """
+    """Training throughput for one model through the frozen-graph
+    engine."""
 
     model: str
     epochs: int
-    engine_epochs_per_second: float
-    layerwise_epochs_per_second: float
-    #: whether the density/cost guard admitted any folded operator for
-    #: this model's graphs — when False the two schedules are the same
-    #: code path and their ratio is pure measurement noise.
-    folded: bool = False
+    epochs_per_second: float
     runtime: dict = field(default_factory=runtime_columns)
-
-    @property
-    def fold_speedup(self) -> float:
-        return self.engine_epochs_per_second / max(
-            self.layerwise_epochs_per_second, 1e-12)
 
     def as_row(self) -> dict:
         return {
             "Model": self.model,
             "Epochs": self.epochs,
-            "Engine (epochs/s)": round(self.engine_epochs_per_second, 2),
-            "Layer-by-layer (epochs/s)": round(
-                self.layerwise_epochs_per_second, 2),
-            "Fold speedup": (round(self.fold_speedup, 2) if self.folded
-                             else "guarded off"),
+            "Epochs/s": round(self.epochs_per_second, 2),
             **self.runtime,
         }
 
@@ -352,39 +329,16 @@ def measure_training_throughput(
         epochs: int = 8, seed: int = 0, repeats: int = 3,
         train_config: TrainConfig | None = None,
         **model_kwargs) -> list[TrainingThroughputRow]:
-    """Epochs/second per model: engine schedule vs forced layer-by-layer.
-
-    Each measurement trains a fresh model from the same seed so both
-    schedules do identical numerical work; the engine cache is cleared
-    between runs so neither inherits the other's precompiled plans.
-    """
+    """Best-of-``repeats`` epochs/second per model, each repeat training
+    a fresh model from the same seed."""
     train_config = train_config or TrainConfig(batch_size=512,
                                                learning_rate=0.05)
-    rows = []
-    eng = _engine.get_engine()
-    fold_before = eng.fold
-    try:
-        for name in model_names:
-            _engine.configure(fold=fold_before)
-            folded_before = eng.stats.plans_folded
-            engine_eps = _epochs_per_second(
-                name, dataset, epochs, train_config, seed, repeats,
-                **model_kwargs)
-            folded = eng.stats.plans_folded > folded_before
-            _engine.configure(fold=False)
-            layerwise_eps = _epochs_per_second(
-                name, dataset, epochs, train_config, seed, repeats,
-                **model_kwargs)
-            rows.append(TrainingThroughputRow(
-                model=name,
-                epochs=epochs,
-                engine_epochs_per_second=engine_eps,
-                layerwise_epochs_per_second=layerwise_eps,
-                folded=folded,
-            ))
-    finally:
-        _engine.configure(fold=fold_before)
-    return rows
+    return [TrainingThroughputRow(
+        model=name, epochs=epochs,
+        epochs_per_second=_epochs_per_second(
+            name, dataset, epochs, train_config, seed, repeats,
+            **model_kwargs))
+        for name in model_names]
 
 
 def measure_ranking_throughput(model, split: ColdStartSplit,
@@ -428,8 +382,8 @@ def synthetic_serving_store(num_users: int = 2000, num_items: int = 24000,
     single-user ``topk`` finishes in microseconds — queue and scheduling
     overhead would dominate any latency measurement.  This fixture is
     sized so the scoring matmul is the measurable cost, which is the
-    regime micro-batching and sharding target (and the regime the
-    paper's Amazon catalogs occupy).
+    regime micro-batching targets (and the regime the paper's Amazon
+    catalogs occupy).
     """
     rng = np.random.default_rng(seed)
     user_vectors = rng.standard_normal((num_users, dim)).astype(np.float32)
@@ -469,7 +423,6 @@ class ServingLatencyRow:
     clients: int
     requests: int
     k: int
-    num_shards: int
     p50_ms: float
     p99_ms: float
     requests_per_second: float
@@ -495,7 +448,6 @@ class ServingLatencyRow:
             "Scenario": self.scenario,
             "Clients": self.clients,
             "Requests": self.requests,
-            "Shards": self.num_shards,
             "p50 (ms)": round(self.p50_ms, 3),
             "p99 (ms)": round(self.p99_ms, 3),
             "Batched (req/s)": round(self.requests_per_second, 1),
@@ -572,20 +524,19 @@ def _run_sequential(ranker: BatchRanker, users: np.ndarray, k: int,
 def measure_serving_latency(store: EmbeddingStore | None = None,
                             clients: int = 8,
                             requests_per_client: int = 40, k: int = 20,
-                            shard_counts: tuple = (1, 2, 4),
                             max_delay_ms: float = 0.0,
                             max_batch: int = 64, repeats: int = 3,
                             measure_ingest: bool = True,
                             seed: int = 0) -> list[ServingLatencyRow]:
-    """p50/p99 serving latency under concurrent load, per shard count.
+    """p50/p99 serving latency under concurrent load.
 
-    For each shard count the micro-batched path (``clients`` threads
-    streaming single-user requests through a :class:`MicroBatcher`) and
-    the sequential baseline (same request count, one ``topk`` per
-    request) are measured in *interleaved rounds with the order rotated
-    per round* (the :func:`measure_step_breakdown` methodology), keeping
-    each path's best round; percentiles come from the batched path's
-    best round.  Batching never changes results — each user's row of a
+    The micro-batched path (``clients`` threads streaming single-user
+    requests through a :class:`MicroBatcher`) and the sequential
+    baseline (same request count, one ``topk`` per request) are
+    measured in *interleaved rounds with the order rotated per round*
+    (the :func:`measure_step_breakdown` methodology), keeping each
+    path's best round; percentiles come from the batched path's best
+    round.  Batching never changes results — each user's row of a
     blocked ``topk`` is bit-identical to their single-user call — so
     the ratio is pure scheduling.
 
@@ -598,50 +549,44 @@ def measure_serving_latency(store: EmbeddingStore | None = None,
     users = np.arange(store.num_users, dtype=np.int64)
     num_requests = clients * requests_per_client
     modes = ("batched", "sequential")
-    rows = []
-    for num_shards in shard_counts:
-        manager = SnapshotManager(store, num_shards=num_shards)
-        ranker = manager.current.ranker
-        # one warm-up pass per path so BLAS/page-cache warm-up is paid
-        # outside every timed round
-        ranker.topk(users[:8], k)
-        best_wall = {mode: np.inf for mode in modes}
-        best_latencies = None
-        batch_stats = {}
-        for round_no in range(max(repeats, 1)):
-            shift = round_no % len(modes)
-            for mode in modes[shift:] + modes[:shift]:
-                if mode == "sequential":
-                    wall = _run_sequential(ranker, users, k, num_requests)
-                    best_wall[mode] = min(best_wall[mode], wall)
-                else:
-                    batcher = MicroBatcher(manager, max_batch=max_batch,
-                                           max_delay_ms=max_delay_ms)
-                    try:
-                        latencies, wall = _run_concurrent_clients(
-                            batcher, users, k, clients,
-                            requests_per_client)
-                        if wall < best_wall[mode]:
-                            best_wall[mode] = wall
-                            best_latencies = latencies
-                            batch_stats = batcher.stats()
-                    finally:
-                        batcher.stop()
-        rows.append(ServingLatencyRow(
-            scenario="topk under load",
-            clients=clients, requests=num_requests, k=k,
-            num_shards=num_shards,
-            p50_ms=float(np.percentile(best_latencies, 50)),
-            p99_ms=float(np.percentile(best_latencies, 99)),
-            requests_per_second=num_requests / best_wall["batched"],
-            sequential_requests_per_second=(
-                num_requests / best_wall["sequential"]),
-            mean_batch_size=batch_stats.get("mean_batch_size", 0.0),
-            shed=batch_stats.get("shed", 0),
-            expired=batch_stats.get("expired", 0),
-        ))
-        if hasattr(ranker, "close"):
-            ranker.close()
+    manager = SnapshotManager(store)
+    ranker = manager.current.ranker
+    # one warm-up pass per path so BLAS/page-cache warm-up is paid
+    # outside every timed round
+    ranker.topk(users[:8], k)
+    best_wall = {mode: np.inf for mode in modes}
+    best_latencies = None
+    batch_stats = {}
+    for round_no in range(max(repeats, 1)):
+        shift = round_no % len(modes)
+        for mode in modes[shift:] + modes[:shift]:
+            if mode == "sequential":
+                wall = _run_sequential(ranker, users, k, num_requests)
+                best_wall[mode] = min(best_wall[mode], wall)
+            else:
+                batcher = MicroBatcher(manager, max_batch=max_batch,
+                                       max_delay_ms=max_delay_ms)
+                try:
+                    latencies, wall = _run_concurrent_clients(
+                        batcher, users, k, clients, requests_per_client)
+                    if wall < best_wall[mode]:
+                        best_wall[mode] = wall
+                        best_latencies = latencies
+                        batch_stats = batcher.stats()
+                finally:
+                    batcher.stop()
+    rows = [ServingLatencyRow(
+        scenario="topk under load",
+        clients=clients, requests=num_requests, k=k,
+        p50_ms=float(np.percentile(best_latencies, 50)),
+        p99_ms=float(np.percentile(best_latencies, 99)),
+        requests_per_second=num_requests / best_wall["batched"],
+        sequential_requests_per_second=(
+            num_requests / best_wall["sequential"]),
+        mean_batch_size=batch_stats.get("mean_batch_size", 0.0),
+        shed=batch_stats.get("shed", 0),
+        expired=batch_stats.get("expired", 0),
+    )]
     if measure_ingest and store.features:
         rows.append(_measure_ingest_under_load(
             store, users, clients, requests_per_client, k,
@@ -705,7 +650,7 @@ def _measure_ingest_under_load(store: EmbeddingStore, users: np.ndarray,
                                       num_requests)
     return ServingLatencyRow(
         scenario="ingest under load",
-        clients=clients, requests=num_requests, k=k, num_shards=1,
+        clients=clients, requests=num_requests, k=k,
         p50_ms=float(np.percentile(latencies, 50)),
         p99_ms=float(np.percentile(latencies, 99)),
         requests_per_second=num_requests / wall,
@@ -1164,23 +1109,22 @@ def measure_build_scaling(sizes: tuple = ("tiny", "small"),
 
 def measure_serving_scaling(num_items: int = 1_000_000,
                             num_users: int = 4000, dim: int = 64,
-                            shard_counts: tuple = (1, 2, 4, 8),
                             clients: int = 4,
                             requests_per_client: int = 8,
                             k: int = 20,
                             seed: int = 0) -> list[ServingLatencyRow]:
-    """Serving p50/p99 vs shard count on a catalog where sharding has a
-    workload worth splitting (default: one million items).
+    """Serving p50/p99 on a catalog where scoring dominates every
+    request (default: one million items).
 
     A thin wrapper over :func:`measure_serving_latency` on a
     :func:`synthetic_serving_store` of the requested catalog size; one
-    round per shard count (the matmuls are long enough that best-of
-    repetition buys little at this scale), no ingest scenario.
+    round (the matmuls are long enough that best-of repetition buys
+    little at this scale), no ingest scenario.
     """
     store = synthetic_serving_store(num_users=num_users,
                                     num_items=num_items, dim=dim,
                                     seed=seed)
     return measure_serving_latency(
         store, clients=clients, requests_per_client=requests_per_client,
-        k=k, shard_counts=shard_counts, repeats=1,
+        k=k, repeats=1,
         measure_ingest=False, seed=seed)

@@ -75,11 +75,9 @@ class FreedomModel(Recommender):
     def _forward(self, mode: str, denoise: bool):
         adjacency = (self._denoised_adjacency() if denoise
                      else self.graph.norm_adjacency)
-        # fold=False for the throwaway denoised graph (it lives for one
-        # batch); the frozen inference graph defers to the engine.
         user_out, item_out = lightgcn_propagate(
             adjacency, self.user_emb.weight, self.item_emb.weight,
-            self.num_layers, fold=False if denoise else None)
+            self.num_layers)
         homogeneous = None
         for modality in self.dataset.modalities:
             graph_adj = self.item_graphs[modality].adjacency(mode)

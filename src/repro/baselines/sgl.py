@@ -47,14 +47,12 @@ class SGLModel(LightGCNModel):
         base = super().loss(users, pos_items, neg_items)
         if self.ssl_weight <= 0:
             return base
-        # The augmented adjacencies live for one batch: folding them
-        # could never repay its build cost, so skip the attempt.
         view1_u, view1_i = lightgcn_propagate(
             self._augmented_adjacency(), self.user_emb.weight,
-            self.item_emb.weight, self.num_layers, fold=False)
+            self.item_emb.weight, self.num_layers)
         view2_u, view2_i = lightgcn_propagate(
             self._augmented_adjacency(), self.user_emb.weight,
-            self.item_emb.weight, self.num_layers, fold=False)
+            self.item_emb.weight, self.num_layers)
         unique_users = np.unique(users)
         unique_items = np.unique(np.concatenate([pos_items, neg_items]))
         ssl = infonce(view1_u.take_rows(unique_users),

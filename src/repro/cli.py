@@ -22,8 +22,8 @@ Commands
     interactive REPL or file-driven — including online ``ingest`` of
     brand-new cold items and hot ``swap`` to a newer store.
     ``--daemon`` starts the stdlib-HTTP JSON service instead
-    (micro-batched admission queue, optional item-axis sharding via
-    ``--num-shards``, atomic snapshot hot-swap via ``POST /swap``).
+    (micro-batched admission queue, atomic snapshot hot-swap via
+    ``POST /swap``).
     ``--max-queue`` bounds the admission queue (overflow is shed with
     503 + ``Retry-After``), ``--deadline-ms`` fails queued-too-long
     requests with 504 instead of serving them late, and
@@ -50,13 +50,12 @@ Commands
     transforms, and the artifact store's cached stage counts.
 ``bench``
     Training-throughput benchmark (epochs/second) through the
-    frozen-graph engine, comparing the precompiled (folded) schedule
-    against the layer-by-layer fallback; optionally fails below a
-    throughput floor (the CI smoke gate). ``--sparse-compare`` instead
-    benchmarks the row-sparse gradient pipeline against the dense
-    schedule on the catalog-dominated synthetic fixture (optionally
-    enforcing ``--min-sparse-speedup``, the CI smoke gate for the
-    sparse pipeline). ``--backend-compare`` benchmarks the bit-exact
+    frozen-graph engine; optionally fails below a throughput floor (the
+    CI smoke gate). ``--sparse-compare`` instead benchmarks the
+    row-sparse gradient pipeline against the dense schedule on the
+    catalog-dominated synthetic fixture (optionally enforcing
+    ``--min-sparse-speedup``, the CI smoke gate for the sparse
+    pipeline). ``--backend-compare`` benchmarks the bit-exact
     reference backend against the opt-in accelerated tier
     (``REPRO_BACKEND=fast``: float32 params, accelerated scatter,
     optional torch/cupy dispatch) in interleaved order-rotated rounds —
@@ -68,14 +67,14 @@ Commands
     LightGCN fixture). ``--serving-latency`` benchmarks the serving
     service instead: p50/p99 client-observed latency and throughput of
     the micro-batched admission queue vs sequential single-user queries
-    on a catalog-scale synthetic store, per shard count, with an
-    optional ``--min-serving-speedup`` floor (the CI no-regression
-    gate). ``--scaling`` benchmarks the out-of-core dataset builds
-    instead: build throughput and peak RSS vs catalog size for the
+    on a catalog-scale synthetic store, with an optional
+    ``--min-serving-speedup`` floor (the CI no-regression gate).
+    ``--scaling`` benchmarks the out-of-core dataset builds instead:
+    build throughput and peak RSS vs catalog size for the
     in-RAM reference vs the chunked streaming build (each point a
     dedicated subprocess probe, with a hard fingerprint-parity gate
-    between the two modes), followed by serving p50/p99 vs shard count
-    on a million-item synthetic store (``--serving-scale`` shrinks it;
+    between the two modes), followed by serving p50/p99 on a
+    million-item synthetic store (``--serving-scale`` shrinks it;
     ``--min-serving-speedup`` floors the micro-batched/sequential
     ratio); ``--scaling-sizes`` picks the size presets,
     ``--chunk-rows`` the chunk size, and ``--scaling-out`` records the
@@ -266,8 +265,7 @@ def cmd_serve(args) -> int:
         store = EmbeddingStore.from_model(model, dataset)
     if args.daemon:
         from .serve import ServingDaemon, SnapshotManager
-        manager = SnapshotManager(store, num_shards=args.num_shards,
-                                  block_size=args.block_size)
+        manager = SnapshotManager(store, block_size=args.block_size)
         daemon = ServingDaemon(manager, host=args.host, port=args.port,
                                max_batch=args.max_batch,
                                max_delay_ms=args.max_delay_ms,
@@ -285,8 +283,7 @@ def cmd_serve(args) -> int:
             daemon.shutdown()
         return 0
     session = ServingSession(store, default_k=args.k,
-                             block_size=args.block_size,
-                             num_shards=args.num_shards)
+                             block_size=args.block_size)
     if args.queries:
         with open(args.queries) as handle:
             lines = handle.readlines()
@@ -303,9 +300,22 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _serving_floor_failed(rows, floor: float | None) -> bool:
+    """Report (and return) whether micro-batched serving fell below the
+    ``--min-serving-speedup`` floor."""
+    (row,) = [row for row in rows if row.scenario == "topk under load"]
+    if floor is None or row.speedup >= floor:
+        return False
+    print(f"FAIL: micro-batched serving is only {row.speedup:.2f}x the "
+          "sequential single-query baseline, below the "
+          f"--min-serving-speedup floor of {floor}", file=sys.stderr)
+    return True
+
+
 def _bench_scaling(args) -> int:
     """``bench --scaling``: build cost vs catalog size, then serving
-    latency vs shard count — the recorded Table-VII scaling addendum."""
+    latency on a million-item store — the recorded Table-VII scaling
+    addendum."""
     from .analysis.timing import (measure_build_scaling,
                                   measure_serving_scaling)
     from .data.chunked import DEFAULT_CHUNK_ROWS
@@ -334,23 +344,13 @@ def _bench_scaling(args) -> int:
     serving_rows = measure_serving_scaling(
         num_items=num_items,
         num_users=max(int(4000 * scale), 64),
-        shard_counts=tuple(args.shard_counts or (1, 2, 4, 8)),
         clients=args.clients if args.clients is not None else 4,
         seed=args.seed)
     serving_table = format_table(
         [row.as_row() for row in serving_rows],
-        title=f"Serving latency vs shard count "
-              f"({num_items}-item synthetic store)")
+        title=f"Serving latency ({num_items}-item synthetic store)")
     print(serving_table)
-    worst = min((row for row in serving_rows
-                 if row.scenario == "topk under load"),
-                key=lambda row: row.speedup)
-    if args.min_serving_speedup is not None \
-            and worst.speedup < args.min_serving_speedup:
-        print(f"FAIL: micro-batched serving at {worst.num_shards} "
-              f"shard(s) is only {worst.speedup:.2f}x the sequential "
-              "single-query baseline, below the --min-serving-speedup "
-              f"floor of {args.min_serving_speedup}", file=sys.stderr)
+    if _serving_floor_failed(serving_rows, args.min_serving_speedup):
         return 1
     if args.scaling_out:
         from .eval.reporting import write_text_result
@@ -400,7 +400,6 @@ def cmd_bench(args) -> int:
         for flag, name in ((args.min_serving_speedup,
                             "--min-serving-speedup"),
                            (args.clients, "--clients"),
-                           (args.shard_counts, "--shard-counts"),
                            (args.serving_scale, "--serving-scale")):
             if flag is not None:
                 print(f"{name} only applies with --serving-latency "
@@ -437,25 +436,14 @@ def cmd_bench(args) -> int:
         rows = measure_serving_latency(
             store,
             clients=args.clients if args.clients is not None else 8,
-            shard_counts=tuple(args.shard_counts or (1, 2, 4)),
             seed=args.seed)
         print(format_table(
             [row.as_row() for row in rows],
             title=f"Serving latency under load "
                   f"({store.num_items}-item synthetic catalog, "
                   "micro-batched vs sequential)"))
-        worst = min((row for row in rows
-                     if row.scenario == "topk under load"),
-                    key=lambda row: row.speedup)
-        if args.min_serving_speedup is not None \
-                and worst.speedup < args.min_serving_speedup:
-            print(f"FAIL: micro-batched serving at {worst.num_shards} "
-                  f"shard(s) is only {worst.speedup:.2f}x the "
-                  "sequential single-query baseline, below the "
-                  f"--min-serving-speedup floor of "
-                  f"{args.min_serving_speedup}", file=sys.stderr)
-            return 1
-        return 0
+        return 1 if _serving_floor_failed(
+            rows, args.min_serving_speedup) else 0
     if args.backend_compare:
         if args.sparse_compare:
             print("--backend-compare is a separate benchmark; pick one",
@@ -527,11 +515,11 @@ def cmd_bench(args) -> int:
     print(format_table([row.as_row() for row in rows],
                        title=f"Training throughput on {dataset.name}"))
     print_breakdowns(dataset)
-    slowest = min(rows, key=lambda row: row.engine_epochs_per_second)
+    slowest = min(rows, key=lambda row: row.epochs_per_second)
     if args.min_throughput is not None \
-            and slowest.engine_epochs_per_second < args.min_throughput:
+            and slowest.epochs_per_second < args.min_throughput:
         print(f"FAIL: {slowest.model} trains at "
-              f"{slowest.engine_epochs_per_second:.2f} epochs/s, below "
+              f"{slowest.epochs_per_second:.2f} epochs/s, below "
               f"the --min-throughput floor of {args.min_throughput}",
               file=sys.stderr)
         return 1
@@ -744,9 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--mmap", action="store_true",
                          help="memory-map a format-v2 --store directory "
                               "(zero-copy load)")
-    p_serve.add_argument("--num-shards", type=int, default=1,
-                         help="item-axis shards for scoring; results "
-                              "are bit-identical at any count")
     p_serve.add_argument("--daemon", action="store_true",
                          help="serve HTTP JSON endpoints with "
                               "micro-batching instead of the REPL")
@@ -854,24 +839,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="benchmark the serving service: p50/p99 "
                               "latency and throughput of the "
                               "micro-batched queue vs sequential "
-                              "single-user queries, per shard count, "
-                              "on a catalog-scale synthetic store")
+                              "single-user queries on a catalog-scale "
+                              "synthetic store")
     p_bench.add_argument("--min-serving-speedup", type=float,
                          default=None,
                          help="with --serving-latency or --scaling: "
                               "exit nonzero when micro-batched "
                               "throughput falls below this multiple of "
-                              "the sequential baseline at any shard "
-                              "count")
+                              "the sequential baseline")
     p_bench.add_argument("--clients", type=int, default=None,
                          help="with --serving-latency or --scaling: "
                               "concurrent client threads (default 8, "
                               "or 4 with --scaling)")
-    p_bench.add_argument("--shard-counts", type=int, nargs="+",
-                         default=None,
-                         help="with --serving-latency or --scaling: "
-                              "shard counts to sweep (default 1 2 4, "
-                              "or 1 2 4 8 with --scaling)")
     p_bench.add_argument("--serving-scale", type=float, default=None,
                          help="with --serving-latency or --scaling: "
                               "size multiplier for the synthetic "
@@ -882,8 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "builds: wall-clock and peak RSS vs "
                               "catalog size (in-RAM vs chunked, with a "
                               "fingerprint-parity gate), then serving "
-                              "p50/p99 vs shard count on a "
-                              "million-item synthetic store")
+                              "p50/p99 on a million-item synthetic "
+                              "store")
     p_bench.add_argument("--scaling-sizes", nargs="+", default=None,
                          help="with --scaling: scale size presets to "
                               "measure (default: tiny small)")

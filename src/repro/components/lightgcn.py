@@ -1,9 +1,8 @@
 """LightGCN propagation (paper eq. 5-6), used by most graph models here.
 
-Propagation goes through the frozen-graph engine: the engine caches one
+Propagation goes through the frozen-graph engine, which caches one
 precompiled :class:`~repro.engine.PropagationPlan` per (adjacency,
-depth), so the mean-pooled multi-hop walk collapses into a single
-precomputed sparse operator whenever the density guard allows.
+depth).
 """
 
 from __future__ import annotations
@@ -16,24 +15,19 @@ from ..engine import get_engine
 
 def lightgcn_propagate(norm_adjacency: sp.spmatrix, user_emb: Tensor,
                        item_emb: Tensor, num_layers: int,
-                       return_layers: bool = False,
-                       fold: bool | None = None):
+                       return_layers: bool = False):
     """Run LightGCN message passing over the joint (user+item) graph.
 
     Layer-wise embeddings are mean-pooled (the paper's aggregation). The
     initial embeddings participate in the mean, so isolated nodes keep
     their layer-0 vectors scaled by ``1/(L+1)``.
 
-    Returns ``(user_out, item_out)`` Tensors, or the full per-layer list
-    when ``return_layers`` is set (which forces the layer-by-layer
-    schedule — the folded operator has no intermediates to return).
-    Callers propagating over a throwaway adjacency (per-batch graph
-    augmentations) should pass ``fold=False``.
+    Returns ``(user_out, item_out)`` Tensors, plus the full per-layer
+    list when ``return_layers`` is set.
     """
     num_users = user_emb.shape[0]
     ego = concat([user_emb, item_emb], axis=0)
-    plan = get_engine().plan(norm_adjacency, num_layers, pooling="mean",
-                             fold=fold)
+    plan = get_engine().plan(norm_adjacency, num_layers, pooling="mean")
     if return_layers:
         layers = plan.apply_layers(ego)
         pooled = mean_stack(layers)

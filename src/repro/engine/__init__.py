@@ -8,10 +8,8 @@ operators once and shares them across the whole stack:
 
 * **normalized-adjacency cache** — symmetric/row/softmax normalizations
   computed once per graph, pinned to CSR, never re-derived;
-* **operator folding** — an L-layer mean-pooled propagation collapses
-  into one precomputed sparse operator ``M = (1/(L+1)) sum_l A^l``
-  (one matmul per forward instead of L), with a density guard that
-  falls back to layer-by-layer when ``M`` would densify;
+* **propagation plans** — one cached plan per (graph, depth, pooling)
+  that runs the L sparse hops and pools them (mean or last);
 * **`propagate()`** — the differentiable API every component, baseline,
   core model, and the serving path call instead of hand-rolling loops
   over :func:`repro.autograd.sparse.sparse_matmul`. Plans keep one
@@ -20,29 +18,19 @@ operators once and shares them across the whole stack:
   training) multiply float32 operators, while default float64 training
   keeps the exact operator values the published tables were trained
   with.
-
-Set ``REPRO_ENGINE_FOLD=0`` (or call ``configure(fold=False)``) to force
-the layer-by-layer schedule — the two paths are numerically equivalent
-(within the operator dtype's ulps), which `tests/engine/` asserts.
 """
 
-from .fold import MAX_COST_RATIO, MAX_DENSITY, fold_walk
-from .ops import (OPERATOR_DTYPE, apply_dense, as_operator, density,
+from .ops import (OPERATOR_DTYPE, apply_dense, as_operator,
                   mean_aggregation_operator)
-from .propagate import (PropagationEngine, PropagationPlan, configure,
-                        get_engine, normalized_adjacency, propagate)
+from .propagate import (PropagationEngine, PropagationPlan, get_engine,
+                        normalized_adjacency, propagate)
 
 __all__ = [
     "OPERATOR_DTYPE",
-    "MAX_COST_RATIO",
-    "MAX_DENSITY",
     "PropagationEngine",
     "PropagationPlan",
     "apply_dense",
     "as_operator",
-    "configure",
-    "density",
-    "fold_walk",
     "get_engine",
     "mean_aggregation_operator",
     "normalized_adjacency",

@@ -49,13 +49,6 @@ def as_operator(matrix: sp.spmatrix,
     return matrix
 
 
-def density(matrix: sp.spmatrix) -> float:
-    """Fraction of nonzero entries."""
-    rows, cols = matrix.shape
-    cells = rows * cols
-    return matrix.nnz / cells if cells else 0.0
-
-
 def mean_aggregation_operator(neighbor_ids: np.ndarray,
                               num_sources: int) -> sp.csr_matrix:
     """Row-stochastic gather operator for incremental kNN extension.

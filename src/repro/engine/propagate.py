@@ -7,7 +7,7 @@ serving path use for frozen-graph propagation:
   symmetric / row / softmax normalizations computed once per source
   matrix, pinned to CSR;
 * :meth:`PropagationEngine.plan` — per-(operator, depth, pooling)
-  :class:`PropagationPlan` cache, where operator folding happens once;
+  :class:`PropagationPlan` cache;
 * :meth:`PropagationEngine.propagate` — the differentiable hot path:
   look up (or build) the plan, apply it to a Tensor.
 
@@ -23,13 +23,12 @@ Every sparse multiply a plan issues goes through
 active array backend (:mod:`repro.backend`): the reference backend runs
 the exact historical scipy expression, the fast tier may substitute
 accelerated kernels. The per-dtype operator variants in
-``PropagationPlan._matrices`` are what let a float32 backend multiply
+``PropagationPlan._matrix`` are what let a float32 backend multiply
 float32 operators without per-call conversion.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import scipy.sparse as sp
@@ -37,7 +36,6 @@ import scipy.sparse as sp
 from ..autograd.sparse import (row_normalize, row_softmax, sparse_matmul,
                                symmetric_normalize)
 from ..autograd.tensor import Tensor
-from . import fold as _fold
 from .ops import as_operator
 
 _NORMALIZERS = {
@@ -49,9 +47,11 @@ _NORMALIZERS = {
 
 @dataclass
 class EngineStats:
-    """Cache/fold counters (introspection and tests)."""
+    """Cache counters (introspection and tests)."""
 
     plans_built: int = 0
+    #: always 0 — plans have a single (layer-by-layer) schedule; kept
+    #: because the repository benchmark's traced run reports it
     plans_folded: int = 0
     plan_hits: int = 0
     normalized_built: int = 0
@@ -66,20 +66,14 @@ class PropagationPlan:
 
     ``pooling='mean'`` is the LightGCN aggregation (mean over layers
     0..L, layer 0 included); ``pooling='last'`` returns the final hop
-    only. When folding succeeded, :meth:`apply` runs a single sparse
-    matmul with the folded operator; otherwise it falls back to the
-    layer-by-layer schedule. Both schedules are the same linear map, so
-    gradients agree as well (the backward of either path is its
-    transpose).
+    only. :meth:`apply_layers` runs the hops; :meth:`apply` pools them.
     """
 
-    __slots__ = ("operator", "num_layers", "pooling", "folded", "_by_dtype",
+    __slots__ = ("operator", "num_layers", "pooling", "_by_dtype",
                  "__weakref__")
 
     def __init__(self, operator: sp.spmatrix, num_layers: int,
-                 pooling: str = "mean", fold: bool = True,
-                 max_density: float = _fold.MAX_DENSITY,
-                 max_cost_ratio: float = _fold.MAX_COST_RATIO):
+                 pooling: str = "mean"):
         if pooling not in ("mean", "last"):
             raise ValueError(f"unknown pooling {pooling!r}")
         if num_layers < 0:
@@ -87,93 +81,59 @@ class PropagationPlan:
         self.operator = as_operator(operator)
         self.num_layers = num_layers
         self.pooling = pooling
-        self.folded = (
-            _fold.fold_walk(self.operator, num_layers, pooling,
-                            max_density=max_density,
-                            max_cost_ratio=max_cost_ratio)
-            if fold and num_layers > 1 else None)
-        assert self.folded is None or \
-            self.folded.dtype == self.operator.dtype
         # Dtype-matched operator variants, materialized at most once per
         # operand dtype: a float32 operand (serving snapshots, float32
         # training) multiplies a float32 operator, a float64 operand the
         # exact float64 values — scipy never converts inside the multiply.
         self._by_dtype: dict = {}
 
-    @property
-    def is_folded(self) -> bool:
-        return self.folded is not None
-
-    def _matrices(self, dtype) -> tuple:
-        """(single-hop, folded-or-None) matching the operand dtype, so the
+    def _matrix(self, dtype) -> sp.csr_matrix:
+        """The single-hop operator matching the operand dtype, so the
         sparse matmul itself never converts."""
         if dtype == self.operator.dtype:
-            return self.operator, self.folded
+            return self.operator
         if dtype not in self._by_dtype:
-            self._by_dtype[dtype] = (
-                self.operator.astype(dtype),
-                None if self.folded is None else self.folded.astype(dtype))
+            self._by_dtype[dtype] = self.operator.astype(dtype)
         return self._by_dtype[dtype]
 
     def apply(self, x: Tensor) -> Tensor:
         """Propagate ``x`` through the plan (differentiable)."""
         if self.num_layers == 0:
             return x
-        single, folded = self._matrices(x.data.dtype)
-        if folded is not None:
-            out = sparse_matmul(folded, x)
+        layers = self.apply_layers(x)
+        if self.pooling == "last":
+            out = layers[-1]
         else:
-            current = x
-            if self.pooling == "mean":
-                total = x
-                for _ in range(self.num_layers):
-                    current = sparse_matmul(single, current)
-                    total = total + current
-                out = total * (1.0 / (self.num_layers + 1))
-            else:
-                for _ in range(self.num_layers):
-                    current = sparse_matmul(single, current)
-                out = current
+            total = layers[0]
+            for layer in layers[1:]:
+                total = total + layer
+            out = total * (1.0 / (self.num_layers + 1))
         assert out.data.dtype == x.data.dtype, "propagation changed dtype"
         return out
 
     def apply_layers(self, x: Tensor) -> list[Tensor]:
-        """Per-layer outputs ``[x, A x, ..., A^L x]`` (always unfolded —
-        callers that need the intermediate layers keep them)."""
-        single, _ = self._matrices(x.data.dtype)
+        """Per-layer outputs ``[x, A x, ..., A^L x]``."""
+        single = self._matrix(x.data.dtype)
         layers = [x]
-        current = x
         for _ in range(self.num_layers):
-            current = sparse_matmul(single, current)
-            layers.append(current)
+            layers.append(sparse_matmul(single, layers[-1]))
         return layers
 
 
-#: name of the per-matrix attribute holding this engine's cache entries.
+#: name of the per-matrix attribute holding the engine's cache entries.
 _CACHE_ATTR = "_repro_engine_cache"
 
 
 class PropagationEngine:
-    """Engine facade: per-source caches plus the fold configuration.
+    """Engine facade: the per-source normalization and plan caches.
 
     Cache entries live in a dict attached to the source matrix (see the
-    module docstring), tagged with this engine's validity token so
-    :meth:`clear`/:func:`configure` invalidate everything without having
-    to enumerate live matrices.
+    module docstring); a plan depends only on its operator, depth and
+    pooling, so every engine may serve any entry.
     """
 
-    def __init__(self, fold: bool = True,
-                 max_density: float = _fold.MAX_DENSITY,
-                 max_cost_ratio: float = _fold.MAX_COST_RATIO):
-        self.fold = fold
-        self.max_density = max_density
-        self.max_cost_ratio = max_cost_ratio
+    def __init__(self):
         self.stats = EngineStats()
-        # Unique validity token embedded in every cache entry this engine
-        # writes: replaced on clear(), and never equal to another
-        # engine's token, so entries are only ever served back to the
-        # (engine, configuration) that created them.
-        self._epoch = object()
 
     # -- cache plumbing -------------------------------------------------
     def _cache_of(self, source) -> dict | None:
@@ -186,20 +146,6 @@ class PropagationEngine:
             except AttributeError:
                 return None
         return cache
-
-    def _lookup(self, source, key: tuple):
-        cache = self._cache_of(source)
-        if cache is None:
-            return None, None
-        entry = cache.get(key)
-        if entry is not None and entry[0] is self._epoch:
-            return cache, entry[1]
-        return cache, None
-
-    def clear(self) -> None:
-        """Invalidate every cached plan/normalization (lazy: entries are
-        rebuilt on next access)."""
-        self._epoch = object()
 
     # -- normalized-adjacency cache ------------------------------------
     def normalized(self, adjacency: sp.spmatrix, kind: str = "sym",
@@ -215,76 +161,44 @@ class PropagationEngine:
                 f"unknown normalization {kind!r}; expected one of "
                 f"{sorted(_NORMALIZERS)}")
         key = ("normalized", kind)
-        store, hit = self._lookup(adjacency, key) if cache else (None, None)
-        if hit is not None:
+        store = self._cache_of(adjacency) if cache else None
+        if store is not None and key in store:
             self.stats.normalized_hits += 1
-            return hit
+            return store[key]
         result = as_operator(_NORMALIZERS[kind](adjacency))
         self.stats.normalized_built += 1
         if store is not None:
-            store[key] = (self._epoch, result)
+            store[key] = result
         return result
 
     # -- plan cache -----------------------------------------------------
     def plan(self, operator: sp.spmatrix, num_layers: int,
-             pooling: str = "mean",
-             fold: bool | None = None) -> PropagationPlan:
+             pooling: str = "mean") -> PropagationPlan:
         """The (cached) precompiled plan for ``num_layers`` hops of
-        ``operator``.
-
-        ``fold=False`` skips the folding attempt — callers propagating
-        over a *throwaway* graph (per-batch augmentations) should pass
-        it, since a folded operator that is used once can never repay
-        the sparse-sparse products needed to build it. ``None`` defers
-        to the engine configuration.
-        """
-        fold = self.fold if fold is None else fold
-        key = ("plan", num_layers, pooling, fold)
-        store, hit = self._lookup(operator, key)
-        if hit is not None:
+        ``operator``."""
+        key = ("plan", num_layers, pooling)
+        store = self._cache_of(operator)
+        if store is not None and key in store:
             self.stats.plan_hits += 1
-            return hit
-        plan = PropagationPlan(operator, num_layers, pooling, fold=fold,
-                               max_density=self.max_density,
-                               max_cost_ratio=self.max_cost_ratio)
+            return store[key]
+        plan = PropagationPlan(operator, num_layers, pooling)
         self.stats.plans_built += 1
-        if plan.is_folded:
-            self.stats.plans_folded += 1
         if store is not None:
-            store[key] = (self._epoch, plan)
+            store[key] = plan
         return plan
 
     def propagate(self, operator: sp.spmatrix, x: Tensor,
-                  num_layers: int = 1, pooling: str = "mean",
-                  fold: bool | None = None) -> Tensor:
+                  num_layers: int = 1, pooling: str = "mean") -> Tensor:
         """Differentiable multi-hop propagation (the shared hot path)."""
-        return self.plan(operator, num_layers, pooling, fold=fold).apply(x)
+        return self.plan(operator, num_layers, pooling).apply(x)
 
 
-_engine: PropagationEngine | None = None
+_engine = PropagationEngine()
 
 
 def get_engine() -> PropagationEngine:
-    """The process-wide engine (folding honors ``REPRO_ENGINE_FOLD=0``)."""
-    global _engine
-    if _engine is None:
-        fold_enabled = os.environ.get("REPRO_ENGINE_FOLD", "1") != "0"
-        _engine = PropagationEngine(fold=fold_enabled)
+    """The process-wide engine."""
     return _engine
-
-
-def configure(fold: bool | None = None, max_density: float | None = None,
-              max_cost_ratio: float | None = None) -> PropagationEngine:
-    """Reconfigure the process-wide engine; plans are rebuilt lazily."""
-    engine = get_engine()
-    if fold is not None:
-        engine.fold = fold
-    if max_density is not None:
-        engine.max_density = max_density
-    if max_cost_ratio is not None:
-        engine.max_cost_ratio = max_cost_ratio
-    engine.clear()
-    return engine
 
 
 def propagate(operator: sp.spmatrix, x: Tensor, num_layers: int = 1,

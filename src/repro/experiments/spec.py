@@ -11,9 +11,9 @@ level, sweep value, ...) lands in a different address.
 Hash keys also fold in the code-relevant knobs that change numerics:
 the parameter dtype (``PARAM_DTYPE``) and :data:`PIPELINE_VERSION`,
 which must be bumped by any PR that intentionally changes training or
-evaluation semantics (everything else — sparse gradients, folded
-operators, fused kernels — is bit-identical by contract and therefore
-excluded on purpose).
+evaluation semantics (everything else — sparse gradients, fused
+kernels — is bit-identical by contract and therefore excluded on
+purpose).
 """
 
 from __future__ import annotations

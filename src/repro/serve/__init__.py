@@ -9,8 +9,6 @@ The layers (see ``docs/ARCHITECTURE.md``):
 * :class:`BatchRanker` — blocked-matmul top-k for batches of users with
   vectorized seen-item masking; the evaluation protocol reuses its
   ranking kernels, so the table harnesses share this hot path;
-* :class:`ShardedRanker` — the same ranking, with the scoring GEMMs
-  fanned out over item shards on a thread pool; bit-identical results;
 * :class:`SnapshotManager` — atomic hot-swap of published
   (store, ranker) snapshot versions under live queries;
 * :class:`MicroBatcher` / :class:`ServingDaemon` — request coalescing
@@ -30,7 +28,6 @@ from .onboarding import GraphExpansion, expand_item_graph, ingest_items
 from .ranker import (BatchRanker, TopKResult, apply_seen_mask,
                      interactions_to_csr, topk_from_scores)
 from .session import ServingSession
-from .sharding import ShardedRanker
 from .snapshot import Snapshot, SnapshotManager
 from .store import CorruptStoreError, EmbeddingStore
 
@@ -44,7 +41,6 @@ __all__ = [
     "MicroBatcher",
     "ServingDaemon",
     "ServingSession",
-    "ShardedRanker",
     "Snapshot",
     "SnapshotManager",
     "TopKResult",

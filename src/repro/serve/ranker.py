@@ -29,14 +29,12 @@ import scipy.sparse as sp
 from ..backend import active as _active_backend
 
 #: Fixed column-tile width for blocked scoring.  The tile grid depends
-#: only on the item count — never on shard count, thread count, or
-#: scheduling — so every ranker issues the exact same GEMM calls on the
-#: exact same operands and scores stay bitwise reproducible however the
-#: tiles are executed (serially here, on a thread pool in
-#: :class:`repro.serve.sharding.ShardedRanker`).  BLAS results are *not*
-#: invariant to operand shape, so re-partitioning the catalog per shard
-#: would change low-order bits; a fixed grid is what makes shard counts
-#: interchangeable.
+#: only on the item count — never on thread count or scheduling — so
+#: every ranker issues the exact same GEMM calls on the exact same
+#: operands and scores stay bitwise reproducible.  BLAS results are
+#: *not* invariant to operand shape: re-partitioning the catalog would
+#: change low-order bits, which is why the grid is fixed rather than
+#: tuned per call.
 SCORE_TILE = 4096
 
 _EMPTY_COORDS = np.empty(0, dtype=np.int64)
@@ -297,9 +295,7 @@ class BatchRanker:
         tiles (see :data:`SCORE_TILE`); each tile is one GEMM whose
         output is negated in place, so no negated copy of the item
         matrix is ever materialized and peak extra memory is one
-        ``block x tile`` buffer beyond the output.  Subclasses may
-        re-schedule the tiles (e.g. across a thread pool) but must issue
-        the same per-tile calls to keep scores bit-identical.
+        ``block x tile`` buffer beyond the output.
         """
         backend = _active_backend()
         n = items.shape[0]

@@ -47,9 +47,8 @@ class ServingSession:
     """Stateful batch-query session over published store snapshots."""
 
     def __init__(self, store: EmbeddingStore, default_k: int = 20,
-                 block_size: int = 1024, num_shards: int = 1):
-        self.manager = SnapshotManager(store, num_shards=num_shards,
-                                       block_size=block_size)
+                 block_size: int = 1024):
+        self.manager = SnapshotManager(store, block_size=block_size)
         self.default_k = int(default_k)
         self.block_size = int(block_size)
 

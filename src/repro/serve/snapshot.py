@@ -36,7 +36,6 @@ class Snapshot:
     store: EmbeddingStore
     ranker: BatchRanker
     source: str = ""
-    num_shards: int = 1
 
 
 class SnapshotManager:
@@ -46,20 +45,12 @@ class SnapshotManager:
     ----------
     store:
         Optional initial store; published as version 1.
-    num_shards:
-        Shard count for the rankers built on swap; 1 builds a plain
-        :class:`BatchRanker`, more builds a
-        :class:`repro.serve.sharding.ShardedRanker` (bit-identical
-        results, shard-parallel scoring).
     block_size:
         User-block size passed through to the rankers.
     """
 
     def __init__(self, store: EmbeddingStore | None = None, *,
-                 num_shards: int = 1, block_size: int = 256):
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        self.num_shards = int(num_shards)
+                 block_size: int = 256):
         self.block_size = int(block_size)
         self._lock = threading.Lock()
         self._current: Snapshot | None = None
@@ -79,14 +70,6 @@ class SnapshotManager:
     def version(self) -> int:
         return self.current.version
 
-    def _build_ranker(self, store: EmbeddingStore) -> BatchRanker:
-        if self.num_shards > 1:
-            from .sharding import ShardedRanker
-            return ShardedRanker.from_store(store,
-                                            num_shards=self.num_shards,
-                                            block_size=self.block_size)
-        return BatchRanker.from_store(store, block_size=self.block_size)
-
     # ------------------------------------------------------------------
     def swap(self, store: EmbeddingStore, source: str = "") -> Snapshot:
         """Build and publish a new snapshot; returns it.
@@ -95,12 +78,12 @@ class SnapshotManager:
         assignment and version bump are serialized, so concurrent
         readers never observe a partially-initialized snapshot.
         """
-        ranker = self._build_ranker(store)
+        ranker = BatchRanker.from_store(store, block_size=self.block_size)
         with self._lock:
             version = 1 if self._current is None \
                 else self._current.version + 1
             snapshot = Snapshot(version=version, store=store, ranker=ranker,
-                                source=source, num_shards=self.num_shards)
+                                source=source)
             self._current = snapshot
         return snapshot
 
@@ -115,8 +98,7 @@ class SnapshotManager:
     # ------------------------------------------------------------------
     def describe(self) -> dict:
         snapshot = self.current
-        info = {"snapshot version": snapshot.version,
-                "num shards": snapshot.num_shards}
+        info = {"snapshot version": snapshot.version}
         if snapshot.source:
             info["source"] = snapshot.source
         info.update(snapshot.store.describe())

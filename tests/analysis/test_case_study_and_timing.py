@@ -66,7 +66,7 @@ class TestTiming:
 
 
 class TestTrainingThroughput:
-    def test_measures_both_schedules(self, tiny_dataset):
+    def test_measures_epochs_per_second(self, tiny_dataset):
         rows = measure_training_throughput(
             tiny_dataset, model_names=("LightGCN",), epochs=2,
             embedding_dim=16,
@@ -74,28 +74,16 @@ class TestTrainingThroughput:
         (row,) = rows
         assert row.model == "LightGCN"
         assert row.epochs == 2
-        assert row.engine_epochs_per_second > 0
-        assert row.layerwise_epochs_per_second > 0
-        assert row.fold_speedup > 0
+        assert row.epochs_per_second > 0
         cells = row.as_row()
         assert cells["Model"] == "LightGCN"
-        assert set(cells) == {"Model", "Epochs", "Engine (epochs/s)",
-                              "Layer-by-layer (epochs/s)", "Fold speedup",
+        assert set(cells) == {"Model", "Epochs", "Epochs/s",
                               "Backend", "Param dtype", "BLAS threads",
                               "Peak RSS (MB)"}
         assert cells["Peak RSS (MB)"] > 0
         # Runtime context is captured at measurement time.
         assert cells["Backend"] == "reference"
         assert cells["Param dtype"] == "float64"
-
-    def test_restores_engine_fold_configuration(self, tiny_dataset):
-        from repro import engine
-        before = engine.get_engine().fold
-        measure_training_throughput(
-            tiny_dataset, model_names=("LightGCN",), epochs=1,
-            embedding_dim=16,
-            train_config=TrainConfig(batch_size=256))
-        assert engine.get_engine().fold == before
 
 
 class TestServingLatency:
@@ -117,10 +105,9 @@ class TestServingLatency:
                                         seed=1)
         rows = measure_serving_latency(
             store, clients=2, requests_per_client=4, k=5,
-            shard_counts=(1, 2), repeats=1, measure_ingest=True, seed=1)
-        scenarios = [(r.scenario, r.num_shards) for r in rows]
-        assert scenarios == [("topk under load", 1), ("topk under load", 2),
-                             ("ingest under load", 1)]
+            repeats=1, measure_ingest=True, seed=1)
+        assert [r.scenario for r in rows] == ["topk under load",
+                                              "ingest under load"]
         for row in rows:
             assert row.requests == 8
             assert 0 < row.p50_ms <= row.p99_ms

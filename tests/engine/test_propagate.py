@@ -38,39 +38,47 @@ def graph_operators(dataset) -> dict:
     }
 
 
+def dense_walk(operator, num_layers: int, pooling: str) -> np.ndarray:
+    """The L-hop map as one dense NumPy matrix: ``A^L`` for ``last``,
+    ``(1/(L+1)) sum_l A^l`` for ``mean`` (layer 0 included)."""
+    hop = operator.toarray().astype(np.float64)
+    power = np.eye(hop.shape[0])
+    total = power.copy()
+    for _ in range(num_layers):
+        power = hop @ power
+        total += power
+    return power if pooling == "last" else total / (num_layers + 1)
+
+
 class TestFoldedParity:
-    """Folded and layer-by-layer schedules are the same linear map —
-    on every one of the paper's three graph types."""
+    """A plan equals the folded dense operator of its L-hop walk — on
+    every one of the paper's three graph types."""
 
     @pytest.mark.parametrize("graph_kind",
                              ["interaction", "item_item", "user_user"])
     @pytest.mark.parametrize("pooling", ["mean", "last"])
     def test_forward_parity(self, tiny_dataset, rng, graph_kind, pooling):
         operator = graph_operators(tiny_dataset)[graph_kind]
-        x = Tensor(rng.normal(size=(operator.shape[0], 8))
-                   .astype(np.float32))
-        folded = PropagationPlan(operator, 2, pooling, fold=True,
-                                 max_density=1.0, max_cost_ratio=np.inf)
-        unfolded = PropagationPlan(operator, 2, pooling, fold=False)
-        assert folded.is_folded and not unfolded.is_folded
-        np.testing.assert_allclose(folded.apply(x).data,
-                                   unfolded.apply(x).data,
-                                   rtol=1e-4, atol=1e-6)
+        x = rng.normal(size=(operator.shape[0], 8))
+        out = PropagationPlan(operator, 3, pooling).apply(Tensor(x))
+        np.testing.assert_allclose(out.data,
+                                   dense_walk(operator, 3, pooling) @ x,
+                                   rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("graph_kind",
                              ["interaction", "item_item", "user_user"])
     def test_gradient_parity(self, tiny_dataset, rng, graph_kind):
+        """The backward pass applies the transposed walk."""
         operator = graph_operators(tiny_dataset)[graph_kind]
-        seed = rng.normal(size=(operator.shape[0], 8)).astype(np.float32)
-        grads = {}
-        for fold in (True, False):
-            x = Tensor(seed.copy(), requires_grad=True)
-            plan = PropagationPlan(operator, 2, "mean", fold=fold,
-                                   max_density=1.0, max_cost_ratio=np.inf)
-            plan.apply(x).sum().backward()
-            grads[fold] = x.grad
-        np.testing.assert_allclose(grads[True], grads[False],
-                                   rtol=1e-4, atol=1e-6)
+        upstream = rng.normal(size=(operator.shape[0], 8))
+        for pooling in ("mean", "last"):
+            x = Tensor(rng.normal(size=(operator.shape[0], 8)),
+                       requires_grad=True)
+            out = PropagationPlan(operator, 3, pooling).apply(x)
+            (out * Tensor(upstream)).sum().backward()
+            np.testing.assert_allclose(
+                x.grad, dense_walk(operator, 3, pooling).T @ upstream,
+                rtol=1e-9, atol=1e-12)
 
     def test_apply_layers_matches_manual_stack(self, tiny_dataset, rng):
         operator = graph_operators(tiny_dataset)["interaction"]
@@ -80,23 +88,8 @@ class TestFoldedParity:
         layers = plan.apply_layers(x)
         assert len(layers) == 4
         np.testing.assert_allclose(mean_stack(layers).data,
-                                   PropagationPlan(operator, 3, "mean",
-                                                   fold=False).apply(x).data,
+                                   plan.apply(x).data,
                                    rtol=1e-5, atol=1e-7)
-
-
-class TestDensityGuardFallback:
-    def test_guarded_plan_falls_back_and_stays_correct(self, rng):
-        operator = as_operator(sp.random(30, 30, density=0.3, format="csr",
-                                         random_state=5))
-        engine = PropagationEngine(max_density=0.0)
-        x = Tensor(rng.normal(size=(30, 4)).astype(np.float32))
-        plan = engine.plan(operator, 2, "mean")
-        assert not plan.is_folded
-        reference = PropagationPlan(operator, 2, "mean", fold=False)
-        np.testing.assert_allclose(plan.apply(x).data,
-                                   reference.apply(x).data)
-        assert engine.stats.plans_folded == 0
 
 
 class TestDtypeStability:
@@ -116,21 +109,19 @@ class TestDtypeStability:
         operator = as_operator(sp.random(20, 20, density=0.2, format="csr",
                                          random_state=2))
         x = Tensor(rng.normal(size=(20, 4)))
-        plan = PropagationPlan(operator, 2, "mean", fold=False)
+        plan = PropagationPlan(operator, 2, "mean")
         assert plan.apply(x).data.dtype == np.float64
         # The float64 variant is the original operator, not a float32
         # round-trip: training math is bit-identical to the pre-engine
         # implementation.
-        single, _ = plan._matrices(np.dtype(np.float64))
-        assert single is operator
+        assert plan._matrix(np.dtype(np.float64)) is operator
 
     def test_dtype_variants_materialized_once(self, rng):
         operator = as_operator(sp.random(20, 20, density=0.2, format="csr",
                                          random_state=2))
         plan = PropagationPlan(operator, 2, "mean")
-        first, _ = plan._matrices(np.dtype(np.float32))
-        again, _ = plan._matrices(np.dtype(np.float32))
-        assert first is again
+        first = plan._matrix(np.dtype(np.float32))
+        assert plan._matrix(np.dtype(np.float32)) is first
         assert first.dtype == np.float32
 
     def test_plan_operator_is_pinned_csr(self, rng):
@@ -196,35 +187,6 @@ class TestEngineCache:
         del operator
         gc.collect()
         assert plan_ref() is None
-
-    def test_clear_invalidates_cached_plans(self, engine, rng):
-        operator = as_operator(sp.random(25, 25, density=0.1, format="csr",
-                                         random_state=10))
-        first = engine.plan(operator, 2)
-        engine.clear()
-        assert engine.plan(operator, 2) is not first
-        assert engine.stats.plans_built == 2
-
-    def test_engines_never_share_cache_entries(self, rng):
-        """Two engines with different fold configurations must not serve
-        each other's plans off the shared per-matrix cache dict."""
-        operator = as_operator(sp.random(25, 25, density=0.1, format="csr",
-                                         random_state=11))
-        folding = PropagationEngine(fold=True, max_density=1.0,
-                                    max_cost_ratio=np.inf)
-        plain = PropagationEngine(fold=False)
-        assert folding.plan(operator, 2).is_folded
-        assert not plain.plan(operator, 2).is_folded
-
-    def test_fold_opt_out_for_throwaway_graphs(self, rng):
-        """plan(fold=False) must not pay the folding sparse-sparse
-        products, and the decision is part of the cache key."""
-        operator = as_operator(sp.random(25, 25, density=0.1, format="csr",
-                                         random_state=12))
-        engine = PropagationEngine(fold=True, max_density=1.0,
-                                   max_cost_ratio=np.inf)
-        assert not engine.plan(operator, 2, fold=False).is_folded
-        assert engine.plan(operator, 2).is_folded
 
 
 class TestServingOperators:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.eval.protocol import evaluate_scenario, rank_candidates
-from repro.serve.ranker import (BatchRanker, apply_seen_mask,
+from repro.serve.ranker import (SCORE_TILE, BatchRanker, apply_seen_mask,
                                 interactions_to_csr, topk_from_scores)
 
 
@@ -132,12 +132,17 @@ class TestBatchRanker:
     def vectors(self, rng):
         return rng.normal(size=(30, 8)), rng.normal(size=(50, 8))
 
-    def test_matches_reference_with_seen_and_candidates(self, vectors, rng):
+    # 16 < the 50-item catalog (and the 40 candidates) exercises the
+    # tiled scoring branch; the default tile scores in one GEMM.
+    @pytest.mark.parametrize("score_tile", [16, SCORE_TILE])
+    def test_matches_reference_with_seen_and_candidates(self, vectors, rng,
+                                                        score_tile):
         users_mat, items_mat = vectors
         pairs = np.array([[u, rng.integers(50)] for u in range(30)
                           for _ in range(3)])
         seen = interactions_to_csr(pairs, 30, 50)
-        ranker = BatchRanker(users_mat, items_mat, seen=seen, block_size=7)
+        ranker = BatchRanker(users_mat, items_mat, seen=seen, block_size=7,
+                             score_tile=score_tile)
         users = np.arange(30)
         candidates = rng.choice(50, size=40, replace=False)
         result = ranker.topk(users, 5, candidates=candidates)

@@ -98,13 +98,6 @@ class TestSwapFlow:
         assert output.startswith("error:")
         assert session.execute("topk 0 1").startswith("user 0 ->")
 
-    def test_sharded_session_serves(self, tiny_dataset):
-        model = create_model("BPR", tiny_dataset, embedding_dim=8)
-        store = EmbeddingStore.from_model(model, tiny_dataset)
-        plain = ServingSession(store, default_k=5)
-        sharded = ServingSession(store, default_k=5, num_shards=3)
-        assert sharded.execute("topk 3 4") == plain.execute("topk 3 4")
-
 
 class TestIngestFlow:
     def test_ingest_then_query_cold_item(self, session, tmp_path):

@@ -8,8 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import (BatchRanker, EmbeddingStore, ShardedRanker,
-                         SnapshotManager)
+from repro.serve import BatchRanker, EmbeddingStore, SnapshotManager
 
 
 def make_store(seed, num_items=40):
@@ -42,11 +41,6 @@ class TestSnapshotManager:
         result = old.ranker.topk(np.arange(5), 5)
         expected = BatchRanker.from_store(old.store).topk(np.arange(5), 5)
         np.testing.assert_array_equal(result.items, expected.items)
-
-    def test_sharded_manager_builds_sharded_ranker(self):
-        manager = SnapshotManager(make_store(1), num_shards=3)
-        assert isinstance(manager.current.ranker, ShardedRanker)
-        assert manager.current.ranker.num_shards == 3
 
     def test_swap_from_path_v1_and_v2(self, tmp_path):
         store = make_store(3)

@@ -55,9 +55,9 @@ class TestParser:
     def test_serve_daemon_flags(self):
         args = build_parser().parse_args(
             ["serve", "--store", "s", "--daemon", "--port", "0",
-             "--num-shards", "4", "--mmap", "--max-delay-ms", "1.5"])
+             "--mmap", "--max-delay-ms", "1.5"])
         assert args.daemon and args.mmap
-        assert args.num_shards == 4 and args.port == 0
+        assert args.port == 0
         assert args.max_delay_ms == 1.5
 
     def test_serve_mmap_requires_store(self):
@@ -66,15 +66,14 @@ class TestParser:
     def test_bench_serving_latency_flags(self):
         args = build_parser().parse_args(
             ["bench", "--serving-latency", "--min-serving-speedup", "1.0",
-             "--shard-counts", "1", "2", "--serving-scale", "0.5"])
+             "--clients", "2", "--serving-scale", "0.5"])
         assert args.serving_latency
-        assert args.shard_counts == [1, 2]
+        assert args.clients == 2 and args.serving_scale == 0.5
         assert args.min_serving_speedup == 1.0
 
     def test_serving_flags_require_serving_latency(self):
         assert main(["bench", "--min-serving-speedup", "1.0"]) == 2
         assert main(["bench", "--clients", "4"]) == 2
-        assert main(["bench", "--shard-counts", "2"]) == 2
         assert main(["bench", "--serving-scale", "0.5"]) == 2
 
     def test_serving_latency_conflicts_with_other_compares(self):
@@ -156,7 +155,7 @@ class TestCommands:
         # The onboarded item id appears in the cold-candidate ranking.
         assert f" {store.num_items}:" in out.splitlines()[-1]
 
-    def test_export_v2_then_serve_mmap_sharded(self, capsys, tmp_path):
+    def test_export_v2_then_serve_mmap(self, capsys, tmp_path):
         store_dir = str(tmp_path / "store_v2")
         assert main(["export-embeddings", store_dir, "--model", "BPR",
                      "--size", "tiny", "--epochs", "1",
@@ -167,13 +166,12 @@ class TestCommands:
         queries = tmp_path / "queries.txt"
         queries.write_text("stats\ntopk 0 5\nquit\n")
         assert main(["serve", "--store", store_dir, "--mmap",
-                     "--num-shards", "2",
                      "--queries", str(queries)]) == 0
-        sharded_out = capsys.readouterr().out
-        assert "user 0 ->" in sharded_out
+        mmap_out = capsys.readouterr().out
+        assert "user 0 ->" in mmap_out
 
         # bit-for-bit the same rankings as the plain in-RAM path
         assert main(["serve", "--store", store_dir,
                      "--queries", str(queries)]) == 0
         plain_out = capsys.readouterr().out
-        assert sharded_out.splitlines()[-1] == plain_out.splitlines()[-1]
+        assert mmap_out.splitlines()[-1] == plain_out.splitlines()[-1]

@@ -18,6 +18,9 @@ from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: a ``REPRO_*`` environment-variable name (``REPRO_*`` globs excluded)
+ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+
 
 @pytest.fixture(scope="module")
 def readme() -> str:
@@ -80,3 +83,34 @@ class TestDocsTree:
             [sys.executable, str(ROOT / "tools" / "check_docs.py")],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
+
+
+def env_vars(paths) -> set[str]:
+    return {name for path in paths
+            for name in ENV_VAR.findall(path.read_text())}
+
+
+class TestEnvironmentVariables:
+    """Every ``REPRO_*`` switch the code reads is documented, and the
+    docs name no switch the code no longer reads."""
+
+    @pytest.fixture(scope="class")
+    def in_code(self) -> set[str]:
+        return env_vars((ROOT / "src").rglob("*.py"))
+
+    @pytest.fixture(scope="class")
+    def in_docs(self) -> set[str]:
+        return env_vars([ROOT / "README.md",
+                         *(ROOT / "docs").glob("*.md")])
+
+    def test_every_variable_read_under_src_is_documented(self, in_code,
+                                                          in_docs):
+        assert in_code - in_docs == set(), (
+            "undocumented REPRO_* variables: name them in README.md or "
+            "docs/")
+
+    def test_every_documented_variable_is_read_under_src(self, in_code,
+                                                         in_docs):
+        assert in_docs - in_code == set(), (
+            "README.md or docs/ name REPRO_* variables nothing under "
+            "src/ reads")

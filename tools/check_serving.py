@@ -4,15 +4,15 @@
 Usage (from the repo root, with ``PYTHONPATH=src``)::
 
     python tools/check_serving.py STORE [--swap-store OTHER] \
-        [--mmap] [--num-shards 2] [--clients 6] [--requests 8] [--k 10]
+        [--mmap] [--clients 6] [--requests 8] [--k 10]
 
 The CI serving-smoke job exports an embedding store from a smoke-trained
 model, starts the HTTP daemon over it, fires concurrent warm/cold
 queries, hot-swaps to a second store while the clients are mid-stream,
 and asserts every response bit-matches the library ``BatchRanker`` of
 whichever snapshot version the response claims — the end-to-end proof
-that micro-batching, sharding, and the snapshot seam change scheduling,
-never results.
+that micro-batching and the snapshot seam change scheduling, never
+results.
 
 Exit status: 0 when every response matched, 1 on any mismatch or
 transport error, 2 on usage errors.
@@ -94,7 +94,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: republish the first store)")
     parser.add_argument("--mmap", action="store_true",
                         help="memory-map the initial store (v2 only)")
-    parser.add_argument("--num-shards", type=int, default=2)
     parser.add_argument("--clients", type=int, default=6)
     parser.add_argument("--requests", type=int, default=8,
                         help="requests per client per mode")
@@ -107,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     expected = {1: expected_rankings(store, args.k),
                 2: expected_rankings(swap_store, args.k)}
 
-    manager = SnapshotManager(store, num_shards=args.num_shards)
+    manager = SnapshotManager(store)
     failures: list[str] = []
     lock = threading.Lock()
     started = threading.Barrier(args.clients + 1)
@@ -165,8 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(f"serving smoke OK: {total} concurrent responses bit-matched "
           f"the library ranker across a mid-stream hot-swap "
-          f"({args.num_shards} shard(s), mean batch "
-          f"{stats['batcher']['mean_batch_size']:.2f})")
+          f"(mean batch {stats['batcher']['mean_batch_size']:.2f})")
     return 0
 
 
