@@ -17,9 +17,10 @@ snapshot documents the *relative* change on one machine.
 Optimizer/gradient addendum: the row-sparse gradient pipeline (PR 3)
 vs the dense schedule it replaced, on the catalog-dominated synthetic
 fixture where most embedding rows never receive a gradient — epochs/
-second plus the per-phase training-step breakdown. Both modes train
-bit-identical models; the dense column is the schedule this repo ran
-before the row-sparse pipeline landed. The heterogeneous models
+second (interleaved rotated-order rounds) plus the per-phase
+training-step breakdown. Both modes train bit-identical models; the
+dense column is the schedule this repo ran before the row-sparse
+pipeline landed. The heterogeneous models
 (Firzen, KGAT) get the same per-phase breakdown on beauty/small.
 
 Serving-latency addendum: client-observed p50/p99 of the micro-batched
@@ -33,28 +34,11 @@ positive straggler window only adds latency — the default max_delay_ms
 is 0 for exactly that reason). Ingest-under-load stays ~1.0-1.4x:
 snapshot republish happens off the query path. Gates are no-regression
 floors on the batched/sequential ratio.
-
-Backend addendum: the opt-in ``fast`` array backend (float32 params,
-accelerated scatter kernels; ``REPRO_BACKEND=fast``) vs the bit-exact reference tier, interleaved rotated-order
-rounds on the propagation-bound LightGCN fixtures. The honest result:
-~1.3-1.4x, not the 2.3x the PR 2 snapshot recorded for the raw
-``PARAM_DTYPE=float32`` flip — that number predates the interleaved
-methodology (the fixed measurement order handed the first-measured
-mode an undecayed CPU clock, the same artifact the optimizer addendum
-documents), and the float64 reference it was measured against has
-since been made ~2x faster at default settings (row-sparse gradients,
-fused kernels, the frozen-graph engine's cached plans), which
-compresses the dtype ratio.
-Python graph construction and closure dispatch — identical in both
-tiers — now bound the step; the remaining fast-tier headroom is
-torch/cupy dispatch on hosts that have them. Gates are no-regression
-floors.
 """
 
 from _shared import get_dataset, get_trained_model, write_result
 from repro.analysis.timing import (breakdown_rows,
                                    catalog_dominated_dataset,
-                                   measure_backend_training_throughput,
                                    measure_feature_sets,
                                    measure_ranking_throughput,
                                    measure_serving_latency,
@@ -121,15 +105,6 @@ def test_table7_timing(benchmark):
     breakdown = measure_step_breakdown(catalog, "BPR", epochs=4,
                                        embedding_dim=64)
 
-    backend_rows = measure_backend_training_throughput(
-        dataset, model_names=("LightGCN",), epochs=8, embedding_dim=32)
-    deep_backend_rows = measure_backend_training_throughput(
-        dataset, model_names=("LightGCN",), epochs=8, embedding_dim=32,
-        num_layers=3)
-    for row in deep_backend_rows:
-        row.model = f"{row.model} (3 layers)"
-    backend_rows += deep_backend_rows
-
     hetero_breakdowns = []
     for name in ("Firzen", "KGAT"):
         hetero_breakdowns += breakdown_rows(
@@ -154,7 +129,8 @@ def test_table7_timing(benchmark):
                        "Optimizer/gradient addendum: row-sparse pipeline "
                        "vs dense schedule on the catalog-dominated "
                        "fixture (500 users x 12000 items, 80% strict "
-                       "cold; bit-identical trained models)")
+                       "cold; bit-identical trained models; interleaved "
+                       "rotated-order rounds, best of 3)")
         + "\n\n"
         + format_table(breakdown_rows(breakdown),
                        "Optimizer/gradient addendum: per-phase "
@@ -162,16 +138,6 @@ def test_table7_timing(benchmark):
                        "fixture (step includes every replay of "
                        "deferred row updates, wherever triggered; "
                        "interleaved rotated-order rounds, best of 3)")
-        + "\n\n"
-        + format_table([row.as_row() for row in backend_rows],
-                       "Backend addendum: opt-in fast tier (float32 "
-                       "params, accelerated scatter; "
-                       "tolerance parity, not bit parity) vs the "
-                       "bit-exact reference backend (beauty/small, "
-                       "interleaved rotated-order rounds; the PR 2 "
-                       "float32 snapshot of 2.3x predates this "
-                       "methodology and a ~2x-faster reference — see "
-                       "module docstring)")
         + "\n\n"
         + format_table(hetero_breakdowns,
                        "Optimizer/gradient addendum: per-phase "
@@ -213,19 +179,6 @@ def test_table7_timing(benchmark):
     # bookkeeping cost so it cannot silently grow — the sparse *total*
     # still wins ~2.5x, which the assertions above gate directly.
     assert sparse_bd.forward_ms <= 1.25 * dense_bd.forward_ms
-
-    # The fast backend must deliver a real win on the propagation-
-    # bound fixtures — the reference machine measures ~1.3-1.4x under
-    # interleaved rotated-order rounds (see the module docstring for
-    # why the PR 2 snapshot's 2.3x does not survive fair measurement),
-    # so 1.1 is the noise-tolerant floor — and the reference column
-    # must stay real (positive) with the tiers correctly recorded.
-    for row in backend_rows:
-        assert row.reference_epochs_per_second > 0
-        assert row.fast_epochs_per_second > 0
-        assert row.reference_info["param_dtype"] == "float64"
-        assert row.fast_info["param_dtype"] == "float32"
-        assert row.speedup >= 1.1
 
     # The batched serving path must beat the seed's one-query-at-a-time
     # serving by a wide margin on a production-sized batch — on the

@@ -13,18 +13,11 @@ Firzen variants that consume increasing feature sets: BA only, +KA, +VA,
   (:func:`measure_step_breakdown`) and epochs/second on a
   catalog-dominated fixture (:func:`measure_sparse_training_throughput`
   over :func:`catalog_dominated_dataset`), both training bit-identical
-  models in either mode;
-* array backend: the float64 bit-exact reference tier vs the opt-in
-  accelerated tier (:mod:`repro.backend`, ``REPRO_BACKEND``) via
-  :func:`measure_backend_training_throughput` — the one addendum whose
-  two modes are *not* bit-identical (float32 params), so it reports
-  side-by-side numbers rather than a parity-backed speedup.
+  models in either mode.
 
 Every row emitted here records the runtime context it was measured
 under — backend name, parameter dtype, effective BLAS thread count
-(:func:`runtime_columns`) — so recorded tables are attributable: a
-number measured on the fast tier can never masquerade as a reference
-measurement.
+(:func:`runtime_columns`) — so recorded tables are attributable.
 """
 
 from __future__ import annotations
@@ -36,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import backend_mode as _backend_mode
 from ..backend import runtime_info as _runtime_info
 from ..autograd import optim as ag_optim
 from ..autograd.optim import Adam, clip_grad_norm
@@ -72,13 +64,12 @@ def peak_rss_mb() -> float:
 
 def runtime_columns() -> dict:
     """Render-ready columns naming the runtime a measurement ran under:
-    active backend, parameter dtype, effective BLAS thread count, and
+    backend, parameter dtype, effective BLAS thread count, and
     the process's peak RSS so far.
 
     Captured at row-*construction* time (every timing dataclass takes it
-    as a ``default_factory`` field), i.e. while the measurement's
-    backend context is still active — not at render time, when the
-    ambient backend may have changed.
+    as a ``default_factory`` field), so the peak RSS is the one the
+    measurement reached, not the one at render time.
     """
     info = _runtime_info()
     return {"Backend": info["backend"],
@@ -888,93 +879,6 @@ class SparseThroughputRow:
         }
 
 
-# ----------------------------------------------------------------------
-# backend addendum: reference float64 tier vs the accelerated fast tier
-# ----------------------------------------------------------------------
-@dataclass
-class BackendThroughputRow:
-    """Epochs/second on the reference backend vs the fast tier.
-
-    Unlike every other addendum here, the two modes are *not*
-    bit-identical — the fast tier trains float32 parameters through
-    whatever accelerated kernels the host offers — so this row reports
-    honest side-by-side numbers (with each mode's runtime context)
-    rather than a parity-backed speedup. Trained-metric closeness is
-    pinned separately by the tolerance-tiered parity suite
-    (``tests/backend/``).
-    """
-
-    model: str
-    epochs: int
-    reference_epochs_per_second: float
-    fast_epochs_per_second: float
-    #: :func:`repro.backend.runtime_info` captured inside each mode's
-    #: measurement context
-    reference_info: dict = field(default_factory=dict)
-    fast_info: dict = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        return self.fast_epochs_per_second / max(
-            self.reference_epochs_per_second, 1e-12)
-
-    def as_row(self) -> dict:
-        return {
-            "Model": self.model,
-            "Epochs": self.epochs,
-            "Reference (epochs/s)": round(
-                self.reference_epochs_per_second, 2),
-            "Fast (epochs/s)": round(self.fast_epochs_per_second, 2),
-            "Backend speedup": round(self.speedup, 2),
-            "Reference dtype": self.reference_info.get("param_dtype", "?"),
-            "Fast dtype": self.fast_info.get("param_dtype", "?"),
-            "BLAS threads": self.fast_info.get("blas_threads", "?"),
-        }
-
-
-def measure_backend_training_throughput(
-        dataset: RecDataset, model_names: tuple = ("LightGCN",),
-        epochs: int = 8, seed: int = 0, repeats: int = 3,
-        train_config: TrainConfig | None = None,
-        **model_kwargs) -> list[BackendThroughputRow]:
-    """Epochs/second per model, reference backend vs fast tier.
-
-    Same per-run protocol as :func:`measure_training_throughput` (fresh
-    model per run, one warm-up step outside the timer, final-epoch
-    validation included), but the two backends are measured in
-    *interleaved rounds with the mode order rotated per round* (the
-    :func:`measure_step_breakdown` methodology), keeping each mode's
-    best round: a fixed order would hand whichever backend runs first
-    the benefit of an undecayed CPU clock and bias the ratio the CI
-    floor gates on.
-    """
-    train_config = train_config or TrainConfig(batch_size=512,
-                                               learning_rate=0.05)
-    modes = ("reference", "fast")
-    rows = []
-    for name in model_names:
-        best = dict.fromkeys(modes, 0.0)
-        info: dict = {}
-        for round_no in range(max(repeats, 1)):
-            shift = round_no % len(modes)
-            order = modes[shift:] + modes[:shift]
-            for mode in order:
-                with _backend_mode(mode):
-                    eps = _epochs_per_second(
-                        name, dataset, epochs, train_config, seed,
-                        repeats=1, **model_kwargs)
-                    info[mode] = _runtime_info()
-                best[mode] = max(best[mode], eps)
-        rows.append(BackendThroughputRow(
-            model=name, epochs=epochs,
-            reference_epochs_per_second=best["reference"],
-            fast_epochs_per_second=best["fast"],
-            reference_info=info["reference"],
-            fast_info=info["fast"],
-        ))
-    return rows
-
-
 def measure_sparse_training_throughput(
         dataset: RecDataset, model_names: tuple = ("BPR",),
         epochs: int = 12, seed: int = 0, repeats: int = 3,
@@ -982,27 +886,33 @@ def measure_sparse_training_throughput(
         **model_kwargs) -> list[SparseThroughputRow]:
     """Epochs/second per model, sparse gradient pipeline vs dense.
 
-    Same protocol as :func:`measure_training_throughput` (fresh model
-    per repeat, one warm-up step outside the timer, final-epoch
-    validation included, best-of-``repeats``), toggled over
-    ``REPRO_SPARSE_GRAD``.
+    Same per-run protocol as :func:`measure_training_throughput` (fresh
+    model per run, one warm-up step outside the timer, final-epoch
+    validation included), toggled over ``REPRO_SPARSE_GRAD``. The two
+    modes are measured in *interleaved rounds with the mode order
+    rotated per round* (the :func:`measure_step_breakdown`
+    methodology), keeping each mode's best round: a fixed order would
+    hand whichever mode runs first the benefit of an undecayed CPU
+    clock and bias the ratio the CI floor gates on.
     """
     train_config = train_config or TrainConfig(batch_size=512,
                                                learning_rate=0.05)
+    modes = (True, False)
     rows = []
     for name in model_names:
-        with _sparse_mode(True):
-            sparse_eps = _epochs_per_second(
-                name, dataset, epochs, train_config, seed, repeats,
-                **model_kwargs)
-        with _sparse_mode(False):
-            dense_eps = _epochs_per_second(
-                name, dataset, epochs, train_config, seed, repeats,
-                **model_kwargs)
+        best = dict.fromkeys(modes, 0.0)
+        for round_no in range(max(repeats, 1)):
+            shift = round_no % len(modes)
+            for sparse in modes[shift:] + modes[:shift]:
+                with _sparse_mode(sparse):
+                    eps = _epochs_per_second(
+                        name, dataset, epochs, train_config, seed,
+                        repeats=1, **model_kwargs)
+                best[sparse] = max(best[sparse], eps)
         rows.append(SparseThroughputRow(
             model=name, epochs=epochs,
-            sparse_epochs_per_second=sparse_eps,
-            dense_epochs_per_second=dense_eps,
+            sparse_epochs_per_second=best[True],
+            dense_epochs_per_second=best[False],
         ))
     return rows
 

@@ -1,39 +1,25 @@
 """Parameter initializers mirroring the ones the paper uses.
 
-All parameters are created in :func:`param_dtype` — the active
-backend's parameter dtype (:mod:`repro.backend`), which defaults to
-:data:`PARAM_DTYPE` (float64) on the reference tier: every number in
-the published benchmark tables (results/) was produced by float64
-training, and retraining under a different rounding regime re-rolls
-each 12-epoch outcome — so the default is kept bit-reproducible.
-Float32 training is fully supported (the autograd engine preserves
-whichever float dtype it is given, and :mod:`repro.engine` asserts
-dtype stability through propagation): select the ``fast`` backend —
-``ExperimentSpec(backend="fast")`` or ``REPRO_BACKEND=fast`` — to run
-the whole trainable side at single precision. Flipping
-``PARAM_DTYPE`` directly still works but only retunes the reference
-tier; the backend override wins when one is set.
+All parameters are created in :data:`PARAM_DTYPE` (float64): every
+number in the published benchmark tables (results/) was produced by
+float64 training, and retraining under a different rounding regime
+re-rolls each 12-epoch outcome — so the default is kept
+bit-reproducible. Float32 training is fully supported (the autograd
+engine preserves whichever float dtype it is given, and
+:mod:`repro.engine` asserts dtype stability through propagation):
+flip ``PARAM_DTYPE`` to run the whole trainable side at single
+precision. The flag is read at call time, so flipping it needs no
+re-import.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..backend import active as _active_backend
 from .tensor import Tensor
 
-#: Reference-tier compute dtype for trainable parameters (the fast
-#: backend overrides it per call via :func:`param_dtype`).
+#: Compute dtype for trainable parameters.
 PARAM_DTYPE = np.float64
-
-
-def param_dtype() -> np.dtype:
-    """Effective trainable-parameter dtype: the active backend's
-    override when it has one (the fast tier pins float32), else
-    :data:`PARAM_DTYPE`. Read at call time so ``REPRO_BACKEND`` and
-    ``backend_mode`` take effect without re-imports."""
-    override = _active_backend().param_dtype
-    return np.dtype(PARAM_DTYPE if override is None else override)
 
 
 def xavier_uniform(rng: np.random.Generator, *shape,
@@ -45,7 +31,7 @@ def xavier_uniform(rng: np.random.Generator, *shape,
     else:
         fan_in, fan_out = shape[-2], shape[-1]
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    values = rng.uniform(-bound, bound, size=shape).astype(param_dtype())
+    values = rng.uniform(-bound, bound, size=shape).astype(PARAM_DTYPE)
     return Tensor(values, requires_grad=True)
 
 
@@ -56,18 +42,18 @@ def xavier_normal(rng: np.random.Generator, *shape,
     else:
         fan_in, fan_out = shape[-2], shape[-1]
     std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    values = rng.normal(0.0, std, size=shape).astype(param_dtype())
+    values = rng.normal(0.0, std, size=shape).astype(PARAM_DTYPE)
     return Tensor(values, requires_grad=True)
 
 
 def normal(rng: np.random.Generator, *shape, std: float = 0.01) -> Tensor:
-    values = rng.normal(0.0, std, size=shape).astype(param_dtype())
+    values = rng.normal(0.0, std, size=shape).astype(PARAM_DTYPE)
     return Tensor(values, requires_grad=True)
 
 
 def zeros(*shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=param_dtype()), requires_grad=True)
+    return Tensor(np.zeros(shape, dtype=PARAM_DTYPE), requires_grad=True)
 
 
 def ones(*shape) -> Tensor:
-    return Tensor(np.ones(shape, dtype=param_dtype()), requires_grad=True)
+    return Tensor(np.ones(shape, dtype=PARAM_DTYPE), requires_grad=True)

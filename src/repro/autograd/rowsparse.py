@@ -48,9 +48,9 @@ def _bincount_rows(inverse: np.ndarray, values: np.ndarray,
     """Sum ``values`` rows into ``num_rows`` buckets via one flat
     bincount (float64 accumulation, input-order sums per bucket).
 
-    Dispatches through the active array backend's scatter kernel
-    (:meth:`repro.backend.base.ArrayBackend.bincount_rows`, whose
-    reference implementation is exactly this bincount)."""
+    Dispatches through the array backend's scatter kernel
+    (:meth:`repro.backend.ArrayBackend.bincount_rows`, which is exactly
+    this bincount)."""
     from ..backend import active
     return active().bincount_rows(inverse, values, num_rows, cols)
 

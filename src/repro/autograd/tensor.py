@@ -12,11 +12,9 @@ against central finite differences in ``tests/autograd/test_gradcheck.py``.
 
 The compute-dominant primitives — matmuls, the transcendental
 elementwise kernels, embedding-row gathers — dispatch through the
-active array backend (:func:`repro.backend.active`, looked up per call
-like every other toggle in this repo). The reference backend's methods
-are the exact NumPy expressions these ops always ran, so the default
-path is bit-identical to history; the fast tier swaps kernels inside
-the same closures.
+array backend (:func:`repro.backend.active`). Its methods are the
+exact NumPy expressions these ops always ran, so the engine is
+bit-identical to history.
 """
 
 from __future__ import annotations

@@ -1,43 +1,28 @@
-"""The array-backend interface: every primitive the system computes with.
+"""The array backend: one seam for every numerical primitive.
 
-An :class:`ArrayBackend` owns the numerical primitives the autograd
-engine (:mod:`repro.autograd`), the frozen-graph engine
-(:mod:`repro.engine`), and the serving kernels (:mod:`repro.serve`)
-dispatch through — dense BLAS, sparse propagation, the transcendental
-elementwise kernels, and the gather/scatter pair behind embedding
-lookups. The base class *is* the reference implementation: every method
-body is the exact NumPy expression the call sites ran before the
-backend seam existed, so a backend that overrides nothing reproduces
-the historical floating-point sequence bit for bit.
-
-Backends carry two capability fields the rest of the system consults:
-
-``param_dtype``
-    Trainable-parameter dtype override (``None`` follows
-    ``repro.autograd.init.PARAM_DTYPE``; the fast tier pins float32).
-``accelerated``
-    Whether the backend trades bit-exactness for speed. Bit-parity
-    suites (golden fingerprints, exact replay tests) refuse to run on
-    accelerated backends — drifted fingerprints would be attributed to
-    regressions they are not.
+Every array primitive the system touches — the autograd engine's dense
+BLAS and transcendentals, the frozen-graph engine's sparse propagation,
+the serving kernels' scoring matmuls, the gather/scatter pair behind
+embedding lookups — dispatches through :func:`active`. Each method body
+is the exact NumPy expression the call sites ran before this seam
+existed, so the backend is numpy/float64-preserving and bit-exact:
+training fingerprints, the committed golden suite and every published
+results/ table are defined on it, and any floating-point change here
+re-rolls every recorded outcome.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import scipy.sparse as sp
 
+__all__ = ["ArrayBackend", "active", "blas_thread_count", "runtime_info"]
+
 
 class ArrayBackend:
-    """Reference (numpy/float64-preserving) implementations of every
-    backend primitive; subclasses override what they accelerate."""
-
-    #: registry name; subclasses must override
-    name = "reference"
-    #: parameter-dtype override (``None`` → ``init.PARAM_DTYPE``)
-    param_dtype: np.dtype | None = None
-    #: True when numerics may differ from the reference by rounding
-    accelerated = False
+    """numpy/float64-preserving implementations of every primitive."""
 
     # -- dense BLAS -----------------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,15 +78,49 @@ class ArrayBackend:
                             minlength=num_rows * cols)
         return block.reshape(num_rows, cols)
 
-    # -- introspection --------------------------------------------------
-    def describe(self) -> dict:
-        """Plain-data capability summary (timing rows embed it)."""
-        return {
-            "backend": self.name,
-            "accelerated": self.accelerated,
-            "param_dtype": (None if self.param_dtype is None
-                            else np.dtype(self.param_dtype).name),
-        }
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
+_ACTIVE = ArrayBackend()
+
+
+def active() -> ArrayBackend:
+    """The backend every primitive call site dispatches through (a
+    module-level singleton; call sites look it up per call, so patching
+    a method on its class takes effect everywhere)."""
+    return _ACTIVE
+
+
+def blas_thread_count() -> int:
+    """Best-effort effective BLAS thread count.
+
+    Prefers threadpoolctl's live pool introspection when importable,
+    falls back to the conventional environment pins, then to the CPU
+    count (what un-pinned OpenBLAS/MKL default to).
+    """
+    try:
+        from threadpoolctl import threadpool_info
+    except ImportError:
+        pass
+    else:
+        counts = [pool.get("num_threads", 0) for pool in threadpool_info()
+                  if pool.get("user_api") == "blas"]
+        counts = [count for count in counts if count]
+        if counts:
+            return max(counts)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return os.cpu_count() or 1
+
+
+def runtime_info() -> dict:
+    """Self-describing runtime record for timing rows: the backend's
+    name, the trainable-parameter dtype, and the effective BLAS thread
+    count."""
+    from .autograd.init import PARAM_DTYPE
+    return {
+        "backend": "reference",
+        "param_dtype": np.dtype(PARAM_DTYPE).name,
+        "blas_threads": blas_thread_count(),
+    }

@@ -40,11 +40,7 @@ Commands
     stage (the CI pipeline smoke interrupts after ``train`` and
     asserts the resumed result fingerprint matches a cold run).
     ``REPRO_BENCH_EPOCHS`` / ``REPRO_BENCH_SIZE`` (or ``--epochs`` /
-    ``--size``) override the spec. ``--backend`` pins the array backend
-    (``reference`` — the bit-exact default — or ``fast``) into the spec,
-    which folds it into the train content address; ``--metrics-out``
-    writes the run's metric dataclasses as JSON (the CI fast-parity
-    gate compares a fast run's file against a reference run's).
+    ``--size``, which take precedence) override the spec.
 ``experiments``
     List the named experiment presets, the registered scenario
     transforms, and the artifact store's cached stage counts.
@@ -53,22 +49,14 @@ Commands
     frozen-graph engine; optionally fails below a throughput floor (the
     CI smoke gate). ``--sparse-compare`` instead benchmarks the
     row-sparse gradient pipeline against the dense schedule on the
-    catalog-dominated synthetic fixture (optionally enforcing
-    ``--min-sparse-speedup``, the CI smoke gate for the sparse
-    pipeline). ``--backend-compare`` benchmarks the bit-exact
-    reference backend against the opt-in accelerated tier
-    (``REPRO_BACKEND=fast``: float32 params, accelerated scatter,
-    optional torch/cupy dispatch) in interleaved order-rotated rounds —
-    the one comparison whose two modes are tolerance-parity rather than
-    bit-identical — with ``--min-backend-speedup`` gating the fast/
-    reference ratio and ``--min-throughput`` doubling as a
-    no-regression floor for the reference column; ``--num-layers``
-    deepens the propagation stack (the recorded table uses the 3-layer
-    LightGCN fixture). ``--serving-latency`` benchmarks the serving
-    service instead: p50/p99 client-observed latency and throughput of
-    the micro-batched admission queue vs sequential single-user queries
-    on a catalog-scale synthetic store, with an optional
-    ``--min-serving-speedup`` floor (the CI no-regression gate).
+    catalog-dominated synthetic fixture in interleaved order-rotated
+    rounds (optionally enforcing ``--min-sparse-speedup``, the CI smoke
+    gate for the sparse pipeline). ``--serving-latency`` benchmarks
+    the serving service instead: p50/p99 client-observed latency and
+    throughput of the micro-batched admission queue vs sequential
+    single-user queries on a catalog-scale synthetic store, with an
+    optional ``--min-serving-speedup`` floor (the CI no-regression
+    gate).
     ``--scaling`` benchmarks the out-of-core dataset builds instead:
     build throughput and peak RSS vs catalog size for the
     in-RAM reference vs the chunked streaming build (each point a
@@ -362,7 +350,6 @@ def _bench_scaling(args) -> int:
 
 def cmd_bench(args) -> int:
     from .analysis.timing import (breakdown_rows, catalog_dominated_dataset,
-                                  measure_backend_training_throughput,
                                   measure_sparse_training_throughput,
                                   measure_step_breakdown,
                                   measure_training_throughput)
@@ -386,14 +373,6 @@ def cmd_bench(args) -> int:
         print("--fixture-scale only applies with --sparse-compare",
               file=sys.stderr)
         return 2
-    if not args.backend_compare and args.min_backend_speedup is not None:
-        print("--min-backend-speedup only applies with --backend-compare",
-              file=sys.stderr)
-        return 2
-    if not args.backend_compare and args.num_layers is not None:
-        print("--num-layers only applies with --backend-compare",
-              file=sys.stderr)
-        return 2
     if not (args.serving_latency or args.scaling):
         # the serving-side knobs are shared by --serving-latency and
         # the serving half of --scaling
@@ -414,14 +393,13 @@ def cmd_bench(args) -> int:
                       file=sys.stderr)
                 return 2
     if args.scaling:
-        if args.sparse_compare or args.backend_compare \
-                or args.serving_latency:
+        if args.sparse_compare or args.serving_latency:
             print("--scaling is a separate benchmark; pick one",
                   file=sys.stderr)
             return 2
         return _bench_scaling(args)
     if args.serving_latency:
-        if args.sparse_compare or args.backend_compare:
+        if args.sparse_compare:
             print("--serving-latency is a separate benchmark; pick one",
                   file=sys.stderr)
             return 2
@@ -444,43 +422,6 @@ def cmd_bench(args) -> int:
                   "micro-batched vs sequential)"))
         return 1 if _serving_floor_failed(
             rows, args.min_serving_speedup) else 0
-    if args.backend_compare:
-        if args.sparse_compare:
-            print("--backend-compare is a separate benchmark; pick one",
-                  file=sys.stderr)
-            return 2
-        dataset = _load_dataset(args.dataset, args.size)
-        model_kwargs = {}
-        if args.num_layers is not None:
-            model_kwargs["num_layers"] = args.num_layers
-        rows = measure_backend_training_throughput(
-            dataset, model_names=tuple(args.models), epochs=args.epochs,
-            seed=args.seed, train_config=_train_config(args),
-            embedding_dim=args.embedding_dim, **model_kwargs)
-        print(format_table(
-            [row.as_row() for row in rows],
-            title="Reference backend vs accelerated fast tier "
-                  f"on {dataset.name} (tolerance parity, not bit parity)"))
-        print_breakdowns(dataset)
-        worst = min(rows, key=lambda row: row.speedup)
-        if args.min_backend_speedup is not None \
-                and worst.speedup < args.min_backend_speedup:
-            print(f"FAIL: {worst.model} fast tier is only "
-                  f"{worst.speedup:.2f}x the reference backend, below "
-                  f"the --min-backend-speedup floor of "
-                  f"{args.min_backend_speedup}", file=sys.stderr)
-            return 1
-        slowest = min(rows,
-                      key=lambda row: row.reference_epochs_per_second)
-        if args.min_throughput is not None \
-                and slowest.reference_epochs_per_second \
-                < args.min_throughput:
-            print(f"FAIL: {slowest.model} reference backend trains at "
-                  f"{slowest.reference_epochs_per_second:.2f} epochs/s, "
-                  f"below the --min-throughput floor of "
-                  f"{args.min_throughput}", file=sys.stderr)
-            return 1
-        return 0
     if args.sparse_compare:
         if args.min_throughput is not None:
             print("--min-throughput applies to the engine benchmark; "
@@ -560,16 +501,6 @@ def cmd_run(args) -> int:
     spec = _resolve_spec(args.spec)
     epochs, size = _run_env_overrides(args)
     spec = spec.with_overrides(epochs=epochs, size=size)
-    if args.backend:
-        import dataclasses as _dc
-        # replace() re-runs __post_init__, which validates the name
-        # against the backend registry; pinning folds the backend into
-        # the train content address (separate artifacts per tier).
-        spec = _dc.replace(spec, backend=args.backend)
-    if args.metrics_out and spec.sweep:
-        print("--metrics-out takes a single-point spec, not a sweep",
-              file=sys.stderr)
-        return 2
     store = ArtifactStore(args.store) if args.store else None
     runner = Runner(store, refresh=args.force)
 
@@ -627,16 +558,6 @@ def cmd_run(args) -> int:
                 rows.append(row)
             print(format_table(rows, title=f"{spec.name}: {name}"))
         fingerprint = run.fingerprint
-        if args.metrics_out:
-            import dataclasses as _dc
-            import json
-            from pathlib import Path
-            payload = {
-                model: {scenario: _dc.asdict(metric)
-                        for scenario, metric in metrics.items()}
-                for model, metrics in run.results.items()}
-            Path(args.metrics_out).write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"result fingerprint: {fingerprint}")
     if args.fingerprint_out:
         from pathlib import Path
@@ -782,15 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--fingerprint-out", default=None,
                        help="also write the result fingerprint to this "
                             "file (the CI parity gate compares two runs)")
-    p_run.add_argument("--backend", default=None,
-                       choices=("reference", "fast"),
-                       help="pin the array backend into the spec "
-                            "(folds into the train content address; "
-                            "default: follow REPRO_BACKEND)")
-    p_run.add_argument("--metrics-out", default=None,
-                       help="write the run's metrics as JSON to this "
-                            "file (the CI fast-parity gate compares a "
-                            "fast run against a reference run)")
     p_run.set_defaults(func=cmd_run)
 
     p_experiments = sub.add_parser(
@@ -820,21 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--fixture-scale", type=float, default=1.0,
                          help="size multiplier for the catalog-dominated "
                               "fixture (smaller is faster; CI uses 0.5)")
-    p_bench.add_argument("--backend-compare", action="store_true",
-                         help="benchmark the bit-exact reference backend "
-                              "against the accelerated fast tier "
-                              "(REPRO_BACKEND=fast) in interleaved "
-                              "order-rotated rounds")
-    p_bench.add_argument("--min-backend-speedup", type=float, default=None,
-                         help="with --backend-compare: exit nonzero when "
-                              "the fast/reference epochs-per-second "
-                              "ratio falls below this floor "
-                              "(--min-throughput additionally floors the "
-                              "reference column)")
-    p_bench.add_argument("--num-layers", type=int, default=None,
-                         help="with --backend-compare: propagation depth "
-                              "passed to the models (the recorded table "
-                              "uses 3-layer LightGCN)")
     p_bench.add_argument("--serving-latency", action="store_true",
                          help="benchmark the serving service: p50/p99 "
                               "latency and throughput of the "

@@ -24,7 +24,8 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..autograd import fused
-from ..autograd.init import param_dtype, xavier_uniform
+from ..autograd import init as _init
+from ..autograd.init import xavier_uniform
 from ..autograd.nn import Module
 from ..graphs.ckg import CollaborativeKG
 from .segments import segment_operators
@@ -37,7 +38,8 @@ def stacked_relation_projections(rng: np.random.Generator,
     drawn relation-by-relation so the RNG stream and the initial values
     match the historical list of separate per-relation parameters."""
     if num_relations == 0:
-        return Tensor(np.zeros((0, dim, relation_dim), dtype=param_dtype()),
+        return Tensor(np.zeros((0, dim, relation_dim),
+                               dtype=_init.PARAM_DTYPE),
                       requires_grad=True)
     blocks = [xavier_uniform(rng, dim, relation_dim).data
               for _ in range(num_relations)]

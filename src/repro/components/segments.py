@@ -24,12 +24,12 @@ def segment_indicator(segment_ids: np.ndarray,
     element j belongs to segment s. ``S @ v`` is then a segment sum.
 
     The indicator follows the parameter dtype (read at call time, so
-    the float32 opt-in reaches it) and the segment matmuls never
+    a flipped ``PARAM_DTYPE`` reaches it) and the segment matmuls never
     convert — its 0/1 entries are exact in either float width.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     n = len(segment_ids)
-    data = np.ones(n, dtype=_init.param_dtype())
+    data = np.ones(n, dtype=_init.PARAM_DTYPE)
     return sp.csr_matrix((data, (segment_ids, np.arange(n))),
                          shape=(num_segments, n))
 

@@ -73,7 +73,7 @@ def apply_dense(operator: sp.spmatrix, matrix: np.ndarray) -> np.ndarray:
     Operator and operand are pinned to :data:`OPERATOR_DTYPE` (the
     serving store's dtype) before the multiply, so the multiply itself
     runs without scipy's implicit per-call upcast. The multiply itself
-    dispatches through the active array backend's sparse kernel
+    dispatches through the array backend's sparse kernel
     (:func:`repro.backend.active`).
     """
     from ..backend import active

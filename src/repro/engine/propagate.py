@@ -20,10 +20,9 @@ with them — no global registry to leak or to alias recycled ids.
 
 Every sparse multiply a plan issues goes through
 :func:`repro.autograd.sparse.sparse_matmul`, which dispatches on the
-active array backend (:mod:`repro.backend`): the reference backend runs
-the exact historical scipy expression, the fast tier may substitute
-accelerated kernels. The per-dtype operator variants in
-``PropagationPlan._matrix`` are what let a float32 backend multiply
+array backend (:mod:`repro.backend`) and runs the exact historical
+scipy expression. The per-dtype operator variants in
+``PropagationPlan._matrix`` are what let float32 operands multiply
 float32 operators without per-call conversion.
 """
 

@@ -31,11 +31,9 @@ correctness.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from dataclasses import dataclass, field
 
-from ..backend import backend_mode
 from ..data.io import load_dataset, save_dataset
 from ..reliability import retry_call
 from ..eval.metrics import MetricResult
@@ -212,16 +210,6 @@ class Runner:
                             embedding_dim=spec.embedding_dim,
                             seed=spec.seed, **kwargs)
 
-    def _backend_scope(self, spec: ExperimentSpec):
-        """Context manager pinning the spec's backend (a no-op for the
-        default ``backend=None``, which follows ``REPRO_BACKEND``).
-        Wraps model construction, training, checkpoint loading, and
-        evaluation alike, so a pinned spec's whole pipeline runs on one
-        backend."""
-        if spec.backend is None:
-            return contextlib.nullcontext()
-        return backend_mode(spec.backend)
-
     def trained(self, spec: ExperimentSpec, model_name: str):
         """(model, TrainResult) for one roster entry — from the
         in-process memo, the artifact store, or a (resumable) training
@@ -233,10 +221,9 @@ class Runner:
         committed = None if self.refresh else self._read(
             lambda: self.store.get("train", key))
         if committed is not None:
-            with self._backend_scope(spec):
-                model = self._create_model(spec, model_name, dataset)
-                self._read(lambda: load_checkpoint(
-                    model, committed / "model.npz"))
+            model = self._create_model(spec, model_name, dataset)
+            self._read(lambda: load_checkpoint(
+                model, committed / "model.npz"))
             model.eval()
             meta = self._read(
                 lambda: self.store.get_meta("train", key))
@@ -245,10 +232,9 @@ class Runner:
             self.stats["train_runs"] += 1
             snapshot = self.store.partial_dir("train", key) \
                 / "snapshot.npz"
-            with self._backend_scope(spec):
-                model = self._create_model(spec, model_name, dataset)
-                result = train_model(model, dataset, spec.train,
-                                     snapshot_path=snapshot)
+            model = self._create_model(spec, model_name, dataset)
+            result = train_model(model, dataset, spec.train,
+                                 snapshot_path=snapshot)
             staged = self.store.stage_dir("train", key)
             save_checkpoint(model, staged / "model.npz", metadata={
                 "model": model_name, "dataset": spec.dataset,
@@ -275,8 +261,7 @@ class Runner:
         model structures), leaving the shared cached model untouched."""
         model, _ = self.trained(spec, model_name)
         dataset = self.dataset(spec)
-        with self._backend_scope(spec):
-            fresh = self._create_model(spec, model_name, dataset)
+        fresh = self._create_model(spec, model_name, dataset)
         fresh.load_state_dict(model.state_dict())
         fresh.eval()
         fresh.invalidate()
@@ -303,17 +288,15 @@ class Runner:
             model, _ = self.trained(spec, model_name)
         undo = apply_inference_steps(model, spec.steps("inference"))
         try:
-            with self._backend_scope(spec):
-                if eval_steps:
-                    results: dict[str, MetricResult] = {}
-                    for step in eval_steps:
-                        results.update(get_scenario(step.name).fn(
-                            model, dataset, spec.eval_k, **step.params))
-                else:
-                    scenario = evaluate_model(model, dataset.split,
-                                              k=spec.eval_k)
-                    results = {"cold": scenario.cold,
-                               "warm": scenario.warm}
+            if eval_steps:
+                results: dict[str, MetricResult] = {}
+                for step in eval_steps:
+                    results.update(get_scenario(step.name).fn(
+                        model, dataset, spec.eval_k, **step.params))
+            else:
+                scenario = evaluate_model(model, dataset.split,
+                                          k=spec.eval_k)
+                results = {"cold": scenario.cold, "warm": scenario.warm}
         finally:
             undo()
         self.store.put_json("eval", key, {

@@ -117,13 +117,6 @@ class ExperimentSpec:
     #: one optional sweep axis: (model-config field, values); expanded by
     #: :func:`expand_sweep` into one child spec per value
     sweep: tuple = ()
-    #: pin the array backend for this experiment's training runs
-    #: (``None`` — the default — follows ``REPRO_BACKEND``). The
-    #: ``"fast"`` tier is *not* bit-identical (float32 params,
-    #: accelerated kernels), so a pinned backend always enters the
-    #: content address; the env var stays address-neutral like every
-    #: other runtime toggle.
-    backend: str | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -134,12 +127,6 @@ class ExperimentSpec:
         if self.size not in SIZES:
             raise ValueError(f"unknown size {self.size!r}; "
                              f"allowed values: {', '.join(SIZES)}")
-        if self.backend is not None:
-            from ..backend import available_backends
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; allowed values: "
-                    f"{', '.join(available_backends())}")
 
     # -- scenario views -------------------------------------------------
     def steps(self, stage: str) -> tuple[ScenarioStep, ...]:
@@ -160,7 +147,7 @@ class ExperimentSpec:
         # that train identical bits share the artifact.
         train = dataclasses.asdict(self.train)
         train.pop("verbose")
-        payload = {
+        return content_key({
             "pipeline": PIPELINE_VERSION,
             "dtype": _param_dtype(),
             "dataset": self.dataset_key(),
@@ -169,10 +156,7 @@ class ExperimentSpec:
             "train": train,
             "embedding_dim": self.embedding_dim,
             "seed": self.seed,
-        }
-        if self.backend is not None:
-            payload["backend"] = self.backend
-        return content_key(payload)
+        })
 
     def eval_key(self, model: str) -> str:
         return content_key({
@@ -197,6 +181,13 @@ class ExperimentSpec:
         # Older spec files carry a step-tape pin; that execution mode
         # no longer exists and never changed results.
         payload.pop("tape", None)
+        # They also carry an array-backend pin: unpinned and
+        # "reference" specs trained on today's only backend.
+        backend = payload.pop("backend", None)
+        if backend not in (None, "reference"):
+            raise ValueError(f"spec pins the {backend!r} array backend, "
+                             "but the fast tier was removed; "
+                             "\"reference\" is the only backend")
         return cls(**payload)
 
     @classmethod

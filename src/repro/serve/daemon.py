@@ -36,7 +36,9 @@ Overload and shutdown are explicit states, not accidents
   page is overridden away;
 * POST bodies are validated before they are read: a ``Content-Length``
   that is not ASCII digits only is answered **400**, one above
-  :data:`MAX_BODY_BYTES` **413**, and the connection is closed.
+  :data:`MAX_BODY_BYTES` **413**, and the connection is closed;
+* a ``k`` outside ``[1, MAX_K]`` on ``/topk`` or ``/cold`` is answered
+  **400**.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ from .snapshot import SnapshotManager
 #: largest POST body the daemon reads; a longer declared body is
 #: answered 413 unread (ingest payloads are a few feature rows)
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: largest ``k`` a ranked query may ask for; larger (or non-positive)
+#: values are answered 400 instead of an empty or catalog-sized list
+MAX_K = 1000
 
 
 class LoadShedError(RuntimeError):
@@ -451,6 +457,8 @@ class _Handler(BaseHTTPRequestHandler):
             k = int(query.get("k", ["20"])[0])
         except ValueError:
             return self._error("'user' and 'k' must be integers")
+        if not 1 <= k <= MAX_K:
+            return self._error(f"k {k} out of range [1, {MAX_K}]")
         snapshot = self.daemon.manager.current
         if not 0 <= user < snapshot.store.num_users:
             return self._error(f"user {user} out of range "

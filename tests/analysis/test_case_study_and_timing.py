@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.analysis import timing
 from repro.analysis.case_study import (run_case_study,
                                        similar_items_under_subset)
 from repro.analysis.timing import (measure_feature_sets,
@@ -84,6 +87,24 @@ class TestTrainingThroughput:
         # Runtime context is captured at measurement time.
         assert cells["Backend"] == "reference"
         assert cells["Param dtype"] == "float64"
+
+    def test_sparse_ab_runs_interleaved_rotated_rounds(self, tiny_dataset,
+                                                       monkeypatch):
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((os.environ["REPRO_SPARSE_GRAD"],
+                          kwargs.get("repeats")))
+            return float(len(calls))
+
+        monkeypatch.setattr(timing, "_epochs_per_second", record)
+        (row,) = timing.measure_sparse_training_throughput(
+            tiny_dataset, model_names=("BPR",), repeats=3)
+        assert [mode for mode, _ in calls] == ["1", "0", "0", "1", "1", "0"]
+        assert {repeats for _, repeats in calls} == {1}
+        # each mode keeps its best round
+        assert row.sparse_epochs_per_second == 5.0
+        assert row.dense_epochs_per_second == 6.0
 
 
 class TestServingLatency:

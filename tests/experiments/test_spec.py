@@ -84,14 +84,23 @@ class TestSerialization:
             assert restored.train_key(model) == spec.train_key(model)
             assert restored.eval_key(model) == spec.eval_key(model)
 
-    def test_spec_file_with_a_tape_pin_still_loads(self):
-        # Spec files written while the step tape existed carry a
-        # "tape" key; it never changed results, so it is dropped.
+    @pytest.mark.parametrize("pin", [{"tape": None}, {"backend": None},
+                                     {"backend": "reference"}],
+                             ids=["tape", "backend-null",
+                                  "backend-reference"])
+    def test_spec_file_with_a_tape_pin_still_loads(self, pin):
+        # Older spec files carry a "tape" key (the step tape never
+        # changed results) and a "backend" key, null unless pinned;
+        # both are dropped, so the spec keeps its unpinned address.
         spec = _spec()
-        payload = json.loads(spec.to_json())
-        payload["tape"] = None
+        payload = {**json.loads(spec.to_json()), **pin}
         restored = ExperimentSpec.from_json(json.dumps(payload))
         assert restored.train_key("BPR") == spec.train_key("BPR")
+
+    def test_spec_file_pinning_the_fast_tier_is_rejected(self):
+        payload = {**json.loads(_spec().to_json()), "backend": "fast"}
+        with pytest.raises(ValueError, match="fast tier was removed"):
+            ExperimentSpec.from_json(json.dumps(payload))
 
     def test_unknown_size_rejected(self):
         with pytest.raises(ValueError, match="tiny, small, medium"):

@@ -11,18 +11,13 @@ bump).
 Everything here is deliberately frozen — the world config, the model
 roster, the training hyperparameters, the embedding size. Changing any
 of it changes every fingerprint and must go through an explicit golden
-update. That includes the array backend: goldens are a *reference*
-(float64, bit-exact) artifact, so :func:`require_reference_backend`
-fails loudly if ``REPRO_BACKEND`` forces the fast tier — fast-tier
-closeness is pinned by the tolerance parity suite (``tests/backend/``),
-never by goldens.
+update.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.backend import active as _active_backend
 from repro.baselines import create_model
 from repro.data import build_dataset
 from repro.data.world import WorldConfig
@@ -67,25 +62,9 @@ def golden_dataset():
     return build_dataset("golden-tiny", golden_world())
 
 
-def require_reference_backend() -> None:
-    """Refuse to produce or check goldens on a non-reference backend.
-
-    The committed fingerprints are defined on the reference backend
-    only; a fast-tier run would either fail confusingly or — worse —
-    silently re-record accelerated bits as the reference.
-    """
-    backend = _active_backend()
-    if backend.name != "reference":
-        raise RuntimeError(
-            f"golden fingerprints are reference-backend artifacts, but "
-            f"the active backend is {backend.name!r} (REPRO_BACKEND); "
-            f"unset REPRO_BACKEND to run or update goldens")
-
-
 def golden_fingerprint(model_name: str) -> dict[str, str]:
     """Train ``model_name`` under the frozen protocol and fingerprint
     the result (params + loss curve + RNG positions + combined)."""
-    require_reference_backend()
     model = create_model(model_name, golden_dataset(),
                          embedding_dim=EMBEDDING_DIM, seed=SEED)
     result = train_model(model, golden_dataset(), golden_train_config())

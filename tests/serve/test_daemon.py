@@ -15,6 +15,7 @@ import pytest
 
 from repro.serve import (BatchRanker, EmbeddingStore, MicroBatcher,
                          ServingDaemon, SnapshotManager)
+from repro.serve.daemon import MAX_K
 
 
 def make_store(seed, num_items=50):
@@ -136,8 +137,11 @@ class TestServingDaemon:
         assert response["items"] == expected.items[0].tolist()
 
     def test_bad_requests_return_4xx(self, daemon):
+        out_of_range_k = [f"{endpoint}?user=0&k={k}"
+                          for endpoint in ("/topk", "/cold")
+                          for k in (0, -1, MAX_K + 1)]
         for path in ("/topk", "/topk?user=notanint", "/topk?user=99999",
-                     "/nope"):
+                     "/nope", *out_of_range_k):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(daemon.url + path)
             assert 400 <= excinfo.value.code < 500

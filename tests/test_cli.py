@@ -80,6 +80,17 @@ class TestParser:
         assert main(["bench", "--serving-latency",
                      "--sparse-compare"]) == 2
 
+    def test_run_env_overrides_yield_to_flags(self, monkeypatch):
+        from repro.cli import _run_env_overrides
+        monkeypatch.setenv("REPRO_BENCH_EPOCHS", "5")
+        monkeypatch.setenv("REPRO_BENCH_SIZE", "tiny")
+        parser = build_parser()
+        args = parser.parse_args(["run", "smoke"])
+        assert _run_env_overrides(args) == (5, "tiny")
+        args = parser.parse_args(["run", "smoke", "--epochs", "2",
+                                  "--size", "small"])
+        assert _run_env_overrides(args) == (2, "small")
+
 
 class TestCommands:
     def test_models_lists_roster(self, capsys):
