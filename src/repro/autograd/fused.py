@@ -1,108 +1,88 @@
-"""Fused multi-node kernels with bit-exact backward replay.
+"""Fused kernels for the knowledge-graph attention and TransR scorer.
 
 The knowledge-graph attention layer (paper eq. 9-13) and the TransR
-scorer (eq. 30) historically built one autograd node per relation —
-2 gathers, 2 matmuls, and several elementwise nodes each — then
-concatenated the per-relation pieces every forward. The kernels here
-collapse each of those subgraphs into a *single* autograd node driven
-by a relation-sorted permutation of the triplet array and a stacked
-``(num_relations, dim, relation_dim)`` projection tensor: one gather
-pair, block-sliced matmuls over contiguous relation segments, no
-per-forward ``concat``, and persistent scratch buffers instead of a
-fresh temporary per op.
+scorer (eq. 30) each run as a *single* autograd node that returns one
+pre-summed gradient per parent.
 
-Bit-reproducibility contract
-----------------------------
-Outputs and gradients are bit-identical to the per-relation graphs they
-replace:
+Distinct-row projections
+------------------------
+The attention logit ``pi(h, r, t) = (x_t W_r)^T tanh(x_h W_r + e_r)``
+reads the tail projection only through the pair (r, t) and the tanh
+branch only through (r, h). A CKG repeats those pairs heavily (on
+beauty/small, 27,649 triplets carry 1,246 distinct (r, t) and 1,685
+distinct (r, h) pairs), so :func:`attention_message` projects each
+distinct row once, one GEMM per relation, and never materializes a
+``(num_triplets, relation_dim)`` array.
 
-* every forward/backward value is produced by the *same numpy
-  expression on the same operands* the per-relation nodes ran —
-  block-sliced BLAS calls on contiguous row ranges equal the separate
-  per-relation calls, and elementwise/rowwise kernels are
-  batching-invariant;
-* the replaced nodes each delivered a *separate* gradient contribution
-  to shared parents (the node matrix, the stacked projections), and the
-  engine left-folds contributions in arrival order. The fused backward
-  therefore returns :class:`~repro.autograd.rowsparse.GradParts` —
-  per-relation partials in the replaced graph's empirically-pinned
-  arrival order — instead of pre-summing them, because float addition
-  commutes but does not associate;
-* per-relation scatter gradients keep the historical representation
-  rule: row-sparse blocks when the gather is small and something
-  downstream consumes them sparsely, the full-table bincount otherwise
-  (the same ``take_rows`` emission logic, see ``_gather_grad``).
+Frozen operators
+----------------
+Everything per-triplet runs through operators that
+:class:`RelationPlan` freezes once per (graph, layer):
 
-Bit-parity is pinned by ``tests/autograd/test_fused.py``, which keeps
-the per-relation graphs as its reference.
+* the **message CSR** ``A`` (head x tail) whose data is the attention
+  weight alpha: the message is ``A @ x`` and its value-path gradient
+  ``A.T @ g``;
+* the **pair CSR** ``G`` (distinct (r, t) x distinct (r, h)) whose data
+  is the logit gradient: the distinct-row gradients are ``G @ tanh`` and
+  ``G.T @ proj``;
+* a ``reduceat`` **segment softmax** over each head's ego network,
+  run in the head-sorted order ``seg_order``;
+* :func:`sddmm` for both per-triplet dot products (the logits and the
+  alpha gradient): a dense GEMM over a relation's distinct rows when the
+  pair block is no larger than the ``(T_r, relation_dim)`` gather it
+  replaces (``U_h * U_t <= relation_dim * T_r``), row gathers otherwise.
+  The branch is fixed per relation in the plan.
 
-Segment maxima are computed with a precomputed sort + ``reduceat``
-instead of ``np.maximum.at`` — ``max`` is exact, so any evaluation
-order yields identical bits.
+TransR computes ``(x_h - x_t) W_r + e_r`` with one GEMM and one
+``grad_w[r]`` per relation.
 
-Scratch lifetime contract: a fused node's backward never clobbers its
-stored forward intermediates, so running the same node's backward again
-is exact *as long as no new forward of the same layer ran in between*
-(a new forward may reclaim the pooled scratch).
+Numerics
+--------
+The kernels are not bit-identical to the per-relation graphs they
+replaced (GEMM shapes and summation order differ). The per-relation
+graphs stay in ``tests/autograd/test_fused.py`` as the reference, held to
+``1e-12`` for one call and ``1e-10`` for parameters and losses after
+training; finite differences in ``tests/autograd/test_gradcheck.py``
+cover both SDDMM branches and duplicate CSR entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..backend import active as _active_backend
-from . import rowsparse
-from .rowsparse import GradParts, RowSparseGrad
+from .rowsparse import RowSparseGrad
 from .tensor import Tensor
 
 
-def _gather_grad(source: Tensor, indices: np.ndarray, flat, g_block,
-                 shape: tuple, dtype):
-    """One gather node's gradient, in the representation the historical
-    ``take_rows`` backward would have emitted for the same gather
-    (``Tensor._sparse_grad_ok`` is the single source of truth for the
-    emission rule, so the fused and per-relation graphs can never
-    drift)."""
-    if source._sparse_grad_ok(indices.size, shape[0]):
-        return RowSparseGrad.from_gather(indices, g_block, shape, dtype,
-                                         via_bincount=True)
-    cols = shape[1]
-    if flat is None:
-        flat = (indices[:, None] * cols
-                + np.arange(cols)[None, :]).ravel()
-    dense = np.bincount(flat, weights=np.ascontiguousarray(g_block).ravel(),
-                        minlength=shape[0] * cols).reshape(shape[0], cols)
-    return dense.astype(dtype, copy=False)
-
-
-class _Scratch:
-    """One in-flight fused call's reusable buffer set.
-
-    A plan keeps at most one set; a second overlapping call (forward
-    held alive across another forward of the same layer) allocates its
-    own so stored intermediates are never clobbered before backward.
-    """
-
-    def __init__(self, n: int, d: int, k: int, dtype):
-        self.shape = (n, d, k, dtype)
-        self.nd = [np.empty((n, d), dtype=dtype) for _ in range(3)]
-        self.nk = [np.empty((n, k), dtype=dtype) for _ in range(6)]
-        self.n1 = [np.empty(n, dtype=dtype) for _ in range(5)]
+def _indptr(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    indptr = np.zeros(num_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    return indptr
 
 
 class RelationPlan:
-    """Frozen relation-sorted layout of a CKG's triplets.
+    """Frozen layout of a CKG's triplets for :func:`attention_message`.
 
-    Precomputed once per (graph, layer): the concatenated head/tail
-    index arrays in ascending-relation order, the per-relation slice
-    bounds, flattened scatter indices for the backward bincounts, and
-    the segment-max sort. ``segments`` equals the concatenated heads —
-    the segmentation a per-relation graph feeds the segment softmax.
+    Built once per (graph, layer):
+
+    * ``heads`` / ``tails`` / ``rels`` — the triplets in ascending
+      relation order and each nonempty relation's ``(relation, start,
+      end)`` slice;
+    * ``head_rows`` / ``tail_rows`` — the entity of each distinct (r, h)
+      and (r, t) row, one contiguous block per relation, and
+      ``head_index`` / ``tail_index`` mapping each triplet to its rows;
+    * ``steps`` — per relation, its triplet slice, its row blocks and
+      its SDDMM branch (a flat pick into the pair block, or ``None``
+      for row gathers);
+    * the head-sorted ``seg_order`` with segment starts for the softmax,
+      and the structures of the message, pair and row-scatter CSRs.
     """
 
-    def __init__(self, by_relation: list, num_nodes: int, dim: int):
+    def __init__(self, by_relation: list, num_nodes: int,
+                 relation_dim: int):
         self.num_nodes = num_nodes
-        self.dim = dim
         self.rels = []          # (relation, start, end) for nonempty ones
         heads_parts, tails_parts = [], []
         offset = 0
@@ -110,176 +90,158 @@ class RelationPlan:
             if len(heads) == 0:
                 continue
             self.rels.append((relation, offset, offset + len(heads)))
-            heads_parts.append(heads)
-            tails_parts.append(tails)
+            heads_parts.append(np.asarray(heads, dtype=np.int64))
+            tails_parts.append(np.asarray(tails, dtype=np.int64))
             offset += len(heads)
         self.num_triplets = offset
         self.heads = (np.concatenate(heads_parts) if heads_parts
                       else np.empty(0, dtype=np.int64))
         self.tails = (np.concatenate(tails_parts) if tails_parts
                       else np.empty(0, dtype=np.int64))
-        self._flat_heads: np.ndarray | None = None
-        self._flat_tails: np.ndarray | None = None
-        # segment-max sort: max is exact, so reduceat over a sorted
-        # permutation equals np.maximum.at in any order.
-        self.segments = self.heads
-        order = np.argsort(self.segments, kind="stable")
-        self.seg_order = order
-        sorted_segs = self.segments[order]
-        self.seg_uniq = np.unique(sorted_segs)
-        self.seg_starts = np.searchsorted(sorted_segs, self.seg_uniq,
-                                          side="left")
-        self._scratch: _Scratch | None = None
-        self._scratch_free = True
 
-    @property
-    def flat_heads(self) -> np.ndarray:
-        """Flattened ``(row, col)`` scatter indices for the backward
-        bincounts — ``num_triplets * dim`` int64 per direction, so they
-        materialize on first backward use (inference-only models never
-        pay the residency) and stay resident after (rebuilding per call
-        would cost the very multiply they exist to avoid)."""
-        if self._flat_heads is None:
-            cols = np.arange(self.dim, dtype=np.int64)[None, :]
-            self._flat_heads = (self.heads[:, None] * self.dim
-                                + cols).ravel()
-        return self._flat_heads
+        head_rows, tail_rows = [], []
+        self.head_index = np.empty(offset, dtype=np.int64)
+        self.tail_index = np.empty(offset, dtype=np.int64)
+        self.steps = []
+        h_off = t_off = 0
+        for relation, s, e in self.rels:
+            uh, hi = np.unique(self.heads[s:e], return_inverse=True)
+            ut, ti = np.unique(self.tails[s:e], return_inverse=True)
+            head_rows.append(uh)
+            tail_rows.append(ut)
+            self.head_index[s:e] = hi + h_off
+            self.tail_index[s:e] = ti + t_off
+            pairs = len(uh) * len(ut) <= relation_dim * (e - s)
+            pick = hi * len(ut) + ti if pairs else None
+            self.steps.append((relation, s, e,
+                               slice(h_off, h_off + len(uh)),
+                               slice(t_off, t_off + len(ut)), pick))
+            h_off += len(uh)
+            t_off += len(ut)
+        self.head_rows = (np.concatenate(head_rows) if head_rows
+                          else np.empty(0, dtype=np.int64))
+        self.tail_rows = (np.concatenate(tail_rows) if tail_rows
+                          else np.empty(0, dtype=np.int64))
+        # Every node row the kernel reads (lazy parameters sync these).
+        self.read_rows = np.union1d(self.head_rows, self.tail_rows)
 
-    @property
-    def flat_tails(self) -> np.ndarray:
-        if self._flat_tails is None:
-            cols = np.arange(self.dim, dtype=np.int64)[None, :]
-            self._flat_tails = (self.tails[:, None] * self.dim
-                                + cols).ravel()
-        return self._flat_tails
+        # Segment softmax over each head's ego network, head-sorted.
+        self.seg_order = np.argsort(self.heads, kind="stable")
+        sorted_heads = self.heads[self.seg_order]
+        _, self.seg_starts, counts = np.unique(
+            sorted_heads, return_index=True, return_counts=True)
+        self.seg_of = np.repeat(np.arange(len(counts)), counts)
 
-    def checkout(self, n: int, d: int, k: int, dtype) -> _Scratch:
-        if (self._scratch_free and self._scratch is not None
-                and self._scratch.shape == (n, d, k, dtype)):
-            self._scratch_free = False
-            return self._scratch
-        # The pooled set is busy (overlapping graphs) or was stranded by
-        # a forward whose backward never ran (inference passes check in
-        # only on the no-grad path): hand out a fresh set and make *it*
-        # the pooled one, so reuse resumes at its check-in instead of
-        # being disabled for good. The displaced set stays referenced by
-        # its own closure and is simply dropped when that graph dies.
-        scratch = _Scratch(n, d, k, dtype)
-        self._scratch = scratch
-        self._scratch_free = False
-        return scratch
+        # Message CSR (head x tail): one entry per triplet in seg order.
+        self._msg_indices = self.tails[self.seg_order].astype(np.int32)
+        self._msg_indptr = _indptr(sorted_heads, num_nodes)
+        # Pair CSR (distinct (r, t) x distinct (r, h)): seg-order
+        # entries regrouped by their (r, t) row.
+        tail_of = self.tail_index[self.seg_order]
+        self._pair_pick = np.argsort(tail_of, kind="stable")
+        self._pair_indices = self.head_index[self.seg_order][
+            self._pair_pick].astype(np.int32)
+        self._pair_indptr = _indptr(tail_of, t_off)
+        self._pair_shape = (t_off, h_off)
+        # Row scatter (node x stacked distinct rows): sums the stacked
+        # [tail rows; head rows] gradients back onto node rows.
+        stacked = np.concatenate([self.tail_rows, self.head_rows])
+        self.row_scatter = sp.csr_matrix(
+            (np.ones(len(stacked)), (stacked, np.arange(len(stacked)))),
+            shape=(num_nodes, len(stacked)))
 
-    def checkin(self, scratch: _Scratch) -> None:
-        if scratch is self._scratch:
-            self._scratch_free = True
+    # Both operators keep one entry per triplet: duplicate entries in a
+    # cell stay separate, so each call's data maps 1:1 onto triplets.
+    def message_operator(self, alpha: np.ndarray) -> sp.csr_matrix:
+        """``A`` with alpha (in seg order) as its data."""
+        return sp.csr_matrix((alpha, self._msg_indices, self._msg_indptr),
+                             shape=(self.num_nodes, self.num_nodes))
+
+    def pair_operator(self, g_logits: np.ndarray) -> sp.csr_matrix:
+        """``G`` with the logit gradient (in seg order) as its data."""
+        return sp.csr_matrix((g_logits[self._pair_pick],
+                              self._pair_indices, self._pair_indptr),
+                             shape=self._pair_shape)
+
+
+def sddmm(a: np.ndarray, b: np.ndarray, plan: RelationPlan) -> np.ndarray:
+    """Per-triplet dot products ``a[head_index] . b[tail_index]`` in
+    relation order: ``a`` holds one row per distinct (r, h), ``b`` one
+    per distinct (r, t). Each relation takes the branch its plan fixed:
+    a dense GEMM over its row blocks and a pick, or row gathers."""
+    backend = _active_backend()
+    out = np.empty(plan.num_triplets, dtype=np.result_type(a, b))
+    for _, s, e, hs, ts, pick in plan.steps:
+        if pick is not None:
+            block = backend.matmul(a[hs], b[ts].T)
+            out[s:e] = block.ravel()[pick]
+        else:
+            out[s:e] = np.einsum("ij,ij->i", a[plan.head_index[s:e]],
+                                 b[plan.tail_index[s:e]])
+    return out
 
 
 def attention_message(nodes: Tensor, w_stack: Tensor, rel_emb: Tensor,
-                      plan: RelationPlan, operators: tuple) -> Tensor:
-    """Fused eq. 9-11: per-relation projections, attention logits, and
-    the segment-softmax-weighted neighborhood message, as one node.
-
-    Equals, bit-for-bit, a per-relation loop of gathers, matmuls and
-    logits followed by the segment softmax — everything in
-    :class:`repro.components.kgat.KnowledgeGraphAttention` between the
-    node matrix and the bi-interaction aggregator.
-    """
-    indicator, indicator_t = operators
-    heads, tails = plan.heads, plan.tails
-    n, num_nodes = plan.num_triplets, plan.num_nodes
-    # Both calls are load-bearing: each replays any deferred lazy-row
-    # updates for its index set before the rows are gathered.
-    nodes._gather_source(heads)
-    src = nodes._gather_source(tails)
+                      plan: RelationPlan) -> Tensor:
+    """Fused eq. 9-11: distinct-row projections, attention logits, and
+    the segment-softmax-weighted neighborhood message, as one node —
+    everything in :class:`repro.components.kgat.KnowledgeGraphAttention`
+    between the node matrix and the bi-interaction aggregator."""
+    # Replays any deferred lazy-row updates before the rows are read.
+    src = nodes._gather_source(plan.read_rows)
     Wd, Ed = w_stack.data, rel_emb.data
-    d, k = Wd.shape[1], Wd.shape[2]
+    k = Wd.shape[2]
     dtype = src.dtype
-    S = plan.checkout(n, d, k, dtype)
-    g_xh, g_xt, mm_scratch = S.nd
-    proj_t, mm_h, th, pr, g_nk, th2 = S.nk
-    logits, shifted, expv, v_scratch, v_scratch2 = S.n1
-
-    # Fancy row gathers beat np.take(out=...) here; the fresh arrays
-    # double as the stored forward intermediates.
     backend = _active_backend()
-    x_h = src[heads]
-    x_t = src[tails]
-    for r, s, e in plan.rels:
-        backend.matmul_out(x_t[s:e], Wd[r], proj_t[s:e])
-        backend.matmul_out(x_h[s:e], Wd[r], mm_h[s:e])
-        np.add(mm_h[s:e], Ed[r], out=mm_h[s:e])
-    np.tanh(mm_h, out=th)
-    np.multiply(proj_t, th, out=pr)
-    pr.sum(axis=1, out=logits)
+    x_h = src[plan.head_rows]
+    x_t = src[plan.tail_rows]
+    proj = np.empty((len(x_t), k), dtype=dtype)
+    th = np.empty((len(x_h), k), dtype=dtype)
+    for relation, _, _, hs, ts, _ in plan.steps:
+        backend.matmul_out(x_t[ts], Wd[relation], proj[ts])
+        backend.matmul_out(x_h[hs], Wd[relation], th[hs])
+        th[hs] += Ed[relation]
+    np.tanh(th, out=th)
 
-    seg_max = np.full(num_nodes, -np.inf)
-    seg_max[plan.seg_uniq] = np.maximum.reduceat(
-        logits[plan.seg_order], plan.seg_starts)
-    seg_max[~np.isfinite(seg_max)] = 0.0
-    np.subtract(logits, seg_max[plan.segments].astype(dtype, copy=False),
-                out=shifted)
-    np.clip(shifted, -60.0, 60.0, out=v_scratch)
-    np.exp(v_scratch, out=expv)
-    exp2d = expv.reshape(-1, 1)
-    denom = backend.spmm(indicator, exp2d)
-    denomp_eps = backend.spmm(indicator_t, denom) + 1e-12
-    alpha = exp2d / denomp_eps
-    weighted = np.multiply(x_t, alpha, out=g_xt)   # reused later
-    neighborhood = backend.spmm(indicator, weighted)
+    # Segment softmax over each head's triplets, in seg order.
+    logits = sddmm(th, proj, plan)[plan.seg_order]
+    seg_max = np.maximum.reduceat(logits, plan.seg_starts)
+    shifted = logits - seg_max[plan.seg_of]
+    inside = (shifted >= -60.0) & (shifted <= 60.0)
+    expv = np.exp(np.clip(shifted, -60.0, 60.0))
+    denom = np.add.reduceat(expv, plan.seg_starts)[plan.seg_of] + 1e-12
+    alpha = expv / denom
+    message = plan.message_operator(alpha)
+    neighborhood = backend.spmm(message, src)
 
     requires = (nodes.requires_grad or w_stack.requires_grad
                 or rel_emb.requires_grad)
     out = Tensor(neighborhood, requires_grad=requires)
     if not requires:
-        plan.checkin(S)
         return out
 
     def backward(g):
-        g_weighted = backend.spmm_t(indicator, g)
-        # g_xh is free until the projection backward; borrow it for the
-        # (n, d) product feeding alpha's unbroadcast row-sum.
-        sq = np.multiply(g_weighted, x_t, out=g_xh)
-        g_alpha = sq.sum(axis=1, keepdims=True)
-        g_values = np.multiply(g_weighted, alpha, out=g_xt)
-        g_exp2d = g_alpha / denomp_eps
-        g_exp2d = g_exp2d + backend.spmm_t(indicator, backend.spmm_t(
-            indicator_t, -g_alpha * exp2d / denomp_eps ** 2))
-        g_exp = g_exp2d.reshape(-1)
-        np.multiply(g_exp, expv, out=v_scratch2)
-        inside = (shifted >= -60.0) & (shifted <= 60.0)
-        np.multiply(v_scratch2, inside, out=v_scratch2)
-        g2 = np.broadcast_to(v_scratch2[:, None], (n, k))
-        g_projt = np.multiply(g2, th, out=pr)
-        g_th = np.multiply(g2, proj_t, out=g_nk)
-        # th stays intact: no forward intermediate is ever clobbered
-        # (the scratch lifetime contract above).
-        np.multiply(th, th, out=th2)
-        np.subtract(1.0, th2, out=th2)
-        g_mm_h = np.multiply(g_th, th2, out=g_th)
+        grad_nodes = backend.spmm_t(message, g)
+        g_alpha = sddmm(g[plan.head_rows], x_t, plan)[plan.seg_order]
+        g_dot = np.add.reduceat(g_alpha * alpha, plan.seg_starts)
+        g_logits = (g_alpha - g_dot[plan.seg_of]) / denom * expv * inside
+        pair = plan.pair_operator(g_logits)
+        g_proj = backend.spmm(pair, th)
+        g_pre = backend.spmm_t(pair, proj) * (1.0 - th * th)
         grad_w = np.zeros_like(Wd)
         grad_e = np.zeros_like(Ed)
-        for r, s, e in plan.rels:
-            grad_e[r] = g_mm_h[s:e].sum(axis=0)
-            backend.matmul_out(g_mm_h[s:e], Wd[r].T, g_xh[s:e])
-            grad_w[r] = backend.matmul(x_t[s:e].T, g_projt[s:e])
-            grad_w[r] += backend.matmul(x_h[s:e].T, g_mm_h[s:e])
-            # g_xt accumulates the projection-path gradient on top of
-            # the attention-values path already stored there.
-            backend.matmul_out(g_projt[s:e], Wd[r].T, mm_scratch[s:e])
-            g_values[s:e] += mm_scratch[s:e]
-        # Per-relation scatters in the replaced graph's arrival order:
-        # tails then heads, relations ascending.
-        shape = (num_nodes, d)
-        parts = []
-        for r, s, e in plan.rels:
-            parts.append(_gather_grad(
-                nodes, tails[s:e], plan.flat_tails[s * d:e * d],
-                g_values[s:e], shape, dtype))
-            parts.append(_gather_grad(
-                nodes, heads[s:e], plan.flat_heads[s * d:e * d],
-                g_xh[s:e], shape, dtype))
-        plan.checkin(S)
-        return (GradParts(parts), grad_w, grad_e)
+        g_x_t = np.empty_like(x_t)
+        g_x_h = np.empty_like(x_h)
+        for relation, _, _, hs, ts, _ in plan.steps:
+            w = Wd[relation]
+            grad_e[relation] = g_pre[hs].sum(axis=0)
+            grad_w[relation] = (backend.matmul(x_t[ts].T, g_proj[ts])
+                                + backend.matmul(x_h[hs].T, g_pre[hs]))
+            backend.matmul_out(g_proj[ts], w.T, g_x_t[ts])
+            backend.matmul_out(g_pre[hs], w.T, g_x_h[hs])
+        grad_nodes += backend.spmm(plan.row_scatter,
+                                   np.concatenate([g_x_t, g_x_h]))
+        return (grad_nodes, grad_w, grad_e)
 
     out._parents = (nodes, w_stack, rel_emb)
     out._backward = backward
@@ -289,52 +251,39 @@ def attention_message(nodes: Tensor, w_stack: Tensor, rel_emb: Tensor,
 def transr_scores(entity_emb: Tensor, w_list: list, rel_emb: Tensor,
                   heads: np.ndarray, relations: np.ndarray,
                   tails: np.ndarray) -> Tensor:
-    """Fused eq. 30 triplet scores ``-|| W_r e_h + e_r - W_r e_t ||^2``
-    in input order, as one node.
-
-    Equals a per-relation loop bit-for-bit: the stable relation sort
-    equals a unique/flatnonzero grouping, and the backward replays each
-    replaced node's expression and arrival order (heads before tails
-    per relation, ascending).
+    """Fused eq. 30 triplet scores ``-|| (e_h - e_t) W_r + e_r ||^2`` in
+    input order, as one node: a stable relation sort, one GEMM per
+    relation, and one pre-summed gradient per parent.
 
     ``w_list`` stays a *list* of per-relation parameters, not a stacked
-    tensor: relations absent from a sampled batch historically received
-    no gradient at all, and Adam skips grad-less parameters entirely —
-    no moment decay that step. A stacked parameter would decay every
-    relation's moments on every step and drift from the recorded
-    schedule; per-relation parents with ``None`` grads keep the skip
-    semantics exact.
+    tensor: relations absent from a sampled batch receive no gradient at
+    all, and Adam skips grad-less parameters entirely — no moment decay
+    that step. A stacked parameter would decay every relation's moments
+    on every step; per-relation parents with ``None`` grads keep the skip
+    semantics.
     """
     heads = np.asarray(heads, dtype=np.int64)
     relations = np.asarray(relations, dtype=np.int64)
     tails = np.asarray(tails, dtype=np.int64)
     order = np.argsort(relations, kind="stable")
-    inverse = np.argsort(order, kind="stable")
-    h_sorted, t_sorted = heads[order], tails[order]
-    rel_sorted = relations[order]
-    uniq, starts = np.unique(rel_sorted, return_index=True)
-    bounds = np.append(starts, len(rel_sorted))
+    rows = np.concatenate([heads[order], tails[order]])
+    uniq, starts = np.unique(relations[order], return_index=True)
+    bounds = np.append(starts, len(order))
     rels = [(int(uniq[i]), int(bounds[i]), int(bounds[i + 1]))
             for i in range(len(uniq))]
 
-    # Both calls are load-bearing: each replays any deferred lazy-row
-    # updates for its index set before the rows are gathered.
-    entity_emb._gather_source(h_sorted)
-    src = entity_emb._gather_source(t_sorted)
+    # Replays any deferred lazy-row updates before the rows are read.
+    src = entity_emb._gather_source(rows)
     Ed = rel_emb.data
-    dtype = src.dtype
-    m = len(heads)
-    entity_dim = src.shape[1]
-    k = Ed.shape[1]                      # relation_dim
+    m = len(order)
     backend = _active_backend()
-    x_h, x_t = src[h_sorted], src[t_sorted]
-    diff = np.empty((m, k), dtype=dtype)
+    x_diff = src[rows[:m]] - src[rows[m:]]
+    diff = np.empty((m, Ed.shape[1]), dtype=src.dtype)
     for r, s, e in rels:
-        w_r = w_list[r].data
-        diff[s:e] = (backend.matmul(x_h[s:e], w_r) + Ed[r]
-                     ) - backend.matmul(x_t[s:e], w_r)
-    scores_sorted = -(diff * diff).sum(axis=1)
-    out_data = scores_sorted[inverse]
+        backend.matmul_out(x_diff[s:e], w_list[r].data, diff[s:e])
+        diff[s:e] += Ed[r]
+    out_data = np.empty(m, dtype=src.dtype)
+    out_data[order] = -(diff * diff).sum(axis=1)
 
     requires = (entity_emb.requires_grad or rel_emb.requires_grad
                 or any(w.requires_grad for w in w_list))
@@ -343,30 +292,23 @@ def transr_scores(entity_emb: Tensor, w_list: list, rel_emb: Tensor,
         return out
 
     def backward(g):
-        g_sorted = np.zeros(m, dtype=g.dtype)
-        g_sorted[inverse] = g
+        d_diff = (-2.0 * g[order])[:, None] * diff
         grad_e = np.zeros_like(Ed)
         grad_w: list = [None] * len(w_list)
-        # Entity gradients are entity_dim wide (d_diff @ W_r.T maps
-        # relation space back to entity space).
-        shape = (entity_emb._rawdata().shape[0], entity_dim)
-        parts = []
+        g_x = np.empty_like(x_diff)
         for r, s, e in rels:
-            w_r = w_list[r].data
-            g2 = np.broadcast_to((-g_sorted[s:e])[:, None], (e - s, k))
-            t1 = g2 * diff[s:e]
-            d_diff = t1 + t1
-            d_t_mm = -d_diff
-            grad_e[r] = d_diff.sum(axis=0)
-            grad_w[r] = GradParts([backend.matmul(x_h[s:e].T, d_diff),
-                                   backend.matmul(x_t[s:e].T, d_t_mm)])
-            parts.append(_gather_grad(entity_emb, h_sorted[s:e], None,
-                                      backend.matmul(d_diff, w_r.T),
-                                      shape, dtype))
-            parts.append(_gather_grad(entity_emb, t_sorted[s:e], None,
-                                      backend.matmul(d_t_mm, w_r.T),
-                                      shape, dtype))
-        return tuple([GradParts(parts), grad_e] + grad_w)
+            grad_e[r] = d_diff[s:e].sum(axis=0)
+            grad_w[r] = backend.matmul(x_diff[s:e].T, d_diff[s:e])
+            backend.matmul_out(d_diff[s:e], w_list[r].data.T, g_x[s:e])
+        values = np.concatenate([g_x, -g_x])
+        shape = src.shape
+        if entity_emb._sparse_grad_ok(len(rows), shape[0]):
+            grad_entity = RowSparseGrad.from_gather(rows, values, shape,
+                                                    src.dtype)
+        else:
+            grad_entity = backend.bincount_rows(
+                rows, values, *shape).astype(src.dtype, copy=False)
+        return tuple([grad_entity, grad_e] + grad_w)
 
     out._parents = tuple([entity_emb, rel_emb] + list(w_list))
     out._backward = backward

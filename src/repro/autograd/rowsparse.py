@@ -154,47 +154,13 @@ class RowSparseGrad:
         self.values *= factor
 
 
-class GradParts:
-    """An ordered sequence of gradient contributions from one fused op.
-
-    Fused kernels (:mod:`repro.autograd.fused`) replace a subgraph of
-    many nodes with a single node, but the nodes they replace each
-    delivered a *separate* contribution to a shared parent, and the
-    engine left-folds contributions in arrival order — floating-point
-    addition is commutative but not associative, so pre-summing the
-    partials inside the fused op would change the total's bits. A
-    ``GradParts`` keeps the partials distinct; every consumer folds
-    them one by one, in order, exactly as if the original nodes had
-    delivered them individually.
-
-    ``parts`` may mix dense arrays and :class:`RowSparseGrad` blocks,
-    mirroring whatever representation the replaced nodes emitted.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: list):
-        if not parts:
-            raise ValueError("GradParts needs at least one contribution")
-        self.parts = parts
-
-    def __repr__(self) -> str:
-        return f"GradParts(n={len(self.parts)})"
-
-
 def grad_sum(a, b):
     """Accumulate two gradient contributions, ``a`` having arrived first.
 
     Handles every dense/sparse pairing with the arrival-order semantics
     of the dense reference (``a + b``); used by the backward sweep when
-    several graph paths feed one node. A :class:`GradParts` second
-    operand folds its partials sequentially, preserving each one's
-    arrival position.
+    several graph paths feed one node.
     """
-    if isinstance(b, GradParts):
-        for part in b.parts:
-            a = grad_sum(a, part)
-        return a
     a_sparse = isinstance(a, RowSparseGrad)
     b_sparse = isinstance(b, RowSparseGrad)
     if a_sparse and b_sparse:
@@ -206,18 +172,6 @@ def grad_sum(a, b):
         out[b.rows] += b.values
         return out
     return a + b
-
-
-def first_arrival(g):
-    """Normalize a gradient's first arrival at a node (the backward
-    sweep stores it unfolded): a :class:`GradParts` folds into a single
-    accumulated value, anything else passes through."""
-    if isinstance(g, GradParts):
-        acc = g.parts[0]
-        for part in g.parts[1:]:
-            acc = grad_sum(acc, part)
-        return acc
-    return g
 
 
 def densify(g):

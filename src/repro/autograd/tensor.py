@@ -158,12 +158,6 @@ class Tensor:
     def _accumulate(self, grad) -> None:
         if not self.requires_grad:
             return
-        if isinstance(grad, rowsparse.GradParts):
-            # Fused-kernel partials land one by one, in order — the
-            # same left-fold the replaced nodes would have produced.
-            for part in grad.parts:
-                self._accumulate(part)
-            return
         if isinstance(grad, RowSparseGrad):
             # Sparse gradients are only kept sparse for parameters a lazy
             # optimizer manages; everything else densifies immediately,
@@ -249,7 +243,7 @@ class Tensor:
                     grads[id(parent)] = rowsparse.grad_sum(
                         grads[id(parent)], pgrad)
                 else:
-                    grads[id(parent)] = rowsparse.first_arrival(pgrad)
+                    grads[id(parent)] = pgrad
 
     # ------------------------------------------------------------------
     # elementwise arithmetic

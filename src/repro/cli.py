@@ -23,7 +23,8 @@ Commands
     brand-new cold items and hot ``swap`` to a newer store.
     ``--daemon`` starts the stdlib-HTTP JSON service instead
     (micro-batched admission queue, atomic snapshot hot-swap via
-    ``POST /swap``).
+    ``POST /swap`` to stores in the ``--store`` path's parent directory;
+    without ``--store``, ``/swap`` answers 403).
     ``--max-queue`` bounds the admission queue (overflow is shed with
     503 + ``Retry-After``), ``--deadline-ms`` fails queued-too-long
     requests with 504 instead of serving them late, and
@@ -77,6 +78,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -259,7 +261,9 @@ def cmd_serve(args) -> int:
                                max_delay_ms=args.max_delay_ms,
                                max_queue=args.max_queue,
                                deadline_ms=args.deadline_ms,
-                               shutdown_grace_s=args.shutdown_grace_s)
+                               shutdown_grace_s=args.shutdown_grace_s,
+                               swap_root=(Path(args.store).resolve().parent
+                                          if args.store else None))
         print(f"serving on {daemon.url} "
               "(GET /topk /cold /stats /healthz; POST /ingest /swap)",
               file=sys.stderr)
@@ -468,8 +472,6 @@ def cmd_bench(args) -> int:
 
 
 def _resolve_spec(name_or_path: str):
-    from pathlib import Path
-
     from .experiments import ExperimentSpec, get_preset
     from .experiments.presets import PRESETS
     if name_or_path in PRESETS:
@@ -560,7 +562,6 @@ def cmd_run(args) -> int:
         fingerprint = run.fingerprint
     print(f"result fingerprint: {fingerprint}")
     if args.fingerprint_out:
-        from pathlib import Path
         Path(args.fingerprint_out).write_text(fingerprint + "\n")
     return 0
 

@@ -9,13 +9,15 @@ softmaxed over h's ego network (eq. 10), the neighborhood message is the
 attention-weighted sum of tail embeddings (eq. 9), and the output combines
 head and message through the bi-interaction aggregator (eq. 13).
 
-The per-relation work runs through the fused relation-batched kernel
-(:func:`repro.autograd.fused.attention_message`): one gather pair over a
-precomputed relation-sorted permutation of the triplets, block-sliced
-matmuls against the stacked ``(num_relations, dim, relation_dim)``
-projection tensor, and no per-forward concatenation — bit-identical to
-a per-relation node graph, which ``tests/autograd/test_fused.py`` keeps
-as its reference.
+The per-relation work runs through the fused kernel
+(:func:`repro.autograd.fused.attention_message`): it projects each
+distinct (relation, head) and (relation, tail) row once against the
+stacked ``(num_relations, dim, relation_dim)`` projection tensor and
+runs the per-triplet work through sparse operators frozen in a
+:class:`~repro.autograd.fused.RelationPlan` at :meth:`rebind`. The
+per-relation node graph it replaced stays in
+``tests/autograd/test_fused.py`` as a reference, checked to a fixed
+tolerance.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from ..autograd import init as _init
 from ..autograd.init import xavier_uniform
 from ..autograd.nn import Module
 from ..graphs.ckg import CollaborativeKG
-from .segments import segment_operators
 
 
 def stacked_relation_projections(rng: np.random.Generator,
@@ -78,20 +79,16 @@ class KnowledgeGraphAttention(Module):
             mask = triplets[:, 1] == relation
             by_relation.append((triplets[mask, 0].copy(),
                                 triplets[mask, 2].copy()))
-        # The relation-sorted layout is as frozen as the CKG itself:
-        # precompute the concatenated index arrays, per-relation slice
-        # bounds, scatter indices, the segment-max sort, and the
-        # indicator-operator pair once instead of per forward call.
+        # The layout is as frozen as the CKG itself: distinct-row maps,
+        # the SDDMM branch of each relation, the softmax segments and
+        # the sparse operators' structures are built once, not per call.
         self._plan = fused.RelationPlan(by_relation, ckg.num_nodes,
-                                        self.dim)
-        self._segment_ops = segment_operators(self._plan.segments,
-                                              ckg.num_nodes)
+                                        self.relation_dim)
 
     def forward(self, node_emb: Tensor) -> Tensor:
         """Aggregate one attention hop; input/output are (num_nodes, dim)."""
         neighborhood = fused.attention_message(
-            node_emb, self.relation_proj, self.relation_emb,
-            self._plan, self._segment_ops)
+            node_emb, self.relation_proj, self.relation_emb, self._plan)
 
         # Bi-interaction aggregator (eq. 13).
         summed = (node_emb + neighborhood).matmul(self.w_sum).leaky_relu()

@@ -2,11 +2,10 @@
 
 The knowledge-aware attention (paper eq. 9-11) needs a softmax over each
 head entity's ego network — a segment softmax. We express segment sums as
-multiplication by a frozen indicator matrix so the existing autograd
-primitives provide the gradients. The indicator pair is a frozen operator
-like any adjacency: callers that run the same segmentation every forward
-(KGAT layers) build it once via :func:`segment_operators` and pass it in,
-instead of re-constructing two CSR matrices per call.
+multiplication by an indicator matrix so the existing autograd primitives
+provide the gradients. (KGAT layers run the fused
+:func:`repro.autograd.fused.attention_message` instead; this composable
+form is its test reference.)
 """
 
 from __future__ import annotations
@@ -34,31 +33,16 @@ def segment_indicator(segment_ids: np.ndarray,
                          shape=(num_segments, n))
 
 
-def segment_operators(segment_ids: np.ndarray, num_segments: int
-                      ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The frozen ``(indicator, indicator.T)`` pair, both CSR-pinned.
-
-    Precompute once per frozen segmentation; both directions appear on
-    the segment-softmax hot path.
-    """
-    indicator = segment_indicator(segment_ids, num_segments)
-    return indicator, indicator.T.tocsr()
-
-
 def segment_softmax_weighted_sum(logits: Tensor, values: Tensor,
                                  segment_ids: np.ndarray,
-                                 num_segments: int,
-                                 operators: tuple | None = None) -> Tensor:
+                                 num_segments: int) -> Tensor:
     """Per-segment ``sum_j softmax(logits)_j * values_j``.
 
     ``logits`` has shape ``(n,)``, ``values`` shape ``(n, d)``; the result
     has shape ``(num_segments, d)``. Fully differentiable in both inputs.
-    ``operators`` takes a precomputed :func:`segment_operators` pair for
-    frozen segmentations.
     """
-    if operators is None:
-        operators = segment_operators(segment_ids, num_segments)
-    indicator, indicator_t = operators
+    indicator = segment_indicator(segment_ids, num_segments)
+    indicator_t = indicator.T.tocsr()
 
     # Stabilize with the per-segment max (a constant w.r.t. gradients).
     seg_max = np.full(num_segments, -np.inf)

@@ -18,12 +18,12 @@ class TransRScorer(Module):
     """Relation-specific projection + translation scorer over entity
     embeddings supplied by the caller.
 
-    Scoring runs through the fused relation-batched kernel
+    Scoring runs through the fused kernel
     (:func:`repro.autograd.fused.transr_scores`): a stable relation
-    sort, one gather pair, and block-sliced matmuls against the stacked
-    ``(num_relations, entity_dim, relation_dim)`` projection tensor —
-    bit-identical to a per-relation node graph, which
-    ``tests/autograd/test_fused.py`` keeps as its reference.
+    sort, then ``(e_h - e_t) W_r + e_r`` with one GEMM per relation and
+    one pre-summed gradient per parameter. The per-relation node graph
+    it replaced stays in ``tests/autograd/test_fused.py`` as a
+    reference, checked to a fixed tolerance.
     """
 
     def __init__(self, num_relations: int, entity_dim: int,

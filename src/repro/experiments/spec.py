@@ -30,7 +30,7 @@ from ..train.trainer import TrainConfig
 
 #: bump when training/evaluation semantics change in a way that makes
 #: previously-stored artifacts stale (bit-level results differ)
-PIPELINE_VERSION = 1
+PIPELINE_VERSION = 2
 
 #: dataset size presets accepted by the loaders (large/xlarge exist only
 #: on the out-of-core ``dataset="scale"`` path)

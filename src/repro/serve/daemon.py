@@ -38,7 +38,11 @@ Overload and shutdown are explicit states, not accidents
   that is not ASCII digits only is answered **400**, one above
   :data:`MAX_BODY_BYTES` **413**, and the connection is closed;
 * a ``k`` outside ``[1, MAX_K]`` on ``/topk`` or ``/cold`` is answered
-  **400**.
+  **400**;
+* ``/swap`` loads only stores under the daemon's ``swap_root`` (a
+  deployment setting): the requested path is resolved, symlinks
+  followed, and anything outside the root — or any path at all when no
+  root is configured — is answered **403**.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
@@ -498,10 +503,14 @@ class _Handler(BaseHTTPRequestHandler):
             raise LoadShedError("shutting down: not admitting requests",
                                reason="draining")
         path = payload.get("path")
-        if not path:
+        if not path or not isinstance(path, str):
             return self._error("body must be {'path': ..., 'mmap': bool}")
+        target = self.daemon.swap_target(path)
+        if target is None:
+            return self._error(f"swap path {path!r} is outside the "
+                               "configured store root", status=403)
         snapshot = self.daemon.manager.swap_from_path(
-            path, mmap=bool(payload.get("mmap", False)))
+            target, mmap=bool(payload.get("mmap", False)))
         self._reply({"snapshot_version": snapshot.version,
                      "source": snapshot.source,
                      "num_items": snapshot.store.num_items})
@@ -513,7 +522,9 @@ class ServingDaemon:
     ``port=0`` binds an ephemeral port (the bound port is on
     :attr:`port` after :meth:`start`), which is what the tests and the
     CI smoke use. :meth:`shutdown` is graceful by default: drain, then
-    close (``shutdown_grace_s`` bounds the wait).
+    close (``shutdown_grace_s`` bounds the wait). ``swap_root`` is the
+    directory ``POST /swap`` may load stores from; ``None`` disables
+    ``/swap``.
     """
 
     def __init__(self, manager: SnapshotManager,
@@ -522,8 +533,11 @@ class ServingDaemon:
                  max_batch: int = 64, max_delay_ms: float = 0.0,
                  max_queue: int = 1024,
                  deadline_ms: float | None = None,
-                 shutdown_grace_s: float = 5.0):
+                 shutdown_grace_s: float = 5.0,
+                 swap_root: str | Path | None = None):
         self.manager = manager
+        self.swap_root = (None if swap_root is None
+                          else Path(swap_root).resolve())
         self.batcher = batcher or MicroBatcher(
             manager, max_batch=max_batch, max_delay_ms=max_delay_ms,
             max_queue=max_queue, deadline_ms=deadline_ms)
@@ -547,6 +561,17 @@ class ServingDaemon:
     @property
     def draining(self) -> bool:
         return self.batcher.draining
+
+    def swap_target(self, path: str) -> Path | None:
+        """The store path ``POST /swap`` may load for ``path``: resolved
+        with symlinks followed, or ``None`` unless it lies under
+        :attr:`swap_root`."""
+        if self.swap_root is None:
+            return None
+        resolved = Path(path).resolve()
+        if not resolved.is_relative_to(self.swap_root):
+            return None
+        return resolved
 
     def stats(self) -> dict:
         return {"snapshot_version": self.manager.version,

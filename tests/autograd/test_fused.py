@@ -1,15 +1,16 @@
-"""Bit-parity of the fused relation-batched kernels vs per-relation
-node graphs.
+"""The fused relation-batched kernels vs per-relation node graphs.
 
 The reference graphs live here, not in the library: one gather pair,
 matmul pair and logits chain per relation, then concatenation — the
 graphs the fused kernels replaced. Tests swap them in for
 ``fused.attention_message`` / ``fused.transr_scores`` and compare.
 
-Everything here asserts *exact* equality — same bits, not tolerances:
-the fused kernels replay the replaced graph's floating-point expression
-sequence and gradient arrival order, and the recorded benchmark tables
-depend on that staying true.
+The kernels project distinct (relation, entity) rows and sum in a
+different order than the reference, so the comparison holds to a
+tolerance fixed up front: ``rtol = atol = 1e-12`` for one call's
+outputs and gradients, and ``atol = 1e-10`` for parameters and losses
+after training (two KGAT or Firzen epochs, four TransR steps). The
+``*_bit_equal`` tests compare to these tolerances too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import pytest
 
 from repro.autograd import Tensor, concat, fused
 from repro.autograd.optim import Adam, clip_grad_norm
-from repro.autograd.rowsparse import GradParts, RowSparseGrad, grad_sum
 from repro.baselines import create_model
 from repro.components.segments import segment_softmax_weighted_sum
 from repro.components.transr import TransRScorer, transr_loss
@@ -34,7 +34,13 @@ def dataset():
     return load_amazon("beauty", size="tiny")
 
 
-def per_relation_attention(nodes, w_stack, rel_emb, plan, operators):
+#: one call's outputs and gradients
+CALL_TOL = dict(rtol=1e-12, atol=1e-12)
+#: parameters and losses after training
+TRAINED_TOL = dict(rtol=0.0, atol=1e-10)
+
+
+def per_relation_attention(nodes, w_stack, rel_emb, plan):
     """Eq. 9-11 as one autograd subgraph per relation (the reference
     for :func:`repro.autograd.fused.attention_message`)."""
     logits_parts, tails_parts = [], []
@@ -48,7 +54,7 @@ def per_relation_attention(nodes, w_stack, rel_emb, plan, operators):
         tails_parts.append(x_t)
     return segment_softmax_weighted_sum(
         concat(logits_parts, axis=0), concat(tails_parts, axis=0),
-        plan.segments, plan.num_nodes, operators=operators)
+        plan.heads, plan.num_nodes)
 
 
 def per_relation_transr(entity_emb, w_list, rel_emb, heads, relations,
@@ -96,39 +102,6 @@ def _kernels(monkeypatch, fused_on: bool):
     return nullcontext() if fused_on else _reference_graphs(monkeypatch)
 
 
-class TestGradParts:
-    def test_parts_fold_sequentially_in_order(self):
-        rng = np.random.default_rng(0)
-        acc = rng.normal(size=(4, 3))
-        p1, p2, p3 = (rng.normal(size=(4, 3)) for _ in range(3))
-        folded = grad_sum(acc, GradParts([p1, p2, p3]))
-        assert np.array_equal(folded, ((acc + p1) + p2) + p3)
-
-    def test_parts_differ_from_presummed_total(self):
-        # The reason GradParts exists: left-fold != fold-of-partial-sums.
-        rng = np.random.default_rng(1)
-        acc = rng.normal(size=(64, 8)) * 1e10
-        p1 = rng.normal(size=(64, 8))
-        p2 = rng.normal(size=(64, 8)) * 1e-8
-        assert not np.array_equal((acc + p1) + p2, acc + (p1 + p2))
-
-    def test_accumulate_into_leaf(self):
-        t = Tensor(np.zeros((3, 2)), requires_grad=True)
-        a, b = np.ones((3, 2)), np.full((3, 2), 2.0)
-        t._accumulate(GradParts([a, b]))
-        assert np.array_equal(t.grad, a + b)
-
-    def test_sparse_parts_keep_representation(self):
-        rows = np.array([1, 3])
-        values = np.ones((2, 4))
-        part = RowSparseGrad(rows, values, (6, 4))
-        dense = np.zeros((6, 4))
-        out = grad_sum(dense, GradParts([part]))
-        expected = np.zeros((6, 4))
-        expected[rows] += values
-        assert np.array_equal(out, expected)
-
-
 class TestAttentionParity:
     def _run(self, dataset, monkeypatch, fused_on: bool):
         with _kernels(monkeypatch, fused_on):
@@ -146,25 +119,7 @@ class TestAttentionParity:
         fused_out = self._run(dataset, monkeypatch, True)
         reference_out = self._run(dataset, monkeypatch, False)
         for got, want in zip(fused_out, reference_out):
-            assert np.array_equal(got, want)
-
-    def test_scratch_pool_recovers_after_unbackwarded_forward(self,
-                                                              dataset):
-        # An inference forward whose graph is discarded without a
-        # backward must not strand the plan's scratch buffers forever.
-        model = create_model("KGAT", dataset, seed=0)
-        layer = model.attention_layers[0]
-        plan = layer._plan
-        x = Tensor(np.random.default_rng(1).normal(
-            size=(model.ckg.num_nodes, 32)), requires_grad=True)
-        layer(x)                     # never backwarded
-        out = layer(x)               # allocates + repools a set
-        out.backward(np.ones_like(out.data))
-        assert plan._scratch_free    # back in the pool
-        pooled = plan._scratch
-        out2 = layer(x)
-        out2.backward(np.ones_like(out2.data))
-        assert plan._scratch is pooled   # reuse resumed
+            np.testing.assert_allclose(got, want, **CALL_TOL)
 
     def test_trained_kgat_bit_equal(self, dataset, monkeypatch):
         states = []
@@ -176,7 +131,8 @@ class TestAttentionParity:
                 states.append(model.state_dict())
         assert states[0].keys() == states[1].keys()
         for key in states[0]:
-            assert np.array_equal(states[0][key], states[1][key]), key
+            np.testing.assert_allclose(states[0][key], states[1][key],
+                                       err_msg=key, **TRAINED_TOL)
 
     def test_legacy_split_projection_checkpoint_loads(self, dataset):
         # Checkpoints from before the stacked parameter stored one
@@ -208,9 +164,10 @@ class TestAttentionParity:
                                                  seed=0))
                 states.append(model.state_dict())
                 losses.append(result.losses)
-        assert losses[0] == losses[1]
+        np.testing.assert_allclose(losses[0], losses[1], **TRAINED_TOL)
         for key in states[0]:
-            assert np.array_equal(states[0][key], states[1][key]), key
+            np.testing.assert_allclose(states[0][key], states[1][key],
+                                       err_msg=key, **TRAINED_TOL)
 
 
 class TestTransRParity:
@@ -243,7 +200,7 @@ class TestTransRParity:
         fused_state = self._loss_grads(monkeypatch, True, lazy)
         reference_state = self._loss_grads(monkeypatch, False, lazy)
         for got, want in zip(fused_state, reference_state):
-            assert np.array_equal(got, want)
+            np.testing.assert_allclose(got, want, **TRAINED_TOL)
 
     def test_scores_match_input_order(self, monkeypatch):
         # Forward values in input order, both paths.
@@ -257,7 +214,8 @@ class TestTransRParity:
         fused_scores = scorer.score(emb, heads, rels, tails).data
         with _reference_graphs(monkeypatch):
             reference_scores = scorer.score(emb, heads, rels, tails).data
-        assert np.array_equal(fused_scores, reference_scores)
+        np.testing.assert_allclose(fused_scores, reference_scores,
+                                   **CALL_TOL)
 
     def test_distinct_entity_and_relation_dims(self, monkeypatch):
         # entity_dim != relation_dim: the entity gradient is
@@ -279,8 +237,10 @@ class TestTransRParity:
                                    r.integers(0, 40, 30))
                 loss.backward()
                 results.append((loss.data.copy(), emb.grad))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
+        np.testing.assert_allclose(results[0][0], results[1][0],
+                                   **CALL_TOL)
+        np.testing.assert_allclose(results[0][1], results[1][1],
+                                   **CALL_TOL)
 
     def test_absent_relations_receive_no_grad(self):
         # Adam skips grad-less parameters; a relation absent from the

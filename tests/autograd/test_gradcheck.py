@@ -19,7 +19,6 @@ from repro.autograd import (Tensor, concat, infonce, softmax_cross_entropy,
                             sparse_matmul, stack)
 from repro.autograd import fused
 from repro.autograd.rowsparse import RowSparseGrad
-from repro.components.segments import segment_operators
 
 
 def numeric_gradient(func, arrays, index, eps=1e-6):
@@ -297,30 +296,48 @@ class TestPrimitiveGrid:
             dtype, DTYPES[dtype])
 
 
+#: (heads, tails) per relation. The first layout puts relation 0 on
+#: row gathers (3 x 4 distinct rows > 2 x 4 triplets) and relation 1 on
+#: the pair GEMM, with head 0's softmax spanning both. The second
+#: repeats (relation, tail) pairs, puts the (head, tail) pair (0, 3)
+#: under both relations (two entries in one message-CSR cell), and
+#: again has one relation with ``U_h * U_t > k * T_r``.
+ATTENTION_LAYOUTS = {
+    "both-branches": [
+        (np.array([0, 0, 1, 2]), np.array([1, 2, 0, 3])),
+        (np.array([3, 0]), np.array([0, 1])),
+    ],
+    "duplicates": [
+        (np.array([0, 1, 2, 2, 4]), np.array([3, 3, 0, 1, 2])),
+        (np.array([0, 3, 4]), np.array([3, 3, 1])),
+    ],
+}
+
+
 class TestFusedKernelGradcheck:
     """Finite differences through the fused KGAT kernels themselves —
     the largest single closures in any backward sweep."""
 
-    def _plan(self):
-        by_relation = [
-            (np.array([0, 0, 1, 2]), np.array([1, 2, 0, 3])),
-            (np.array([3, 4]), np.array([0, 1])),
-        ]
-        plan = fused.RelationPlan(by_relation, num_nodes=5, dim=3)
-        ops = segment_operators(plan.segments, 5)
-        return plan, ops
+    @pytest.fixture(params=list(ATTENTION_LAYOUTS))
+    def _plan(self, request):
+        return fused.RelationPlan(ATTENTION_LAYOUTS[request.param],
+                                  num_nodes=5, relation_dim=2)
 
-    def test_attention_message(self, rng):
-        plan, ops = self._plan()
+    def test_plan_takes_both_sddmm_branches(self, _plan):
+        branches = [pick is not None for *_, pick in _plan.steps]
+        assert branches == [False, True]
+
+    def test_attention_message(self, rng, _plan):
         check(lambda nodes, w, e: fused.attention_message(
-                  nodes, w, e, plan, ops),
+                  nodes, w, e, _plan),
               rng.normal(size=(5, 3)), rng.normal(size=(2, 3, 2)),
               rng.normal(size=(2, 2)))
 
     def test_transr_scores(self, rng):
-        heads = np.array([0, 3, 1, 2])
-        relations = np.array([0, 1, 0, 1])
-        tails = np.array([2, 1, 4, 0])
+        # (head 0, relation 0) appears twice.
+        heads = np.array([0, 3, 1, 2, 0])
+        relations = np.array([0, 1, 0, 1, 0])
+        tails = np.array([2, 1, 4, 0, 3])
         check(lambda e, w0, w1, r: fused.transr_scores(
                   e, [w0, w1], r, heads, relations, tails),
               rng.normal(size=(5, 3)), rng.normal(size=(3, 2)),

@@ -184,8 +184,8 @@ class TestGracefulDrain:
         finally:
             batcher.stop()
 
-    def test_healthz_flips_to_draining(self, manager):
-        with ServingDaemon(manager) as daemon:
+    def test_healthz_flips_to_draining(self, manager, tmp_path):
+        with ServingDaemon(manager, swap_root=tmp_path) as daemon:
             status, _headers, body = _get_raw(daemon.url + "/healthz")
             assert (status, body["status"]) == (200, "ok")
             daemon.batcher.drain(grace_s=1.0)
@@ -195,7 +195,7 @@ class TestGracefulDrain:
             # mutating endpoints are rejected while draining
             request = urllib.request.Request(
                 daemon.url + "/swap",
-                data=json.dumps({"path": "/nope"}).encode(),
+                data=json.dumps({"path": str(tmp_path / "nope")}).encode(),
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(request, timeout=30)

@@ -111,8 +111,8 @@ def _post(url, body, timeout=30):
 
 class TestServingDaemon:
     @pytest.fixture()
-    def daemon(self, manager):
-        with ServingDaemon(manager) as running:
+    def daemon(self, manager, tmp_path):
+        with ServingDaemon(manager, swap_root=tmp_path) as running:
             yield running
 
     def test_healthz_and_stats(self, daemon):
@@ -175,6 +175,32 @@ class TestServingDaemon:
         expected = BatchRanker.from_store(new_store).topk(np.array([4]), 6)
         assert after["items"] == expected.items[0].tolist()
         assert after["snapshot_version"] == 2
+
+    @pytest.mark.parametrize("escape", ["dotdot", "absolute", "symlink"])
+    def test_swap_outside_root_is_forbidden(self, daemon, tmp_path,
+                                            tmp_path_factory, escape):
+        outside = tmp_path_factory.mktemp("outside")
+        stored = make_store(2).save(outside / "next", format="v2")
+        if escape == "dotdot":
+            path = tmp_path / ".." / outside.name / "next"
+        elif escape == "absolute":
+            path = stored
+        else:
+            path = tmp_path / "link"
+            path.symlink_to(stored, target_is_directory=True)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(daemon.url + "/swap", {"path": str(path)})
+        assert excinfo.value.code == 403
+        assert "error" in json.loads(excinfo.value.read())
+        assert _get(daemon.url + "/healthz")["snapshot_version"] == 1
+
+    def test_swap_without_root_is_forbidden(self, manager, tmp_path):
+        path = make_store(2).save(tmp_path / "next", format="v2")
+        with ServingDaemon(manager) as daemon:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(daemon.url + "/swap", {"path": str(path)})
+            assert excinfo.value.code == 403
+            assert _get(daemon.url + "/healthz")["snapshot_version"] == 1
 
     def test_ingest_round_trip(self, daemon, manager, rng):
         before = manager.current.store.num_items

@@ -136,7 +136,8 @@ def main(argv: list[str] | None = None) -> int:
                             f"got {response['items']}, want {want}")
 
     num_users = min(store.num_users, swap_store.num_users)
-    with ServingDaemon(manager, port=0) as daemon:
+    with ServingDaemon(manager, port=0,
+                       swap_root=swap_path.resolve().parent) as daemon:
         threads = [
             threading.Thread(target=client,
                              args=(worker, daemon.url, num_users))
