@@ -8,28 +8,51 @@ Builds one scale dataset (in-RAM reference, or chunked when
 
 Runs as a dedicated subprocess on purpose: ``ru_maxrss`` is a
 process-lifetime high-water mark, so measuring several builds in one
-process would report every build's RSS as the largest one's.  The
-scaling benchmarks (:func:`repro.analysis.timing.measure_build_scaling`)
-and the CI memory-ceiling check (``tools/check_scale.py``) both drive
-this module.
-
-Imports only :mod:`repro.data` so the baseline interpreter footprint
-stays small and the reported peak is dominated by the build itself.
+process would report every build's RSS as the largest one's.
+:func:`run_probe` launches one such subprocess; the scaling benchmark
+(:func:`repro.analysis.timing.measure_build_scaling`, behind
+``repro bench scaling``) and the CI memory-ceiling check
+(``tools/check_scale.py``) both call it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 
 def peak_rss_mb() -> float:
+    """Process-lifetime peak resident set in MB (``ru_maxrss``).
+
+    Monotonic per process (the kernel's high-water mark never resets),
+    so per-build numbers that must not inherit earlier peaks come from
+    :func:`run_probe` subprocesses."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports kilobytes, macOS bytes.
     divisor = 1024.0 if sys.platform != "darwin" else 1024.0 * 1024.0
     return peak / divisor
+
+
+def run_probe(args: list) -> dict:
+    """Run this module in a fresh subprocess with ``args`` (stringified)
+    and return its JSON report; raises ``RuntimeError`` if it fails."""
+    src_root = str(Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis.scale_probe",
+         *[str(arg) for arg in args]],
+        capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"scale probe failed: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:

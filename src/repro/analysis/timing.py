@@ -15,7 +15,9 @@ Firzen variants that consume increasing feature sets: BA only, +KA, +VA,
   over :func:`catalog_dominated_dataset`), both training bit-identical
   models in either mode.
 
-Every row emitted here records the runtime context it was measured
+Every repeated measurement runs through :func:`compare`: interleaved
+rounds that run each mode once, with the starting mode rotated per
+round. Every row emitted here records the runtime context it was measured
 under — backend name, parameter dtype, effective BLAS thread count
 (:func:`runtime_columns`) — so recorded tables are attributable.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,21 +49,6 @@ from ..train.sampler import BPRSampler
 from ..train.trainer import TrainConfig, train_model
 
 
-def peak_rss_mb() -> float:
-    """Process-lifetime peak resident set in MB (``ru_maxrss``).
-
-    Monotonic per process (the kernel's high-water mark never resets),
-    so per-measurement numbers that must not inherit earlier peaks —
-    the build-scaling probes — run in subprocesses
-    (:mod:`repro.analysis.scale_probe`)."""
-    import resource
-    import sys
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports kilobytes, macOS bytes.
-    divisor = 1024.0 if sys.platform != "darwin" else 1024.0 * 1024.0
-    return peak / divisor
-
-
 def runtime_columns() -> dict:
     """Render-ready columns naming the runtime a measurement ran under:
     backend, parameter dtype, effective BLAS thread count, and
@@ -71,11 +58,43 @@ def runtime_columns() -> dict:
     as a ``default_factory`` field), so the peak RSS is the one the
     measurement reached, not the one at render time.
     """
+    # imported here: ``python -m repro.analysis.scale_probe`` imports this
+    # module through the package, and must not find itself imported
+    from .scale_probe import peak_rss_mb
     info = _runtime_info()
     return {"Backend": info["backend"],
             "Param dtype": info["param_dtype"],
             "BLAS threads": info["blas_threads"],
             "Peak RSS (MB)": round(peak_rss_mb(), 1)}
+
+
+def compare(modes, run_once, rounds: int) -> dict:
+    """Run every mode once per round; returns ``{mode: [result, ...]}``
+    with one result per round.
+
+    The starting mode moves by one each round (``a b c``, then
+    ``b c a``, then ``c a b``): a fixed order would hand whichever mode
+    runs first the benefit of an undecayed CPU clock and bias every
+    cross-mode ratio. The caller reduces the per-round results (best
+    epochs/s, fewest seconds, per-phase minimum, ...). Modes must be
+    distinct: each names one result list.
+    """
+    modes = tuple(modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"compare: repeated mode in {modes}")
+    results = {mode: [] for mode in modes}
+    for round_no in range(max(rounds, 1)):
+        shift = round_no % len(modes)
+        for mode in modes[shift:] + modes[:shift]:
+            results[mode].append(run_once(mode))
+    return results
+
+
+def _seconds(fn, *args) -> float:
+    """Wall seconds of one ``fn(*args)`` call."""
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
 
 
 @dataclass
@@ -100,18 +119,16 @@ class TimingRow:
         }
 
 
-def _inference_ms_per_user(model: FirzenModel, users: np.ndarray,
-                           repeats: int = 3) -> float:
-    """Average per-user latency of a full scoring pass (repr + ranking)."""
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
+def _inference_ms_per_user(model: FirzenModel, users: dict) -> dict:
+    """Per-user latency of a full scoring pass (repr + ranking) for each
+    named user set, fewest seconds over three rounds."""
+    def score(name: str) -> None:
         model.invalidate()
-        scores = model.score_users(users)
-        np.argsort(-scores, axis=1)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return 1000.0 * best / max(len(users), 1)
+        np.argsort(-model.score_users(users[name]), axis=1)
+
+    seconds = compare(users, lambda name: _seconds(score, name), rounds=3)
+    return {name: 1000.0 * min(times) / max(len(users[name]), 1)
+            for name, times in seconds.items()}
 
 
 def variant_config(use_knowledge: bool, modalities: tuple) -> FirzenConfig:
@@ -126,32 +143,37 @@ def variant_config(use_knowledge: bool, modalities: tuple) -> FirzenConfig:
 def measure_feature_sets(dataset: RecDataset,
                          train_config: TrainConfig | None = None,
                          seed: int = 0) -> list[TimingRow]:
-    """Run the four Table VII rows: BA / +KA / +KA+VA / +KA+VA+TA."""
-    rows = []
-    variants = [
-        ("BA", False, ()),
-        ("BA+KA", True, ()),
-        ("BA+KA+VA", True, ("image",)),
-        ("BA+KA+VA+TA", True, ("image", "text")),
-    ]
+    """Run the four Table VII rows: BA / +KA / +KA+VA / +KA+VA+TA.
+
+    The variants run through :func:`compare` for three rounds, each run
+    training a fresh model from ``seed``; every row keeps its variant's
+    best training and inference times.
+    """
+    variants = {
+        "BA": (False, ()),
+        "BA+KA": (True, ()),
+        "BA+KA+VA": (True, ("image",)),
+        "BA+KA+VA+TA": (True, ("image", "text")),
+    }
     train_config = train_config or TrainConfig(epochs=4, eval_every=4)
-    cold_users = np.unique(dataset.split.cold_test[:, 0])[:50]
-    warm_users = np.unique(dataset.split.warm_test[:, 0])[:50]
-    for label, use_kg, modalities in variants:
+    users = {"cold": np.unique(dataset.split.cold_test[:, 0])[:50],
+             "warm": np.unique(dataset.split.warm_test[:, 0])[:50]}
+
+    def run_once(label: str) -> tuple[float, dict]:
+        use_kg, modalities = variants[label]
         config = variant_config(use_kg, modalities)
         model = FirzenModel(dataset, config.embedding_dim,
                             np.random.default_rng(seed), config=config,
                             modalities=modalities)
         result = train_model(model, dataset, train_config)
-        rows.append(TimingRow(
-            label=label,
-            train_seconds=result.train_seconds,
-            cold_inference_ms_per_user=_inference_ms_per_user(
-                model, cold_users),
-            warm_inference_ms_per_user=_inference_ms_per_user(
-                model, warm_users),
-        ))
-    return rows
+        return result.train_seconds, _inference_ms_per_user(model, users)
+
+    return [TimingRow(
+        label=label,
+        train_seconds=min(seconds for seconds, _ in runs),
+        cold_inference_ms_per_user=min(ms["cold"] for _, ms in runs),
+        warm_inference_ms_per_user=min(ms["warm"] for _, ms in runs),
+    ) for label, runs in compare(variants, run_once, rounds=3).items()]
 
 
 # ----------------------------------------------------------------------
@@ -241,28 +263,26 @@ def _measure_scenario(model, ranker: BatchRanker, scenario: str,
                       users: np.ndarray, candidates: np.ndarray,
                       seen_sets: dict, k: int,
                       repeats: int) -> ThroughputResult:
-    single_best = np.inf
-    loop_best = np.inf
-    batched_best = np.inf
     mask_seen = bool(seen_sets)
-    for _ in range(repeats):
-        start = time.perf_counter()
-        _single_query_rank(model, users, candidates, seen_sets, k)
-        single_best = min(single_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        _loop_rank(model, users, candidates, seen_sets, k)
-        loop_best = min(loop_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        ranker.topk(users, k, candidates=candidates, mask_seen=mask_seen)
-        batched_best = min(batched_best, time.perf_counter() - start)
+    paths = {
+        "single": lambda: _single_query_rank(model, users, candidates,
+                                             seen_sets, k),
+        "loop": lambda: _loop_rank(model, users, candidates, seen_sets, k),
+        "batched": lambda: ranker.topk(users, k, candidates=candidates,
+                                       mask_seen=mask_seen),
+    }
+    users_per_s = {
+        path: len(users) / max(min(seconds), 1e-12)
+        for path, seconds in compare(
+            paths, lambda path: _seconds(paths[path]), repeats).items()}
     return ThroughputResult(
         scenario=scenario,
         num_users=len(users),
         num_candidates=len(candidates),
         k=k,
-        single_query_users_per_second=len(users) / max(single_best, 1e-12),
-        loop_users_per_second=len(users) / max(loop_best, 1e-12),
-        batched_users_per_second=len(users) / max(batched_best, 1e-12),
+        single_query_users_per_second=users_per_s["single"],
+        loop_users_per_second=users_per_s["loop"],
+        batched_users_per_second=users_per_s["batched"],
     )
 
 
@@ -289,29 +309,25 @@ class TrainingThroughputRow:
 
 
 def _epochs_per_second(name: str, dataset: RecDataset, epochs: int,
-                       train_config: TrainConfig, seed: int, repeats: int,
+                       train_config: TrainConfig, seed: int,
                        **model_kwargs) -> float:
-    """Best-of-``repeats`` epochs/second for ``epochs`` training epochs
+    """Epochs/second of one fresh model trained for ``epochs`` epochs
     (intermediate validation passes disabled; the trainer's final-epoch
     validation is included, as it is for every recorded snapshot).
 
-    Each repeat trains a fresh model; one warm-up loss/backward runs
-    outside the timer so one-time costs (propagation-plan compilation,
-    allocator warm-up) don't skew short measurements.
+    One warm-up loss/backward runs outside the timer so one-time costs
+    (propagation-plan compilation, allocator warm-up) don't skew short
+    measurements.
     """
     config = TrainConfig(**{**train_config.__dict__,
                             "epochs": epochs,
                             "eval_every": epochs + 1})
-    best = 0.0
-    for _ in range(max(repeats, 1)):
-        model = create_model(name, dataset, seed=seed, **model_kwargs)
-        warmup = dataset.split.train[:min(64, len(dataset.split.train))]
-        model.loss(warmup[:, 0], warmup[:, 1], warmup[:, 1]).backward()
-        model.zero_grad()
-        result = train_model(model, dataset, config)
-        best = max(best,
-                   result.epochs_run / max(result.train_seconds, 1e-12))
-    return best
+    model = create_model(name, dataset, seed=seed, **model_kwargs)
+    warmup = dataset.split.train[:min(64, len(dataset.split.train))]
+    model.loss(warmup[:, 0], warmup[:, 1], warmup[:, 1]).backward()
+    model.zero_grad()
+    result = train_model(model, dataset, config)
+    return result.epochs_run / max(result.train_seconds, 1e-12)
 
 
 def measure_training_throughput(
@@ -320,16 +336,16 @@ def measure_training_throughput(
         epochs: int = 8, seed: int = 0, repeats: int = 3,
         train_config: TrainConfig | None = None,
         **model_kwargs) -> list[TrainingThroughputRow]:
-    """Best-of-``repeats`` epochs/second per model, each repeat training
-    a fresh model from the same seed."""
+    """Best epochs/second per model over ``repeats`` :func:`compare`
+    rounds (the models rotate across rounds), each run training a fresh
+    model from the same seed."""
     train_config = train_config or TrainConfig(batch_size=512,
                                                learning_rate=0.05)
-    return [TrainingThroughputRow(
-        model=name, epochs=epochs,
-        epochs_per_second=_epochs_per_second(
-            name, dataset, epochs, train_config, seed, repeats,
-            **model_kwargs))
-        for name in model_names]
+    runs = compare(model_names, lambda name: _epochs_per_second(
+        name, dataset, epochs, train_config, seed, **model_kwargs), repeats)
+    return [TrainingThroughputRow(model=name, epochs=epochs,
+                                  epochs_per_second=max(rates))
+            for name, rates in runs.items()]
 
 
 def measure_ranking_throughput(model, split: ColdStartSplit,
@@ -342,8 +358,9 @@ def measure_ranking_throughput(model, split: ColdStartSplit,
 
     All paths start from the model's cached representation matrices and
     produce identical top-k lists for ``num_users`` users (sampled with
-    replacement so the batch size is independent of the dataset);
-    best-of-``repeats`` wall-clock is reported as users/second.
+    replacement so the batch size is independent of the dataset). The
+    three paths run in ``repeats`` :func:`compare` rounds; each path's
+    fewest seconds is reported as users/second.
     """
     rng = np.random.default_rng(seed)
     users = rng.choice(np.unique(split.train[:, 0]), size=num_users,
@@ -521,136 +538,92 @@ def measure_serving_latency(store: EmbeddingStore | None = None,
                             seed: int = 0) -> list[ServingLatencyRow]:
     """p50/p99 serving latency under concurrent load.
 
-    The micro-batched path (``clients`` threads streaming single-user
-    requests through a :class:`MicroBatcher`) and the sequential
-    baseline (same request count, one ``topk`` per request) are
-    measured in *interleaved rounds with the order rotated per round*
-    (the :func:`measure_step_breakdown` methodology), keeping each
-    path's best round; percentiles come from the batched path's best
-    round.  Batching never changes results — each user's row of a
-    blocked ``topk`` is bit-identical to their single-user call — so
-    the ratio is pure scheduling.
+    Three modes run in ``repeats`` :func:`compare` rounds:
 
-    ``measure_ingest`` adds a scenario where cold-item onboarding plus
-    snapshot republish runs concurrently with the query stream (on a
-    copy of the store, so the caller's snapshot is not grown).
+    * ``batched`` — ``clients`` threads stream single-user requests
+      through a :class:`MicroBatcher`;
+    * ``sequential`` — the same request count, one ``topk`` per request;
+    * ``ingest`` (with ``measure_ingest`` and a store with features) —
+      the batched clients while a writer onboards cold items through
+      :meth:`SnapshotManager.ingest`, the hot-swap seam under its
+      intended load. Each round starts a fresh manager over ``store``;
+      ingest publishes new snapshots and never grows the caller's store.
+
+    Each concurrent row reports its round with the lowest wall time
+    (latency percentiles included); both rows share the sequential
+    baseline's fewest seconds. Batching never changes results — each
+    user's row of a blocked ``topk`` is bit-identical to their
+    single-user call — so the ratio is pure scheduling.
     """
+    import threading
     if store is None:
         store = synthetic_serving_store(seed=seed)
     users = np.arange(store.num_users, dtype=np.int64)
     num_requests = clients * requests_per_client
-    modes = ("batched", "sequential")
     manager = SnapshotManager(store)
     ranker = manager.current.ranker
-    # one warm-up pass per path so BLAS/page-cache warm-up is paid
-    # outside every timed round
+    # one warm-up pass so BLAS/page-cache warm-up is paid outside every
+    # timed round
     ranker.topk(users[:8], k)
-    best_wall = {mode: np.inf for mode in modes}
-    best_latencies = None
-    batch_stats = {}
-    for round_no in range(max(repeats, 1)):
-        shift = round_no % len(modes)
-        for mode in modes[shift:] + modes[:shift]:
-            if mode == "sequential":
-                wall = _run_sequential(ranker, users, k, num_requests)
-                best_wall[mode] = min(best_wall[mode], wall)
-            else:
-                batcher = MicroBatcher(manager, max_batch=max_batch,
-                                       max_delay_ms=max_delay_ms)
-                try:
-                    latencies, wall = _run_concurrent_clients(
-                        batcher, users, k, clients, requests_per_client)
-                    if wall < best_wall[mode]:
-                        best_wall[mode] = wall
-                        best_latencies = latencies
-                        batch_stats = batcher.stats()
-                finally:
-                    batcher.stop()
-    rows = [ServingLatencyRow(
-        scenario="topk under load",
-        clients=clients, requests=num_requests, k=k,
-        p50_ms=float(np.percentile(best_latencies, 50)),
-        p99_ms=float(np.percentile(best_latencies, 99)),
-        requests_per_second=num_requests / best_wall["batched"],
-        sequential_requests_per_second=(
-            num_requests / best_wall["sequential"]),
-        mean_batch_size=batch_stats.get("mean_batch_size", 0.0),
-        shed=batch_stats.get("shed", 0),
-        expired=batch_stats.get("expired", 0),
-    )]
+    modes = ["batched", "sequential"]
     if measure_ingest and store.features:
-        rows.append(_measure_ingest_under_load(
-            store, users, clients, requests_per_client, k,
-            max_delay_ms=max_delay_ms, max_batch=max_batch, seed=seed))
-    return rows
+        modes.append("ingest")
 
-
-def _copy_store(store: EmbeddingStore) -> EmbeddingStore:
-    return EmbeddingStore(
-        store.user_vectors.copy(), store.item_vectors.copy(),
-        seen=store.seen.copy(),
-        features={m: f.copy() for m, f in store.features.items()},
-        is_cold=store.is_cold, is_ingested=store.is_ingested,
-        item_topk=store.item_topk, metadata=store.metadata)
-
-
-def _measure_ingest_under_load(store: EmbeddingStore, users: np.ndarray,
-                               clients: int, requests_per_client: int,
-                               k: int, max_delay_ms: float,
-                               max_batch: int, seed: int,
-                               num_ingests: int = 5,
-                               items_per_ingest: int = 4
-                               ) -> ServingLatencyRow:
-    """Query latency while cold-item onboarding + snapshot republish
-    runs concurrently: the hot-swap seam under its intended load."""
-    import threading
-    working = _copy_store(store)
-    manager = SnapshotManager(working)
-    batcher = MicroBatcher(manager, max_batch=max_batch,
-                           max_delay_ms=max_delay_ms)
-    rng = np.random.default_rng(seed)
-    stop = threading.Event()
-    ingests_done = 0
-
-    def ingester() -> None:
-        nonlocal ingests_done
-        for _ in range(num_ingests):
+    def ingester(target: SnapshotManager, stop: threading.Event) -> None:
+        """Five ingests of four cold items each, until ``stop``."""
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
             if stop.is_set():
                 break
-            snapshot = manager.current
-            features = {
+            target.ingest({
                 modality: rng.standard_normal(
-                    (items_per_ingest, feats.shape[1])
-                ).astype(np.float32)
-                for modality, feats in snapshot.store.features.items()}
-            snapshot.store.ingest_items(features)
-            manager.swap(snapshot.store, source="<ingest>")
-            ingests_done += 1
+                    (4, feats.shape[1])).astype(np.float32)
+                for modality, feats in store.features.items()})
 
-    thread = threading.Thread(target=ingester, daemon=True)
-    try:
-        thread.start()
-        latencies, wall = _run_concurrent_clients(
-            batcher, users, k, clients, requests_per_client)
-    finally:
-        stop.set()
-        thread.join(timeout=30)
-        batcher.stop()
-    num_requests = clients * requests_per_client
-    sequential_wall = _run_sequential(manager.current.ranker, users, k,
-                                      num_requests)
-    return ServingLatencyRow(
-        scenario="ingest under load",
-        clients=clients, requests=num_requests, k=k,
-        p50_ms=float(np.percentile(latencies, 50)),
-        p99_ms=float(np.percentile(latencies, 99)),
-        requests_per_second=num_requests / wall,
-        sequential_requests_per_second=num_requests / sequential_wall,
-        mean_batch_size=batcher.stats()["mean_batch_size"],
-        ingests=ingests_done,
-        shed=batcher.stats()["shed"],
-        expired=batcher.stats()["expired"],
-    )
+    def run_once(mode: str) -> dict:
+        if mode == "sequential":
+            return {"wall": _run_sequential(ranker, users, k, num_requests)}
+        target = manager if mode == "batched" else SnapshotManager(store)
+        batcher = MicroBatcher(target, max_batch=max_batch,
+                               max_delay_ms=max_delay_ms)
+        stop = threading.Event()
+        writer = None
+        if mode == "ingest":
+            writer = threading.Thread(target=ingester, args=(target, stop),
+                                      daemon=True)
+            writer.start()
+        try:
+            latencies, wall = _run_concurrent_clients(
+                batcher, users, k, clients, requests_per_client)
+        finally:
+            stop.set()
+            if writer is not None:
+                writer.join(timeout=30)
+            batcher.stop()
+        return {"wall": wall, "latencies": latencies,
+                "ingests": target.version - 1, **batcher.stats()}
+
+    runs = compare(modes, run_once, repeats)
+    sequential = min(run["wall"] for run in runs["sequential"])
+    rows = []
+    for mode, scenario in (("batched", "topk under load"),
+                           ("ingest", "ingest under load")):
+        if mode not in runs:
+            continue
+        best = min(runs[mode], key=lambda run: run["wall"])
+        rows.append(ServingLatencyRow(
+            scenario=scenario,
+            clients=clients, requests=num_requests, k=k,
+            p50_ms=float(np.percentile(best["latencies"], 50)),
+            p99_ms=float(np.percentile(best["latencies"], 99)),
+            requests_per_second=num_requests / best["wall"],
+            sequential_requests_per_second=num_requests / sequential,
+            mean_batch_size=best["mean_batch_size"],
+            ingests=best["ingests"],
+            shed=best["shed"],
+            expired=best["expired"],
+        ))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -749,12 +722,9 @@ def measure_step_breakdown(dataset: RecDataset, model_name: str,
     contract — so the per-phase deltas are pure representation and
     dispatch cost.
 
-    Each mode is measured ``repeats`` times in interleaved rounds with
-    the mode order rotated per round, keeping the per-phase minimum —
-    a fixed measurement order would hand whichever mode runs first the
-    benefit of an undecayed CPU clock and bias every cross-mode ratio.
+    The modes run in ``repeats`` :func:`compare` rounds; each mode keeps
+    its per-phase minimum.
     """
-    modes = ("sparse", "dense")
 
     def run_once(mode: str) -> StepPhaseBreakdown:
         with _sparse_mode(mode == "sparse"):
@@ -812,20 +782,11 @@ def measure_step_breakdown(dataset: RecDataset, model_name: str,
                 **{f"{phase}_ms": 1000.0 * seconds / max(steps, 1)
                    for phase, seconds in phase_s.items()})
 
-    results: dict[str, StepPhaseBreakdown] = {}
-    for round_no in range(max(repeats, 1)):
-        order = modes[round_no % len(modes):] + modes[:round_no % len(modes)]
-        for mode in order:
-            run = run_once(mode)
-            best = results.get(mode)
-            if best is None:
-                results[mode] = run
-                continue
-            for phase in StepPhaseBreakdown.PHASES:
-                name = f"{phase}_ms"
-                setattr(best, name, min(getattr(best, name),
-                                        getattr(run, name)))
-    return {mode: results[mode] for mode in modes}
+    return {mode: replace(runs[0], **{
+                f"{phase}_ms": min(run.phase_ms(phase) for run in runs)
+                for phase in StepPhaseBreakdown.PHASES})
+            for mode, runs in compare(("sparse", "dense"), run_once,
+                                      repeats).items()}
 
 
 def breakdown_rows(breakdowns: dict[str, StepPhaseBreakdown]) -> list[dict]:
@@ -888,33 +849,27 @@ def measure_sparse_training_throughput(
 
     Same per-run protocol as :func:`measure_training_throughput` (fresh
     model per run, one warm-up step outside the timer, final-epoch
-    validation included), toggled over ``REPRO_SPARSE_GRAD``. The two
-    modes are measured in *interleaved rounds with the mode order
-    rotated per round* (the :func:`measure_step_breakdown`
-    methodology), keeping each mode's best round: a fixed order would
-    hand whichever mode runs first the benefit of an undecayed CPU
-    clock and bias the ratio the CI floor gates on.
+    validation included), toggled over ``REPRO_SPARSE_GRAD``. The
+    (model, mode) pairs run in ``repeats`` :func:`compare` rounds and
+    each keeps its best round, so the ratio the CI floor gates on is
+    free of measurement-order bias.
     """
     train_config = train_config or TrainConfig(batch_size=512,
                                                learning_rate=0.05)
-    modes = (True, False)
-    rows = []
-    for name in model_names:
-        best = dict.fromkeys(modes, 0.0)
-        for round_no in range(max(repeats, 1)):
-            shift = round_no % len(modes)
-            for sparse in modes[shift:] + modes[:shift]:
-                with _sparse_mode(sparse):
-                    eps = _epochs_per_second(
-                        name, dataset, epochs, train_config, seed,
-                        repeats=1, **model_kwargs)
-                best[sparse] = max(best[sparse], eps)
-        rows.append(SparseThroughputRow(
-            model=name, epochs=epochs,
-            sparse_epochs_per_second=best[True],
-            dense_epochs_per_second=best[False],
-        ))
-    return rows
+
+    def run_once(mode: tuple) -> float:
+        name, sparse = mode
+        with _sparse_mode(sparse):
+            return _epochs_per_second(name, dataset, epochs, train_config,
+                                      seed, **model_kwargs)
+
+    runs = compare([(name, sparse) for name in model_names
+                    for sparse in (True, False)], run_once, repeats)
+    return [SparseThroughputRow(
+        model=name, epochs=epochs,
+        sparse_epochs_per_second=max(runs[name, True]),
+        dense_epochs_per_second=max(runs[name, False]),
+    ) for name in model_names]
 
 
 # ----------------------------------------------------------------------
@@ -964,26 +919,6 @@ class BuildScalingRow:
         }
 
 
-def _run_scale_probe(args: list) -> dict:
-    """One build probe in a fresh subprocess; returns its JSON report."""
-    import json
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.scale_probe", *args],
-        capture_output=True, text=True, env=env)
-    if proc.returncode != 0:
-        raise RuntimeError(f"scale probe failed: {proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def measure_build_scaling(sizes: tuple = ("tiny", "small"),
                           chunk_rows: int | None = None,
                           seed: int = 0) -> list[BuildScalingRow]:
@@ -995,15 +930,16 @@ def measure_build_scaling(sizes: tuple = ("tiny", "small"),
     show (and the CI job asserts under a ceiling).
     """
     from ..data.chunked import DEFAULT_CHUNK_ROWS
+    from .scale_probe import run_probe
     chunk_rows = chunk_rows or DEFAULT_CHUNK_ROWS
     rows = []
     for size in sizes:
         for mode_args, mode in (
                 ([], "in-RAM"),
-                (["--chunk-rows", str(chunk_rows)],
+                (["--chunk-rows", chunk_rows],
                  f"chunked({chunk_rows})")):
-            report = _run_scale_probe(
-                ["--size", size, "--seed", str(seed), *mode_args])
+            report = run_probe(["--size", size, "--seed", seed,
+                                *mode_args])
             rows.append(BuildScalingRow(
                 size=size,
                 num_users=report["num_users"],
@@ -1015,26 +951,3 @@ def measure_build_scaling(sizes: tuple = ("tiny", "small"),
                 fingerprint=report["fingerprint"],
             ))
     return rows
-
-
-def measure_serving_scaling(num_items: int = 1_000_000,
-                            num_users: int = 4000, dim: int = 64,
-                            clients: int = 4,
-                            requests_per_client: int = 8,
-                            k: int = 20,
-                            seed: int = 0) -> list[ServingLatencyRow]:
-    """Serving p50/p99 on a catalog where scoring dominates every
-    request (default: one million items).
-
-    A thin wrapper over :func:`measure_serving_latency` on a
-    :func:`synthetic_serving_store` of the requested catalog size; one
-    round (the matmuls are long enough that best-of repetition buys
-    little at this scale), no ingest scenario.
-    """
-    store = synthetic_serving_store(num_users=num_users,
-                                    num_items=num_items, dim=dim,
-                                    seed=seed)
-    return measure_serving_latency(
-        store, clients=clients, requests_per_client=requests_per_client,
-        k=k, repeats=1,
-        measure_ingest=False, seed=seed)

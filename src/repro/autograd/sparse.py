@@ -10,8 +10,8 @@ benchmark tables were trained under (changing operator rounding re-rolls
 every trained outcome). Dtype unification happens one layer up: the
 engine (:mod:`repro.engine`) pins each propagation operator to the
 operand's dtype exactly once per plan, so hot-path matmuls never convert
-— float32 consumers (the serving store, float32 training) get a float32
-operator, float64 training keeps these exact values.
+— float64 training keeps these exact values, and a float32 operand gets
+one float32 variant per plan.
 """
 
 from __future__ import annotations

@@ -46,32 +46,25 @@ Commands
     List the named experiment presets, the registered scenario
     transforms, and the artifact store's cached stage counts.
 ``bench``
-    Training-throughput benchmark (epochs/second) through the
-    frozen-graph engine; optionally fails below a throughput floor (the
-    CI smoke gate). ``--sparse-compare`` instead benchmarks the
-    row-sparse gradient pipeline against the dense schedule on the
-    catalog-dominated synthetic fixture in interleaved order-rotated
-    rounds (optionally enforcing ``--min-sparse-speedup``, the CI smoke
-    gate for the sparse pipeline). ``--serving-latency`` benchmarks
-    the serving service instead: p50/p99 client-observed latency and
-    throughput of the micro-batched admission queue vs sequential
-    single-user queries on a catalog-scale synthetic store, with an
-    optional ``--min-serving-speedup`` floor (the CI no-regression
-    gate).
-    ``--scaling`` benchmarks the out-of-core dataset builds instead:
-    build throughput and peak RSS vs catalog size for the
-    in-RAM reference vs the chunked streaming build (each point a
-    dedicated subprocess probe, with a hard fingerprint-parity gate
-    between the two modes), followed by serving p50/p99 on a
-    million-item synthetic store (``--serving-scale`` shrinks it;
-    ``--min-serving-speedup`` floors the micro-batched/sequential
-    ratio); ``--scaling-sizes`` picks the size presets,
-    ``--chunk-rows`` the chunk size, and ``--scaling-out`` records the
-    combined tables as the Table-VII scaling addendum.
-    ``--breakdown`` adds the per-phase
-    (sample/forward/backward/clip/step/extra) training-step cost table
-    for any model, heterogeneous ones included — sparse and dense
-    columns.
+    Four benchmarks, one subcommand each, each accepting only the flags
+    it reads; repeated measurements run in interleaved rounds with the
+    starting mode rotated per round. ``bench train``: training
+    throughput (epochs/second) per model through the frozen-graph
+    engine (``--min-throughput`` is its CI floor). ``bench sparse``:
+    the row-sparse gradient pipeline vs the dense schedule on the
+    catalog-dominated synthetic fixture (``--min-sparse-speedup``).
+    Both take ``--breakdown`` for the per-phase
+    (sample/forward/backward/clip/step/extra) training-step cost of any
+    model, sparse and dense columns. ``bench serving``: p50/p99
+    client-observed latency and throughput of the micro-batched
+    admission queue vs sequential single-user queries on a
+    catalog-scale synthetic store, also with items ingested beside the
+    queries (``--min-serving-speedup``). ``bench scaling``: build
+    throughput and peak RSS vs catalog size, in-RAM reference vs
+    chunked build (one subprocess probe per point, with a hard
+    fingerprint-parity gate), then serving p50/p99 on a million-item
+    store (``--serving-scale`` shrinks it); ``--scaling-out`` records
+    the combined tables as the Table-VII scaling addendum.
 """
 
 from __future__ import annotations
@@ -84,7 +77,7 @@ import numpy as np
 
 from .baselines import available_models, create_model, model_family
 from .baselines.registry import EXTRA_MODELS
-from .data import load_amazon, load_weixin
+from .data import DEFAULT_CHUNK_ROWS, load_amazon, load_weixin
 from .eval import evaluate_model
 from .serve import EmbeddingStore, ServingSession
 from .train import TrainConfig, train_model
@@ -106,6 +99,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=("tiny", "small", "medium", "large",
                                  "xlarge"),
                         default="small")
+    _add_training(parser)
+
+
+def _add_training(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=12)
     parser.add_argument("--embedding-dim", type=int, default=32)
     parser.add_argument("--learning-rate", type=float, default=0.05)
@@ -292,34 +289,107 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _serving_floor_failed(rows, floor: float | None) -> bool:
-    """Report (and return) whether micro-batched serving fell below the
-    ``--min-serving-speedup`` floor."""
+def _floor_status(flag: str, floor: float | None, value: float,
+                  what: str) -> int:
+    """Exit status of a ``--min-*`` floor: 1, with a FAIL line, when
+    ``value`` is below ``floor``."""
+    if floor is None or value >= floor:
+        return 0
+    print(f"FAIL: {what} is {value:.2f}, below the {flag} floor of "
+          f"{floor}", file=sys.stderr)
+    return 1
+
+
+def _serving_floor_status(rows, floor: float | None) -> int:
     (row,) = [row for row in rows if row.scenario == "topk under load"]
-    if floor is None or row.speedup >= floor:
-        return False
-    print(f"FAIL: micro-batched serving is only {row.speedup:.2f}x the "
-          "sequential single-query baseline, below the "
-          f"--min-serving-speedup floor of {floor}", file=sys.stderr)
-    return True
+    return _floor_status("--min-serving-speedup", floor, row.speedup,
+                         "micro-batched serving's speedup over sequential "
+                         "single-user queries")
 
 
-def _bench_scaling(args) -> int:
-    """``bench --scaling``: build cost vs catalog size, then serving
+def _print_breakdowns(args, dataset) -> None:
+    """``--breakdown``: per-phase training-step cost of each model."""
+    if not args.breakdown:
+        return
+    from .analysis.timing import breakdown_rows, measure_step_breakdown
+    for name in args.models:
+        print(format_table(
+            breakdown_rows(measure_step_breakdown(
+                dataset, name, epochs=min(args.epochs, 4),
+                batch_size=args.batch_size,
+                learning_rate=args.learning_rate,
+                embedding_dim=args.embedding_dim, seed=args.seed)),
+            title=f"{name}: per-phase training-step cost"))
+
+
+def cmd_bench_train(args) -> int:
+    from .analysis.timing import measure_training_throughput
+    dataset = _load_dataset(args.dataset, args.size)
+    rows = measure_training_throughput(
+        dataset, model_names=tuple(args.models), epochs=args.epochs,
+        seed=args.seed, train_config=_train_config(args),
+        embedding_dim=args.embedding_dim)
+    print(format_table([row.as_row() for row in rows],
+                       title=f"Training throughput on {dataset.name}"))
+    _print_breakdowns(args, dataset)
+    slowest = min(rows, key=lambda row: row.epochs_per_second)
+    return _floor_status("--min-throughput", args.min_throughput,
+                         slowest.epochs_per_second,
+                         f"{slowest.model}'s epochs/s")
+
+
+def cmd_bench_sparse(args) -> int:
+    from .analysis.timing import (catalog_dominated_dataset,
+                                  measure_sparse_training_throughput)
+    dataset = catalog_dominated_dataset(scale=args.fixture_scale,
+                                        seed=args.seed)
+    rows = measure_sparse_training_throughput(
+        dataset, model_names=tuple(args.models), epochs=args.epochs,
+        seed=args.seed, train_config=_train_config(args),
+        embedding_dim=args.embedding_dim)
+    print(format_table(
+        [row.as_row() for row in rows],
+        title="Row-sparse gradient pipeline vs dense schedule "
+              f"on {dataset.name}"))
+    _print_breakdowns(args, dataset)
+    worst = min(rows, key=lambda row: row.speedup)
+    return _floor_status("--min-sparse-speedup", args.min_sparse_speedup,
+                         worst.speedup,
+                         f"{worst.model}'s sparse/dense speedup")
+
+
+def cmd_bench_serving(args) -> int:
+    from .analysis.timing import (measure_serving_latency,
+                                  synthetic_serving_store)
+    store = synthetic_serving_store(
+        num_users=max(int(2000 * args.serving_scale), 64),
+        num_items=max(int(24000 * args.serving_scale), 256),
+        seed=args.seed)
+    rows = measure_serving_latency(store, clients=args.clients,
+                                   seed=args.seed)
+    print(format_table(
+        [row.as_row() for row in rows],
+        title=f"Serving latency under load "
+              f"({store.num_items}-item synthetic catalog, "
+              "micro-batched vs sequential)"))
+    return _serving_floor_status(rows, args.min_serving_speedup)
+
+
+def cmd_bench_scaling(args) -> int:
+    """``bench scaling``: build cost vs catalog size, then serving
     latency on a million-item store — the recorded Table-VII scaling
     addendum."""
     from .analysis.timing import (measure_build_scaling,
-                                  measure_serving_scaling)
-    from .data.chunked import DEFAULT_CHUNK_ROWS
-    sizes = tuple(args.scaling_sizes or ("tiny", "small"))
-    chunk_rows = args.chunk_rows or DEFAULT_CHUNK_ROWS
+                                  measure_serving_latency,
+                                  synthetic_serving_store)
+    sizes = tuple(args.scaling_sizes)
     build_rows = measure_build_scaling(sizes=sizes,
-                                       chunk_rows=chunk_rows,
+                                       chunk_rows=args.chunk_rows,
                                        seed=args.seed)
     build_table = format_table(
         [row.as_row() for row in build_rows],
         title="Build scaling: wall-clock and peak RSS vs catalog size "
-              f"(in-RAM reference vs chunked({chunk_rows}))")
+              f"(in-RAM reference vs chunked({args.chunk_rows}))")
     print(build_table)
     # Always-on parity gate: the chunked build must be bit-identical
     # to the in-RAM reference at every measured size.
@@ -331,143 +401,26 @@ def _bench_scaling(args) -> int:
                   f"bit-identical to the in-RAM reference "
                   f"(fingerprints {fingerprints})", file=sys.stderr)
             return 1
-    scale = args.serving_scale if args.serving_scale is not None else 1.0
-    num_items = max(int(1_000_000 * scale), 512)
-    serving_rows = measure_serving_scaling(
-        num_items=num_items,
-        num_users=max(int(4000 * scale), 64),
-        clients=args.clients if args.clients is not None else 4,
+    store = synthetic_serving_store(
+        num_users=max(int(4000 * args.serving_scale), 64),
+        num_items=max(int(1_000_000 * args.serving_scale), 512),
         seed=args.seed)
+    # One round, no ingest scenario: at this catalog size every request
+    # is a long GEMM, so repetition buys little.
+    serving_rows = measure_serving_latency(
+        store, clients=args.clients, requests_per_client=8, repeats=1,
+        measure_ingest=False, seed=args.seed)
     serving_table = format_table(
         [row.as_row() for row in serving_rows],
-        title=f"Serving latency ({num_items}-item synthetic store)")
+        title=f"Serving latency ({store.num_items}-item synthetic store)")
     print(serving_table)
-    if _serving_floor_failed(serving_rows, args.min_serving_speedup):
+    if _serving_floor_status(serving_rows, args.min_serving_speedup):
         return 1
     if args.scaling_out:
         from .eval.reporting import write_text_result
         written = write_text_result(
             args.scaling_out, build_table + "\n\n" + serving_table)
         print(f"scaling addendum written to {written}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from .analysis.timing import (breakdown_rows, catalog_dominated_dataset,
-                                  measure_sparse_training_throughput,
-                                  measure_step_breakdown,
-                                  measure_training_throughput)
-    def print_breakdowns(dataset) -> None:
-        if not args.breakdown:
-            return
-        for name in args.models:
-            print(format_table(
-                breakdown_rows(measure_step_breakdown(
-                    dataset, name, epochs=min(args.epochs, 4),
-                    batch_size=args.batch_size,
-                    learning_rate=args.learning_rate,
-                    embedding_dim=args.embedding_dim, seed=args.seed)),
-                title=f"{name}: per-phase training-step cost"))
-
-    if not args.sparse_compare and args.min_sparse_speedup is not None:
-        print("--min-sparse-speedup only applies with --sparse-compare",
-              file=sys.stderr)
-        return 2
-    if not args.sparse_compare and args.fixture_scale != 1.0:
-        print("--fixture-scale only applies with --sparse-compare",
-              file=sys.stderr)
-        return 2
-    if not (args.serving_latency or args.scaling):
-        # the serving-side knobs are shared by --serving-latency and
-        # the serving half of --scaling
-        for flag, name in ((args.min_serving_speedup,
-                            "--min-serving-speedup"),
-                           (args.clients, "--clients"),
-                           (args.serving_scale, "--serving-scale")):
-            if flag is not None:
-                print(f"{name} only applies with --serving-latency "
-                      "or --scaling", file=sys.stderr)
-                return 2
-    if not args.scaling:
-        for flag, name in ((args.scaling_sizes, "--scaling-sizes"),
-                           (args.chunk_rows, "--chunk-rows"),
-                           (args.scaling_out, "--scaling-out")):
-            if flag is not None:
-                print(f"{name} only applies with --scaling",
-                      file=sys.stderr)
-                return 2
-    if args.scaling:
-        if args.sparse_compare or args.serving_latency:
-            print("--scaling is a separate benchmark; pick one",
-                  file=sys.stderr)
-            return 2
-        return _bench_scaling(args)
-    if args.serving_latency:
-        if args.sparse_compare:
-            print("--serving-latency is a separate benchmark; pick one",
-                  file=sys.stderr)
-            return 2
-        from .analysis.timing import (measure_serving_latency,
-                                      synthetic_serving_store)
-        scale = args.serving_scale if args.serving_scale is not None \
-            else 1.0
-        store = synthetic_serving_store(
-            num_users=max(int(2000 * scale), 64),
-            num_items=max(int(24000 * scale), 256),
-            seed=args.seed)
-        rows = measure_serving_latency(
-            store,
-            clients=args.clients if args.clients is not None else 8,
-            seed=args.seed)
-        print(format_table(
-            [row.as_row() for row in rows],
-            title=f"Serving latency under load "
-                  f"({store.num_items}-item synthetic catalog, "
-                  "micro-batched vs sequential)"))
-        return 1 if _serving_floor_failed(
-            rows, args.min_serving_speedup) else 0
-    if args.sparse_compare:
-        if args.min_throughput is not None:
-            print("--min-throughput applies to the engine benchmark; "
-                  "with --sparse-compare use --min-sparse-speedup",
-                  file=sys.stderr)
-            return 2
-        dataset = catalog_dominated_dataset(scale=args.fixture_scale,
-                                            seed=args.seed)
-        rows = measure_sparse_training_throughput(
-            dataset, model_names=tuple(args.models), epochs=args.epochs,
-            seed=args.seed, train_config=_train_config(args),
-            embedding_dim=args.embedding_dim)
-        print(format_table(
-            [row.as_row() for row in rows],
-            title="Row-sparse gradient pipeline vs dense schedule "
-                  f"on {dataset.name}"))
-        print_breakdowns(dataset)
-        worst = min(rows, key=lambda row: row.speedup)
-        if args.min_sparse_speedup is not None \
-                and worst.speedup < args.min_sparse_speedup:
-            print(f"FAIL: {worst.model} sparse pipeline is only "
-                  f"{worst.speedup:.2f}x the dense schedule, below the "
-                  f"--min-sparse-speedup floor of {args.min_sparse_speedup}",
-                  file=sys.stderr)
-            return 1
-        return 0
-    dataset = _load_dataset(args.dataset, args.size)
-    rows = measure_training_throughput(
-        dataset, model_names=tuple(args.models), epochs=args.epochs,
-        seed=args.seed, train_config=_train_config(args),
-        embedding_dim=args.embedding_dim)
-    print(format_table([row.as_row() for row in rows],
-                       title=f"Training throughput on {dataset.name}"))
-    print_breakdowns(dataset)
-    slowest = min(rows, key=lambda row: row.epochs_per_second)
-    if args.min_throughput is not None \
-            and slowest.epochs_per_second < args.min_throughput:
-        print(f"FAIL: {slowest.model} trains at "
-              f"{slowest.epochs_per_second:.2f} epochs/s, below "
-              f"the --min-throughput floor of {args.min_throughput}",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -716,68 +669,64 @@ def build_parser() -> argparse.ArgumentParser:
     p_experiments.set_defaults(func=cmd_experiments)
 
     p_bench = sub.add_parser(
-        "bench", help="training-throughput benchmark (epochs/second)")
-    p_bench.add_argument("--models", nargs="+",
-                         default=["LightGCN", "KGAT", "Firzen"])
-    p_bench.add_argument("--min-throughput", type=float, default=None,
+        "bench", help="training, sparse-gradient, serving and scaling "
+                      "benchmarks")
+    bench = p_bench.add_subparsers(dest="benchmark", required=True)
+    b_train = bench.add_parser(
+        "train", help="training epochs/second per model")
+    b_sparse = bench.add_parser(
+        "sparse", help="row-sparse gradient pipeline vs the dense "
+                       "schedule on the catalog-dominated fixture")
+    b_serving = bench.add_parser(
+        "serving", help="micro-batched vs sequential serving latency on "
+                        "a catalog-scale synthetic store")
+    b_scaling = bench.add_parser(
+        "scaling", help="out-of-core build cost vs catalog size, then "
+                        "serving latency on a million-item store")
+    for b, func in ((b_train, cmd_bench_train),
+                    (b_sparse, cmd_bench_sparse),
+                    (b_serving, cmd_bench_serving),
+                    (b_scaling, cmd_bench_scaling)):
+        b.set_defaults(func=func)
+    for b in (b_train, b_sparse):
+        b.add_argument("--models", nargs="+",
+                       default=["LightGCN", "KGAT", "Firzen"])
+        b.add_argument("--breakdown", action="store_true",
+                       help="also print the per-phase "
+                            "(sample/forward/backward/clip/step) "
+                            "training-step cost, sparse vs dense")
+    b_train.add_argument("--min-throughput", type=float, default=None,
                          help="exit nonzero when any model trains slower "
                               "than this many epochs/second")
-    p_bench.add_argument("--sparse-compare", action="store_true",
-                         help="benchmark the row-sparse gradient pipeline "
-                              "against the dense schedule on the "
-                              "catalog-dominated synthetic fixture")
-    p_bench.add_argument("--min-sparse-speedup", type=float, default=None,
-                         help="with --sparse-compare: exit nonzero when "
-                              "the sparse/dense epochs-per-second ratio "
-                              "falls below this floor")
-    p_bench.add_argument("--fixture-scale", type=float, default=1.0,
-                         help="size multiplier for the catalog-dominated "
-                              "fixture (smaller is faster; CI uses 0.5)")
-    p_bench.add_argument("--serving-latency", action="store_true",
-                         help="benchmark the serving service: p50/p99 "
-                              "latency and throughput of the "
-                              "micro-batched queue vs sequential "
-                              "single-user queries on a catalog-scale "
-                              "synthetic store")
-    p_bench.add_argument("--min-serving-speedup", type=float,
-                         default=None,
-                         help="with --serving-latency or --scaling: "
-                              "exit nonzero when micro-batched "
-                              "throughput falls below this multiple of "
-                              "the sequential baseline")
-    p_bench.add_argument("--clients", type=int, default=None,
-                         help="with --serving-latency or --scaling: "
-                              "concurrent client threads (default 8, "
-                              "or 4 with --scaling)")
-    p_bench.add_argument("--serving-scale", type=float, default=None,
-                         help="with --serving-latency or --scaling: "
-                              "size multiplier for the synthetic "
-                              "catalog (CI uses 0.5, or 0.1 with "
-                              "--scaling)")
-    p_bench.add_argument("--scaling", action="store_true",
-                         help="benchmark the out-of-core dataset "
-                              "builds: wall-clock and peak RSS vs "
-                              "catalog size (in-RAM vs chunked, with a "
-                              "fingerprint-parity gate), then serving "
-                              "p50/p99 on a million-item synthetic "
-                              "store")
-    p_bench.add_argument("--scaling-sizes", nargs="+", default=None,
-                         help="with --scaling: scale size presets to "
-                              "measure (default: tiny small)")
-    p_bench.add_argument("--chunk-rows", type=int, default=None,
-                         help="with --scaling: chunk size for the "
-                              "out-of-core build column (default: the "
-                              "library default)")
-    p_bench.add_argument("--scaling-out", default=None,
-                         help="with --scaling: also write the combined "
-                              "tables to this file (the recorded "
-                              "Table-VII scaling addendum)")
-    p_bench.add_argument("--breakdown", action="store_true",
-                         help="also print the per-phase "
-                              "(sample/forward/backward/clip/step) "
-                              "training-step cost, sparse vs dense")
-    _add_common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
+    _add_common(b_train)
+    b_sparse.add_argument("--min-sparse-speedup", type=float, default=None,
+                          help="exit nonzero when the sparse/dense "
+                               "epochs-per-second ratio falls below this "
+                               "floor")
+    b_sparse.add_argument("--fixture-scale", type=float, default=1.0,
+                          help="size multiplier for the fixture (smaller "
+                               "is faster; CI uses 0.5)")
+    _add_training(b_sparse)
+    b_scaling.add_argument("--scaling-sizes", nargs="+",
+                           default=["tiny", "small"],
+                           help="scale size presets to measure")
+    b_scaling.add_argument("--chunk-rows", type=int,
+                           default=DEFAULT_CHUNK_ROWS,
+                           help="chunk size for the out-of-core build")
+    b_scaling.add_argument("--scaling-out", default=None,
+                           help="also write the combined tables to this "
+                                "file (the recorded Table-VII scaling "
+                                "addendum)")
+    for b, clients in ((b_serving, 8), (b_scaling, 4)):
+        b.add_argument("--serving-scale", type=float, default=1.0,
+                       help="size multiplier for the synthetic catalog")
+        b.add_argument("--clients", type=int, default=clients,
+                       help="concurrent client threads")
+        b.add_argument("--min-serving-speedup", type=float, default=None,
+                       help="exit nonzero when micro-batched throughput "
+                            "falls below this multiple of the sequential "
+                            "baseline")
+        b.add_argument("--seed", type=int, default=0)
     return parser
 
 

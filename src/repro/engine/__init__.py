@@ -12,12 +12,12 @@ operators once and shares them across the whole stack:
   that runs the L sparse hops and pools them (mean or last);
 * **`propagate()`** — the differentiable API every component, baseline,
   core model, and the serving path call instead of hand-rolling loops
-  over :func:`repro.autograd.sparse.sparse_matmul`. Plans keep one
-  dtype-matched operator variant per operand dtype, so the hot-path
-  matmuls never convert: float32 consumers (the serving store, float32
-  training) multiply float32 operators, while default float64 training
-  keeps the exact operator values the published tables were trained
-  with.
+  over :func:`repro.autograd.sparse.sparse_matmul`. Operators are
+  float64, the exact values the published tables were trained with; a
+  float32 operand (which :class:`~repro.autograd.tensor.Tensor`
+  preserves) gets one float32 variant per plan, so no hot-path matmul
+  converts. The serving store does not use plans: its onboarding runs
+  :func:`apply_dense` at :data:`OPERATOR_DTYPE`.
 """
 
 from .ops import (OPERATOR_DTYPE, apply_dense, as_operator,

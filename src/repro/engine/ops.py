@@ -9,10 +9,11 @@ operand on every mismatched multiply. Stored nonzero *order* is left
 untouched: re-sorting indices would change floating-point summation
 order and silently perturb trained results by ulps.
 
-Float64 is the training dtype (the published benchmark tables are
-float64-reproducible); :data:`OPERATOR_DTYPE` (float32) is the compact
-dtype used by every float32 consumer — the serving store and its
-incremental-kNN onboarding operators, and float32 training runs.
+Operators are float64, the training dtype (the published benchmark
+tables are float64-reproducible); a plan builds a float32 variant only
+for a float32 operand. :data:`OPERATOR_DTYPE` (float32) is the serving
+store's dtype: :func:`apply_dense` pins the onboarding operators and
+operands to it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-#: Compact operator dtype: what float32 consumers (serving, float32
-#: training) receive. Training operators default to float64.
+#: The serving store's dtype, used by :func:`apply_dense` for the
+#: onboarding operators. Training operators are float64.
 OPERATOR_DTYPE = np.float32
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))

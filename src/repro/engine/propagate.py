@@ -21,9 +21,9 @@ with them — no global registry to leak or to alias recycled ids.
 Every sparse multiply a plan issues goes through
 :func:`repro.autograd.sparse.sparse_matmul`, which dispatches on the
 array backend (:mod:`repro.backend`) and runs the exact historical
-scipy expression. The per-dtype operator variants in
-``PropagationPlan._matrix`` are what let float32 operands multiply
-float32 operators without per-call conversion.
+scipy expression. Operators are float64; ``PropagationPlan._matrix``
+builds one float32 variant per plan if a float32 operand arrives, so
+such an operand multiplies without per-call conversion.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ class PropagationPlan:
         self.num_layers = num_layers
         self.pooling = pooling
         # Dtype-matched operator variants, materialized at most once per
-        # operand dtype: a float32 operand (serving snapshots, float32
-        # training) multiplies a float32 operator, a float64 operand the
-        # exact float64 values — scipy never converts inside the multiply.
+        # operand dtype: a float64 operand multiplies the exact float64
+        # operator, a float32 operand (which Tensor preserves) a float32
+        # variant — scipy never converts inside the multiply.
         self._by_dtype: dict = {}
 
     def _matrix(self, dtype) -> sp.csr_matrix:

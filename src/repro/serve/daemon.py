@@ -487,16 +487,10 @@ class _Handler(BaseHTTPRequestHandler):
                 "body must be {'features': {modality: [[...], ...]}}")
         arrays = {modality: np.asarray(values, dtype=np.float32)
                   for modality, values in features.items()}
-        snapshot = self.daemon.manager.current
-        new_ids = snapshot.store.ingest_items(arrays)
-        # The store grew in place: republish so new queries rank the
-        # onboarded items (in-flight queries keep their old ranker, whose
-        # arrays predate the ingest).
-        refreshed = self.daemon.manager.swap(snapshot.store,
-                                             source="<ingest>")
-        self._reply({"ingested_items": np.asarray(new_ids).tolist(),
-                     "num_items": refreshed.store.num_items,
-                     "snapshot_version": refreshed.version})
+        new_ids, snapshot = self.daemon.manager.ingest(arrays)
+        self._reply({"ingested_items": new_ids.tolist(),
+                     "num_items": snapshot.store.num_items,
+                     "snapshot_version": snapshot.version})
 
     def _handle_swap(self, payload: dict) -> None:
         if self.daemon.draining:

@@ -130,11 +130,7 @@ class ServingSession:
         path = Path(args[0])
         with np.load(path, allow_pickle=False) as archive:
             features = {name: archive[name] for name in archive.files}
-        store = self.store
-        new_ids = store.ingest_items(features)
-        # Republish: the store grew in place, so the next snapshot's
-        # ranker must pick up the widened item matrix.
-        self.manager.swap(store, source="<ingest>")
+        new_ids, _ = self.manager.ingest(features)
         return (f"ingested {len(new_ids)} item(s): "
                 f"{new_ids.tolist()} (cold; rankable immediately)")
 

@@ -7,17 +7,21 @@ using it for the duration of their query, so a concurrent
 :meth:`~SnapshotManager.swap` can never hand them a torn mix of old
 vectors and new ranker — in-flight queries finish on the snapshot they
 started with (the reference pins it alive), new queries see the new one.
-The expensive part of a swap (loading the store, building the ranker)
-happens *before* publication; the publish itself is one reference
-assignment under a lock, so readers never block on a swap and swaps
-never block on readers.
+Writers (:meth:`~SnapshotManager.swap`, :meth:`~SnapshotManager.ingest`)
+serialize on one writer lock; readers never take it, so readers never
+block on a swap and swaps never block on readers.  An ingest grows a
+*new* store and publishes it, so no published store changes under its
+readers and concurrent ingests get unique, contiguous item ids.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .ranker import BatchRanker
 from .store import EmbeddingStore
@@ -52,7 +56,8 @@ class SnapshotManager:
     def __init__(self, store: EmbeddingStore | None = None, *,
                  block_size: int = 256):
         self.block_size = int(block_size)
-        self._lock = threading.Lock()
+        # reentrant: ingest publishes through swap while holding it
+        self._writer = threading.RLock()
         self._current: Snapshot | None = None
         if store is not None:
             self.swap(store, source="<initial>")
@@ -74,18 +79,35 @@ class SnapshotManager:
     def swap(self, store: EmbeddingStore, source: str = "") -> Snapshot:
         """Build and publish a new snapshot; returns it.
 
-        The ranker is constructed outside the lock; only the reference
-        assignment and version bump are serialized, so concurrent
-        readers never observe a partially-initialized snapshot.
+        The snapshot is complete before the one reference assignment
+        that publishes it, so concurrent readers never observe a
+        partially-initialized snapshot.
         """
-        ranker = BatchRanker.from_store(store, block_size=self.block_size)
-        with self._lock:
+        with self._writer:
+            ranker = BatchRanker.from_store(store,
+                                            block_size=self.block_size)
             version = 1 if self._current is None \
                 else self._current.version + 1
             snapshot = Snapshot(version=version, store=store, ranker=ranker,
                                 source=source)
             self._current = snapshot
         return snapshot
+
+    def ingest(self, features: dict) -> tuple[np.ndarray, Snapshot]:
+        """Onboard brand-new items and publish them; returns the ids
+        assigned to them and the snapshot that serves them.
+
+        The current store is never grown: a new store over its arrays
+        (its own ``features`` dict, no array copies) takes the new items
+        via :meth:`EmbeddingStore.ingest_items`, which replaces arrays
+        rather than writing into them, and is published through
+        :meth:`swap` — all under the writer lock.
+        """
+        with self._writer:
+            store = copy.copy(self.current.store)
+            store.features = dict(store.features)
+            new_ids = store.ingest_items(features)
+            return new_ids, self.swap(store, source="<ingest>")
 
     def swap_from_path(self, path: str | Path,
                        mmap: bool = False) -> Snapshot:

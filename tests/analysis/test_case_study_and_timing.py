@@ -15,6 +15,7 @@ from repro.analysis.timing import (measure_feature_sets,
                                    measure_training_throughput,
                                    synthetic_serving_store)
 from repro.core import FirzenModel
+from repro.serve import BatchRanker
 from repro.train import TrainConfig, train_model
 
 
@@ -50,6 +51,14 @@ class TestCaseStudy:
     def test_unknown_subset_raises(self, firzen, tiny_dataset):
         with pytest.raises(ValueError):
             similar_items_under_subset(firzen, tiny_dataset, 0, "audio")
+
+
+class TestCompare:
+    def test_rejects_repeated_modes(self):
+        runs = []
+        with pytest.raises(ValueError, match="repeated mode"):
+            timing.compare(("LightGCN", "LightGCN"), runs.append, rounds=1)
+        assert runs == []
 
 
 class TestTiming:
@@ -93,18 +102,35 @@ class TestTrainingThroughput:
         calls = []
 
         def record(*args, **kwargs):
-            calls.append((os.environ["REPRO_SPARSE_GRAD"],
-                          kwargs.get("repeats")))
+            calls.append(os.environ["REPRO_SPARSE_GRAD"])
             return float(len(calls))
 
         monkeypatch.setattr(timing, "_epochs_per_second", record)
         (row,) = timing.measure_sparse_training_throughput(
             tiny_dataset, model_names=("BPR",), repeats=3)
-        assert [mode for mode, _ in calls] == ["1", "0", "0", "1", "1", "0"]
-        assert {repeats for _, repeats in calls} == {1}
+        assert calls == ["1", "0", "0", "1", "1", "0"]
         # each mode keeps its best round
         assert row.sparse_epochs_per_second == 5.0
         assert row.dense_epochs_per_second == 6.0
+
+
+class TestRankingThroughput:
+    def test_paths_run_in_rotated_rounds(self, firzen, tiny_dataset,
+                                         monkeypatch):
+        order = []
+
+        def log(path):
+            return lambda *args, **kwargs: order.append(path)
+
+        monkeypatch.setattr(timing, "_single_query_rank", log("single"))
+        monkeypatch.setattr(timing, "_loop_rank", log("loop"))
+        monkeypatch.setattr(BatchRanker, "topk", log("batched"))
+        timing.measure_ranking_throughput(firzen, tiny_dataset.split,
+                                          num_users=8, repeats=3)
+        # the warm scenario's rounds, each starting one path later
+        assert order[:9] == ["single", "loop", "batched",
+                             "loop", "batched", "single",
+                             "batched", "single", "loop"]
 
 
 class TestServingLatency:

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.analysis.timing import BuildScalingRow, peak_rss_mb
+from repro.analysis.scale_probe import peak_rss_mb
+from repro.analysis.timing import BuildScalingRow
 
 
 class TestPeakRss:

@@ -203,11 +203,15 @@ class TestServingDaemon:
             assert _get(daemon.url + "/healthz")["snapshot_version"] == 1
 
     def test_ingest_round_trip(self, daemon, manager, rng):
-        before = manager.current.store.num_items
+        held = manager.current
+        before = held.store.num_items
         response = _post(daemon.url + "/ingest", {"features": {
             "image": rng.normal(size=(2, 5)).tolist()}})
         assert response["ingested_items"] == [before, before + 1]
         assert response["num_items"] == before + 2
+        # the snapshot a reader held is not grown under it
+        assert held.store.num_items == held.ranker.num_items
+        assert len(held.store.is_cold) == held.ranker.num_items
         # the republished snapshot ranks the new items
         cold = _get(daemon.url + f"/cold?user=0&k={before + 2}")
         assert before in cold["items"] and before + 1 in cold["items"]

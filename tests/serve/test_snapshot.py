@@ -3,6 +3,7 @@ one snapshot fully — old or new — never a torn mix."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -100,3 +101,46 @@ class TestConcurrentSwap:
             thread.join(timeout=30)
         assert not failures
         assert manager.version == 1 + 3 * (len(stores) - 1)
+
+
+class TestConcurrentIngest:
+    def test_writers_get_unique_contiguous_ids(self):
+        """Concurrent ingests serialize: every id is issued once, the
+        ids are contiguous, and every per-item array ends at the same
+        length."""
+        base = make_store(0, num_items=20_000)
+        manager = SnapshotManager(base)
+        issued: list = []
+        failures: list = []
+
+        def writer(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(5):
+                    ids, _ = manager.ingest(
+                        {"image": rng.normal(size=(3, 5))})
+                    issued.extend(ids.tolist())
+            except Exception as exc:  # pragma: no cover - diagnostics
+                failures.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-ingest often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert sorted(issued) == list(range(20_000, 20_120))
+        store = manager.current.store
+        assert manager.version == 1 + 8 * 5
+        assert {store.num_items, len(store.is_cold), len(store.is_ingested),
+                store.features["image"].shape[0], store.seen.shape[1],
+                manager.current.ranker.num_items} == {20_120}
+        # the store the manager started from was never grown
+        assert base.num_items == len(base.is_cold) == 20_000

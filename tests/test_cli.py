@@ -65,20 +65,25 @@ class TestParser:
 
     def test_bench_serving_latency_flags(self):
         args = build_parser().parse_args(
-            ["bench", "--serving-latency", "--min-serving-speedup", "1.0",
+            ["bench", "serving", "--min-serving-speedup", "1.0",
              "--clients", "2", "--serving-scale", "0.5"])
-        assert args.serving_latency
+        assert args.benchmark == "serving"
         assert args.clients == 2 and args.serving_scale == 0.5
         assert args.min_serving_speedup == 1.0
 
-    def test_serving_flags_require_serving_latency(self):
-        assert main(["bench", "--min-serving-speedup", "1.0"]) == 2
-        assert main(["bench", "--clients", "4"]) == 2
-        assert main(["bench", "--serving-scale", "0.5"]) == 2
-
-    def test_serving_latency_conflicts_with_other_compares(self):
-        assert main(["bench", "--serving-latency",
-                     "--sparse-compare"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["serving", "--min-throughput", "5"],
+        ["serving", "--epochs", "3"],
+        ["sparse", "--dataset", "weixin"],
+        ["scaling", "--breakdown"],
+        ["train", "--clients", "4"],
+    ], ids=["serving-min-throughput", "serving-epochs", "sparse-dataset",
+            "scaling-breakdown", "train-clients"])
+    def test_bench_rejects_flags_it_ignores(self, argv):
+        # argparse exits before any measurement runs
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", *argv])
+        assert excinfo.value.code == 2
 
     def test_run_env_overrides_yield_to_flags(self, monkeypatch):
         from repro.cli import _run_env_overrides

@@ -6,8 +6,9 @@ Run from the repository root (CI does)::
     PYTHONPATH=src python tools/check_docs.py
 
 Fails (exit 1) if a ``python -m repro`` subcommand is missing from
-README.md or from the CLI module docstring, or if a doc file the README
-links to does not exist.
+README.md or from the CLI module docstring, if a ``bench`` subcommand is
+not named there as ``bench <name>``, or if a doc file the README links
+to does not exist.
 """
 
 from __future__ import annotations
@@ -20,12 +21,20 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [action for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
 def cli_subcommands() -> list[str]:
     from repro.cli import build_parser
-    parser = build_parser()
-    subparsers = [action for action in parser._actions
-                  if isinstance(action, argparse._SubParsersAction)]
-    return sorted(subparsers[0].choices)
+    return sorted(subcommands(build_parser()))
+
+
+def bench_subcommands() -> list[str]:
+    from repro.cli import build_parser
+    return sorted(subcommands(subcommands(build_parser())["bench"]))
 
 
 def main() -> int:
@@ -40,6 +49,11 @@ def main() -> int:
         if f"``{command}``" not in cli_doc:
             failures.append(f"repro/cli.py docstring does not list the "
                             f"{command!r} subcommand")
+    for name in bench_subcommands():
+        for where, text in (("README.md", readme),
+                            ("repro/cli.py docstring", cli_doc)):
+            if f"bench {name}" not in text:
+                failures.append(f"{where} does not name 'bench {name}'")
     for doc in ("docs/ARCHITECTURE.md", "docs/RELIABILITY.md",
                 "docs/REPRODUCING.md", "docs/SCALING.md"):
         if not (ROOT / doc).exists():

@@ -28,27 +28,7 @@ Exit status: 0 when all assertions hold, 1 on any failure.
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
-from pathlib import Path
-
-SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
-
-
-def probe(args: list) -> dict:
-    """One build in a fresh subprocess; returns its JSON report."""
-    import os
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_ROOT) + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.scale_probe",
-         *[str(a) for a in args]],
-        capture_output=True, text=True, env=env)
-    if proc.returncode != 0:
-        raise RuntimeError(f"scale probe failed: {proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,13 +49,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
+    from repro.analysis.scale_probe import run_probe
     from repro.data.chunked import DEFAULT_CHUNK_ROWS
     failures: list[str] = []
 
-    full = probe(["--size", "medium", "--seed", args.seed,
-                  "--num-users", args.num_users,
-                  "--num-items", args.num_items,
-                  "--chunk-rows", DEFAULT_CHUNK_ROWS])
+    full = run_probe(["--size", "medium", "--seed", args.seed,
+                      "--num-users", args.num_users,
+                      "--num-items", args.num_items,
+                      "--chunk-rows", DEFAULT_CHUNK_ROWS])
     print(f"full scale  ({args.num_users}x{args.num_items}, chunked): "
           f"{full['interactions']:,} interactions, "
           f"peak RSS {full['maxrss_mb']:.1f} MB, "
@@ -91,10 +72,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{full['maxrss_mb']:.1f} MB, above the --rss-ceiling-mb "
             f"of {args.rss_ceiling_mb:.0f}")
 
-    half = probe(["--size", "medium", "--seed", args.seed,
-                  "--num-users", args.num_users // 2,
-                  "--num-items", args.num_items // 2,
-                  "--chunk-rows", DEFAULT_CHUNK_ROWS])
+    half = run_probe(["--size", "medium", "--seed", args.seed,
+                      "--num-users", args.num_users // 2,
+                      "--num-items", args.num_items // 2,
+                      "--chunk-rows", DEFAULT_CHUNK_ROWS])
     growth = full["maxrss_mb"] - half["maxrss_mb"]
     print(f"half scale  ({args.num_users // 2}x{args.num_items // 2}, "
           f"chunked): {half['interactions']:,} interactions, "
@@ -111,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     for label, extra in (("in-RAM", []),
                          ("chunked(4096)", ["--chunk-rows", 4096]),
                          ("chunked(4099)", ["--chunk-rows", 4099])):
-        report = probe(["--size", "tiny", "--seed", args.seed, *extra])
+        report = run_probe(["--size", "tiny", "--seed", args.seed, *extra])
         parity[label] = report["fingerprint"]
     print("parity      (tiny): " + ", ".join(
         f"{label}={fp}" for label, fp in parity.items()))
