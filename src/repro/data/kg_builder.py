@@ -35,6 +35,21 @@ RELATIONS = (
 )
 RELATION_INDEX = {name: idx for idx, name in enumerate(RELATIONS)}
 
+#: entries of one row panel of the item-item similarity matrix (8 MiB of
+#: float64); the matrix is scored a panel at a time, never whole
+PANEL_ELEMENTS = 2 ** 20
+
+
+def triplet_keys(heads: np.ndarray, relations, tails: np.ndarray,
+                 num_relations: int, num_entities: int) -> np.ndarray:
+    """One int64 key ``(h·R + r)·E + t`` per (head, relation, tail).
+
+    With every id non-negative and in range, keys sort exactly like the
+    triplets do lexicographically.
+    """
+    return ((heads * np.int64(num_relations) + relations)
+            * np.int64(num_entities) + tails)
+
 
 @dataclass
 class KnowledgeGraph:
@@ -76,11 +91,6 @@ class KnowledgeGraph:
     def triplet_set(self) -> set[tuple[int, int, int]]:
         return {tuple(int(v) for v in row) for row in self.triplets}
 
-    def _encode(self, heads: np.ndarray, relations: np.ndarray,
-                tails: np.ndarray) -> np.ndarray:
-        return ((heads * np.int64(self.num_relations) + relations)
-                * np.int64(self.num_entities) + tails)
-
     def contains_triplets(self, heads: np.ndarray, relations: np.ndarray,
                           tails: np.ndarray) -> np.ndarray:
         """Vectorized membership test (the negative-sampling hot path).
@@ -90,12 +100,13 @@ class KnowledgeGraph:
         returns a fresh instance.
         """
         if self._triplet_keys is None:
-            self._triplet_keys = np.unique(self._encode(
+            self._triplet_keys = np.unique(triplet_keys(
                 self.triplets[:, 0], self.triplets[:, 1],
-                self.triplets[:, 2]))
-        keys = self._encode(np.asarray(heads, dtype=np.int64),
+                self.triplets[:, 2], self.num_relations, self.num_entities))
+        keys = triplet_keys(np.asarray(heads, dtype=np.int64),
                             np.asarray(relations, dtype=np.int64),
-                            np.asarray(tails, dtype=np.int64))
+                            np.asarray(tails, dtype=np.int64),
+                            self.num_relations, self.num_entities)
         if not len(self._triplet_keys):
             return np.zeros(len(keys), dtype=bool)
         slot = np.searchsorted(self._triplet_keys, keys)
@@ -104,8 +115,15 @@ class KnowledgeGraph:
 
 
 def _cooccurrence_pairs(interactions: np.ndarray, num_items: int,
-                        top_k: int) -> list[tuple[int, int]]:
-    """Most frequently co-interacted item pairs (for also_bought et al.)."""
+                        top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top_k`` most frequently co-interacted item pairs (for
+    also_bought et al.) as (heads, tails) int64 arrays; never i == j.
+
+    Order: co-interaction count descending. Equal counts keep the entry
+    order of the COO form of the CSR product ``matrix.T @ matrix`` (rows
+    ascending, each row's columns as scipy's product leaves them), so
+    where ``top_k`` cuts a tie group is fixed.
+    """
     import scipy.sparse as sp
 
     users = interactions[:, 0]
@@ -115,31 +133,55 @@ def _cooccurrence_pairs(interactions: np.ndarray, num_items: int,
         shape=(int(users.max()) + 1 if len(users) else 1, num_items),
     )
     co = (matrix.T @ matrix).tocoo()
-    pairs = [
-        (int(i), int(j), float(v))
-        for i, j, v in zip(co.row, co.col, co.data)
-        if i != j
-    ]
-    pairs.sort(key=lambda p: -p[2])
-    return [(i, j) for i, j, _ in pairs[:top_k]]
+    off_diagonal = co.row != co.col
+    order = np.argsort(-co.data[off_diagonal], kind="stable")[:top_k]
+    return (co.row[off_diagonal][order].astype(np.int64),
+            co.col[off_diagonal][order].astype(np.int64))
 
 
-def _similarity_pairs(features: np.ndarray, top_k: int) -> list[tuple[int, int]]:
-    """Most content-similar item pairs (for also_viewed)."""
+def _similarity_pairs(features: np.ndarray,
+                      top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top_k`` most content-similar item pairs (for also_viewed) as
+    (heads, tails) int64 arrays; never i == j, so at most n·(n-1).
+
+    Order: cosine similarity descending, equal similarities by flat index
+    ``i·n + j`` descending — the reversed stable argsort of the full n×n
+    similarity matrix (``axis=None, kind="stable"``, then ``[::-1]``).
+
+    The n×n similarity matrix is never held: ``unit[start:stop] @ unit.T``
+    scores a row panel of at most ``PANEL_ELEMENTS`` entries at a time.
+    The panel is a basic slice of ``unit`` (a view, not a copy), so a
+    catalog that fits one panel makes the same BLAS call as the full
+    product.  Every similarity at or above the ``top_k``-th largest seen
+    so far is kept, which keeps all ties at the cut for the final order.
+    """
+    num_items = len(features)
+    top_k = min(top_k, num_items * (num_items - 1))
+    if top_k <= 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
     norms = np.linalg.norm(features, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     unit = features / norms
-    sims = unit @ unit.T
-    np.fill_diagonal(sims, -np.inf)
-    num_items = len(features)
-    flat = np.argsort(sims, axis=None)[::-1][: top_k * 2]
-    pairs = []
-    for idx in flat:
-        i, j = divmod(int(idx), num_items)
-        pairs.append((i, j))
-        if len(pairs) >= top_k:
-            break
-    return pairs
+    rows = max(1, PANEL_ELEMENTS // num_items)
+    floor = -np.inf                   # top_k-th largest similarity so far
+    values = np.empty(0)
+    flat = np.empty(0, dtype=np.int64)
+    for start in range(0, num_items, rows):
+        panel = unit[start:start + rows] @ unit.T
+        diagonal = np.arange(len(panel))
+        panel[diagonal, start + diagonal] = -np.inf
+        panel = panel.ravel()
+        candidates = np.concatenate([values, panel[panel >= floor]])
+        if len(candidates) > top_k:
+            candidates.partition(len(candidates) - top_k)
+            floor = candidates[len(candidates) - top_k]
+        keep = np.flatnonzero(panel >= floor)
+        survive = values >= floor
+        values = np.concatenate([values[survive], panel[keep]])
+        flat = np.concatenate([flat[survive], start * num_items + keep])
+    order = np.lexsort((flat, values))[::-1][:top_k]
+    return np.divmod(flat[order], num_items)
 
 
 def build_knowledge_graph(world: World,
@@ -173,35 +215,40 @@ def build_knowledge_graph(world: World,
     category_base = brand_base + config.num_brands
     num_entities = category_base + config.num_categories
 
-    triplets: list[tuple[int, int, int]] = []
-
-    # described_by: item -> feature word
-    for item, words in tfidf.item_words.items():
-        for word in words:
-            triplets.append((item, RELATION_INDEX["described_by"],
-                             feature_base + feature_index[word]))
-
-    # produced_by: item -> brand; belong_to: item -> category
-    for item in range(num_items):
-        triplets.append((item, RELATION_INDEX["produced_by"],
-                         brand_base + int(world.item_brand[item])))
-        triplets.append((item, RELATION_INDEX["belong_to"],
-                         category_base + int(world.item_category[item])))
-
-    # co-occurrence relations
     if cooccurrence_top_k is None:
         cooccurrence_top_k = num_items
     if similarity_top_k is None:
         similarity_top_k = num_items
-    co_pairs = _cooccurrence_pairs(world.interactions, num_items,
-                                   cooccurrence_top_k)
-    for idx, (i, j) in enumerate(co_pairs):
-        relation = ("also_bought" if idx % 2 == 0 else "bought_together")
-        triplets.append((i, RELATION_INDEX[relation], j))
-
-    sim_pairs = _similarity_pairs(world.text_features, similarity_top_k)
-    for i, j in sim_pairs:
-        triplets.append((i, RELATION_INDEX["also_viewed"], j))
+    co_heads, co_tails = _cooccurrence_pairs(world.interactions, num_items,
+                                             cooccurrence_top_k)
+    sim_heads, sim_tails = _similarity_pairs(world.text_features,
+                                             similarity_top_k)
+    items = np.arange(num_items, dtype=np.int64)
+    item_words = tfidf.item_words
+    word_counts = [len(words) for words in item_words.values()]
+    word_heads = np.repeat(np.fromiter(item_words, dtype=np.int64,
+                                       count=len(item_words)), word_counts)
+    word_ids = np.fromiter(
+        (feature_index[word] for words in item_words.values()
+         for word in words), dtype=np.int64, count=len(word_heads))
+    # (heads, relation ids, tails) per relation
+    blocks = [
+        (word_heads, RELATION_INDEX["described_by"], feature_base + word_ids),
+        (items, RELATION_INDEX["produced_by"],
+         brand_base + world.item_brand.astype(np.int64)),
+        (items, RELATION_INDEX["belong_to"],
+         category_base + world.item_category.astype(np.int64)),
+        # co-occurrence pairs alternate also_bought / bought_together
+        (co_heads, np.where(np.arange(len(co_heads)) % 2 == 0,
+                            RELATION_INDEX["also_bought"],
+                            RELATION_INDEX["bought_together"]), co_tails),
+        (sim_heads, RELATION_INDEX["also_viewed"], sim_tails),
+    ]
+    keys = np.unique(np.concatenate([
+        triplet_keys(heads, relations, tails, len(RELATIONS), num_entities)
+        for heads, relations, tails in blocks]))
+    head_relations, tails = np.divmod(keys, num_entities)
+    heads, relations = np.divmod(head_relations, len(RELATIONS))
 
     labels: dict[int, str] = {}
     for item in range(num_items):
@@ -214,7 +261,7 @@ def build_knowledge_graph(world: World,
         labels[category_base + c] = f"category:{c}"
 
     return KnowledgeGraph(
-        triplets=np.asarray(sorted(set(triplets)), dtype=np.int64),
+        triplets=np.column_stack([heads, relations, tails]),
         num_entities=num_entities,
         num_relations=len(RELATIONS),
         num_items=num_items,

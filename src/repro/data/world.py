@@ -114,7 +114,7 @@ def _sample_interactions(rng: np.random.Generator, config: WorldConfig,
         probs /= probs.sum()
         items = rng.choice(config.num_items, size=count, replace=False, p=probs)
         pairs.extend((user, int(item)) for item in items)
-    return np.asarray(pairs, dtype=np.int64)
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _project_features(rng: np.random.Generator, latents: np.ndarray,
