@@ -8,8 +8,7 @@ from .chunked import (DEFAULT_CHUNK_ROWS, NpyStreamWriter,
 from .io import (CorruptDatasetError, DatasetDirWriter,
                  dataset_fingerprint, load_dataset, save_dataset)
 from .datasets import MODALITIES, DatasetStatistics, RecDataset, build_dataset
-from .kg_builder import (RELATIONS, KnowledgeGraph, build_knowledge_graph,
-                         knowledge_graph_from_chunks)
+from .kg_builder import RELATIONS, KnowledgeGraph, build_knowledge_graph
 from .scale import (SCALE_SIZE_PRESETS, ScaleConfig, build_scale_dataset,
                     hash_u01, iter_feature_chunks, iter_interaction_chunks,
                     iter_kg_chunks, scale_config)
@@ -26,7 +25,6 @@ __all__ = [
     "KnowledgeGraph",
     "RELATIONS",
     "build_knowledge_graph",
-    "knowledge_graph_from_chunks",
     "ColdStartSplit",
     "make_cold_start_split",
     "split_normal_cold",

@@ -139,38 +139,56 @@ def _cooccurrence_pairs(interactions: np.ndarray, num_items: int,
             co.col[off_diagonal][order].astype(np.int64))
 
 
+def similarity_panels(features: np.ndarray):
+    """Row panels of the cosine similarity matrix of ``features`` (eq. 1)
+    as ``(start, unit[start:start + rows] @ unit.T)`` pairs.
+
+    ``unit`` holds the feature rows cast to float64 and L2-normalized;
+    zero rows stay zero. A panel has at most ``PANEL_ELEMENTS`` entries
+    (at least one row), and each item's self-similarity is −inf. The
+    panel is a basic slice of ``unit`` (a view, not a copy), so a
+    catalog that fits one panel makes the same BLAS call as the full
+    product. Never score a fancy-indexed subset of the rows: its bits
+    can differ from the full product.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    norms = np.linalg.norm(features, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    unit = features / norms
+    num_items = len(unit)
+    rows = max(1, PANEL_ELEMENTS // max(num_items, 1))
+    for start in range(0, num_items, rows):
+        panel = unit[start:start + rows] @ unit.T
+        diagonal = np.arange(len(panel))
+        panel[diagonal, start + diagonal] = -np.inf
+        yield start, panel
+
+
 def _similarity_pairs(features: np.ndarray,
                       top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``top_k`` most content-similar item pairs (for also_viewed) as
     (heads, tails) int64 arrays; never i == j, so at most n·(n-1).
 
     Order: cosine similarity descending, equal similarities by flat index
-    ``i·n + j`` descending — the reversed stable argsort of the full n×n
-    similarity matrix (``axis=None, kind="stable"``, then ``[::-1]``).
+    ``i·n + j`` descending — the reversed stable argsort of the stacked
+    :func:`similarity_panels` (``axis=None, kind="stable"``, then
+    ``[::-1]``; ``tests/data/test_kg_builder.py`` pins it). For a catalog
+    that fits one panel that is the full n×n product; larger catalogs'
+    panels may differ from it in the last bits.
 
-    The n×n similarity matrix is never held: ``unit[start:stop] @ unit.T``
-    scores a row panel of at most ``PANEL_ELEMENTS`` entries at a time.
-    The panel is a basic slice of ``unit`` (a view, not a copy), so a
-    catalog that fits one panel makes the same BLAS call as the full
-    product.  Every similarity at or above the ``top_k``-th largest seen
-    so far is kept, which keeps all ties at the cut for the final order.
+    The n×n similarity matrix is never held: every similarity at or
+    above the ``top_k``-th largest seen so far is kept, panel by panel,
+    which keeps all ties at the cut for the final order.
     """
     num_items = len(features)
     top_k = min(top_k, num_items * (num_items - 1))
     if top_k <= 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    unit = features / norms
-    rows = max(1, PANEL_ELEMENTS // num_items)
     floor = -np.inf                   # top_k-th largest similarity so far
     values = np.empty(0)
     flat = np.empty(0, dtype=np.int64)
-    for start in range(0, num_items, rows):
-        panel = unit[start:start + rows] @ unit.T
-        diagonal = np.arange(len(panel))
-        panel[diagonal, start + diagonal] = -np.inf
+    for start, panel in similarity_panels(features):
         panel = panel.ravel()
         candidates = np.concatenate([values, panel[panel >= floor]])
         if len(candidates) > top_k:
@@ -266,32 +284,4 @@ def build_knowledge_graph(world: World,
         num_relations=len(RELATIONS),
         num_items=num_items,
         entity_labels=labels,
-    )
-
-
-def knowledge_graph_from_chunks(chunks, num_entities: int,
-                                num_items: int,
-                                num_relations: int = len(RELATIONS),
-                                relation_names: tuple = RELATIONS
-                                ) -> KnowledgeGraph:
-    """Assemble a :class:`KnowledgeGraph` from streamed triplet chunks.
-
-    Accepts a single ``(n, 3)`` array (including an mmap'd ``.npy`` —
-    passed through without copying, ``__post_init__`` keeps int64
-    memmaps as-is) or any iterable of chunk arrays; dims come from the
-    generator's layout (:func:`repro.data.scale.scale_kg_layout`), not
-    from a scan of the data.
-    """
-    if isinstance(chunks, np.ndarray):
-        triplets = chunks
-    else:
-        parts = [np.asarray(c, dtype=np.int64) for c in chunks]
-        triplets = (np.concatenate(parts) if parts
-                    else np.empty((0, 3), dtype=np.int64))
-    return KnowledgeGraph(
-        triplets=triplets,
-        num_entities=num_entities,
-        num_relations=num_relations,
-        num_items=num_items,
-        relation_names=relation_names,
     )

@@ -6,7 +6,6 @@ from .item_item import (
     ItemItemGraph,
     build_item_item_graphs,
     cold_mask_matrix,
-    cosine_similarity_matrix,
     knn_sparsify,
 )
 from .user_user import UserUserGraph, cooccurrence_counts, topk_per_row
@@ -19,7 +18,6 @@ __all__ = [
     "ItemItemGraph",
     "build_item_item_graphs",
     "cold_mask_matrix",
-    "cosine_similarity_matrix",
     "knn_sparsify",
     "UserUserGraph",
     "cooccurrence_counts",

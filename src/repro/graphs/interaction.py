@@ -34,26 +34,6 @@ class InteractionGraph:
             (np.ones(len(users)), (users, items)),
             shape=(num_users, num_items))
 
-    @classmethod
-    def from_csr(cls, num_users: int, num_items: int,
-                 indptr: np.ndarray,
-                 indices: np.ndarray) -> "InteractionGraph":
-        """Build from a user->item CSR structure (what the chunked
-        out-of-core assembly in :mod:`repro.data.chunked` produces).
-
-        ``indptr``/``indices`` may be mmap'd ``.npy`` arrays; the
-        ``(user, item)`` pair list — which downstream consumers
-        (``baselines/sgl``, ``baselines/freedom``, ``core/firzen``) read
-        off ``.interactions`` — is reconstructed by a vectorized
-        row-expansion, identical to the pairs the CSR was built from.
-        """
-        indptr = np.asarray(indptr, dtype=np.int64)
-        counts = np.diff(indptr)
-        users = np.repeat(np.arange(num_users, dtype=np.int64), counts)
-        items = np.asarray(indices, dtype=np.int64)
-        return cls(num_users, num_items,
-                   np.column_stack([users, items]))
-
     @property
     def num_nodes(self) -> int:
         return self.num_users + self.num_items

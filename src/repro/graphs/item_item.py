@@ -15,107 +15,45 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..data.kg_builder import similarity_panels
 from ..engine import normalized_adjacency
 
 
-def cosine_similarity_matrix(features: np.ndarray) -> np.ndarray:
-    """Dense cosine similarity between item feature rows (eq. 1)."""
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    unit = features / norms
-    return unit @ unit.T
-
-
-def knn_sparsify(similarity: np.ndarray, top_k: int,
+def knn_sparsify(features: np.ndarray, top_k: int,
                  restrict_to: np.ndarray | None = None) -> sp.csr_matrix:
-    """Keep the top-K most similar neighbors per row as unweighted edges
-    (eq. 2). ``restrict_to`` limits both the rows that get edges and the
-    candidate neighbor set (used to build the warm-only training graph)."""
-    n = similarity.shape[0]
-    rows, cols = [], []
-    if restrict_to is None:
-        active = np.arange(n)
-    else:
-        active = np.asarray(restrict_to)
-    allowed = np.zeros(n, dtype=bool)
-    allowed[active] = True
+    """Keep the top-K most cosine-similar neighbors per row as unweighted
+    edges (eq. 1-2). ``restrict_to`` limits both the rows that get edges
+    and the candidate neighbor set (used to build the warm-only training
+    graph).
 
-    for a in active:
-        row = similarity[a].copy()
-        row[~allowed] = -np.inf
-        row[a] = -np.inf
-        k = min(top_k, int(allowed.sum()) - 1)
-        if k <= 0:
-            continue
-        neighbors = np.argpartition(-row, k - 1)[:k]
-        neighbors = neighbors[np.isfinite(row[neighbors])]
-        rows.extend([a] * len(neighbors))
-        cols.extend(int(c) for c in neighbors)
-
-    data = np.ones(len(rows), dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
-def _unit_rows(features: np.ndarray) -> np.ndarray:
-    """L2-normalized feature rows in float64 (cosine numerator basis)."""
-    features = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return features / norms
-
-
-def knn_sparsify_blocked(features: np.ndarray, top_k: int,
-                         restrict_to: np.ndarray | None = None,
-                         block_rows: int = 2048) -> sp.csr_matrix:
-    """Top-K cosine graph without the dense ``n x n`` similarity matrix.
-
-    Scratch is one ``(block_rows, n)`` similarity panel at a time plus
-    the ``O(n * dim)`` unit-feature matrix, so million-item catalogs
-    (and mmap'd feature inputs) build without densifying.  Selects the
-    same neighbor sets as ``knn_sparsify(cosine_similarity_matrix(f))``
-    — the graph-level equivalence the parity tests pin on separated
-    fixtures (the per-panel GEMM is not ulp-identical to the full one,
-    so exact ties at the cut boundary may resolve differently).
+    Rows are scored a :func:`similarity_panels` panel at a time, so the
+    n×n similarity matrix is never held. One 2-D ``np.argpartition``
+    per panel applies to each row the same introselect as a per-row
+    loop, so tied candidates at the cut resolve the same way.
     """
-    unit = _unit_rows(features)
-    n = unit.shape[0]
+    n = len(features)
     if restrict_to is None:
-        active = np.arange(n)
+        allowed = np.ones(n, dtype=bool)
     else:
-        active = np.asarray(restrict_to)
-    allowed = np.zeros(n, dtype=bool)
-    allowed[active] = True
-    is_active = allowed.copy()
+        allowed = np.zeros(n, dtype=bool)
+        allowed[np.asarray(restrict_to)] = True
     k = min(top_k, int(allowed.sum()) - 1)
     if k <= 0:
         return sp.csr_matrix((n, n))
 
     rows_parts, cols_parts = [], []
-    for start in range(0, n, block_rows):
-        stop = min(start + block_rows, n)
-        block_ids = np.arange(start, stop)
-        local = np.flatnonzero(is_active[block_ids])
-        if not len(local):
-            continue
-        ids = block_ids[local]
-        sims = unit[ids] @ unit.T
+    for start, panel in similarity_panels(features):
+        local = np.flatnonzero(allowed[start:start + len(panel)])
+        sims = panel[local]
         sims[:, ~allowed] = -np.inf
-        sims[np.arange(len(ids)), ids] = -np.inf
         keep = np.argpartition(-sims, k - 1, axis=1)[:, :k]
         finite = np.isfinite(np.take_along_axis(sims, keep, axis=1))
-        rows_parts.append(np.repeat(ids, finite.sum(axis=1)))
+        rows_parts.append(np.repeat(start + local, finite.sum(axis=1)))
         cols_parts.append(keep[finite])
-    if not rows_parts:
-        return sp.csr_matrix((n, n))
     rows = np.concatenate(rows_parts)
     cols = np.concatenate(cols_parts)
     return sp.csr_matrix((np.ones(len(rows), dtype=np.float64),
                           (rows, cols)), shape=(n, n))
-
-
-#: row count above which ItemItemGraph refuses to materialize the dense
-#: similarity matrix and routes through the blocked builder
-_BLOCKED_THRESHOLD = 8192
 
 
 def cold_mask_matrix(adjacency: sp.spmatrix, is_cold: np.ndarray) -> sp.csr_matrix:
@@ -137,28 +75,14 @@ class ItemItemGraph:
     views."""
 
     def __init__(self, modality: str, features: np.ndarray, top_k: int,
-                 warm_items: np.ndarray, is_cold: np.ndarray,
-                 blocked: bool | None = None):
+                 warm_items: np.ndarray, is_cold: np.ndarray):
         self.modality = modality
         self.top_k = top_k
         self.is_cold = np.asarray(is_cold, dtype=bool)
-        blocked = (blocked if blocked is not None
-                   else (np.asarray(features).shape[0] > _BLOCKED_THRESHOLD
-                         or isinstance(features, np.memmap)))
-        if blocked:
-            # Large (or mmap'd) catalogs: never materialize the n x n
-            # similarity matrix — panel-blocked top-K selection.
-            train_knn = knn_sparsify_blocked(features, top_k,
-                                             restrict_to=warm_items)
-            full_knn = knn_sparsify_blocked(features, top_k)
-        else:
-            similarity = cosine_similarity_matrix(features)
-
-            # Training view: warm items only (cold items are invisible
-            # in train).
-            train_knn = knn_sparsify(similarity, top_k,
-                                     restrict_to=warm_items)
-            full_knn = knn_sparsify(similarity, top_k)
+        # Training view: warm items only (cold items are invisible in
+        # train).
+        train_knn = knn_sparsify(features, top_k, restrict_to=warm_items)
+        full_knn = knn_sparsify(features, top_k)
         self.train_adjacency = normalized_adjacency(train_knn, "sym")
 
         # Inference view: all items, with the cold->warm mask applied

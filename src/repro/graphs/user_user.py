@@ -14,23 +14,9 @@ import scipy.sparse as sp
 from ..engine import normalized_adjacency
 
 
-def _as_user_item(user_item) -> sp.spmatrix:
-    """Accept a scipy sparse matrix or a raw ``(indptr, indices, shape)``
-    CSR triple (the chunked builder's mmap-friendly form) without
-    densifying."""
-    if sp.issparse(user_item):
-        return user_item
-    indptr, indices, shape = user_item
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    return sp.csr_matrix(
-        (np.ones(len(indices), dtype=np.float64), indices, indptr),
-        shape=tuple(shape))
-
-
-def cooccurrence_counts(user_item) -> sp.csr_matrix:
+def cooccurrence_counts(user_item: sp.spmatrix) -> sp.csr_matrix:
     """Number of commonly interacted items per user pair (diagonal zeroed)."""
-    binary = _as_user_item(user_item).tocsr().astype(np.float64)
+    binary = user_item.tocsr().astype(np.float64)
     binary.data[:] = 1.0
     co = (binary @ binary.T).tocsr()
     co.setdiag(0.0)
@@ -93,9 +79,9 @@ def _span_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class UserUserGraph:
     """Frozen user-user co-occurrence graph with softmax attention weights."""
 
-    def __init__(self, user_item, top_k: int):
+    def __init__(self, user_item: sp.spmatrix, top_k: int):
         self.top_k = top_k
-        counts = cooccurrence_counts(_as_user_item(user_item))
+        counts = cooccurrence_counts(user_item)
         self.topk_counts = topk_per_row(counts, top_k)
         # eq. 19: attention = softmax over each row's co-occurrence counts.
         self.attention = normalized_adjacency(self.topk_counts, "softmax")

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd.sparse import symmetric_normalize
-from repro.graphs.item_item import (cold_mask_matrix,
-                                    cosine_similarity_matrix, knn_sparsify)
+from repro.data.kg_builder import similarity_panels
+from repro.graphs.item_item import cold_mask_matrix, knn_sparsify
 from repro.graphs.user_user import cooccurrence_counts, topk_per_row
 
 
@@ -25,7 +25,7 @@ def feature_matrix(draw):
 @settings(max_examples=30, deadline=None)
 @given(feature_matrix(), st.integers(min_value=1, max_value=5))
 def test_knn_degree_bound(features, k):
-    adjacency = knn_sparsify(cosine_similarity_matrix(features), k)
+    adjacency = knn_sparsify(features, k)
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     assert degrees.max() <= min(k, len(features) - 1)
     assert adjacency.diagonal().sum() == 0
@@ -34,10 +34,12 @@ def test_knn_degree_bound(features, k):
 @settings(max_examples=30, deadline=None)
 @given(feature_matrix())
 def test_cosine_symmetric_and_bounded(features):
-    sims = cosine_similarity_matrix(features)
+    sims = np.vstack([panel for _, panel in similarity_panels(features)])
     np.testing.assert_allclose(sims, sims.T, atol=1e-10)
-    assert np.all(sims <= 1.0 + 1e-9)
-    assert np.all(sims >= -1.0 - 1e-9)
+    off_diagonal = sims[~np.eye(len(sims), dtype=bool)]
+    assert np.all(off_diagonal <= 1.0 + 1e-9)
+    assert np.all(off_diagonal >= -1.0 - 1e-9)
+    assert np.all(np.diag(sims) == -np.inf)
 
 
 @settings(max_examples=30, deadline=None)
@@ -48,7 +50,7 @@ def test_cold_mask_invariant(features, k, num_cold):
     num_cold = min(num_cold, n - 2)
     is_cold = np.zeros(n, dtype=bool)
     is_cold[-num_cold:] = True
-    adjacency = knn_sparsify(cosine_similarity_matrix(features), k)
+    adjacency = knn_sparsify(features, k)
     masked = cold_mask_matrix(adjacency, is_cold).toarray()
     # No warm row may keep any cold column.
     assert masked[~is_cold][:, is_cold].sum() == 0

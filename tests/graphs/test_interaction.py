@@ -59,33 +59,3 @@ class TestExtension:
         extended = g.with_extra_interactions(np.array([[0, 0]]))
         assert len(extended.interactions) == len(g.interactions)
 
-
-class TestFromCsr:
-    def test_matches_coo_construction(self, tiny_dataset):
-        import scipy.sparse as sp
-        inter = tiny_dataset.split.train
-        direct = InteractionGraph(tiny_dataset.num_users,
-                                  tiny_dataset.num_items, inter)
-        csr = sp.csr_matrix(
-            (np.ones(len(inter)), (inter[:, 0], inter[:, 1])),
-            shape=(tiny_dataset.num_users, tiny_dataset.num_items))
-        rebuilt = InteractionGraph.from_csr(
-            tiny_dataset.num_users, tiny_dataset.num_items,
-            csr.indptr, csr.indices)
-        assert (rebuilt.user_item_matrix != direct.user_item_matrix).nnz \
-            == 0
-        np.testing.assert_array_equal(
-            rebuilt.norm_adjacency.toarray(),
-            direct.norm_adjacency.toarray())
-
-    def test_interactions_attribute_round_trips(self):
-        """Downstream models read ``.interactions`` directly (SGL's
-        edge dropout, FREEDOM sampling) — from_csr must reconstruct it
-        in row-major order."""
-        import scipy.sparse as sp
-        inter = np.array([[0, 0], [0, 2], [1, 1], [2, 0], [2, 2]])
-        csr = sp.csr_matrix(
-            (np.ones(len(inter)), (inter[:, 0], inter[:, 1])),
-            shape=(3, 3))
-        g = InteractionGraph.from_csr(3, 3, csr.indptr, csr.indices)
-        np.testing.assert_array_equal(g.interactions, inter)

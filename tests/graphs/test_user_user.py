@@ -126,27 +126,3 @@ class TestTopkVectorizationParity:
             self._assert_bit_equal(topk_per_row(co, k),
                                    self._loop_reference(co, k))
 
-
-class TestCsrTripleInput:
-    def test_counts_match_sparse_matrix_input(self, user_item):
-        triple = (user_item.indptr, user_item.indices, user_item.shape)
-        got = cooccurrence_counts(triple)
-        want = cooccurrence_counts(user_item)
-        assert (got != want).nnz == 0
-
-    def test_graph_from_triple_is_bit_identical(self, user_item):
-        triple = (user_item.indptr, user_item.indices, user_item.shape)
-        a = UserUserGraph(user_item, top_k=2)
-        b = UserUserGraph(triple, top_k=2)
-        np.testing.assert_array_equal(a.attention.toarray(),
-                                      b.attention.toarray())
-
-    def test_mmap_backed_triple(self, user_item, tmp_path):
-        np.save(tmp_path / "indptr.npy", user_item.indptr)
-        np.save(tmp_path / "indices.npy", user_item.indices)
-        triple = (np.load(tmp_path / "indptr.npy", mmap_mode="r"),
-                  np.load(tmp_path / "indices.npy", mmap_mode="r"),
-                  user_item.shape)
-        got = cooccurrence_counts(triple)
-        want = cooccurrence_counts(user_item)
-        assert (got != want).nnz == 0
