@@ -2,19 +2,12 @@
 (Fig. 7)."""
 
 from .case_study import SimilarItems, run_case_study, similar_items_under_subset
-from .embedding_stats import (ColdWarmStats, alignment, cold_warm_stats,
-                              uniformity, user_item_alignment)
 from .timing import (ThroughputResult, TimingRow, measure_feature_sets,
                      measure_ranking_throughput)
 from .tsne import (TSNEResult, centroid_distance_ratio, distribution_overlap,
                    tsne)
 
 __all__ = [
-    "ColdWarmStats",
-    "alignment",
-    "cold_warm_stats",
-    "uniformity",
-    "user_item_alignment",
     "SimilarItems",
     "run_case_study",
     "similar_items_under_subset",

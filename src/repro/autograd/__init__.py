@@ -7,10 +7,8 @@ from .functional import (
     dropout,
     embedding_l2,
     infonce,
-    l2_regularization,
     mean_stack,
     rowwise_dot,
-    softmax_cross_entropy,
     stack,
 )
 from .rowsparse import RowSparseGrad
@@ -32,10 +30,8 @@ __all__ = [
     "dropout",
     "embedding_l2",
     "infonce",
-    "l2_regularization",
     "mean_stack",
     "rowwise_dot",
-    "softmax_cross_entropy",
     "stack",
     "sparse_matmul",
     "symmetric_normalize",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rowsparse import RowSparseGrad
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -104,17 +104,6 @@ def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
     return -((pos_scores - neg_scores).logsigmoid()).mean()
 
 
-def l2_regularization(tensors: list[Tensor]) -> Tensor:
-    """Sum of squared L2 norms, as used for the ``lambda_reg`` term."""
-    total = None
-    for t in tensors:
-        term = (t * t).sum()
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total
-
-
 def embedding_l2(batch_embeddings: list[Tensor]) -> Tensor:
     """Batch-mean L2 penalty over gathered embedding rows.
 
@@ -150,11 +139,3 @@ def _logsumexp(x: Tensor, axis: int = -1) -> Tensor:
     summed = shifted.exp().sum(axis=axis)
     return summed.log() + Tensor(np.squeeze(shifted_max.data, axis=axis))
 
-
-def softmax_cross_entropy(logits: Tensor, target_index: np.ndarray) -> Tensor:
-    """Cross-entropy of integer targets against rows of ``logits``."""
-    target_index = np.asarray(target_index, dtype=np.int64)
-    lse = _logsumexp(logits, axis=1)
-    rows = np.arange(len(target_index))
-    picked = logits[(rows, target_index)]
-    return (lse - picked).mean()

@@ -35,17 +35,6 @@ def xavier_uniform(rng: np.random.Generator, *shape,
     return Tensor(values, requires_grad=True)
 
 
-def xavier_normal(rng: np.random.Generator, *shape,
-                  gain: float = 1.0) -> Tensor:
-    if len(shape) == 1:
-        fan_in = fan_out = shape[0]
-    else:
-        fan_in, fan_out = shape[-2], shape[-1]
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    values = rng.normal(0.0, std, size=shape).astype(PARAM_DTYPE)
-    return Tensor(values, requires_grad=True)
-
-
 def normal(rng: np.random.Generator, *shape, std: float = 0.01) -> Tensor:
     values = rng.normal(0.0, std, size=shape).astype(PARAM_DTYPE)
     return Tensor(values, requires_grad=True)

@@ -172,10 +172,3 @@ def grad_sum(a, b):
         out[b.rows] += b.values
         return out
     return a + b
-
-
-def densify(g):
-    """Return ``g`` as a dense ndarray (no copy when already dense)."""
-    if isinstance(g, RowSparseGrad):
-        return g.to_dense()
-    return g

@@ -498,16 +498,6 @@ class Tensor:
 
         return self._make(data, (self,), backward)
 
-    def softplus(self) -> "Tensor":
-        # Numerically stable: log(1 + exp(x)) = max(x, 0) + log1p(exp(-|x|))
-        data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
-
-        def backward(g):
-            sig = _active_backend().sigmoid(self.data)
-            return (g * sig,)
-
-        return self._make(data, (self,), backward)
-
     def logsigmoid(self) -> "Tensor":
         """Numerically stable log(sigmoid(x)); used by BPR losses."""
         data = -(np.maximum(-self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data))))

@@ -18,6 +18,7 @@ from .kgnnls import KGNNLSModel
 from .lightgcn import LightGCNModel
 from .mkgat import MKGATModel
 from .mmssl import MMSSLModel
+from .naive import PopularityModel, RandomModel
 from .sgl import SGLModel
 from .simplex import SimpleXModel
 from .vbpr import VBPRModel
@@ -41,15 +42,12 @@ MODEL_FAMILIES = {
     "MKGAT": (MKGATModel, "MM+KG"),
 }
 
-#: extra models beyond the paper's Table II roster (sanity floors and the
-#: related-work extension MWUF); excluded from available_models() so the
-#: headline comparisons keep the paper's roster.
+#: the sanity floors Random and MostPopular, beyond the paper's Table II
+#: roster; excluded from available_models() so the headline comparisons
+#: keep the paper's roster.
 EXTRA_MODELS = {
-    "Random": ("naive", "RandomModel", "floor"),
-    "MostPopular": ("naive", "PopularityModel", "floor"),
-    "MWUF": ("mwuf", "MWUFModel", "CS"),
-    "LATTICE": ("lattice", "LatticeModel", "MM"),
-    "FREEDOM": ("freedom", "FreedomModel", "MM"),
+    "Random": (RandomModel, "floor"),
+    "MostPopular": (PopularityModel, "floor"),
 }
 
 
@@ -64,7 +62,7 @@ def model_family(name: str) -> str:
     if name == "Firzen":
         return "MM+KG"
     if name in EXTRA_MODELS:
-        return EXTRA_MODELS[name][2]
+        return EXTRA_MODELS[name][1]
     return MODEL_FAMILIES[name][1]
 
 
@@ -76,15 +74,9 @@ def create_model(name: str, dataset: RecDataset, embedding_dim: int = 32,
         from ..core.firzen import FirzenModel
         return FirzenModel(dataset, embedding_dim=embedding_dim, rng=rng,
                            **kwargs)
-    if name in EXTRA_MODELS:
-        import importlib
-        module_name, class_name, _ = EXTRA_MODELS[name]
-        module = importlib.import_module(f".{module_name}", __package__)
-        cls = getattr(module, class_name)
-        return cls(dataset, embedding_dim=embedding_dim, rng=rng, **kwargs)
-    if name not in MODEL_FAMILIES:
+    if name not in MODEL_FAMILIES and name not in EXTRA_MODELS:
         raise ValueError(f"unknown model {name!r}; "
                          f"expected one of "
                          f"{available_models() + sorted(EXTRA_MODELS)}")
-    cls, _ = MODEL_FAMILIES[name]
+    cls, _ = MODEL_FAMILIES.get(name) or EXTRA_MODELS[name]
     return cls(dataset, embedding_dim=embedding_dim, rng=rng, **kwargs)

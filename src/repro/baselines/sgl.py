@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import bpr_loss, embedding_l2, infonce, rowwise_dot
+from ..autograd import infonce
 from ..autograd.sparse import build_bipartite_adjacency
 from ..components.lightgcn import lightgcn_propagate
 from ..data.datasets import RecDataset

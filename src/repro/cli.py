@@ -73,8 +73,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import available_models, create_model, model_family
 from .baselines.registry import EXTRA_MODELS
 from .data import DEFAULT_CHUNK_ROWS, load_amazon, load_weixin
@@ -136,7 +134,7 @@ def cmd_datasets(args) -> int:
 def cmd_models(args) -> int:
     rows = [{"Model": name, "Family": model_family(name)}
             for name in available_models()]
-    rows += [{"Model": name, "Family": EXTRA_MODELS[name][2]}
+    rows += [{"Model": name, "Family": model_family(name)}
              for name in sorted(EXTRA_MODELS)]
     print(format_table(rows, title="Registered models"))
     return 0

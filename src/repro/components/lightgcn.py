@@ -9,32 +9,22 @@ from __future__ import annotations
 
 import scipy.sparse as sp
 
-from ..autograd import Tensor, concat, mean_stack
+from ..autograd import Tensor, concat
 from ..engine import get_engine
 
 
 def lightgcn_propagate(norm_adjacency: sp.spmatrix, user_emb: Tensor,
-                       item_emb: Tensor, num_layers: int,
-                       return_layers: bool = False):
+                       item_emb: Tensor, num_layers: int):
     """Run LightGCN message passing over the joint (user+item) graph.
 
     Layer-wise embeddings are mean-pooled (the paper's aggregation). The
     initial embeddings participate in the mean, so isolated nodes keep
     their layer-0 vectors scaled by ``1/(L+1)``.
 
-    Returns ``(user_out, item_out)`` Tensors, plus the full per-layer
-    list when ``return_layers`` is set.
+    Returns ``(user_out, item_out)`` Tensors.
     """
     num_users = user_emb.shape[0]
     ego = concat([user_emb, item_emb], axis=0)
-    plan = get_engine().plan(norm_adjacency, num_layers, pooling="mean")
-    if return_layers:
-        layers = plan.apply_layers(ego)
-        pooled = mean_stack(layers)
-    else:
-        pooled = plan.apply(ego)
-    user_out = pooled[:num_users]
-    item_out = pooled[num_users:]
-    if return_layers:
-        return user_out, item_out, layers
-    return user_out, item_out
+    pooled = get_engine().plan(norm_adjacency, num_layers,
+                               pooling="mean").apply(ego)
+    return pooled[:num_users], pooled[num_users:]

@@ -57,14 +57,3 @@ def segment_softmax_weighted_sum(logits: Tensor, values: Tensor,
     alpha = exp.reshape(-1, 1) / (denom_per_elem + 1e-12)
     weighted = values * alpha
     return sparse_matmul(indicator, weighted)
-
-
-def segment_mean(values: Tensor, segment_ids: np.ndarray,
-                 num_segments: int) -> Tensor:
-    """Per-segment mean of value rows."""
-    indicator = segment_indicator(segment_ids, num_segments)
-    sums = sparse_matmul(indicator, values)
-    counts = np.asarray(indicator.sum(axis=1)).ravel()
-    counts[counts == 0] = 1.0
-    inv_counts = (1.0 / counts).astype(values.data.dtype, copy=False)
-    return sums * Tensor(inv_counts).reshape(-1, 1)

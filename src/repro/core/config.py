@@ -8,7 +8,7 @@ to fit the scaled-down benchmarks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -61,10 +61,3 @@ class FirzenConfig:
     freeze_beta: bool = False
     # Inference masking of cold -> warm propagation (eq. 34-35)
     mask_cold_to_warm: bool = True
-
-    def modality_enabled(self, modality: str) -> bool:
-        if not self.use_modality:
-            return False
-        if self.inference_modalities is None:
-            return True
-        return modality in self.inference_modalities

@@ -23,26 +23,23 @@ from .config import FirzenConfig
 class ItemItemPropagation(Module):
     """Stacked frozen-graph convolutions on one modality's item graph.
 
-    ``layer_mean`` mean-pools the per-layer outputs (including layer 0),
-    which keeps a residual path to the fused SAHGL embedding — without it,
+    The per-layer outputs (including layer 0) are mean-pooled, which
+    keeps a residual path to the fused SAHGL embedding — without it,
     warm items are fully replaced by their neighborhood average and warm
     accuracy drops. Strict cold items still receive warm signal because
     their layer-0 fused embedding carries KG information only.
     """
 
-    def __init__(self, graph: ItemItemGraph, num_layers: int,
-                 layer_mean: bool = True):
+    def __init__(self, graph: ItemItemGraph, num_layers: int):
         super().__init__()
         self.graph = graph
         self.num_layers = num_layers
-        self.layer_mean = layer_mean
 
     def forward(self, item_emb: Tensor, mode: str,
                 masked: bool = True) -> Tensor:
         adjacency = self.graph.adjacency(mode, masked=masked)
-        pooling = "mean" if self.layer_mean else "last"
         return get_engine().propagate(adjacency, item_emb,
-                                      self.num_layers, pooling)
+                                      self.num_layers, pooling="mean")
 
 
 class UserUserPropagation(Module):

@@ -7,7 +7,7 @@ from .chunked import (DEFAULT_CHUNK_ROWS, NpyStreamWriter,
                       read_npy_chunks, sorted_coo_to_csr)
 from .io import (CorruptDatasetError, DatasetDirWriter,
                  dataset_fingerprint, load_dataset, save_dataset)
-from .datasets import MODALITIES, DatasetStatistics, RecDataset, build_dataset
+from .datasets import DatasetStatistics, RecDataset, build_dataset
 from .kg_builder import RELATIONS, KnowledgeGraph, build_knowledge_graph
 from .scale import (SCALE_SIZE_PRESETS, ScaleConfig, build_scale_dataset,
                     hash_u01, iter_feature_chunks, iter_interaction_chunks,
@@ -18,7 +18,6 @@ from .weixin import load_weixin
 from .world import World, WorldConfig, apply_k_core, generate_world
 
 __all__ = [
-    "MODALITIES",
     "DatasetStatistics",
     "RecDataset",
     "build_dataset",

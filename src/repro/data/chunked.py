@@ -27,7 +27,6 @@ charge the whole spill to RSS until writeback).
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -361,8 +360,3 @@ def coo_to_csr_chunked(chunk_factory, num_rows: int,
     out.flush()
     del out
     return indptr
-
-
-def scratch_dir(prefix: str = "repro-chunked-") -> Path:
-    """A private temp directory for spill files."""
-    return Path(tempfile.mkdtemp(prefix=prefix))

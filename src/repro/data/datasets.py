@@ -15,8 +15,6 @@ from .kg_builder import KnowledgeGraph, build_knowledge_graph
 from .splits import ColdStartSplit, make_cold_start_split, split_normal_cold
 from .world import World, WorldConfig, apply_k_core, generate_world
 
-MODALITIES = ("text", "image")
-
 
 @dataclass
 class DatasetStatistics:
@@ -111,9 +109,7 @@ class RecDataset:
 
 
 def build_dataset(name: str, config: WorldConfig,
-                  cold_fraction: float = 0.2,
-                  kg_min_score: float = 0.02,
-                  with_normal_cold: bool = True) -> RecDataset:
+                  cold_fraction: float = 0.2) -> RecDataset:
     """Generate a world, apply the 5-core filter, split, and build the KG."""
     world = generate_world(config)
     interactions = apply_k_core(world.interactions, k=5)
@@ -121,10 +117,9 @@ def build_dataset(name: str, config: WorldConfig,
     split = make_cold_start_split(
         interactions, config.num_users, config.num_items, rng,
         cold_fraction=cold_fraction)
-    if with_normal_cold:
-        split_normal_cold(split, rng)
+    split_normal_cold(split, rng)
 
-    kg = build_knowledge_graph(world, min_score=kg_min_score)
+    kg = build_knowledge_graph(world)
     features = {
         "text": world.text_features,
         "image": world.image_features,

@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chunked import (DEFAULT_CHUNK_ROWS, NpyStreamWriter, decode_pairs,
-                      encode_pairs, external_k_core, external_sorted_unique,
+from .chunked import (NpyStreamWriter, decode_pairs, encode_pairs,
+                      external_k_core, external_sorted_unique,
                       read_npy_chunks)
 from .datasets import RecDataset
 from .kg_builder import RELATION_INDEX, RELATIONS, KnowledgeGraph

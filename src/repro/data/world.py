@@ -80,10 +80,6 @@ class World:
     def num_items(self) -> int:
         return self.config.num_items
 
-    def affinity(self, user: int, item: int) -> float:
-        """Ground-truth preference score (used in tests, never by models)."""
-        return float(self.user_latents[user] @ self.item_latents[item])
-
 
 def _sample_cluster_latents(rng: np.random.Generator, count: int,
                             centers: np.ndarray, spread: float):

@@ -13,9 +13,9 @@ serving path use for frozen-graph propagation:
 
 Cached artifacts are attached to the source matrix object itself (scipy
 sparse matrices carry a ``__dict__``), so their lifetime *is* the
-source's lifetime: models that rebuild their frozen graphs (cold-start
-adaptation, SGL's per-batch augmentations, LATTICE's re-mining) never
-see stale operators, and dropped graphs take their precompiled plans
+source's lifetime: models that rebuild their graphs (cold-start
+adaptation, SGL's per-batch augmentations, the frozen-graph ablation's
+dynamic variant) never see stale operators, and dropped graphs take their precompiled plans
 with them — no global registry to leak or to alias recycled ids.
 
 Every sparse multiply a plan issues goes through

@@ -1,7 +1,6 @@
 """Evaluation metrics and the all-ranking protocol."""
 
 from .metrics import (
-    METRIC_NAMES,
     MetricResult,
     evaluate_rankings,
     harmonic_mean,
@@ -12,11 +11,9 @@ from .metrics import (
     precision_at_k,
     recall_at_k,
 )
-from .reporting import (EXPERIMENT_INDEX, ReportStatus, build_report,
-                        scan_results, write_report, write_text_result)
+from .reporting import write_text_result
 from .protocol import (
     ScenarioResult,
-    evaluate_at_ks,
     evaluate_model,
     evaluate_normal_cold,
     evaluate_scenario,
@@ -25,7 +22,6 @@ from .protocol import (
 )
 
 __all__ = [
-    "METRIC_NAMES",
     "MetricResult",
     "evaluate_rankings",
     "harmonic_mean",
@@ -36,16 +32,10 @@ __all__ = [
     "mrr_at_k",
     "ndcg_at_k",
     "ScenarioResult",
-    "evaluate_at_ks",
     "evaluate_model",
     "evaluate_normal_cold",
     "evaluate_scenario",
     "rank_candidates",
     "scenario_rankings",
-    "EXPERIMENT_INDEX",
-    "ReportStatus",
-    "build_report",
-    "scan_results",
-    "write_report",
     "write_text_result",
 ]

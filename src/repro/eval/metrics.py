@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-METRIC_NAMES = ("recall", "mrr", "ndcg", "hit", "precision")
-
 
 @dataclass
 class MetricResult:

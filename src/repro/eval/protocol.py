@@ -35,13 +35,6 @@ class ScenarioResult:
     def hm(self) -> MetricResult:
         return harmonic_mean_result(self.cold, self.warm)
 
-    def as_table_rows(self) -> dict:
-        return {
-            "Cold": self.cold.as_percent_row(),
-            "Warm": self.warm.as_percent_row(),
-            "HM": self.hm.as_percent_row(),
-        }
-
 
 def rank_candidates(scores: np.ndarray, candidate_items: np.ndarray,
                     k: int) -> np.ndarray:
@@ -105,23 +98,6 @@ def evaluate_model(model, split: ColdStartSplit, k: int = 20,
     warm = evaluate_scenario(model, split, warm_split, k=k)
     cold = evaluate_scenario(model, split, cold_split, k=k)
     return ScenarioResult(cold=cold, warm=warm)
-
-
-def evaluate_at_ks(model, split: ColdStartSplit, which: str,
-                   ks: tuple = (10, 20, 50)) -> dict:
-    """Evaluate one scenario at multiple cutoffs with a single scoring
-    pass: rankings are computed once at ``max(ks)`` and truncated."""
-    truth = split.ground_truth(which)
-    users = np.asarray(sorted(truth.keys()), dtype=np.int64)
-    if len(users) == 0:
-        return {k: MetricResult(k, 0, 0, 0, 0, 0, 0) for k in ks}
-
-    cold_scenario = which.startswith("cold")
-    candidates = np.asarray(split.cold_items if cold_scenario
-                            else split.warm_items)
-    rankings = scenario_rankings(model, split, users, candidates, max(ks),
-                                 cold_scenario)
-    return {k: evaluate_rankings(rankings, truth, k=k) for k in ks}
 
 
 def evaluate_normal_cold(model, split: ColdStartSplit,

@@ -1,116 +1,20 @@
-"""Aggregate experiment reporting.
-
-Collects the rendered tables the benchmark harnesses write to a results
-directory and assembles them into one markdown report, with a machine-
-readable index of which experiments are present/missing — the artifact a
-reproduction hand-off actually ships.
-"""
+"""The result writer every rendered table goes through."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-
-#: experiment id -> (result filename, paper reference)
-EXPERIMENT_INDEX = {
-    "table1": ("table1_statistics.txt", "Table I — dataset statistics"),
-    "table2_beauty": ("table2_beauty.txt", "Table II — Amazon Beauty"),
-    "table2_cell_phones": ("table2_cell_phones.txt",
-                           "Table II — Amazon Cell Phones"),
-    "table2_clothing": ("table2_clothing.txt", "Table II — Amazon Clothing"),
-    "table3": ("table3_weixin.txt", "Table III — Weixin-Sports"),
-    "table4": ("table4_ablation.txt", "Table IV — component ablation"),
-    "table5": ("table5_kg_noise.txt", "Table V — KG noise robustness"),
-    "table6": ("table6_normal_cold.txt", "Table VI — normal cold-start"),
-    "table7": ("table7_timing.txt", "Table VII — training/inference time"),
-    "table8": ("table8_modality.txt",
-               "Table VIII — side-information contribution"),
-    "fig1": ("fig1_scatter.txt", "Fig. 1 — warm vs cold scatter"),
-    "fig6a": ("fig6a_lambda_k.txt", "Fig. 6a — lambda_k sensitivity"),
-    "fig6b": ("fig6b_lambda_m.txt", "Fig. 6b — lambda_m sensitivity"),
-    "fig6c": ("fig6c_eta.txt", "Fig. 6c — eta sensitivity"),
-    "fig6d": ("fig6d_topk.txt", "Fig. 6d — K sensitivity"),
-    "fig7": ("fig7_case_study.txt", "Fig. 7 — similar-item case study"),
-    "fig8": ("fig8_tsne.txt", "Fig. 8 — t-SNE embedding mixing"),
-    "ablation_frozen": ("ablation_frozen_graph.txt",
-                        "Extra — frozen vs dynamic graphs"),
-    "ablation_beta": ("ablation_beta.txt",
-                      "Extra — importance-aware fusion"),
-}
-
-
-@dataclass
-class ReportStatus:
-    """Which experiments have results on disk."""
-
-    present: list
-    missing: list
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing
-
-    @property
-    def coverage(self) -> float:
-        total = len(self.present) + len(self.missing)
-        return len(self.present) / total if total else 0.0
-
-
-def scan_results(results_dir: str | Path) -> ReportStatus:
-    """Check which experiment outputs exist under ``results_dir``."""
-    results_dir = Path(results_dir)
-    present, missing = [], []
-    for exp_id, (filename, _) in EXPERIMENT_INDEX.items():
-        if (results_dir / filename).exists():
-            present.append(exp_id)
-        else:
-            missing.append(exp_id)
-    return ReportStatus(present=present, missing=missing)
-
-
-def build_report(results_dir: str | Path,
-                 title: str = "Firzen reproduction — results") -> str:
-    """Assemble all available tables into one markdown document."""
-    results_dir = Path(results_dir)
-    status = scan_results(results_dir)
-    lines = [f"# {title}", ""]
-    lines.append(f"Coverage: {len(status.present)}/"
-                 f"{len(EXPERIMENT_INDEX)} experiments present.")
-    if status.missing:
-        missing_refs = ", ".join(EXPERIMENT_INDEX[m][1]
-                                 for m in status.missing)
-        lines.append(f"Missing: {missing_refs}.")
-    lines.append("")
-    for exp_id, (filename, reference) in EXPERIMENT_INDEX.items():
-        path = results_dir / filename
-        if not path.exists():
-            continue
-        lines.append(f"## {reference}")
-        lines.append("")
-        lines.append("```")
-        lines.append(path.read_text().rstrip())
-        lines.append("```")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def write_text_result(path: str | Path, text: str) -> Path:
     """The single entry point every rendered result goes through.
 
     Guarantees parent directories exist and the file ends with exactly
-    one trailing newline — the benchmark harnesses, the aggregate
-    report, and the experiment runner's report layer all write results
-    here, so the on-disk byte format cannot drift between them.
+    one trailing newline — the benchmark harnesses, ``repro bench
+    scaling --scaling-out`` and the experiment runner's report layer all
+    write results here, so the on-disk byte format cannot drift between
+    them.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text.rstrip("\n") + "\n")
     return path
-
-
-def write_report(results_dir: str | Path, output_path: str | Path,
-                 title: str = "Firzen reproduction — results") -> ReportStatus:
-    """Build and write the aggregate report; returns the scan status."""
-    report = build_report(results_dir, title=title)
-    write_text_result(output_path, report)
-    return scan_results(results_dir)

@@ -47,27 +47,24 @@ class CollaborativeKG:
 
 
 def build_collaborative_kg(kg: KnowledgeGraph, interactions: np.ndarray,
-                           num_users: int,
-                           bidirectional: bool = True) -> CollaborativeKG:
-    """Union the item KG with Interact triplets.
+                           num_users: int) -> CollaborativeKG:
+    """Union the item KG with Interact triplets in both directions.
 
-    ``bidirectional`` adds the reverse ``(i, Interact, u)`` edges so item
-    heads also aggregate from their users — KGAT treats the CKG as
-    containing each triplet and its inverse; we fold both directions into
-    the same Interact relation for simplicity.
+    Each interaction gives a ``(u, Interact, i)`` edge and its reverse
+    ``(i, Interact, u)``, so item heads also aggregate from their users —
+    KGAT treats the CKG as containing each triplet and its inverse; we
+    fold both directions into the same Interact relation for simplicity.
     """
     interact_relation = kg.num_relations
     num_nodes = kg.num_entities + num_users
 
     users = interactions[:, 0] + kg.num_entities
     items = interactions[:, 1]
-    interact = np.stack(
-        [users, np.full(len(users), interact_relation), items], axis=1)
-    parts = [kg.triplets, interact]
-    if bidirectional:
-        parts.append(np.stack(
-            [items, np.full(len(users), interact_relation), users], axis=1))
-    triplets = np.concatenate(parts).astype(np.int64)
+    relation = np.full(len(users), interact_relation)
+    interact = np.stack([users, relation, items], axis=1)
+    reverse = np.stack([items, relation, users], axis=1)
+    triplets = np.concatenate([kg.triplets, interact, reverse]).astype(
+        np.int64)
 
     return CollaborativeKG(
         triplets=triplets,

@@ -54,11 +54,3 @@ class InteractionGraph:
         combined = np.concatenate([self.interactions, extra])
         combined = np.unique(combined, axis=0)
         return InteractionGraph(self.num_users, self.num_items, combined)
-
-    def neighbors_of_user(self, user: int) -> np.ndarray:
-        row = self.user_item_matrix.getrow(user)
-        return row.indices.copy()
-
-    def neighbors_of_item(self, item: int) -> np.ndarray:
-        col = self.user_item_matrix.getcol(item).tocoo()
-        return col.row.copy()

@@ -47,7 +47,7 @@ import contextlib
 import json
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 

@@ -39,6 +39,11 @@ Overload and shutdown are explicit states, not accidents
   :data:`MAX_BODY_BYTES` **413**, and the connection is closed;
 * a ``k`` outside ``[1, MAX_K]`` on ``/topk`` or ``/cold`` is answered
   **400**;
+* a POST body that is not a JSON object, ``/ingest`` features that are
+  not finite 2-D ``float32`` rows matching the store, and a ``/swap``
+  ``mmap`` that is not a JSON boolean or a path that is not a store
+  are answered **400** (a missing store **404**), and nothing is
+  published; injected faults and other server errors stay **500**;
 * ``/swap`` loads only stores under the daemon's ``swap_root`` (a
   deployment setting): the requested path is resolved, symlinks
   followed, and anything outside the root — or any path at all when no
@@ -437,6 +442,8 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(self.rfile.read(length) or b"{}")
         except json.JSONDecodeError:
             return self._error("request body is not valid JSON")
+        if not isinstance(payload, dict):
+            return self._error("request body must be a JSON object")
         if parsed.path == "/ingest":
             self._dispatch(self._handle_ingest, payload)
         elif parsed.path == "/swap":
@@ -485,9 +492,15 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(features, dict) or not features:
             return self._error(
                 "body must be {'features': {modality: [[...], ...]}}")
-        arrays = {modality: np.asarray(values, dtype=np.float32)
-                  for modality, values in features.items()}
-        new_ids, snapshot = self.daemon.manager.ingest(arrays)
+        try:
+            arrays = {modality: np.asarray(values, dtype=np.float32)
+                      for modality, values in features.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            return self._error(f"features must be numeric rows ({exc})")
+        try:
+            new_ids, snapshot = self.daemon.manager.ingest(arrays)
+        except ValueError as exc:  # ingest_items' checks; nothing published
+            return self._error(str(exc))
         self._reply({"ingested_items": new_ids.tolist(),
                      "num_items": snapshot.store.num_items,
                      "snapshot_version": snapshot.version})
@@ -497,14 +510,20 @@ class _Handler(BaseHTTPRequestHandler):
             raise LoadShedError("shutting down: not admitting requests",
                                reason="draining")
         path = payload.get("path")
-        if not path or not isinstance(path, str):
-            return self._error("body must be {'path': ..., 'mmap': bool}")
+        mmap = payload.get("mmap", False)
+        if not path or not isinstance(path, str) or \
+                not isinstance(mmap, bool):
+            return self._error("body must be {'path': str, 'mmap': bool}")
         target = self.daemon.swap_target(path)
         if target is None:
             return self._error(f"swap path {path!r} is outside the "
                                "configured store root", status=403)
-        snapshot = self.daemon.manager.swap_from_path(
-            target, mmap=bool(payload.get("mmap", False)))
+        try:
+            snapshot = self.daemon.manager.swap_from_path(target, mmap=mmap)
+        except FileNotFoundError:
+            return self._error(f"no store at {path!r}", status=404)
+        except ValueError as exc:  # CorruptStoreError, v1 with mmap
+            return self._error(str(exc))
         self._reply({"snapshot_version": snapshot.version,
                      "source": snapshot.source,
                      "num_items": snapshot.store.num_items})
@@ -521,8 +540,7 @@ class ServingDaemon:
     ``/swap``.
     """
 
-    def __init__(self, manager: SnapshotManager,
-                 batcher: MicroBatcher | None = None, *,
+    def __init__(self, manager: SnapshotManager, *,
                  host: str = "127.0.0.1", port: int = 0,
                  max_batch: int = 64, max_delay_ms: float = 0.0,
                  max_queue: int = 1024,
@@ -532,7 +550,7 @@ class ServingDaemon:
         self.manager = manager
         self.swap_root = (None if swap_root is None
                           else Path(swap_root).resolve())
-        self.batcher = batcher or MicroBatcher(
+        self.batcher = MicroBatcher(
             manager, max_batch=max_batch, max_delay_ms=max_delay_ms,
             max_queue=max_queue, deadline_ms=deadline_ms)
         self.shutdown_grace_s = float(shutdown_grace_s)

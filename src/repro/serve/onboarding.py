@@ -81,7 +81,8 @@ def ingest_items(store, features: dict, top_k: int | None = None
         The :class:`repro.serve.store.EmbeddingStore` to extend.
     features:
         modality -> ``(num_new, feature_dim)`` raw feature rows; must
-        provide exactly the store's modalities at matching dimensions.
+        provide exactly the store's modalities at matching dimensions,
+        with finite values in ``float32``.
     top_k:
         kNN budget per modality graph; defaults to the store's frozen
         ``item_topk``.
@@ -93,18 +94,21 @@ def ingest_items(store, features: dict, top_k: int | None = None
         raise ValueError(
             f"feature modalities {sorted(features)} do not match the "
             f"store's {sorted(store.modalities)}")
-    sizes = {modality: np.asarray(feats).shape
-             for modality, feats in features.items()}
-    num_new = next(iter(sizes.values()))[0]
-    for modality, shape in sizes.items():
+    features = {modality: np.asarray(feats, dtype=np.float32)
+                for modality, feats in features.items()}
+    for modality, feats in features.items():
         expected = store.features[modality].shape[1]
-        if len(shape) != 2 or shape[1] != expected:
+        if feats.ndim != 2 or feats.shape[1] != expected:
             raise ValueError(
                 f"{modality!r} features must be (num_new, {expected}), "
-                f"got {shape}")
-        if shape[0] != num_new:
-            raise ValueError("modalities disagree on the number of new "
-                             f"items: {sizes}")
+                f"got {feats.shape}")
+        if not np.isfinite(feats).all():
+            raise ValueError(f"{modality!r} features must be finite")
+    sizes = {modality: feats.shape for modality, feats in features.items()}
+    num_new = next(iter(sizes.values()))[0]
+    if any(shape[0] != num_new for shape in sizes.values()):
+        raise ValueError("modalities disagree on the number of new "
+                         f"items: {sizes}")
     if num_new == 0:
         return np.empty(0, dtype=np.int64)
 
@@ -114,9 +118,9 @@ def ingest_items(store, features: dict, top_k: int | None = None
     warm = store.warm_items()
     new_vectors = np.zeros((num_new, store.dim), dtype=np.float32)
     for modality in store.modalities:
-        new_feats = np.asarray(features[modality], dtype=np.float32)
-        expansion = expand_item_graph(store.features[modality], new_feats,
-                                      warm, top_k, modality=modality)
+        expansion = expand_item_graph(store.features[modality],
+                                      features[modality], warm, top_k,
+                                      modality=modality)
         # One unweighted propagation hop over the expanded edges, as in
         # the frozen graphs' kNN convolution (eq. 2-3 reduce to a plain
         # neighbor mean for a single appended row): expressed through the

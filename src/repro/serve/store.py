@@ -278,15 +278,20 @@ class EmbeddingStore:
         # A truncated/torn v1 archive surfaces as BadZipFile (damaged
         # central directory), EOFError/zlib.error (truncated member),
         # or KeyError (member missing entirely) depending on where the
-        # write died — all of them mean the same thing to a caller.
+        # write died, and a file that is no archive at all as numpy's
+        # pickle refusal (ValueError, naming no path) or a lone array —
+        # all of them mean the same thing to a caller.
         try:
             archive_cm = np.load(path, allow_pickle=False)
-        except (zipfile.BadZipFile, EOFError, OSError) as exc:
+        except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
             if isinstance(exc, FileNotFoundError):
                 raise
             raise CorruptStoreError(
                 f"store archive {path} is corrupt or truncated "
                 f"({exc})") from exc
+        if not isinstance(archive_cm, np.lib.npyio.NpzFile):
+            raise CorruptStoreError(f"{path} is a single array, not a "
+                                    "store archive")
         with archive_cm as archive:
             try:
                 header = json.loads(

@@ -8,23 +8,17 @@ import numpy as np
 class BPRSampler:
     """Negative sampler over warm items.
 
-    Negatives are drawn from the *warm* item set only (cold items are by
-    definition unseen in training) and re-drawn while they collide with the
-    user's positive set. ``strategy`` selects the proposal distribution:
-
-    * ``"uniform"`` — every warm item equally likely (the paper's setup);
-    * ``"popularity"`` — probability proportional to ``count^alpha``
-      (word2vec-style), which sharpens ranking pressure on head items.
+    Negatives are drawn uniformly from the *warm* item set (the paper's
+    setup; cold items are by definition unseen in training) and re-drawn
+    while they collide with the user's positive set.
     """
 
     def __init__(self, train_interactions: np.ndarray, num_items: int,
-                 warm_items: np.ndarray, rng: np.random.Generator,
-                 strategy: str = "uniform", alpha: float = 0.75):
+                 warm_items: np.ndarray, rng: np.random.Generator):
         self.train = np.asarray(train_interactions, dtype=np.int64)
         self.num_items = num_items
         self.warm_items = np.asarray(warm_items, dtype=np.int64)
         self.rng = rng
-        self.strategy = strategy
         self._positives: dict[int, set] = {}
         for user, item in self.train:
             self._positives.setdefault(int(user), set()).add(int(item))
@@ -33,22 +27,10 @@ class BPRSampler:
         self._positive_keys = np.unique(
             self.train[:, 0] * np.int64(num_items) + self.train[:, 1]
         ) if len(self.train) else np.empty(0, dtype=np.int64)
-        if strategy == "uniform":
-            self._probs = None
-        elif strategy == "popularity":
-            counts = np.zeros(num_items)
-            items, freq = np.unique(self.train[:, 1], return_counts=True)
-            counts[items] = freq
-            weights = np.power(counts[self.warm_items] + 1.0, alpha)
-            self._probs = weights / weights.sum()
-        else:
-            raise ValueError(f"unknown sampling strategy {strategy!r}")
 
     def _draw(self, size: int) -> np.ndarray:
-        if self._probs is None:
-            return self.warm_items[
-                self.rng.integers(0, len(self.warm_items), size=size)]
-        return self.rng.choice(self.warm_items, size=size, p=self._probs)
+        return self.warm_items[
+            self.rng.integers(0, len(self.warm_items), size=size)]
 
     def positives_of(self, user: int) -> set:
         return self._positives.get(int(user), set())

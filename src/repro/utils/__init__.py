@@ -1,5 +1,1 @@
-"""Shared utilities: seeding, logging, table rendering."""
-
-from .seeding import rng_from_seed, spawn
-
-__all__ = ["rng_from_seed", "spawn"]
+"""Shared utilities: table rendering."""

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.baselines import create_model
-from repro.eval import evaluate_model, evaluate_scenario
+from repro.eval import evaluate_scenario
 from repro.train import TrainConfig, train_model
 
 QUICK = TrainConfig(epochs=2, eval_every=2, batch_size=128,
@@ -62,35 +61,3 @@ class TestMostPopular:
         warm_max = scores[tiny_dataset.split.warm_items].max()
         assert scores[cold].max() < warm_max
 
-
-class TestMWUF:
-    def test_trains_and_scores(self, tiny_dataset):
-        model = create_model("MWUF", tiny_dataset, embedding_dim=16, seed=0)
-        result = train_model(model, tiny_dataset, QUICK)
-        assert np.isfinite(result.losses).all()
-        scores = model.score_users(np.arange(3))
-        assert np.isfinite(scores).all()
-
-    def test_cold_items_receive_fallback_shift(self, tiny_dataset):
-        """Strict cold items get the global-mean user shift: their warmed
-        embeddings differ from pure scaled initialization."""
-        model = create_model("MWUF", tiny_dataset, embedding_dim=16, seed=0)
-        _, warmed = model._forward()
-        cold = tiny_dataset.split.cold_items
-        # Shift is identical for all cold items (same fallback input);
-        # subtracting any one cold item's shift from another's must not
-        # leave zero unless their scaled bases coincide.
-        assert np.isfinite(warmed.data[cold]).all()
-        assert np.abs(warmed.data[cold]).sum() > 0
-
-    def test_better_than_backbone_on_cold(self, small_dataset):
-        config = TrainConfig(epochs=6, eval_every=3, batch_size=256,
-                             learning_rate=0.05)
-        mwuf = create_model("MWUF", small_dataset, embedding_dim=16, seed=0)
-        train_model(mwuf, small_dataset, config)
-        lgcn = create_model("LightGCN", small_dataset, embedding_dim=16,
-                            seed=0)
-        train_model(lgcn, small_dataset, config)
-        mwuf_cold = evaluate_model(mwuf, small_dataset.split, k=10).cold
-        lgcn_cold = evaluate_model(lgcn, small_dataset.split, k=10).cold
-        assert mwuf_cold.recall >= lgcn_cold.recall

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.components.segments import (segment_indicator, segment_mean,
+from repro.components.segments import (segment_indicator,
                                        segment_softmax_weighted_sum)
 from repro.components.kgat import KnowledgeGraphAttention
 from repro.components.transr import TransRScorer, transr_loss
@@ -57,12 +57,6 @@ class TestSegments:
             logits_np[i] += eps
             np.testing.assert_allclose(
                 logits.grad[i], (plus - minus) / (2 * eps), atol=1e-4)
-
-    def test_segment_mean(self):
-        ids = np.array([0, 0, 1])
-        values = Tensor(np.array([[2.0], [4.0], [6.0]]))
-        out = segment_mean(values, ids, 3)
-        np.testing.assert_allclose(out.data.ravel(), [3.0, 6.0, 0.0])
 
 
 class TestKGATAttention:

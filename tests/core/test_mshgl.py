@@ -27,21 +27,12 @@ def graphs(tiny_dataset):
 class TestItemItemPropagation:
     def test_layer_mean_keeps_residual(self, tiny_dataset, graphs, rng):
         item_graphs, _ = graphs
-        prop = ItemItemPropagation(item_graphs["text"], 1, layer_mean=True)
+        prop = ItemItemPropagation(item_graphs["text"], 1)
         x = Tensor(rng.normal(size=(tiny_dataset.num_items, 8)))
         out = prop(x, "infer")
         # isolated rows (if any) keep x/2; connected rows mix
         assert out.shape == x.shape
         assert not np.allclose(out.data, x.data)
-
-    def test_pure_propagation_mode(self, tiny_dataset, graphs, rng):
-        item_graphs, _ = graphs
-        prop = ItemItemPropagation(item_graphs["text"], 1, layer_mean=False)
-        x = Tensor(rng.normal(size=(tiny_dataset.num_items, 8)))
-        out = prop(x, "train")
-        cold = tiny_dataset.split.cold_items
-        # train graph has no cold edges -> cold rows are exactly zero
-        np.testing.assert_allclose(out.data[cold], 0.0, atol=1e-12)
 
 
 class TestUserUserPropagation:

@@ -1,76 +1,19 @@
-"""Tests for aggregate experiment reporting."""
+"""Tests for the shared result writer."""
 
 from __future__ import annotations
 
-from repro.eval.reporting import (EXPERIMENT_INDEX, build_report,
-                                  scan_results, write_report,
-                                  write_text_result)
-
-
-def _populate(tmp_path, experiment_ids):
-    for exp_id in experiment_ids:
-        filename, _ = EXPERIMENT_INDEX[exp_id]
-        (tmp_path / filename).write_text(f"content of {exp_id}\n")
-
-
-class TestScan:
-    def test_empty_dir(self, tmp_path):
-        status = scan_results(tmp_path)
-        assert not status.present
-        assert len(status.missing) == len(EXPERIMENT_INDEX)
-        assert status.coverage == 0.0
-
-    def test_partial(self, tmp_path):
-        _populate(tmp_path, ["table1", "fig8"])
-        status = scan_results(tmp_path)
-        assert set(status.present) == {"table1", "fig8"}
-        assert not status.complete
-
-    def test_complete(self, tmp_path):
-        _populate(tmp_path, list(EXPERIMENT_INDEX))
-        status = scan_results(tmp_path)
-        assert status.complete
-        assert status.coverage == 1.0
+from repro.eval.reporting import write_text_result
 
 
 class TestReport:
-    def test_includes_present_tables(self, tmp_path):
-        _populate(tmp_path, ["table1", "table4"])
-        report = build_report(tmp_path)
-        assert "content of table1" in report
-        assert "Table IV" in report
-        assert "Table II" not in report.split("Missing:")[1].split("\n")[0] \
-            or "Table II" in report  # listed missing
-
-    def test_mentions_missing(self, tmp_path):
-        _populate(tmp_path, ["table1"])
-        report = build_report(tmp_path)
-        assert "Missing:" in report
-        assert "Fig. 8" in report
-
-    def test_write_report(self, tmp_path):
-        _populate(tmp_path, ["table1"])
-        out = tmp_path / "report" / "RESULTS.md"
-        status = write_report(tmp_path, out)
-        assert out.exists()
-        assert "content of table1" in out.read_text()
-        assert "table1" in status.present
-
     def test_write_text_result_guarantees_one_trailing_newline(
             self, tmp_path):
         """The single result-writing entry point (shared by the
-        benchmark harnesses, the aggregate report, and the experiment
-        runner's report layer) normalizes the file tail."""
+        benchmark harnesses, the CLI and the experiment runner's report
+        layer) normalizes the file tail."""
         for text in ("table", "table\n", "table\n\n\n"):
             path = write_text_result(tmp_path / "deep" / "t.txt", text)
             assert path.read_text() == "table\n"
         # interior newlines (multi-table results files) are preserved
         path = write_text_result(tmp_path / "multi.txt", "a\n\nb\n")
         assert path.read_text() == "a\n\nb\n"
-
-    def test_index_covers_every_paper_artifact(self):
-        references = " ".join(ref for _, ref in EXPERIMENT_INDEX.values())
-        for artifact in ("Table I", "Table II", "Table III", "Table IV",
-                         "Table V", "Table VI", "Table VII", "Table VIII",
-                         "Fig. 1", "Fig. 6", "Fig. 7", "Fig. 8"):
-            assert artifact in references, artifact

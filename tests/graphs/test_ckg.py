@@ -44,13 +44,6 @@ class TestConstruction:
         heads = set(ckg.triplets[:, 0].tolist())
         assert cold <= heads
 
-    def test_unidirectional_option(self, tiny_dataset):
-        uni = build_collaborative_kg(
-            tiny_dataset.kg, tiny_dataset.split.train,
-            tiny_dataset.num_users, bidirectional=False)
-        interact = uni.triplets[uni.triplets[:, 1] == uni.interact_relation]
-        assert len(interact) == len(tiny_dataset.split.train)
-
     def test_head_index_shape(self, ckg):
         index = ckg.head_index()
         assert index.shape == (ckg.num_nodes, len(ckg.triplets))

@@ -41,11 +41,6 @@ class TestStructure:
         degrees = g.item_degree()
         np.testing.assert_allclose(degrees[cold], 0.0)
 
-    def test_neighbors(self):
-        g = _graph()
-        np.testing.assert_array_equal(g.neighbors_of_user(0), [0, 1])
-        np.testing.assert_array_equal(g.neighbors_of_item(1), [0, 1])
-
 
 class TestExtension:
     def test_with_extra_interactions(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd.rowsparse import RowSparseGrad, densify, grad_sum
+from repro.autograd.rowsparse import RowSparseGrad, grad_sum
 
 
 def dense_bincount(indices, g, shape, dtype):
@@ -93,7 +93,7 @@ class TestAccumulation:
     def test_grad_sum_dispatch(self, rng):
         a, b = self._two(rng)
         expected = a.to_dense() + b.to_dense()
-        np.testing.assert_array_equal(densify(grad_sum(a, b)), expected)
+        np.testing.assert_array_equal(grad_sum(a, b).to_dense(), expected)
         np.testing.assert_array_equal(grad_sum(a, b.to_dense()), expected)
         np.testing.assert_array_equal(grad_sum(a.to_dense(), b), expected)
         np.testing.assert_array_equal(grad_sum(a.to_dense(), b.to_dense()),

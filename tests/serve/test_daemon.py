@@ -109,6 +109,66 @@ def _post(url, body, timeout=30):
         return json.loads(response.read())
 
 
+def _post_raw(url, data, timeout=30):
+    """POST raw bytes; returns ``(status, JSON body)`` for any status."""
+    request = urllib.request.Request(
+        url, data=data, headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def _json(body):
+    return json.dumps(body).encode("utf-8")
+
+
+def _not_a_store(root):
+    (root / "notes.txt").write_text("not an embedding store\n")
+    return _json({"path": str(root / "notes.txt")})
+
+
+def _single_array(root):
+    np.save(root / "vector.npy", np.zeros(3))
+    return _json({"path": str(root / "vector.npy")})
+
+
+def _v1_store(root, mmap):
+    path = make_store(2).save(root / "v1.npz")
+    return _json({"path": str(path), "mmap": mmap})
+
+
+#: name -> (endpoint, expected status, body builder over the swap root);
+#: the fixture store has one modality, "image", 5 features wide
+BAD_POSTS = {
+    "ingest-json-array": ("/ingest", 400, lambda root: b"[1, 2]"),
+    "ingest-unknown-modality": ("/ingest", 400, lambda root: _json(
+        {"features": {"text": [[0.5] * 5]}})),
+    "ingest-wrong-width": ("/ingest", 400, lambda root: _json(
+        {"features": {"image": [[0.5] * 4]}})),
+    "ingest-non-numeric": ("/ingest", 400, lambda root: _json(
+        {"features": {"image": [["a"] * 5]}})),
+    "ingest-ragged": ("/ingest", 400, lambda root: _json(
+        {"features": {"image": [[0.5] * 5, [0.5] * 4]}})),
+    "ingest-scalar": ("/ingest", 400, lambda root: _json(
+        {"features": {"image": 0.5}})),
+    "ingest-nan": ("/ingest", 400, lambda root: _json(
+        {"features": {"image": [[float("nan")] * 5]}})),
+    "ingest-infinity": ("/ingest", 400, lambda root: _json(
+        {"features": {"image": [[float("inf")] + [0.5] * 4]}})),
+    "swap-json-array": ("/swap", 400, lambda root: b"[]"),
+    "swap-missing-store": ("/swap", 404, lambda root: _json(
+        {"path": str(root / "missing.npz")})),
+    "swap-not-a-store": ("/swap", 400, _not_a_store),
+    "swap-single-array": ("/swap", 400, _single_array),
+    "swap-v1-mmap-string": ("/swap", 400,
+                            lambda root: _v1_store(root, "false")),
+    "swap-v1-mmap-true": ("/swap", 400,
+                          lambda root: _v1_store(root, True)),
+}
+
+
 class TestServingDaemon:
     @pytest.fixture()
     def daemon(self, manager, tmp_path):
@@ -146,6 +206,18 @@ class TestServingDaemon:
                 _get(daemon.url + path)
             assert 400 <= excinfo.value.code < 500
             assert "error" in json.loads(excinfo.value.read())
+
+    @pytest.mark.parametrize("case", BAD_POSTS)
+    def test_bad_posts_return_4xx_and_publish_nothing(self, daemon,
+                                                      tmp_path, case):
+        endpoint, expected, body = BAD_POSTS[case]
+        before = _get(daemon.url + "/stats")
+        status, reply = _post_raw(daemon.url + endpoint, body(tmp_path))
+        assert status == expected, reply
+        assert "error" in reply
+        after = _get(daemon.url + "/stats")
+        assert after["snapshot_version"] == before["snapshot_version"]
+        assert after["store"]["items"] == before["store"]["items"]
 
     def test_keep_alive_requests_do_not_stall(self, daemon):
         # Replies leave as a header write and a body write; with Nagle

@@ -152,3 +152,16 @@ class TestIngestItems:
         }
         with pytest.raises(ValueError):
             ingest_items(store, mismatched)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_non_finite_features_rejected(self, store, rng, value):
+        """NaN, infinities and values past float32's range are refused
+        before the store changes (1e39 overflows to inf in float32)."""
+        features = {m: rng.normal(size=(2, store.features[m].shape[1]))
+                    for m in store.modalities}
+        features[store.modalities[0]][1, 0] = value
+        num_items = store.num_items
+        with pytest.raises(ValueError, match="finite"):
+            ingest_items(store, features)
+        assert store.num_items == num_items

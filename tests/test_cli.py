@@ -101,7 +101,7 @@ class TestCommands:
     def test_models_lists_roster(self, capsys):
         assert main(["models"]) == 0
         out = capsys.readouterr().out
-        for name in ("BPR", "KGAT", "Firzen", "MWUF", "Random"):
+        for name in ("BPR", "KGAT", "Firzen", "MostPopular", "Random"):
             assert name in out
 
     def test_datasets_tiny(self, capsys):

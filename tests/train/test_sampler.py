@@ -35,6 +35,12 @@ class TestNegatives:
         b = _sampler(tiny_dataset, 3).sample_negatives(users)
         np.testing.assert_array_equal(a, b)
 
+    def test_uniform_covers_warm_items(self, tiny_dataset):
+        sampler = _sampler(tiny_dataset)
+        draws = sampler._draw(5000)
+        covered = len(set(draws.tolist()))
+        assert covered > 0.8 * len(tiny_dataset.split.warm_items)
+
 
 class TestEpochBatches:
     def test_covers_training_set(self, tiny_dataset):
