@@ -72,10 +72,6 @@ class KnowledgeGraph:
     def num_triplets(self) -> int:
         return len(self.triplets)
 
-    def neighbors_of(self, entity: int) -> np.ndarray:
-        """All triplets with ``entity`` as head (its ego network)."""
-        return self.triplets[self.triplets[:, 0] == entity]
-
     def with_triplets(self, triplets: np.ndarray) -> "KnowledgeGraph":
         """Copy of this KG with a different triplet set (used by the noise
         injection experiments)."""

@@ -2,7 +2,8 @@
 
 All metrics are computed per user from a ranked candidate list and a
 relevance set, then averaged over users that have at least one relevant
-item — the standard all-ranking evaluation the paper uses.
+item — the standard all-ranking evaluation the paper uses. Every user's
+five values come from one ``(users, k)`` hit matrix in array operations.
 """
 
 from __future__ import annotations
@@ -39,72 +40,46 @@ class MetricResult:
                 for key, val in self.as_dict().items()}
 
 
-def recall_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
-    hits = sum(1 for item in ranked[:k] if item in relevant)
-    return hits / len(relevant) if relevant else 0.0
-
-
-def precision_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
-    hits = sum(1 for item in ranked[:k] if item in relevant)
-    return hits / k
-
-
-def hit_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
-    return 1.0 if any(item in relevant for item in ranked[:k]) else 0.0
-
-
-def mrr_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
-    for position, item in enumerate(ranked[:k], start=1):
-        if item in relevant:
-            return 1.0 / position
-    return 0.0
-
-
-def ndcg_at_k(ranked: np.ndarray, relevant: set, k: int) -> float:
-    dcg = 0.0
-    for position, item in enumerate(ranked[:k], start=1):
-        if item in relevant:
-            dcg += 1.0 / np.log2(position + 1)
-    ideal_hits = min(len(relevant), k)
-    if ideal_hits == 0:
-        return 0.0
-    idcg = sum(1.0 / np.log2(p + 1) for p in range(1, ideal_hits + 1))
-    return dcg / idcg
-
-
-def evaluate_rankings(rankings: dict, ground_truth: dict,
-                      k: int = 20) -> MetricResult:
-    """Average the five metrics over users.
+def ranking_metrics(hits: np.ndarray, relevant_counts: np.ndarray,
+                    order: np.ndarray, k: int) -> MetricResult:
+    """Average the five metrics over users from their hit matrix.
 
     Parameters
     ----------
-    rankings:
-        user -> array of candidate item ids, best first.
-    ground_truth:
-        user -> set of relevant item ids. Users absent from ``rankings``
-        contribute zeros (they received no recommendations).
+    hits:
+        ``(users, width)`` booleans, ``width <= k``: whether each user's
+        item at each rank (best first) is relevant. Zero width (no
+        candidates to rank) scores every user zero.
+    relevant_counts:
+        Each user's number of relevant items, all positive.
+    order:
+        Row indices of ``hits`` in the order the users are summed.
+
+    Each value equals the per-user scalar loop's bit for bit: counts
+    divide exactly, DCG and IDCG add the scalar ``1 / log2(p + 1)``
+    discounts one rank at a time, and the users' rows are added one at
+    a time in ``order``, never pairwise.
     """
-    totals = np.zeros(5)
-    count = 0
-    for user, relevant in ground_truth.items():
-        if not relevant:
-            continue
-        count += 1
-        ranked = rankings.get(user)
-        if ranked is None or len(ranked) == 0:
-            continue
-        ranked = np.asarray(ranked)
-        totals += (
-            recall_at_k(ranked, relevant, k),
-            mrr_at_k(ranked, relevant, k),
-            ndcg_at_k(ranked, relevant, k),
-            hit_at_k(ranked, relevant, k),
-            precision_at_k(ranked, relevant, k),
-        )
-    if count == 0:
+    num_users = len(relevant_counts)
+    if num_users == 0:
         return MetricResult(k, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
-    averaged = totals / count
-    return MetricResult(k, *averaged, num_users=count)
+    rows = np.zeros((num_users, 5))
+    width = hits.shape[1]
+    if width:
+        num_hits = hits.sum(axis=1)
+        any_hit = num_hits > 0
+        ideal = np.minimum(relevant_counts, k)
+        discounts = np.array([1.0 / np.log2(p + 1) for p in
+                              range(1, max(width, int(ideal.max())) + 1)])
+        dcg = np.cumsum(np.where(hits, discounts[:width], 0.0), axis=1)
+        idcg = np.cumsum(discounts)[ideal - 1]
+        rows[:, 0] = num_hits / relevant_counts
+        rows[:, 1] = np.where(any_hit, 1.0 / (hits.argmax(axis=1) + 1), 0.0)
+        rows[:, 2] = dcg[:, -1] / idcg
+        rows[:, 3] = any_hit
+        rows[:, 4] = num_hits / k
+    totals = np.cumsum(rows[order], axis=0)[-1]
+    return MetricResult(k, *(totals / num_users), num_users=num_users)
 
 
 def harmonic_mean(cold: float, warm: float) -> float:

@@ -6,10 +6,11 @@ come from a model's ``score_users`` method; train items are masked to
 ``-inf`` before ranking.
 
 Masking and ranking are vectorized over the user axis via the serving
-layer's kernels (:mod:`repro.serve.ranker`), replacing the seed's
-per-user Python loop; :func:`rank_candidates` remains as the one-user
-reference implementation whose semantics the batched path reproduces
-exactly.
+layer's kernels (:mod:`repro.serve.ranker`), and the ground truth and the
+metrics are array operations over the split's ``(user, item)`` pairs:
+no step loops over users in Python. :func:`rank_candidates` remains as
+the one-user reference implementation whose semantics the batched path
+reproduces exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from ..data.splits import ColdStartSplit
 from ..serve.ranker import (apply_seen_mask, interactions_to_csr,
                             topk_from_scores)
-from .metrics import MetricResult, evaluate_rankings, harmonic_mean_result
+from .metrics import MetricResult, harmonic_mean_result, ranking_metrics
 
 
 @dataclass
@@ -46,23 +47,9 @@ def rank_candidates(scores: np.ndarray, candidate_items: np.ndarray,
     return candidate_items[top]
 
 
-def scenario_rankings(model, split: ColdStartSplit, users: np.ndarray,
-                      candidates: np.ndarray, k: int, cold_scenario: bool,
-                      extra_seen: dict | None = None) -> dict[int, np.ndarray]:
-    """Batched scoring + masking + ranking for one evaluation scenario."""
-    scores = np.array(model.score_users(users), dtype=np.float64,
-                      copy=True)
-    seen = None
-    if not cold_scenario:  # mask train items (warm only)
-        seen = interactions_to_csr(split.train, split.num_users,
-                                   split.num_items)
-    apply_seen_mask(scores, users, seen, extra_seen)
-    top = topk_from_scores(scores, k, candidates=candidates)
-    return {int(user): top.items[row] for row, user in enumerate(users)}
-
-
 def evaluate_scenario(model, split: ColdStartSplit, which: str,
-                      k: int = 20, extra_seen: dict | None = None) -> MetricResult:
+                      k: int = 20, known: np.ndarray | None = None
+                      ) -> MetricResult:
     """Evaluate one scenario (``warm_test``, ``cold_test``, ...).
 
     Parameters
@@ -70,24 +57,47 @@ def evaluate_scenario(model, split: ColdStartSplit, which: str,
     model:
         Anything with ``score_users(user_ids) -> (len(user_ids), num_items)``.
     which:
-        Ground-truth split name on ``split``.
-    extra_seen:
-        Additional user->items to mask (normal cold-start known edges).
+        Name of the ``(n, 2)`` ground-truth pairs on ``split``.
+    known:
+        ``(n, 2)`` pairs masked like the training pairs a warm scenario
+        masks (the normal cold-start known edges).
+
+    The ranked users are the split's sorted unique users; their metric
+    rows are summed in the order each user first appears in the pairs.
     """
-    truth = split.ground_truth(which)
-    users = np.asarray(sorted(truth.keys()), dtype=np.int64)
-    if len(users) == 0:
+    pairs = getattr(split, which)
+    if pairs is None:
+        raise ValueError(f"split {which!r} not populated")
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if len(pairs) == 0:
         return MetricResult(k, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+    # Relevance as sorted unique ``user * num_items + item`` codes: each
+    # user's relevant items are one contiguous run of them.
+    num_items = split.num_items
+    users, first_seen = np.unique(pairs[:, 0], return_index=True)
+    codes = np.unique(pairs[:, 0] * num_items + pairs[:, 1])
+    relevant_counts = np.diff(np.searchsorted(codes, users * num_items),
+                              append=len(codes))
 
     cold_scenario = which.startswith("cold")
-    if cold_scenario:
-        candidates = np.asarray(split.cold_items)
-    else:
-        candidates = np.asarray(split.warm_items)
+    candidates = np.asarray(split.cold_items if cold_scenario
+                            else split.warm_items)
+    scores = np.array(model.score_users(users), dtype=np.float64,
+                      copy=True)
+    masked = [] if cold_scenario else [split.train]
+    if known is not None:
+        masked.append(known)
+    seen = None
+    if masked:
+        seen = interactions_to_csr(np.concatenate(masked), split.num_users,
+                                   split.num_items)
+    apply_seen_mask(scores, users, seen)
+    ranked = topk_from_scores(scores, k, candidates=candidates).items
 
-    rankings = scenario_rankings(model, split, users, candidates, k,
-                                 cold_scenario, extra_seen)
-    return evaluate_rankings(rankings, truth, k=k)
+    ranked_codes = users[:, None] * num_items + ranked
+    found = np.minimum(np.searchsorted(codes, ranked_codes), len(codes) - 1)
+    hits = codes[found] == ranked_codes
+    return ranking_metrics(hits, relevant_counts, np.argsort(first_seen), k)
 
 
 def evaluate_model(model, split: ColdStartSplit, k: int = 20,
@@ -105,8 +115,5 @@ def evaluate_normal_cold(model, split: ColdStartSplit,
     """Normal cold-start protocol (Table VI): the known half of cold
     interactions was available to the model; evaluate on the unknown half,
     masking known items from the candidate scores."""
-    known: dict[int, set] = {}
-    for user, item in split.cold_test_known:
-        known.setdefault(int(user), set()).add(int(item))
     return evaluate_scenario(model, split, "cold_test_unknown", k=k,
-                             extra_seen=known)
+                             known=split.cold_test_known)

@@ -89,7 +89,3 @@ class UserUserGraph:
     @property
     def num_users(self) -> int:
         return self.attention.shape[0]
-
-    def neighbors_of(self, user: int) -> np.ndarray:
-        row = self.topk_counts.getrow(user)
-        return row.indices.copy()

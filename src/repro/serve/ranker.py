@@ -5,7 +5,7 @@ copy the score row, mask seen items by iterating a set, partition, sort.
 This module replaces that loop with three composable pieces:
 
 * :func:`apply_seen_mask` — vectorized ``-inf`` masking of already-seen
-  items from a CSR interaction matrix (plus optional per-user extras);
+  items from a CSR interaction matrix;
 * :func:`topk_from_scores` — per-row top-k with semantics *identical* to
   :func:`repro.eval.protocol.rank_candidates` (argpartition, then a
   stable descending sort), vectorized over the user axis;
@@ -36,8 +36,6 @@ from ..backend import active as _active_backend
 #: change low-order bits, which is why the grid is fixed rather than
 #: tuned per call.
 SCORE_TILE = 4096
-
-_EMPTY_COORDS = np.empty(0, dtype=np.int64)
 
 
 def interactions_to_csr(interactions: np.ndarray, num_users: int,
@@ -70,45 +68,8 @@ def _csr_row_coords(seen: sp.csr_matrix,
     return rows, cols
 
 
-def _extra_seen_coords(users: np.ndarray, extra_seen: dict,
-                       col_of: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened (row, col) scatter coordinates for per-user extra masks.
-
-    Builds one coordinate set for the whole batch instead of masking row
-    by row in Python.  A user appearing twice in the batch gets the mask
-    in every one of their rows (their item array is built once and
-    reused); ``col_of`` optionally maps item ids to candidate columns,
-    dropping items outside the candidate set.
-    """
-    per_user: dict = {}
-    row_chunks = []
-    col_chunks = []
-    for row, user in enumerate(users):
-        user = int(user)
-        cols = per_user.get(user)
-        if cols is None:
-            items = extra_seen.get(user)
-            cols = (np.fromiter(items, dtype=np.int64)
-                    if items is not None and len(items) else _EMPTY_COORDS)
-            per_user[user] = cols
-        if len(cols):
-            row_chunks.append(np.full(len(cols), row, dtype=np.int64))
-            col_chunks.append(cols)
-    if not col_chunks:
-        return _EMPTY_COORDS, _EMPTY_COORDS
-    rows = np.concatenate(row_chunks)
-    cols = np.concatenate(col_chunks)
-    if col_of is not None:
-        cols = col_of[cols]
-        keep = cols >= 0
-        rows, cols = rows[keep], cols[keep]
-    return rows, cols
-
-
 def apply_seen_mask(scores: np.ndarray, users: np.ndarray,
-                    seen: sp.spmatrix | None = None,
-                    extra_seen: dict | None = None) -> np.ndarray:
+                    seen: sp.spmatrix | None = None) -> np.ndarray:
     """Set already-seen items to ``-inf`` in-place; returns ``scores``.
 
     Parameters
@@ -119,16 +80,10 @@ def apply_seen_mask(scores: np.ndarray, users: np.ndarray,
     seen:
         Optional ``(num_users_total, num_items)`` sparse mask; nonzero
         entries are masked.
-    extra_seen:
-        Optional user id -> iterable of item ids (normal cold-start known
-        edges), masked on top of ``seen``.
     """
     if seen is not None:
         rows, cols = _csr_row_coords(seen.tocsr(),
                                      np.asarray(users, dtype=np.int64))
-        scores[rows, cols] = -np.inf
-    if extra_seen:
-        rows, cols = _extra_seen_coords(np.asarray(users), extra_seen)
         scores[rows, cols] = -np.inf
     return scores
 
@@ -240,14 +195,13 @@ class BatchRanker:
                                         self.item_vectors.T)
 
     def topk(self, user_ids: np.ndarray, k: int = 20,
-             candidates: np.ndarray | None = None, mask_seen: bool = True,
-             extra_seen: dict | None = None) -> TopKResult:
+             candidates: np.ndarray | None = None,
+             mask_seen: bool = True) -> TopKResult:
         """Top-k items for each user in ``user_ids`` (best first).
 
         ``candidates`` restricts ranking to an item subset (e.g. only
         strict cold-start items); ``mask_seen`` excludes each user's
-        training interactions; ``extra_seen`` masks additional per-user
-        items on top.
+        training interactions.
 
         Per-row results match :func:`repro.eval.protocol.rank_candidates`
         on the same score matrix: scores are negated in place right after
@@ -256,11 +210,12 @@ class BatchRanker:
         to the seed's ``argpartition(-scores)`` path.
         """
         users = np.asarray(user_ids, dtype=np.int64)
+        mask = mask_seen and self.seen is not None
         col_of = None
         if candidates is not None:
             candidates = np.asarray(candidates, dtype=np.int64)
             items = self.item_vectors[candidates]
-            if (mask_seen and self.seen is not None) or extra_seen:
+            if mask:
                 col_of = np.full(self.num_items, -1, dtype=np.int64)
                 col_of[candidates] = np.arange(len(candidates))
             num_candidates = len(candidates)
@@ -278,8 +233,8 @@ class BatchRanker:
             block = users[start:start + self.block_size]
             neg_scores = self._score_neg_block(self.user_vectors[block],
                                                items)
-            self._mask_block(neg_scores, block, col_of, mask_seen,
-                             extra_seen)
+            if mask:
+                self._mask_block(neg_scores, block, col_of)
             top, neg_top = _neg_topk_rows(neg_scores, k)
             stop = start + len(block)
             out_items[start:stop] = (top if candidates is None
@@ -313,17 +268,12 @@ class BatchRanker:
         return out
 
     def _mask_block(self, neg_scores: np.ndarray, block: np.ndarray,
-                    col_of: np.ndarray | None, mask_seen: bool,
-                    extra_seen: dict | None) -> None:
+                    col_of: np.ndarray | None) -> None:
         """Mask seen items to ``+inf`` in a block of negated scores,
         mapping item ids to candidate columns when ranking a subset."""
-        if mask_seen and self.seen is not None:
-            rows, cols = _csr_row_coords(self.seen, block)
-            if col_of is not None:
-                cols = col_of[cols]
-                keep = cols >= 0
-                rows, cols = rows[keep], cols[keep]
-            neg_scores[rows, cols] = np.inf
-        if extra_seen:
-            rows, cols = _extra_seen_coords(block, extra_seen, col_of)
-            neg_scores[rows, cols] = np.inf
+        rows, cols = _csr_row_coords(self.seen, block)
+        if col_of is not None:
+            cols = col_of[cols]
+            keep = cols >= 0
+            rows, cols = rows[keep], cols[keep]
+        neg_scores[rows, cols] = np.inf

@@ -51,6 +51,19 @@ class CorruptStoreError(ValueError):
     """
 
 
+def _checked_header(header, path: Path) -> dict:
+    """``header`` if it is a JSON object with every key ``_header``
+    writes; otherwise :class:`CorruptStoreError` naming ``path``."""
+    if not isinstance(header, dict):
+        raise CorruptStoreError(
+            f"store {path} has a header that is not a JSON object")
+    missing = [key for key in ("version", "item_topk", "modalities",
+                               "metadata") if key not in header]
+    if missing:
+        raise CorruptStoreError(
+            f"store {path} has a header without {', '.join(missing)}")
+    return header
+
 
 class EmbeddingStore:
     """Frozen user/item representations plus the serving side-information.
@@ -294,8 +307,8 @@ class EmbeddingStore:
                                     "store archive")
         with archive_cm as archive:
             try:
-                header = json.loads(
-                    archive[HEADER_KEY].tobytes().decode("utf-8"))
+                header = _checked_header(json.loads(
+                    archive[HEADER_KEY].tobytes().decode("utf-8")), path)
                 if header["version"] != FORMAT_VERSION:
                     raise ValueError(
                         f"unsupported store version {header['version']}")
@@ -336,6 +349,7 @@ class EmbeddingStore:
             raise CorruptStoreError(
                 f"store {path} has an unreadable {MANIFEST_NAME} "
                 f"({exc})") from exc
+        header = _checked_header(header, path)
         if header["version"] != V2_FORMAT_VERSION:
             raise ValueError(f"unsupported store version "
                              f"{header['version']}")

@@ -92,11 +92,6 @@ class TestMutation:
         assert sub.num_entities == kg.num_entities
         assert sub.num_relations == kg.num_relations
 
-    def test_neighbors_of(self, kg):
-        head = int(kg.triplets[0, 0])
-        neighbors = kg.neighbors_of(head)
-        assert np.all(neighbors[:, 0] == head)
-
 
 # ---------------------------------------------------------------------------
 # the loop-and-full-matrix builder, kept as a byte-exact reference

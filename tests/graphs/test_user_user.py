@@ -66,7 +66,7 @@ class TestAttention:
 
     def test_neighbors_of(self, user_item):
         graph = UserUserGraph(user_item, top_k=2)
-        assert set(graph.neighbors_of(0).tolist()) == {1, 2}
+        assert set(graph.topk_counts.getrow(0).indices.tolist()) == {1, 2}
 
 
 class TestTopkVectorizationParity:

@@ -16,6 +16,7 @@ import pytest
 from repro.serve import (BatchRanker, EmbeddingStore, MicroBatcher,
                          ServingDaemon, SnapshotManager)
 from repro.serve.daemon import MAX_K
+from repro.serve.store import HEADER_KEY, MANIFEST_NAME
 
 
 def make_store(seed, num_items=50):
@@ -139,6 +140,32 @@ def _v1_store(root, mmap):
     return _json({"path": str(path), "mmap": mmap})
 
 
+def _v2_manifest(edit):
+    """Body builder: a v2 store whose manifest is ``edit(manifest)``."""
+    def build(root):
+        path = make_store(2).save(root / "bad-v2", format="v2")
+        manifest = path / MANIFEST_NAME
+        manifest.write_text(json.dumps(edit(json.loads(
+            manifest.read_text()))))
+        return _json({"path": str(path)})
+    return build
+
+
+def _without(key):
+    return _v2_manifest(lambda manifest: {
+        name: value for name, value in manifest.items() if name != key})
+
+
+def _v1_header(root):
+    """A v1 archive whose header is the JSON array ``[1, 2]``."""
+    path = make_store(2).save(root / "bad-v1.npz")
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    arrays[HEADER_KEY] = np.frombuffer(b"[1, 2]", dtype=np.uint8)
+    np.savez(path, **arrays)
+    return _json({"path": str(path)})
+
+
 #: name -> (endpoint, expected status, body builder over the swap root);
 #: the fixture store has one modality, "image", 5 features wide
 BAD_POSTS = {
@@ -166,6 +193,11 @@ BAD_POSTS = {
                             lambda root: _v1_store(root, "false")),
     "swap-v1-mmap-true": ("/swap", 400,
                           lambda root: _v1_store(root, True)),
+    "swap-v2-no-version": ("/swap", 400, _without("version")),
+    "swap-v2-no-metadata": ("/swap", 400, _without("metadata")),
+    "swap-v2-manifest-array": ("/swap", 400,
+                               _v2_manifest(lambda manifest: [1, 2])),
+    "swap-v1-header-array": ("/swap", 400, _v1_header),
 }
 
 

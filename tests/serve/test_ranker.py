@@ -3,6 +3,9 @@ per-user path is the contract."""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,16 @@ def reference_rankings(scores, candidates, k, seen=None):
             user_scores[item] = -np.inf
         out.append(rank_candidates(user_scores, candidates, k))
     return np.asarray(out)
+
+
+def metrics_reference():
+    """The per-user metric loop kept in ``tests/eval``."""
+    path = (Path(__file__).resolve().parents[1] / "eval"
+            / "metrics_reference.py")
+    spec = importlib.util.spec_from_file_location("metrics_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestInteractionsToCsr:
@@ -42,16 +55,6 @@ class TestInteractionsToCsr:
         assert matrix.shape == (5, 6) and matrix.nnz == 0
 
 
-def loop_extra_seen_reference(scores, users, extra_seen):
-    """The historical per-row Python loop, verbatim, as the parity
-    reference for the flattened-scatter rewrite."""
-    for row, user in enumerate(users):
-        items = extra_seen.get(int(user))
-        if items is not None and len(items):
-            scores[row, np.fromiter(items, dtype=np.int64)] = -np.inf
-    return scores
-
-
 class TestApplySeenMask:
     def test_masks_csr_rows(self, rng):
         scores = rng.normal(size=(3, 6))
@@ -61,34 +64,19 @@ class TestApplySeenMask:
         assert scores[2, 5] == -np.inf
         assert np.isfinite(scores[1]).all()
 
-    def test_extra_seen_only(self, rng):
-        scores = rng.normal(size=(2, 4))
-        apply_seen_mask(scores, np.array([7, 3]), None,
-                        extra_seen={3: [1, 2], 5: [0]})
-        assert scores[1, 1] == -np.inf and scores[1, 2] == -np.inf
-        assert np.isfinite(scores[0]).all()
-
-    def test_extra_seen_scatter_matches_loop_on_duplicate_users(self, rng):
-        # The flattened (row, col) scatter must mask exactly what the
-        # old per-row loop masked, including when the same user appears
-        # in several rows and when the duplicate rows repeat their sets.
+    def test_seen_scatter_matches_loop_on_duplicate_users(self, rng):
+        # The flattened (row, col) scatter must mask exactly what a
+        # per-row loop masks, including when the same user appears in
+        # several rows and when a user's pairs repeat.
         users = np.array([3, 7, 3, 3, 9, 7, 11])
-        extra_seen = {3: [0, 5, 5], 7: [2], 9: [], 11: [1, 8],
-                      99: [4]}  # 99 not in the batch
+        pairs = np.array([[3, 0], [3, 5], [3, 5], [7, 2], [11, 1], [11, 8],
+                          [99, 4]])  # 99 not in the batch, 9 has no pairs
         scores = rng.normal(size=(len(users), 12))
-        expected = loop_extra_seen_reference(scores.copy(), users,
-                                             extra_seen)
-        apply_seen_mask(scores, users, None, extra_seen=extra_seen)
+        expected = scores.copy()
+        for row, user in enumerate(users):
+            expected[row, pairs[pairs[:, 0] == user, 1]] = -np.inf
+        apply_seen_mask(scores, users, interactions_to_csr(pairs, 100, 12))
         np.testing.assert_array_equal(scores, expected)
-
-    def test_extra_seen_empty_batch_and_empty_dict(self, rng):
-        scores = rng.normal(size=(3, 5))
-        before = scores.copy()
-        apply_seen_mask(scores, np.array([0, 1, 2]), None, extra_seen={})
-        np.testing.assert_array_equal(scores, before)
-        empty = rng.normal(size=(0, 5))
-        apply_seen_mask(empty, np.array([], dtype=np.int64), None,
-                        extra_seen={0: [1]})
 
 
 class TestTopkFromScores:
@@ -144,6 +132,7 @@ class TestBatchRanker:
         ranker = BatchRanker(users_mat, items_mat, seen=seen, block_size=7,
                              score_tile=score_tile)
         users = np.arange(30)
+        # 22 of the 90 seen pairs fall outside these candidates
         candidates = rng.choice(50, size=40, replace=False)
         result = ranker.topk(users, 5, candidates=candidates)
 
@@ -178,19 +167,11 @@ class TestBatchRanker:
         assert 3 not in masked.items[0][np.isfinite(masked.scores[0])]
         assert 3 in unmasked.items[0]
 
-    def test_extra_seen_maps_into_candidates(self, vectors):
+    def test_seen_masks_every_duplicate_row(self, vectors):
         users_mat, items_mat = vectors
-        ranker = BatchRanker(users_mat, items_mat)
-        candidates = np.arange(10)
-        result = ranker.topk(np.array([4]), 10, candidates=candidates,
-                             extra_seen={4: [1, 2, 49]})  # 49 not a candidate
-        finite = result.items[0][np.isfinite(result.scores[0])]
-        assert 1 not in finite and 2 not in finite
-
-    def test_extra_seen_masks_every_duplicate_row(self, vectors):
-        users_mat, items_mat = vectors
-        ranker = BatchRanker(users_mat, items_mat)
-        result = ranker.topk(np.array([4, 4]), 50, extra_seen={4: [1]})
+        seen = interactions_to_csr(np.array([[4, 1]]), 30, 50)
+        ranker = BatchRanker(users_mat, items_mat, seen=seen)
+        result = ranker.topk(np.array([4, 4]), 50)
         for row in range(2):
             finite = result.items[row][np.isfinite(result.scores[row])]
             assert 1 not in finite
@@ -240,7 +221,7 @@ class TestBatchRanker:
 class TestProtocolParity:
     """The rewired evaluate_scenario must reproduce the seed loop."""
 
-    def _seed_evaluate_rankings(self, model, split, which, k, extra_seen=None):
+    def _seed_evaluate_rankings(self, model, split, which, k):
         truth = split.ground_truth(which)
         users = np.asarray(sorted(truth.keys()), dtype=np.int64)
         cold = which.startswith("cold")
@@ -253,9 +234,6 @@ class TestProtocolParity:
             user_scores = scores[row].copy()
             for item in seen.get(int(user), ()):
                 user_scores[item] = -np.inf
-            if extra_seen:
-                for item in extra_seen.get(int(user), ()):
-                    user_scores[item] = -np.inf
             rankings[int(user)] = rank_candidates(user_scores, candidates, k)
         return rankings
 
@@ -286,7 +264,7 @@ class TestProtocolParity:
         result = evaluate_scenario(model, tiny_dataset.split, "warm_test",
                                    k=10)
         # Re-deriving the metrics from the seed loop must agree exactly.
-        from repro.eval.metrics import evaluate_rankings
+        evaluate_rankings = metrics_reference().evaluate_rankings
         seed_rankings = self._seed_evaluate_rankings(
             model, tiny_dataset.split, "warm_test", 10)
         truth = tiny_dataset.split.ground_truth("warm_test")

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from repro.baselines import create_model
-from repro.serve import BatchRanker, EmbeddingStore
+from repro.serve import BatchRanker, CorruptStoreError, EmbeddingStore
+from repro.serve.store import HEADER_KEY, MANIFEST_NAME
 
 
 @pytest.fixture()
@@ -183,6 +187,39 @@ class TestFormatV2:
         ids = mapped.ingest_items(new)
         assert list(ids) == [store.num_items, store.num_items + 1]
         assert mapped.num_items == store.num_items + 2
+
+
+class TestMalformedHeader:
+    """A header that is not a JSON object, or lacks a key the loaders
+    read, is a corrupt store naming its path, not a raw lookup error."""
+
+    @pytest.mark.parametrize("header", [[1, 2], "store", None])
+    def test_v2_manifest_not_an_object(self, store, tmp_path, header):
+        path = store.save(tmp_path / "s", format="v2")
+        (path / MANIFEST_NAME).write_text(json.dumps(header))
+        with pytest.raises(CorruptStoreError, match=re.escape(str(path))):
+            EmbeddingStore.load(path)
+
+    @pytest.mark.parametrize("key", ["version", "item_topk", "modalities",
+                                     "metadata"])
+    def test_v2_manifest_without_key(self, store, tmp_path, key):
+        path = store.save(tmp_path / "s", format="v2")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        del manifest[key]
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError, match=key):
+            EmbeddingStore.load(path)
+
+    @pytest.mark.parametrize("header", [[1, 2], "store", None])
+    def test_v1_header_not_an_object(self, store, tmp_path, header):
+        path = store.save(tmp_path / "s.npz")
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays[HEADER_KEY] = np.frombuffer(
+            json.dumps(header).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CorruptStoreError, match=re.escape(str(path))):
+            EmbeddingStore.load(path)
 
 
 class TestValidation:
