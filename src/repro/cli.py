@@ -15,8 +15,7 @@ Commands
     List the registered models and their families.
 ``export-embeddings``
     Snapshot a trained model (fresh or from a checkpoint) into a serving
-    ``EmbeddingStore`` — a compressed ``.npz`` archive (``--format v1``,
-    the default) or the mmap-able raw-array directory (``--format v2``).
+    ``EmbeddingStore`` — an mmap-able directory of raw arrays.
 ``serve``
     Answer batched top-k queries from a store/checkpoint/fresh model —
     interactive REPL or file-driven — including online ``ingest`` of
@@ -224,9 +223,9 @@ def cmd_export_embeddings(args) -> int:
     model, dataset, seed = _trained_model(args)
     store = EmbeddingStore.from_model(model, dataset,
                                       metadata={"seed": seed})
-    written = store.save(args.out, format=args.format)
+    written = store.save(args.out)
     print(format_table([store.describe()], title="Exported store"))
-    print(f"store written to {written} (format {args.format})")
+    print(f"store written to {written}")
     return 0
 
 
@@ -240,7 +239,7 @@ def _repl_lines():
 
 def cmd_serve(args) -> int:
     if args.mmap and not args.store:
-        print("--mmap only applies with --store (a format-v2 directory)",
+        print("--mmap only applies with --store",
               file=sys.stderr)
         return 2
     if args.store:
@@ -580,13 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser(
         "export-embeddings",
         help="snapshot a trained model into a serving store")
-    p_export.add_argument("out", help="output path (.npz for v1, a "
-                                      "directory for v2)")
+    p_export.add_argument("out", help="output store directory")
     p_export.add_argument("--checkpoint", default=None)
     p_export.add_argument("--model", default="Firzen")
-    p_export.add_argument("--format", default="v1", choices=("v1", "v2"),
-                          help="v1: compressed single-file .npz; "
-                               "v2: mmap-able raw-array directory")
     _add_common(p_export)
     p_export.set_defaults(func=cmd_export_embeddings)
 
@@ -594,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="batched top-k serving with online item onboarding")
     source = p_serve.add_mutually_exclusive_group()
     source.add_argument("--store", default=None,
-                        help="load an exported EmbeddingStore archive")
+                        help="load an exported EmbeddingStore directory")
     source.add_argument("--checkpoint", default=None,
                         help="snapshot a training checkpoint instead")
     p_serve.add_argument("--model", default="Firzen")
@@ -603,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: interactive REPL)")
     p_serve.add_argument("--block-size", type=int, default=1024)
     p_serve.add_argument("--mmap", action="store_true",
-                         help="memory-map a format-v2 --store directory "
+                         help="memory-map the --store directory "
                               "(zero-copy load)")
     p_serve.add_argument("--daemon", action="store_true",
                          help="serve HTTP JSON endpoints with "

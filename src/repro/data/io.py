@@ -1,36 +1,29 @@
-"""Dataset serialization: v1 ``.npz`` archives and v2 mmap directories.
+"""Dataset serialization: one array directory per dataset.
 
 Synthetic benchmarks are cheap to regenerate, but pinning the exact
 arrays to disk makes experiments auditable and lets external tools (or a
 different machine) consume the same benchmark bytes.
 
-Two formats, one logical contract:
-
-* **v1** — a single compressed ``.npz`` archive.  The historical
-  format; small benchmarks keep producing byte-identical archives.
-* **v2** — a directory of raw ``.npy`` arrays plus a ``manifest.json``
-  written LAST (the same manifest-last + atomic-rename discipline as
-  the serving store), so a torn build never publishes and a published
-  directory is always complete.  Arrays load ``mmap_mode="r"`` on
-  request, which is what lets million-scale datasets open without
-  resident copies.
-
-The out-of-core builder (:mod:`repro.data.scale`) streams its arrays
-straight into a :class:`DatasetDirWriter`'s staged directory, so big
-arrays are written exactly once.
+A dataset is an array directory (:mod:`repro.utils.arraydir`): raw
+``.npy`` arrays plus a ``manifest.json`` written last and published
+with one atomic rename, so a torn build never publishes and a published
+directory is always complete.  Arrays load ``mmap_mode="r"`` on
+request, which is what lets million-scale datasets open without
+resident copies.  The out-of-core builder (:mod:`repro.data.scale`)
+streams its arrays straight into a :class:`DatasetDirWriter`'s staged
+directory, so big arrays are written exactly once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
 from pathlib import Path
 
 import numpy as np
 
-from ..reliability import fire, is_injected_crash
+from ..utils.arraydir import (ArrayDirWriter, check_fields, read_array,
+                              read_manifest)
 from .datasets import RecDataset
 from .kg_builder import KnowledgeGraph
 from .splits import ColdStartSplit
@@ -39,13 +32,21 @@ _SPLIT_FIELDS = ("warm_items", "cold_items", "train", "warm_val",
                  "warm_test", "cold_val", "cold_test", "cold_val_known",
                  "cold_val_unknown", "cold_test_known", "cold_test_unknown")
 
-#: v2 directory marker, written last — its presence is the commit
-MANIFEST_NAME = "manifest.json"
-DATASET_FORMAT_V2 = 2
+#: the manifest's ``format``; folded into the runner's dataset content
+#: address, so a change of layout never reads an older cache entry
+DATASET_FORMAT = 2
+
+#: manifest key -> the kind of value :func:`load_dataset` reads
+_MANIFEST_KINDS = {
+    "name": str, "num_users": int, "num_items": int, "modalities": list,
+    "arrays": list,
+    "kg": {"num_entities": int, "num_relations": int, "num_items": int,
+           "relation_names": list},
+}
 
 
 class CorruptDatasetError(ValueError):
-    """A dataset file/directory is missing, torn, or damaged."""
+    """A dataset directory is missing, torn, or damaged."""
 
 
 def _dataset_header(dataset: RecDataset) -> dict:
@@ -64,8 +65,7 @@ def _dataset_header(dataset: RecDataset) -> dict:
 
 
 def _dataset_arrays(dataset: RecDataset) -> dict[str, np.ndarray]:
-    """Name -> array, in the fixed serialization order both formats
-    share (and v1 archives have always used)."""
+    """Name -> array, in the fixed serialization order."""
     arrays: dict[str, np.ndarray] = {}
     for field in _SPLIT_FIELDS:
         value = getattr(dataset.split, field)
@@ -77,176 +77,74 @@ def _dataset_arrays(dataset: RecDataset) -> dict[str, np.ndarray]:
     return arrays
 
 
-class DatasetDirWriter:
-    """Staged, atomically-committed v2 dataset directory.
-
-    Files are assembled in a ``<name>.tmp-<pid>`` sibling; arrays may be
-    added whole (:meth:`add_array`) or streamed directly into
-    :meth:`array_path`.  :meth:`commit` fires the ``dataset.build.write``
-    fault seam, writes the manifest last, and renames into place — the
-    same torn-write discipline as the serving store, so a killed build
-    leaves a staged dir behind, never a half-published dataset.
-    """
+class DatasetDirWriter(ArrayDirWriter):
+    """The staged dataset directory: fires the ``dataset.build.write``
+    fault seam and adds the format and the array names to the
+    manifest."""
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.staged = self.path.parent \
-            / f"{self.path.name}.tmp-{os.getpid()}"
-        shutil.rmtree(self.staged, ignore_errors=True)
-        self.staged.mkdir()
-        self._names: list[str] = []
-
-    def array_path(self, name: str) -> Path:
-        """Staged file path for an array (for stream writers)."""
-        self._names.append(name)
-        return self.staged / f"{name}.npy"
-
-    def add_array(self, name: str, array: np.ndarray) -> None:
-        np.save(self.array_path(name), np.asarray(array),
-                allow_pickle=False)
+        super().__init__(path, seam="dataset.build.write")
 
     def commit(self, header: dict) -> Path:
-        manifest = dict(header)
-        manifest["format"] = DATASET_FORMAT_V2
-        manifest["arrays"] = list(self._names)
-        try:
-            # Chaos seam: a "crash" here tears the build after the
-            # arrays but before the manifest — the staged dir survives
-            # (like a real kill) and nothing is published.
-            fire("dataset.build.write", path=self.staged)
-            (self.staged / MANIFEST_NAME).write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        except BaseException as exc:
-            if not is_injected_crash(exc):
-                self.abort()
-            raise
-        os.replace(self.staged, self.path)
-        return self.path
-
-    def abort(self) -> None:
-        shutil.rmtree(self.staged, ignore_errors=True)
+        return super().commit({**header, "format": DATASET_FORMAT,
+                               "arrays": self.names})
 
 
-def save_dataset(dataset: RecDataset, path: str | Path,
-                 format: str = "v1") -> None:
-    """Write a dataset (split + features + KG) to disk.
-
-    ``format="v1"`` produces the historical compressed ``.npz`` archive
-    (byte-identical to prior releases); ``format="v2"`` produces an
-    mmap-able directory with a manifest written last.  The generator
-    ``world`` is not stored — it is ground truth for tests, not part of
-    the benchmark contract.
-    """
-    path = Path(path)
-    if format == "v2":
-        writer = DatasetDirWriter(path)
-        try:
-            for name, array in _dataset_arrays(dataset).items():
-                writer.add_array(name, array)
-            writer.commit(_dataset_header(dataset))
-        except BaseException as exc:
-            if not is_injected_crash(exc):
-                writer.abort()
-            raise
-        return
-    if format != "v1":
-        raise ValueError(f"unknown dataset format {format!r}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = _dataset_arrays(dataset)
-    arrays["__header__"] = np.frombuffer(
-        json.dumps(_dataset_header(dataset)).encode("utf-8"),
-        dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
-
-
-def _dataset_from_parts(header: dict, lookup) -> RecDataset:
-    split_kwargs = {
-        "num_users": header["num_users"],
-        "num_items": header["num_items"],
-    }
-    for field in _SPLIT_FIELDS:
-        split_kwargs[field] = lookup(f"split.{field}")
-    split = ColdStartSplit(**split_kwargs)
-    features = {m: lookup(f"features.{m}") for m in header["modalities"]}
-    kg = KnowledgeGraph(
-        triplets=lookup("kg.triplets"),
-        num_entities=header["kg"]["num_entities"],
-        num_relations=header["kg"]["num_relations"],
-        num_items=header["kg"]["num_items"],
-        relation_names=tuple(header["kg"]["relation_names"]),
-    )
-    return RecDataset(
-        name=header["name"],
-        num_users=header["num_users"],
-        num_items=header["num_items"],
-        split=split,
-        features=features,
-        kg=kg,
-        world=None,
-    )
-
-
-def _load_v2(path: Path, mmap: bool) -> RecDataset:
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise CorruptDatasetError(
-            f"{path} has no {MANIFEST_NAME}: not a format v2 dataset "
-            "directory (or a torn write)")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (json.JSONDecodeError, OSError) as exc:
-        raise CorruptDatasetError(
-            f"{path}/{MANIFEST_NAME} is unreadable: {exc}") from exc
-    present = set(manifest.get("arrays", ()))
-
-    def lookup(name: str):
-        if name not in present:
-            return None
-        array_path = path / f"{name}.npy"
-        try:
-            return np.load(array_path, allow_pickle=False,
-                           mmap_mode="r" if mmap else None)
-        except (ValueError, OSError) as exc:
-            raise CorruptDatasetError(
-                f"{array_path} is missing or damaged (manifest lists "
-                f"it): {exc}") from exc
-
-    return _dataset_from_parts(manifest, lookup)
+def save_dataset(dataset: RecDataset, path: str | Path) -> Path:
+    """Write a dataset (split + features + KG) as a directory; returns
+    the path.  The generator ``world`` is not stored — it is ground
+    truth for tests, not part of the benchmark contract."""
+    with DatasetDirWriter(path) as writer:
+        for name, array in _dataset_arrays(dataset).items():
+            writer.add_array(name, array)
+        return writer.commit(_dataset_header(dataset))
 
 
 def load_dataset(path: str | Path, mmap: bool = False) -> RecDataset:
     """Reconstruct a dataset written by :func:`save_dataset`.
 
-    Directories load as format v2 (``mmap=True`` maps arrays read-only
-    instead of copying them into RAM); ``.npz`` files load as v1.  A
-    missing or torn v2 directory raises :class:`CorruptDatasetError`
-    naming the path, matching the serving-store contract.
+    ``mmap=True`` maps arrays read-only instead of copying them into
+    RAM.  A missing, torn or damaged directory, or a manifest without a
+    field this reads, raises :class:`CorruptDatasetError` naming the
+    path.
     """
     path = Path(path)
-    if path.is_dir():
-        return _load_v2(path, mmap)
-    if not path.exists() and path.suffix != ".npz":
-        raise CorruptDatasetError(
-            f"{path} does not exist: expected a v2 dataset directory "
-            "or a v1 .npz archive")
-    if mmap:
-        raise ValueError("mmap loading requires the v2 directory "
-                         "format; v1 .npz archives are compressed")
-    with np.load(path, allow_pickle=False) as archive:
-        header = json.loads(archive["__header__"].tobytes().decode("utf-8"))
+    manifest = read_manifest(path, CorruptDatasetError)
+    check_fields(manifest, _MANIFEST_KINDS, path, CorruptDatasetError)
+    present = set(manifest["arrays"])
 
-        def lookup(name: str):
-            return archive[name] if name in archive.files else None
+    def lookup(name: str):
+        if name not in present:
+            return None
+        return read_array(path, name, CorruptDatasetError, mmap=mmap)
 
-        return _dataset_from_parts(header, lookup)
+    split = ColdStartSplit(
+        num_users=manifest["num_users"], num_items=manifest["num_items"],
+        **{field: lookup(f"split.{field}") for field in _SPLIT_FIELDS})
+    kg = manifest["kg"]
+    return RecDataset(
+        name=manifest["name"],
+        num_users=manifest["num_users"],
+        num_items=manifest["num_items"],
+        split=split,
+        features={m: lookup(f"features.{m}")
+                  for m in manifest["modalities"]},
+        kg=KnowledgeGraph(
+            triplets=lookup("kg.triplets"),
+            num_entities=kg["num_entities"],
+            num_relations=kg["num_relations"],
+            num_items=kg["num_items"],
+            relation_names=tuple(kg["relation_names"]),
+        ),
+        world=None,
+    )
 
 
 def dataset_fingerprint(dataset: RecDataset) -> str:
     """Content hash (16 hex chars) over the dataset's logical bytes.
 
-    Storage-independent: an in-RAM build, a v1 archive roundtrip, and an
-    mmap'd v2 directory of the same dataset all hash identically — the
+    Storage-independent: an in-RAM build, a directory roundtrip, and an
+    mmap'd directory of the same dataset all hash identically — the
     equality the chunked-vs-in-RAM parity gate checks.  Memmapped
     arrays are hashed in bounded slabs, never copied whole.
     """

@@ -419,8 +419,8 @@ def item_partition(config: ScaleConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scale_dataset_header(config: ScaleConfig, name: str) -> dict:
-    """The v2 manifest header of a scale-built dataset (same schema the
-    v1 archives embed)."""
+    """The manifest header of a scale-built dataset (the schema
+    :func:`repro.data.io.save_dataset` writes)."""
     layout = scale_kg_layout(config)
     return {
         "name": name,
@@ -452,7 +452,7 @@ def build_scale_dataset(config: ScaleConfig,
     ``chunk_rows=None`` is the in-RAM reference build (returns a fully
     resident :class:`RecDataset`).  Any other value routes through the
     out-of-core pipeline in :mod:`repro.data.chunked` — peak memory is
-    bounded by ``chunk_rows``, the result is published as a v2 dataset
+    bounded by ``chunk_rows``, the result is published as a dataset
     directory (``out``, or a private temp dir) and returned mmap'd —
     and is byte-identical to the reference build by contract.
     """
@@ -494,13 +494,15 @@ def _build_chunked(config: ScaleConfig, chunk_rows: int,
     if out is None:
         keep = Path(tempfile.mkdtemp(prefix="repro-scale-"))
         atexit.register(shutil.rmtree, keep, ignore_errors=True)
-        out = keep / "dataset.v2"
+        out = keep / "dataset"
     out = Path(out)
 
-    writer = DatasetDirWriter(out)
-    scratch = tempfile.TemporaryDirectory(prefix="repro-scale-build-")
-    try:
-        work = Path(scratch.name)
+    # Leaving the block on an error removes the staged directory; an
+    # injected crash (the dataset.build.write chaos seam) leaves it on
+    # disk, exactly as a real kill would.
+    with DatasetDirWriter(out) as writer, tempfile.TemporaryDirectory(
+            prefix="repro-scale-build-") as scratch:
+        work = Path(scratch)
         # 1. dedup: external sorted-unique over encoded (user, item)
         # keys == np.unique of the concatenated stream
         unique_path = external_sorted_unique(
@@ -549,14 +551,4 @@ def _build_chunked(config: ScaleConfig, chunk_rows: int,
             for chunk in iter_kg_chunks(config, chunk_rows):
                 stream.write(chunk)
         writer.commit(scale_dataset_header(config, name))
-    except BaseException as exc:
-        # An injected crash (the dataset.build.write chaos seam) models
-        # a kill: the torn staged directory must survive, exactly like
-        # a real one would — only genuine failures clean up.
-        from ..reliability import is_injected_crash
-        if not is_injected_crash(exc):
-            writer.abort()
-        raise
-    finally:
-        scratch.cleanup()
     return load_dataset(out, mmap=True)

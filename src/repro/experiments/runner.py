@@ -166,25 +166,16 @@ class Runner:
         committed = None if self.refresh else self._read(
             lambda: self.store.get("dataset", key))
         if committed is not None and not require_world:
-            if (committed / "dataset.v2").is_dir():
-                # Large (scale-built) datasets commit as v2 directories
-                # and reopen mmap'd — no resident copy of the arrays.
-                dataset = self._read(
-                    lambda: load_dataset(committed / "dataset.v2",
-                                         mmap=True))
-            else:
-                dataset = self._read(
-                    lambda: load_dataset(committed / "dataset.npz"))
+            # Large (scale-built) datasets reopen mmap'd — no resident
+            # copy of the arrays.
+            dataset = self._read(lambda: load_dataset(
+                committed / "dataset", mmap=spec.dataset == "scale"))
         else:
             dataset = self._build_dataset(spec)
         if self._read(lambda: self.store.get("dataset", key)) is None \
                 or self.refresh:
             staged = self.store.stage_dir("dataset", key)
-            if spec.dataset == "scale":
-                save_dataset(dataset, staged / "dataset.v2",
-                             format="v2")
-            else:
-                save_dataset(dataset, staged / "dataset.npz")
+            save_dataset(dataset, staged / "dataset")
             self.store.commit("dataset", key, staged, {
                 "dataset": spec.dataset, "size": spec.size,
                 "name": dataset.name,

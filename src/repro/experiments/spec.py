@@ -13,7 +13,8 @@ the parameter dtype (``PARAM_DTYPE``) and :data:`PIPELINE_VERSION`,
 which must be bumped by any PR that intentionally changes training or
 evaluation semantics (everything else — sparse gradients, fused
 kernels — is bit-identical by contract and therefore excluded on
-purpose).
+purpose).  The dataset key also folds in the on-disk dataset format,
+so a cache entry in an older layout is never read.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..data.io import DATASET_FORMAT
 from ..train.trainer import TrainConfig
 
 #: bump when training/evaluation semantics change in a way that makes
@@ -136,6 +138,7 @@ class ExperimentSpec:
     def dataset_key(self) -> str:
         return content_key({
             "pipeline": PIPELINE_VERSION,
+            "format": DATASET_FORMAT,
             "dataset": self.dataset,
             "size": self.size,
             "world": self.world,

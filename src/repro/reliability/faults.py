@@ -2,7 +2,7 @@
 
 A :class:`FaultSpec` names one scripted fault: an ``op`` pattern
 (matched with :func:`fnmatch.fnmatch` against seam names such as
-``store.v1.write`` or ``daemon.batch``), the 1-based call index ``at``
+``store.v2.write`` or ``daemon.batch``), the 1-based call index ``at``
 at which it starts firing, how many consecutive matching calls it
 covers (``times``, ``-1`` = every call from ``at`` on), and a ``kind``:
 
@@ -90,7 +90,7 @@ def is_injected_crash(exc: BaseException) -> bool:
 def tear_file(path: str | Path, keep_fraction: float = 0.5) -> None:
     """Truncate ``path`` the way a kill mid-write would: keep a prefix.
 
-    For a directory (a staged v2 store / artifact dir) the manifest-like
+    For a directory (a staged array directory or artifact dir) the manifest-like
     file is the torn part: drop ``manifest.json``/``meta.json`` if
     present, else truncate the lexically last file (the one written
     last).

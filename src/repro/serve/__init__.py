@@ -4,8 +4,8 @@ The layers (see ``docs/ARCHITECTURE.md``):
 
 * :class:`EmbeddingStore` — a trained model's final user/item
   representations (cold-item expansions included) as contiguous
-  ``float32`` arrays; persisted as a compressed ``.npz`` (v1) or an
-  mmap-able raw-array directory (v2, ``load(mmap=True)`` is zero-copy);
+  ``float32`` arrays; persisted as an mmap-able raw-array directory
+  (``load(mmap=True)`` is zero-copy);
 * :class:`BatchRanker` — blocked-matmul top-k for batches of users with
   vectorized seen-item masking; the evaluation protocol reuses its
   ranking kernels, so the table harnesses share this hot path;

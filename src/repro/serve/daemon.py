@@ -522,7 +522,7 @@ class _Handler(BaseHTTPRequestHandler):
             snapshot = self.daemon.manager.swap_from_path(target, mmap=mmap)
         except FileNotFoundError:
             return self._error(f"no store at {path!r}", status=404)
-        except ValueError as exc:  # CorruptStoreError, v1 with mmap
+        except ValueError as exc:  # CorruptStoreError, unknown version
             return self._error(str(exc))
         self._reply({"snapshot_version": snapshot.version,
                      "source": snapshot.source,

@@ -14,7 +14,7 @@ Query language (one query per line)::
     batch <u1,u2,...> [k]    one result line per user
     cold <user> [k]          restrict candidates to cold/ingested items
     ingest <features.npz>    onboard new items (one array per modality)
-    swap <store> [mmap]      hot-swap to a saved store (v1 or v2)
+    swap <store> [mmap]      hot-swap to a saved store directory
     stats                    store summary
     help                     this text
     quit                     end the session

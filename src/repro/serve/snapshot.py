@@ -111,8 +111,7 @@ class SnapshotManager:
 
     def swap_from_path(self, path: str | Path,
                        mmap: bool = False) -> Snapshot:
-        """Load a saved store (v1 or v2; v2 optionally mmap'd) and
-        publish it."""
+        """Load a saved store (optionally mmap'd) and publish it."""
         path = Path(path)
         store = EmbeddingStore.load(path, mmap=mmap)
         return self.swap(store, source=str(path))

@@ -5,10 +5,10 @@ trained model — final user/item representation matrices (including the
 frozen-graph expansions for strict cold-start items), the training
 interactions used for seen-item masking, the raw per-item modality
 features, and the kNN budget of the frozen item-item graphs — as
-contiguous ``float32`` arrays.  Two on-disk formats: v1, a compressed
-single-file ``.npz``; and v2, an uncompressed directory of raw ``.npy``
-arrays plus a JSON manifest that ``load(mmap=True)`` maps zero-copy
-straight off the page cache.
+contiguous ``float32`` arrays.  On disk it is an array directory
+(:mod:`repro.utils.arraydir`): one raw ``.npy`` per array plus a JSON
+manifest, which ``load(mmap=True)`` maps zero-copy straight off the
+page cache.
 
 Unlike a training checkpoint (:mod:`repro.train.checkpoint`), which
 stores *parameters* and rebuilds graphs from the dataset, a store holds
@@ -20,49 +20,32 @@ brand-new items arrive after training.
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
-import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..reliability import fire, is_injected_crash
+from ..reliability import fire
+from ..utils.arraydir import (ArrayDirWriter, check_fields, read_array,
+                              read_manifest)
 from .ranker import interactions_to_csr
 
-HEADER_KEY = "__store_header__"
-FORMAT_VERSION = 1
-V2_FORMAT_VERSION = 2
-MANIFEST_NAME = "manifest.json"
+FORMAT_VERSION = 2
 DEFAULT_ITEM_TOPK = 10
+
+#: manifest key -> the kind of value :meth:`EmbeddingStore.load` reads
+_HEADER_KINDS = {"version": int, "item_topk": int, "modalities": list,
+                 "metadata": dict}
 
 
 class CorruptStoreError(ValueError):
-    """A store archive is truncated, torn, or otherwise unreadable.
+    """A store directory is torn, damaged, or not a store at all.
 
     Raised by :meth:`EmbeddingStore.load` with the offending path in
-    the message instead of letting a raw ``zipfile.BadZipFile`` (v1) or
-    a missing-file ``OSError`` (v2) propagate — callers (the serving
-    CLI, ``POST /swap``, the chaos harness) get one exception type that
-    means "this snapshot is damaged; do not serve it".
+    the message — callers (the serving CLI, ``POST /swap``, the chaos
+    harness) get one exception type that means "this snapshot is
+    damaged; do not serve it".
     """
-
-
-def _checked_header(header, path: Path) -> dict:
-    """``header`` if it is a JSON object with every key ``_header``
-    writes; otherwise :class:`CorruptStoreError` naming ``path``."""
-    if not isinstance(header, dict):
-        raise CorruptStoreError(
-            f"store {path} has a header that is not a JSON object")
-    missing = [key for key in ("version", "item_topk", "modalities",
-                               "metadata") if key not in header]
-    if missing:
-        raise CorruptStoreError(
-            f"store {path} has a header without {', '.join(missing)}")
-    return header
 
 
 class EmbeddingStore:
@@ -97,6 +80,8 @@ class EmbeddingStore:
                                                  dtype=np.float32)
         self.item_vectors = np.ascontiguousarray(item_vectors,
                                                  dtype=np.float32)
+        if self.user_vectors.ndim != 2 or self.item_vectors.ndim != 2:
+            raise ValueError("user and item vectors must be 2-D matrices")
         if self.user_vectors.shape[1] != self.item_vectors.shape[1]:
             raise ValueError("user/item embedding dimensions differ")
         num_items = self.item_vectors.shape[0]
@@ -120,6 +105,11 @@ class EmbeddingStore:
         self.is_ingested = (np.zeros(num_items, dtype=bool)
                             if is_ingested is None
                             else np.asarray(is_ingested, dtype=bool).copy())
+        for name, flags in (("is_cold", self.is_cold),
+                            ("is_ingested", self.is_ingested)):
+            if flags.shape != (num_items,):
+                raise ValueError(f"{name} has shape {flags.shape}, store "
+                                 f"has {num_items} items")
         self.item_topk = int(item_topk)
         self.metadata = dict(metadata or {})
 
@@ -183,17 +173,13 @@ class EmbeddingStore:
         return ingest_items(self, features, top_k=top_k)
 
     # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def _header(self, version: int) -> dict:
-        return {
-            "version": version,
-            "item_topk": self.item_topk,
-            "modalities": list(self.modalities),
-            "metadata": self.metadata,
-        }
-
-    def _arrays(self) -> dict:
+    def save(self, path: str | Path, format: str = "v2") -> Path:
+        """Write the snapshot as an array directory (one raw ``.npy``
+        per array, manifest last, published atomically); returns the
+        path.  ``format`` accepts only ``"v2"``, the one format."""
+        if format != "v2":
+            raise ValueError(f"unknown store format {format!r}; "
+                             "only 'v2' is written")
         arrays = {
             "user_vectors": self.user_vectors,
             "item_vectors": self.item_vectors,
@@ -201,189 +187,66 @@ class EmbeddingStore:
             "is_ingested": self.is_ingested,
             "seen.indptr": self.seen.indptr,
             "seen.indices": self.seen.indices,
+            **{f"features.{m}": feats for m, feats in self.features.items()},
         }
-        for modality, feats in self.features.items():
-            arrays[f"features.{modality}"] = feats
-        return arrays
-
-    def save(self, path: str | Path, format: str = "v1") -> Path:
-        """Write the snapshot; returns the path actually written.
-
-        ``format="v1"`` writes the compressed single-file ``.npz``
-        archive (``np.savez`` appends ``.npz`` to extensionless paths,
-        so normalize up front).  ``format="v2"`` writes the mmap-able
-        directory layout: one raw ``.npy`` per array plus a JSON
-        manifest, staged into a sibling temp directory and published
-        with ``os.replace`` so readers never observe a half-written
-        snapshot.
-        """
-        if format == "v2":
-            return self._save_v2(Path(path))
-        if format != "v1":
-            raise ValueError(f"unknown store format {format!r}; "
-                             "expected 'v1' or 'v2'")
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = Path(f"{path}.npz")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        arrays = self._arrays()
-        arrays[HEADER_KEY] = np.frombuffer(
-            json.dumps(self._header(FORMAT_VERSION)).encode("utf-8"),
-            dtype=np.uint8)
-        np.savez_compressed(path, **arrays)
-        # Injection seam: a "torn" fault here truncates the archive and
-        # simulates the kill that real v1 writes (plain np.savez, no
-        # atomic rename) are exposed to.
-        fire("store.v1.write", path=path)
-        return path
-
-    def _save_v2(self, path: Path) -> Path:
-        if path.suffix == ".npz":
-            raise ValueError("format v2 writes a directory, not a .npz; "
-                             "drop the suffix")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        staged = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        if staged.exists():
-            shutil.rmtree(staged)
-        staged.mkdir()
-        try:
-            for name, array in self._arrays().items():
-                np.save(staged / f"{name}.npy", array)
-            # Injection seam: a "crash" fault here is a kill after the
-            # arrays but before the manifest — the staged directory must
-            # survive (as a real kill would leave it) and be rejected by
-            # load() as a torn write.
-            fire("store.v2.write", path=staged)
-            # Manifest last: a directory without one is recognizably
-            # incomplete, never silently loaded.
-            (staged / MANIFEST_NAME).write_text(
-                json.dumps(self._header(V2_FORMAT_VERSION), indent=2))
-            if path.exists():
-                shutil.rmtree(path)
-            os.replace(staged, path)
-        except BaseException as exc:
-            # A simulated kill leaves the torn staged dir on disk, the
-            # way a real SIGKILL would; ordinary errors clean up.
-            if not is_injected_crash(exc):
-                shutil.rmtree(staged, ignore_errors=True)
-            raise
-        return path
+        with ArrayDirWriter(path, seam="store.v2.write") as writer:
+            for name, array in arrays.items():
+                writer.add_array(name, array)
+            return writer.commit({
+                "version": FORMAT_VERSION,
+                "item_topk": self.item_topk,
+                "modalities": list(self.modalities),
+                "metadata": self.metadata,
+            })
 
     @classmethod
     def load(cls, path: str | Path, mmap: bool = False) -> "EmbeddingStore":
         """Reconstruct a snapshot written by :meth:`save`.
 
-        Detects the format from the path: a directory is format v2, a
-        file is the v1 ``.npz``.  ``mmap=True`` (v2 only) memory-maps
-        the user/item/feature matrices read-only instead of copying them
-        into RAM — :class:`EmbeddingStore`'s contiguous-``float32``
-        coercion is a no-op on the already-contiguous raw arrays, so the
-        store serves straight off the page cache.
+        ``mmap=True`` memory-maps the user/item/feature matrices
+        read-only instead of copying them into RAM —
+        :class:`EmbeddingStore`'s contiguous-``float32`` coercion is a
+        no-op on the already-contiguous raw arrays, so the store serves
+        straight off the page cache.  A missing path raises
+        :class:`FileNotFoundError`; anything else that is not a whole
+        store raises :class:`CorruptStoreError` naming it.
         """
         path = Path(path)
         fire("store.read", path=path)
-        if path.is_dir():
-            return cls._load_v2(path, mmap=mmap)
-        if mmap:
-            raise ValueError(
-                "format v1 archives are compressed and cannot be "
-                "memory-mapped; re-export with save(format='v2')")
-        # A truncated/torn v1 archive surfaces as BadZipFile (damaged
-        # central directory), EOFError/zlib.error (truncated member),
-        # or KeyError (member missing entirely) depending on where the
-        # write died, and a file that is no archive at all as numpy's
-        # pickle refusal (ValueError, naming no path) or a lone array —
-        # all of them mean the same thing to a caller.
-        try:
-            archive_cm = np.load(path, allow_pickle=False)
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError) as exc:
-            if isinstance(exc, FileNotFoundError):
-                raise
-            raise CorruptStoreError(
-                f"store archive {path} is corrupt or truncated "
-                f"({exc})") from exc
-        if not isinstance(archive_cm, np.lib.npyio.NpzFile):
-            raise CorruptStoreError(f"{path} is a single array, not a "
-                                    "store archive")
-        with archive_cm as archive:
-            try:
-                header = _checked_header(json.loads(
-                    archive[HEADER_KEY].tobytes().decode("utf-8")), path)
-                if header["version"] != FORMAT_VERSION:
-                    raise ValueError(
-                        f"unsupported store version {header['version']}")
-                user_vectors = archive["user_vectors"]
-                item_vectors = archive["item_vectors"]
-                indices = archive["seen.indices"]
-                seen = sp.csr_matrix(
-                    (np.ones(len(indices), dtype=bool), indices,
-                     archive["seen.indptr"]),
-                    shape=(user_vectors.shape[0], item_vectors.shape[0]))
-                return cls(
-                    user_vectors=user_vectors,
-                    item_vectors=item_vectors,
-                    seen=seen,
-                    features={m: archive[f"features.{m}"]
-                              for m in header["modalities"]},
-                    is_cold=archive["is_cold"],
-                    is_ingested=archive["is_ingested"],
-                    item_topk=header["item_topk"],
-                    metadata=header["metadata"],
-                )
-            except (zipfile.BadZipFile, EOFError, KeyError,
-                    zlib.error, json.JSONDecodeError) as exc:
-                raise CorruptStoreError(
-                    f"store archive {path} is corrupt or truncated "
-                    f"({exc})") from exc
-
-    @classmethod
-    def _load_v2(cls, path: Path, mmap: bool = False) -> "EmbeddingStore":
-        manifest_path = path / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise CorruptStoreError(
-                f"{path} has no {MANIFEST_NAME}: not a format v2 store "
-                "(or a torn write)")
-        try:
-            header = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CorruptStoreError(
-                f"store {path} has an unreadable {MANIFEST_NAME} "
-                f"({exc})") from exc
-        header = _checked_header(header, path)
-        if header["version"] != V2_FORMAT_VERSION:
+        if not path.exists():
+            raise FileNotFoundError(f"no store at {path}")
+        header = read_manifest(path, CorruptStoreError)
+        check_fields(header, _HEADER_KINDS, path, CorruptStoreError)
+        if header["version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported store version "
                              f"{header['version']}")
 
-        def read(name: str, mapped: bool) -> np.ndarray:
+        def read(name: str, mapped: bool = False) -> np.ndarray:
             # Only the big matrices are mapped; flags and CSR index
             # arrays are small and scipy would copy them anyway.
-            mode = "r" if (mmap and mapped) else None
-            try:
-                return np.load(path / f"{name}.npy", mmap_mode=mode,
-                               allow_pickle=False)
-            except (FileNotFoundError, EOFError, ValueError) as exc:
-                raise CorruptStoreError(
-                    f"store {path} is missing or has a damaged "
-                    f"{name}.npy ({exc})") from exc
+            return read_array(path, name, CorruptStoreError,
+                              mmap=mmap and mapped)
 
         user_vectors = read("user_vectors", True)
         item_vectors = read("item_vectors", True)
-        indices = read("seen.indices", False)
-        seen = sp.csr_matrix(
-            (np.ones(len(indices), dtype=bool), indices,
-             read("seen.indptr", False)),
-            shape=(user_vectors.shape[0], item_vectors.shape[0]))
-        return cls(
-            user_vectors=user_vectors,
-            item_vectors=item_vectors,
-            seen=seen,
-            features={m: read(f"features.{m}", True)
-                      for m in header["modalities"]},
-            is_cold=read("is_cold", False),
-            is_ingested=read("is_ingested", False),
-            item_topk=header["item_topk"],
-            metadata=header["metadata"],
-        )
+        indices, indptr = read("seen.indices"), read("seen.indptr")
+        features = {m: read(f"features.{m}", True)
+                    for m in header["modalities"]}
+        is_cold, is_ingested = read("is_cold"), read("is_ingested")
+        try:
+            seen = sp.csr_matrix(
+                (np.ones(indices.size, dtype=bool), indices, indptr),
+                shape=(user_vectors.shape[0], item_vectors.shape[0]))
+            return cls(user_vectors=user_vectors,
+                       item_vectors=item_vectors, seen=seen,
+                       features=features, is_cold=is_cold,
+                       is_ingested=is_ingested,
+                       item_topk=header["item_topk"],
+                       metadata=header["metadata"])
+        except (ValueError, IndexError) as exc:
+            # IndexError: a 0-d vector array has no shape[0]
+            raise CorruptStoreError(
+                f"store {path} has inconsistent arrays ({exc})") from exc
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

@@ -1,1 +1,1 @@
-"""Shared utilities: table rendering."""
+"""Shared utilities: table rendering and array-directory I/O."""

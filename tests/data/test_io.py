@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,7 @@ from repro.data.io import CorruptDatasetError, dataset_fingerprint
 
 class TestRoundTrip:
     def test_identity(self, tiny_dataset, tmp_path):
-        path = tmp_path / "tiny.npz"
-        save_dataset(tiny_dataset, path)
+        path = save_dataset(tiny_dataset, tmp_path / "tiny")
         loaded = load_dataset(path)
 
         assert loaded.name == tiny_dataset.name
@@ -30,8 +32,7 @@ class TestRoundTrip:
         assert loaded.kg.num_relations == tiny_dataset.kg.num_relations
 
     def test_normal_cold_fields_preserved(self, tiny_dataset, tmp_path):
-        path = tmp_path / "tiny.npz"
-        save_dataset(tiny_dataset, path)
+        path = save_dataset(tiny_dataset, tmp_path / "tiny")
         loaded = load_dataset(path)
         np.testing.assert_array_equal(loaded.split.cold_test_known,
                                       tiny_dataset.split.cold_test_known)
@@ -39,8 +40,7 @@ class TestRoundTrip:
     def test_loaded_dataset_trains_a_model(self, tiny_dataset, tmp_path):
         from repro.baselines import create_model
         from repro.train import TrainConfig, train_model
-        path = tmp_path / "tiny.npz"
-        save_dataset(tiny_dataset, path)
+        path = save_dataset(tiny_dataset, tmp_path / "tiny")
         loaded = load_dataset(path)
         model = create_model("LightGCN", loaded, embedding_dim=8, seed=0)
         result = train_model(model, loaded,
@@ -49,8 +49,7 @@ class TestRoundTrip:
         assert np.isfinite(result.losses).all()
 
     def test_statistics_match(self, tiny_dataset, tmp_path):
-        path = tmp_path / "tiny.npz"
-        save_dataset(tiny_dataset, path)
+        path = save_dataset(tiny_dataset, tmp_path / "tiny")
         loaded = load_dataset(path)
         a = tiny_dataset.statistics()
         b = loaded.statistics()
@@ -60,8 +59,7 @@ class TestRoundTrip:
 
 class TestV2Format:
     def test_round_trip(self, tiny_dataset, tmp_path):
-        path = tmp_path / "tiny.v2"
-        save_dataset(tiny_dataset, path, format="v2")
+        path = save_dataset(tiny_dataset, tmp_path / "tiny")
         loaded = load_dataset(path)
         assert loaded.name == tiny_dataset.name
         np.testing.assert_array_equal(loaded.split.train,
@@ -72,8 +70,7 @@ class TestV2Format:
                                       tiny_dataset.features["image"])
 
     def test_mmap_load(self, tiny_dataset, tmp_path):
-        path = tmp_path / "tiny.v2"
-        save_dataset(tiny_dataset, path, format="v2")
+        path = save_dataset(tiny_dataset, tmp_path / "tiny")
         loaded = load_dataset(path, mmap=True)
         assert isinstance(loaded.features["text"], np.memmap)
         np.testing.assert_array_equal(
@@ -82,29 +79,23 @@ class TestV2Format:
 
     def test_fingerprint_is_storage_independent(self, tiny_dataset,
                                                 tmp_path):
-        """v1 archive, v2 directory, and mmap'd v2 all hash to the
-        in-memory dataset's fingerprint."""
+        """A directory, loaded whole or mmap'd, hashes to the in-memory
+        dataset's fingerprint."""
         want = dataset_fingerprint(tiny_dataset)
-        v1 = tmp_path / "tiny.npz"
-        v2 = tmp_path / "tiny.v2"
-        save_dataset(tiny_dataset, v1)
-        save_dataset(tiny_dataset, v2, format="v2")
-        assert dataset_fingerprint(load_dataset(v1)) == want
-        assert dataset_fingerprint(load_dataset(v2)) == want
-        assert dataset_fingerprint(load_dataset(v2, mmap=True)) == want
+        path = save_dataset(tiny_dataset, tmp_path / "tiny")
+        assert dataset_fingerprint(load_dataset(path)) == want
+        assert dataset_fingerprint(load_dataset(path, mmap=True)) == want
 
     def test_missing_manifest_raises_naming_the_path(self, tiny_dataset,
                                                      tmp_path):
-        path = tmp_path / "torn.v2"
-        save_dataset(tiny_dataset, path, format="v2")
+        path = save_dataset(tiny_dataset, tmp_path / "torn")
         (path / "manifest.json").unlink()
         with pytest.raises(CorruptDatasetError) as info:
             load_dataset(path)
         assert str(path) in str(info.value)
 
     def test_missing_array_raises(self, tiny_dataset, tmp_path):
-        path = tmp_path / "torn.v2"
-        save_dataset(tiny_dataset, path, format="v2")
+        path = save_dataset(tiny_dataset, tmp_path / "torn")
         (path / "kg.triplets.npy").unlink()
         with pytest.raises(CorruptDatasetError):
             load_dataset(path)
@@ -115,22 +106,29 @@ class TestV2Format:
             load_dataset(tmp_path / "never-written.v2")
 
     def test_mmap_rejected_for_v1(self, tiny_dataset, tmp_path):
+        """A single-file .npz archive of an older release is refused,
+        naming the path, with or without mmap."""
         path = tmp_path / "tiny.npz"
-        save_dataset(tiny_dataset, path)
-        with pytest.raises(ValueError, match="mmap"):
-            load_dataset(path, mmap=True)
+        np.savez_compressed(path, **{"kg.triplets": tiny_dataset.kg.triplets})
+        for mmap in (False, True):
+            with pytest.raises(CorruptDatasetError,
+                               match="re-exported") as info:
+                load_dataset(path, mmap=mmap)
+            assert str(path) in str(info.value)
 
-    def test_v1_bytes_unchanged_by_the_v2_work(self, tiny_dataset,
-                                               tmp_path):
-        """The v1 writer must stay byte-deterministic — committed
-        artifacts hash the archive bytes."""
-        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
-        save_dataset(tiny_dataset, a)
-        save_dataset(tiny_dataset, b)
-        assert a.read_bytes() == b.read_bytes()
+    def test_saves_are_byte_identical(self, tiny_dataset, tmp_path):
+        """The writer is byte-deterministic — committed artifacts hash
+        these bytes."""
+        a = save_dataset(tiny_dataset, tmp_path / "a")
+        b = save_dataset(tiny_dataset, tmp_path / "b")
+        assert sorted(p.name for p in a.iterdir()) == \
+            sorted(p.name for p in b.iterdir())
+        for file in a.iterdir():
+            assert file.read_bytes() == (b / file.name).read_bytes()
 
-    def test_loaded_v2_trains_bit_identically_to_v1(self, tiny_dataset,
-                                                    tmp_path):
+    def test_mmap_loaded_dataset_trains_bit_identically(self,
+                                                        tiny_dataset,
+                                                        tmp_path):
         from repro.baselines import create_model
         from repro.train import TrainConfig, train_model
 
@@ -143,8 +141,47 @@ class TestV2Format:
                 name: value.tobytes()
                 for name, value in model.state_dict().items()}
 
-        v1, v2 = tmp_path / "a.npz", tmp_path / "b.v2"
-        save_dataset(tiny_dataset, v1)
-        save_dataset(tiny_dataset, v2, format="v2")
-        assert fingerprint(load_dataset(v1)) == \
-            fingerprint(load_dataset(v2, mmap=True))
+        path = save_dataset(tiny_dataset, tmp_path / "tiny")
+        assert fingerprint(tiny_dataset) == \
+            fingerprint(load_dataset(path, mmap=True))
+
+
+def _edited(path, edit):
+    manifest = path / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    return path
+
+
+class TestMalformedManifest:
+    """A manifest that is not a JSON object, or lacks a field the loader
+    reads or holds it with the wrong kind, is a corrupt dataset naming
+    its path, not a raw lookup or type error."""
+
+    @pytest.mark.parametrize("manifest", [[1, 2], "dataset", None])
+    def test_not_an_object(self, tiny_dataset, tmp_path, manifest):
+        path = _edited(save_dataset(tiny_dataset, tmp_path / "d"),
+                       lambda _: manifest)
+        with pytest.raises(CorruptDatasetError, match=re.escape(str(path))):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["name", "num_users", "num_items",
+                                     "modalities", "kg"])
+    def test_without_key(self, tiny_dataset, tmp_path, key):
+        path = _edited(save_dataset(tiny_dataset, tmp_path / "d"),
+                       lambda m: {k: v for k, v in m.items() if k != key})
+        with pytest.raises(CorruptDatasetError, match=key) as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("modalities", 5), ("modalities", None), ("modalities", [1]),
+        ("arrays", 5),
+        ("kg", [1, 2]),
+        ("kg", {"num_entities": 1, "num_relations": 1, "num_items": 1}),
+    ])
+    def test_wrong_kind(self, tiny_dataset, tmp_path, key, value):
+        path = _edited(save_dataset(tiny_dataset, tmp_path / "d"),
+                       lambda m: {**m, key: value})
+        with pytest.raises(CorruptDatasetError, match=key) as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)

@@ -210,6 +210,7 @@ class TestWorldHandling:
         fresh = Runner(ArtifactStore(tmp_path / "store"))
         loaded = fresh.dataset(spec)
         assert loaded.world is None  # archive stores the contract only
+        assert not isinstance(loaded.features["text"], np.memmap)
         rebuilt = fresh.dataset(spec, require_world=True)
         assert rebuilt.world is not None
         # the rebuilt dataset matches the archived arrays exactly
@@ -222,7 +223,7 @@ class TestWorldHandling:
 
 class TestScaleDatasetStage:
     """dataset="scale" routes through the chunked out-of-core builder
-    and persists as a mmap-able v2 directory."""
+    and reopens its committed directory mmap'd."""
 
     def _scale_spec(self, **overrides):
         base = dict(
@@ -234,13 +235,14 @@ class TestScaleDatasetStage:
         base.update(overrides)
         return ExperimentSpec(**base)
 
-    def test_commits_a_v2_directory_artifact(self, runner):
+    def test_commits_a_v2_directory_artifact(self, runner, tmp_path):
         spec = self._scale_spec()
         runner.run(spec)
         committed = runner.store.get("dataset", spec.dataset_key())
         assert committed is not None
-        assert (committed / "dataset.v2" / "manifest.json").exists()
-        assert not (committed / "dataset.npz").exists()
+        assert (committed / "dataset" / "manifest.json").exists()
+        fresh = Runner(ArtifactStore(tmp_path / "store"))
+        assert isinstance(fresh.dataset(spec).features["text"], np.memmap)
 
     def test_resume_from_mmap_artifact_is_bit_identical(self, runner,
                                                         tmp_path):

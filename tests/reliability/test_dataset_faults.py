@@ -1,8 +1,8 @@
-"""Fault injection on the v2 dataset-directory write seam.
+"""Fault injection on the dataset-directory write seam.
 
-The chunked scale builder and ``save_dataset(format="v2")`` publish
-through the same staged-write pattern as the serving store: arrays into
-a ``*.tmp-<pid>`` sibling, manifest last, one atomic ``os.replace``.
+The chunked scale builder and ``save_dataset`` publish through the same
+staged-write pattern as the serving store: arrays into a
+``*.tmp-<pid>`` sibling, manifest last, one atomic ``os.replace``.
 The ``dataset.build.write`` seam lets the chaos suite kill or tear the
 write between the arrays and the manifest — exactly what a real crash
 leaves behind — and these tests pin the recovery contract: nothing
@@ -31,14 +31,14 @@ def config():
 class TestDatasetWriteFaults:
     def test_crash_never_publishes_and_leaves_staged(self, tiny_dataset,
                                                      tmp_path):
-        path = tmp_path / "ds.v2"
+        path = tmp_path / "ds"
         plan = FaultPlan([FaultSpec(op="dataset.build.write",
-                                    kind="crash")], name="kill-v2")
+                                    kind="crash")], name="kill-write")
         with inject(plan):
             with pytest.raises(InjectedCrash):
-                save_dataset(tiny_dataset, path, format="v2")
+                save_dataset(tiny_dataset, path)
         assert not path.exists()
-        staged = list(tmp_path.glob("ds.v2.tmp-*"))
+        staged = list(tmp_path.glob("ds.tmp-*"))
         assert staged, "simulated kill should leave the staged dir"
         # the staged dir is manifest-less: loading it is a structured
         # error naming the path, not a raw traceback
@@ -47,19 +47,19 @@ class TestDatasetWriteFaults:
         assert str(staged[0]) in str(info.value)
 
     def test_clean_retry_round_trips(self, tiny_dataset, tmp_path):
-        path = tmp_path / "ds.v2"
+        path = tmp_path / "ds"
         plan = FaultPlan([FaultSpec(op="dataset.build.write",
                                     kind="crash", times=1)])
         with inject(plan):
             with pytest.raises(InjectedCrash):
-                save_dataset(tiny_dataset, path, format="v2")
-            save_dataset(tiny_dataset, path, format="v2")  # clean
+                save_dataset(tiny_dataset, path)
+            save_dataset(tiny_dataset, path)  # clean
         assert dataset_fingerprint(load_dataset(path)) == \
             dataset_fingerprint(tiny_dataset)
 
     def test_chunked_build_crash_then_rebuild_recovers(self, config,
                                                        tmp_path):
-        out = tmp_path / "scale.v2"
+        out = tmp_path / "scale"
         reference = dataset_fingerprint(build_scale_dataset(config))
         plan = FaultPlan([FaultSpec(op="dataset.build.write",
                                     kind="crash", times=1)],
@@ -80,11 +80,11 @@ class TestDatasetWriteFaults:
                                                tmp_path):
         """A plain (non-crash) failure mid-write cleans up after
         itself: no staged litter, no published dir."""
-        path = tmp_path / "ds.v2"
+        path = tmp_path / "ds"
         plan = FaultPlan([FaultSpec(op="dataset.build.write",
                                     kind="error")])
         with inject(plan):
             with pytest.raises(OSError):
-                save_dataset(tiny_dataset, path, format="v2")
+                save_dataset(tiny_dataset, path)
         assert not path.exists()
-        assert not list(tmp_path.glob("ds.v2.tmp-*"))
+        assert not list(tmp_path.glob("ds.tmp-*"))

@@ -67,7 +67,7 @@ class TestFirePlumbing:
                                     times=-1)])
         with inject(plan):
             with pytest.raises(InjectedError):
-                fire("store.v1.write")
+                fire("store.v2.write")
             with pytest.raises(InjectedError):
                 fire("store.read")
             fire("artifact.read")  # unmatched op: clean

@@ -1,9 +1,8 @@
 """Fault-plan-driven torn writes, corruption, and quarantine/recompute.
 
-ISSUE 9 satellite: torn-write rejection on both embedding-store formats
-(v1 npz archive, v2 manifest directory) and ArtifactStore hash-mismatch
-quarantine, all scripted through fault-injection plans rather than
-hand-mangled files.
+Torn-write rejection on the embedding store's array directory and
+ArtifactStore hash-mismatch quarantine, scripted through
+fault-injection plans and the file mangling those plans apply.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import pytest
 from repro.experiments.store import ArtifactStore
 from repro.reliability import (FaultPlan, FaultSpec, InjectedCrash,
                                InjectedError, inject)
+from repro.reliability.faults import tear_file
 from repro.serve.store import CorruptStoreError, EmbeddingStore
 
 
@@ -25,33 +25,39 @@ def make_store(seed=0, num_items=20):
         is_cold=rng.random(num_items) < 0.3)
 
 
+def torn_v1_archive(tmp_path):
+    """A single-file .npz store of an older release, cut short the way a
+    kill mid-write left it (those writes were not atomic)."""
+    path = tmp_path / "store.npz"
+    np.savez_compressed(path, user_vectors=make_store().user_vectors)
+    tear_file(path)
+    return path
+
+
 class TestEmbeddingStoreTornWrites:
     def test_v1_torn_write_raises_corrupt_store_error(self, tmp_path):
-        store = make_store()
-        path = tmp_path / "store.npz"
-        plan = FaultPlan([FaultSpec(op="store.v1.write", kind="torn")],
-                         name="torn-v1")
-        with inject(plan):
-            with pytest.raises(InjectedCrash):
-                store.save(path)
-        # the kill left a truncated archive behind (v1 writes are not
-        # atomic); loading it must produce the structured error, not a
-        # raw zipfile traceback
-        assert path.exists()
+        path = torn_v1_archive(tmp_path)
         with pytest.raises(CorruptStoreError) as info:
             EmbeddingStore.load(path)
         assert str(path) in str(info.value)
 
     def test_v1_torn_error_is_still_a_value_error(self, tmp_path):
         """Back-compat: callers catching ValueError keep working."""
-        store = make_store()
-        path = tmp_path / "store.npz"
-        plan = FaultPlan([FaultSpec(op="store.v1.write", kind="torn")])
-        with inject(plan):
-            with pytest.raises(InjectedCrash):
-                store.save(path)
         with pytest.raises(ValueError):
-            EmbeddingStore.load(path)
+            EmbeddingStore.load(torn_v1_archive(tmp_path))
+
+    @pytest.mark.parametrize("name", ["item_vectors", "seen.indices",
+                                      "is_cold", "features.image"])
+    def test_torn_array_raises_corrupt_store_error(self, tmp_path, name):
+        """A published store with one array cut short (what a disk
+        fault or a partial copy leaves) is a structured error naming
+        the path, loaded whole or mmap'd."""
+        path = make_store().save(tmp_path / "store")
+        tear_file(path / f"{name}.npy")
+        for mmap in (False, True):
+            with pytest.raises(CorruptStoreError) as info:
+                EmbeddingStore.load(path, mmap=mmap)
+            assert str(path) in str(info.value)
 
     def test_v2_torn_write_never_publishes(self, tmp_path):
         store = make_store()
@@ -60,7 +66,7 @@ class TestEmbeddingStoreTornWrites:
                          name="kill-v2")
         with inject(plan):
             with pytest.raises(InjectedCrash):
-                store.save(path, format="v2")
+                store.save(path)
         # atomic publish: the final directory never appeared; the staged
         # dir (manifest-less, exactly what a real kill leaves) did
         assert not path.exists()
@@ -75,7 +81,7 @@ class TestEmbeddingStoreTornWrites:
         plan = FaultPlan([FaultSpec(op="store.v2.write", kind="torn")])
         with inject(plan):
             with pytest.raises(InjectedCrash):
-                store.save(path, format="v2")
+                store.save(path)
         staged = list(tmp_path.glob("store.v2.tmp-*"))
         assert staged
         with pytest.raises(CorruptStoreError):
@@ -90,16 +96,15 @@ class TestEmbeddingStoreTornWrites:
                                     times=1)])
         with inject(plan):
             with pytest.raises(InjectedCrash):
-                store.save(path, format="v2")
-            store.save(path, format="v2")  # second call: clean
+                store.save(path)
+            store.save(path)  # second call: clean
         loaded = EmbeddingStore.load(path)
         np.testing.assert_array_equal(loaded.user_vectors,
                                       store.user_vectors.astype(np.float32))
 
     def test_read_fault_surfaces_as_transient(self, tmp_path):
         store = make_store()
-        path = tmp_path / "store.npz"
-        store.save(path)
+        path = store.save(tmp_path / "store")
         plan = FaultPlan([FaultSpec(op="store.read", kind="error")])
         with inject(plan):
             with pytest.raises(OSError):

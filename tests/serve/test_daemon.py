@@ -16,7 +16,7 @@ import pytest
 from repro.serve import (BatchRanker, EmbeddingStore, MicroBatcher,
                          ServingDaemon, SnapshotManager)
 from repro.serve.daemon import MAX_K
-from repro.serve.store import HEADER_KEY, MANIFEST_NAME
+from repro.utils.arraydir import MANIFEST_NAME
 
 
 def make_store(seed, num_items=50):
@@ -135,15 +135,29 @@ def _single_array(root):
     return _json({"path": str(root / "vector.npy")})
 
 
-def _v1_store(root, mmap):
-    path = make_store(2).save(root / "v1.npz")
-    return _json({"path": str(path), "mmap": mmap})
+def _v1_archive(root):
+    """A single-file .npz archive, the store format of older releases."""
+    np.savez(root / "v1.npz", user_vectors=np.zeros((2, 8)))
+    return _json({"path": str(root / "v1.npz"), "mmap": True})
+
+
+def _v1_header(root):
+    """A single-file .npz archive whose header is the JSON array
+    ``[1, 2]``."""
+    np.savez(root / "bad-v1.npz", __store_header__=np.frombuffer(
+        b"[1, 2]", dtype=np.uint8))
+    return _json({"path": str(root / "bad-v1.npz")})
+
+
+def _mmap_string(root):
+    path = make_store(2).save(root / "store")
+    return _json({"path": str(path), "mmap": "false"})
 
 
 def _v2_manifest(edit):
     """Body builder: a v2 store whose manifest is ``edit(manifest)``."""
     def build(root):
-        path = make_store(2).save(root / "bad-v2", format="v2")
+        path = make_store(2).save(root / "bad-v2")
         manifest = path / MANIFEST_NAME
         manifest.write_text(json.dumps(edit(json.loads(
             manifest.read_text()))))
@@ -156,14 +170,20 @@ def _without(key):
         name: value for name, value in manifest.items() if name != key})
 
 
-def _v1_header(root):
-    """A v1 archive whose header is the JSON array ``[1, 2]``."""
-    path = make_store(2).save(root / "bad-v1.npz")
-    with np.load(path) as archive:
-        arrays = dict(archive)
-    arrays[HEADER_KEY] = np.frombuffer(b"[1, 2]", dtype=np.uint8)
-    np.savez(path, **arrays)
-    return _json({"path": str(path)})
+def _with(key, value):
+    return _v2_manifest(lambda manifest: {**manifest, key: value})
+
+
+def _reshaped(name):
+    """Body builder: a v2 store whose ``name`` array is cut to 3 entries
+    (item flags) or to its first column (vector matrices)."""
+    def build(root):
+        path = make_store(2).save(root / "bad-v2")
+        array = np.load(path / f"{name}.npy")
+        np.save(path / f"{name}.npy",
+                array[:3] if array.ndim == 1 else array[:, 0])
+        return _json({"path": str(path)})
+    return build
 
 
 #: name -> (endpoint, expected status, body builder over the swap root);
@@ -186,18 +206,24 @@ BAD_POSTS = {
         {"features": {"image": [[float("inf")] + [0.5] * 4]}})),
     "swap-json-array": ("/swap", 400, lambda root: b"[]"),
     "swap-missing-store": ("/swap", 404, lambda root: _json(
-        {"path": str(root / "missing.npz")})),
+        {"path": str(root / "missing")})),
     "swap-not-a-store": ("/swap", 400, _not_a_store),
     "swap-single-array": ("/swap", 400, _single_array),
-    "swap-v1-mmap-string": ("/swap", 400,
-                            lambda root: _v1_store(root, "false")),
-    "swap-v1-mmap-true": ("/swap", 400,
-                          lambda root: _v1_store(root, True)),
+    "swap-mmap-string": ("/swap", 400, _mmap_string),
+    "swap-v1-mmap-true": ("/swap", 400, _v1_archive),
     "swap-v2-no-version": ("/swap", 400, _without("version")),
     "swap-v2-no-metadata": ("/swap", 400, _without("metadata")),
     "swap-v2-manifest-array": ("/swap", 400,
                                _v2_manifest(lambda manifest: [1, 2])),
     "swap-v1-header-array": ("/swap", 400, _v1_header),
+    "swap-v2-modalities-int": ("/swap", 400, _with("modalities", 5)),
+    "swap-v2-modalities-null": ("/swap", 400, _with("modalities", None)),
+    "swap-v2-item-topk-null": ("/swap", 400, _with("item_topk", None)),
+    "swap-v2-metadata-int": ("/swap", 400, _with("metadata", 5)),
+    "swap-v2-user-vectors-1d": ("/swap", 400, _reshaped("user_vectors")),
+    "swap-v2-item-vectors-1d": ("/swap", 400, _reshaped("item_vectors")),
+    "swap-v2-is-cold-short": ("/swap", 400, _reshaped("is_cold")),
+    "swap-v2-is-ingested-short": ("/swap", 400, _reshaped("is_ingested")),
 }
 
 
@@ -251,6 +277,14 @@ class TestServingDaemon:
         assert after["snapshot_version"] == before["snapshot_version"]
         assert after["store"]["items"] == before["store"]["items"]
 
+    def test_swap_to_a_v1_archive_says_to_re_export(self, daemon,
+                                                    tmp_path):
+        _v1_archive(tmp_path)
+        status, reply = _post_raw(daemon.url + "/swap", _json(
+            {"path": str(tmp_path / "v1.npz"), "mmap": False}))
+        assert status == 400
+        assert "re-export" in reply["error"]
+
     def test_keep_alive_requests_do_not_stall(self, daemon):
         # Replies leave as a header write and a body write; with Nagle
         # on, each keep-alive reply waited ~40 ms for a delayed ACK.
@@ -271,7 +305,7 @@ class TestServingDaemon:
 
     def test_swap_round_trip(self, daemon, manager, tmp_path):
         new_store = make_store(2)
-        path = new_store.save(tmp_path / "next", format="v2")
+        path = new_store.save(tmp_path / "next")
         response = _post(daemon.url + "/swap",
                          {"path": str(path), "mmap": True})
         assert response["snapshot_version"] == 2
@@ -284,7 +318,7 @@ class TestServingDaemon:
     def test_swap_outside_root_is_forbidden(self, daemon, tmp_path,
                                             tmp_path_factory, escape):
         outside = tmp_path_factory.mktemp("outside")
-        stored = make_store(2).save(outside / "next", format="v2")
+        stored = make_store(2).save(outside / "next")
         if escape == "dotdot":
             path = tmp_path / ".." / outside.name / "next"
         elif escape == "absolute":
@@ -299,7 +333,7 @@ class TestServingDaemon:
         assert _get(daemon.url + "/healthz")["snapshot_version"] == 1
 
     def test_swap_without_root_is_forbidden(self, manager, tmp_path):
-        path = make_store(2).save(tmp_path / "next", format="v2")
+        path = make_store(2).save(tmp_path / "next")
         with ServingDaemon(manager) as daemon:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(daemon.url + "/swap", {"path": str(path)})
@@ -325,7 +359,7 @@ class TestServingDaemon:
         """Every response racing a hot-swap must bit-match the library
         ranker of the snapshot version the response claims."""
         stores = {1: manager.current.store, 2: make_store(2)}
-        path = stores[2].save(tmp_path / "next", format="v2")
+        path = stores[2].save(tmp_path / "next")
         users = list(range(stores[1].num_users))
         expected = {
             version: BatchRanker.from_store(store).topk(

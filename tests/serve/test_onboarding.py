@@ -118,9 +118,7 @@ class TestIngestItems:
         features = {m: rng.normal(size=(2, store.features[m].shape[1]))
                     for m in store.modalities}
         store.ingest_items(features)
-        path = tmp_path / "extended.npz"
-        store.save(path)
-        loaded = EmbeddingStore.load(path)
+        loaded = EmbeddingStore.load(store.save(tmp_path / "extended"))
         assert loaded.num_items == store.num_items
         np.testing.assert_array_equal(loaded.is_ingested,
                                       store.is_ingested)

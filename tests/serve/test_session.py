@@ -85,7 +85,7 @@ class TestSwapFlow:
         other = EmbeddingStore(rng.normal(size=(12, 8)),
                                rng.normal(size=(9, 8)),
                                metadata={"model": "swapped-in"})
-        path = other.save(tmp_path / "next", format="v2")
+        path = other.save(tmp_path / "next")
         output = session.execute(f"swap {path} mmap")
         assert "snapshot v2" in output
         assert session.store.metadata["model"] == "swapped-in"

@@ -43,13 +43,11 @@ class TestSnapshotManager:
         expected = BatchRanker.from_store(old.store).topk(np.arange(5), 5)
         np.testing.assert_array_equal(result.items, expected.items)
 
-    def test_swap_from_path_v1_and_v2(self, tmp_path):
-        store = make_store(3)
-        v1 = store.save(tmp_path / "a")
-        v2 = store.save(tmp_path / "b", format="v2")
+    def test_swap_from_path_loaded_and_mapped(self, tmp_path):
+        path = make_store(3).save(tmp_path / "store")
         manager = SnapshotManager(make_store(1))
-        snap1 = manager.swap_from_path(v1)
-        snap2 = manager.swap_from_path(v2, mmap=True)
+        snap1 = manager.swap_from_path(path)
+        snap2 = manager.swap_from_path(path, mmap=True)
         assert snap2.version == snap1.version + 1
         np.testing.assert_array_equal(snap1.store.item_vectors,
                                       snap2.store.item_vectors)

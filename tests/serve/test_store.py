@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines import create_model
 from repro.serve import BatchRanker, CorruptStoreError, EmbeddingStore
-from repro.serve.store import HEADER_KEY, MANIFEST_NAME
+from repro.utils.arraydir import MANIFEST_NAME
 
 
 @pytest.fixture()
@@ -56,9 +56,7 @@ class TestFromModel:
 
 class TestRoundTrip:
     def test_disk_round_trip(self, store, tmp_path):
-        path = tmp_path / "store.npz"
-        store.save(path)
-        loaded = EmbeddingStore.load(path)
+        loaded = EmbeddingStore.load(store.save(tmp_path / "store"))
         np.testing.assert_array_equal(loaded.user_vectors,
                                       store.user_vectors)
         np.testing.assert_array_equal(loaded.item_vectors,
@@ -74,17 +72,18 @@ class TestRoundTrip:
         assert loaded.item_topk == store.item_topk
         assert loaded.metadata == store.metadata
 
-    def test_save_normalizes_extensionless_path(self, store, tmp_path):
-        written = store.save(tmp_path / "mystore")
-        assert written == tmp_path / "mystore.npz"
-        assert written.exists()
-        loaded = EmbeddingStore.load(written)
-        assert loaded.num_items == store.num_items
+    def test_saves_are_byte_identical(self, store, tmp_path):
+        """The writer is byte-deterministic: two saves of one store
+        give the same file names and bytes."""
+        a = store.save(tmp_path / "a")
+        b = store.save(tmp_path / "b")
+        assert sorted(p.name for p in a.iterdir()) == \
+            sorted(p.name for p in b.iterdir())
+        for file in a.iterdir():
+            assert file.read_bytes() == (b / file.name).read_bytes()
 
     def test_round_trip_preserves_rankings(self, store, tmp_path):
-        path = tmp_path / "store.npz"
-        store.save(path)
-        loaded = EmbeddingStore.load(path)
+        loaded = EmbeddingStore.load(store.save(tmp_path / "store"))
         users = np.arange(6)
         before = BatchRanker.from_store(store).topk(users, 10)
         after = BatchRanker.from_store(loaded).topk(users, 10)
@@ -118,14 +117,8 @@ def is_memory_mapped(array):
 
 
 class TestFormatV2:
-    def test_v2_round_trip_equals_v1(self, store, tmp_path):
-        v1 = EmbeddingStore.load(store.save(tmp_path / "a"))
-        v2 = EmbeddingStore.load(store.save(tmp_path / "b", format="v2"))
-        assert_stores_equal(v1, store)
-        assert_stores_equal(v2, store)
-
     def test_mmap_load_is_zero_copy(self, store, tmp_path):
-        path = store.save(tmp_path / "s", format="v2")
+        path = store.save(tmp_path / "s")
         mapped = EmbeddingStore.load(path, mmap=True)
         assert_stores_equal(mapped, store)
         for array in (mapped.user_vectors, mapped.item_vectors,
@@ -137,7 +130,7 @@ class TestFormatV2:
         assert not is_memory_mapped(eager.item_vectors)
 
     def test_mmap_store_preserves_rankings(self, store, tmp_path):
-        path = store.save(tmp_path / "s", format="v2")
+        path = store.save(tmp_path / "s")
         mapped = EmbeddingStore.load(path, mmap=True)
         users = np.arange(6)
         before = BatchRanker.from_store(store).topk(users, 10)
@@ -145,25 +138,30 @@ class TestFormatV2:
         np.testing.assert_array_equal(before.items, after.items)
         np.testing.assert_array_equal(before.scores, after.scores)
 
-    def test_mmap_on_v1_rejected(self, store, tmp_path):
-        path = store.save(tmp_path / "s.npz")
-        with pytest.raises(ValueError, match="re-export"):
+    def test_mmap_on_v1_rejected(self, tmp_path):
+        """A single-file .npz archive of an older release is not a
+        store; the error says to re-export it."""
+        path = tmp_path / "s.npz"
+        np.savez(path, user_vectors=np.zeros((2, 3), dtype=np.float32))
+        with pytest.raises(CorruptStoreError, match="re-export"):
             EmbeddingStore.load(path, mmap=True)
 
     def test_v2_rejects_npz_suffix(self, store, tmp_path):
         with pytest.raises(ValueError, match="directory"):
-            store.save(tmp_path / "s.npz", format="v2")
+            store.save(tmp_path / "s.npz")
 
     def test_unknown_format_rejected(self, store, tmp_path):
-        with pytest.raises(ValueError, match="unknown store format"):
-            store.save(tmp_path / "s", format="v3")
+        for format in ("v1", "v3"):
+            with pytest.raises(ValueError, match="unknown store format"):
+                store.save(tmp_path / "s", format=format)
+        assert store.save(tmp_path / "s") == tmp_path / "s"
 
     def test_republish_over_existing_directory(self, store, tmp_path):
-        path = store.save(tmp_path / "s", format="v2")
+        path = store.save(tmp_path / "s")
         other = EmbeddingStore(store.user_vectors * 2.0,
                                store.item_vectors * 2.0,
                                metadata={"model": "replacement"})
-        assert other.save(path, format="v2") == path
+        assert other.save(path) == path
         reloaded = EmbeddingStore.load(path)
         assert reloaded.metadata["model"] == "replacement"
         np.testing.assert_array_equal(reloaded.item_vectors,
@@ -172,7 +170,7 @@ class TestFormatV2:
     def test_torn_write_rejected(self, store, tmp_path):
         # A directory without a manifest is an interrupted publish and
         # must never load as a (partial) store.
-        path = store.save(tmp_path / "s", format="v2")
+        path = store.save(tmp_path / "s")
         (path / "manifest.json").unlink()
         with pytest.raises(ValueError, match="torn"):
             EmbeddingStore.load(path)
@@ -180,7 +178,7 @@ class TestFormatV2:
     def test_ingest_onto_mmap_store(self, store, tmp_path, rng):
         # Onboarding grows the item axis, which cannot happen in-place
         # on a read-only mapping; the store must still accept ingests.
-        path = store.save(tmp_path / "s", format="v2")
+        path = store.save(tmp_path / "s")
         mapped = EmbeddingStore.load(path, mmap=True)
         new = {m: rng.normal(size=(2, store.features[m].shape[1]))
                for m in store.modalities}
@@ -195,7 +193,7 @@ class TestMalformedHeader:
 
     @pytest.mark.parametrize("header", [[1, 2], "store", None])
     def test_v2_manifest_not_an_object(self, store, tmp_path, header):
-        path = store.save(tmp_path / "s", format="v2")
+        path = store.save(tmp_path / "s")
         (path / MANIFEST_NAME).write_text(json.dumps(header))
         with pytest.raises(CorruptStoreError, match=re.escape(str(path))):
             EmbeddingStore.load(path)
@@ -203,7 +201,7 @@ class TestMalformedHeader:
     @pytest.mark.parametrize("key", ["version", "item_topk", "modalities",
                                      "metadata"])
     def test_v2_manifest_without_key(self, store, tmp_path, key):
-        path = store.save(tmp_path / "s", format="v2")
+        path = store.save(tmp_path / "s")
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         del manifest[key]
         (path / MANIFEST_NAME).write_text(json.dumps(manifest))
@@ -211,13 +209,39 @@ class TestMalformedHeader:
             EmbeddingStore.load(path)
 
     @pytest.mark.parametrize("header", [[1, 2], "store", None])
-    def test_v1_header_not_an_object(self, store, tmp_path, header):
-        path = store.save(tmp_path / "s.npz")
-        with np.load(path) as archive:
-            arrays = dict(archive)
-        arrays[HEADER_KEY] = np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8)
-        np.savez(path, **arrays)
+    def test_v1_header_not_an_object(self, tmp_path, header):
+        """An archive of the older single-file format is refused naming
+        its path, whatever its header holds."""
+        path = tmp_path / "s.npz"
+        np.savez(path, __store_header__=np.frombuffer(
+            json.dumps(header).encode("utf-8"), dtype=np.uint8))
+        with pytest.raises(CorruptStoreError, match=re.escape(str(path))):
+            EmbeddingStore.load(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("modalities", 5), ("modalities", None), ("item_topk", None),
+        ("item_topk", True), ("metadata", 5), ("version", "2"),
+    ])
+    def test_manifest_value_of_wrong_kind(self, store, tmp_path, key,
+                                          value):
+        path = store.save(tmp_path / "s")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest[key] = value
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStoreError, match=key) as info:
+            EmbeddingStore.load(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("name, index", [
+        ("user_vectors", (slice(None), 0)), ("item_vectors", (slice(None), 0)),
+        ("item_vectors", (0, 0)), ("is_cold", slice(3)),
+        ("is_ingested", slice(3)),
+    ], ids=["user-1d", "item-1d", "item-0d", "cold-short", "ingested-short"])
+    def test_array_of_the_wrong_shape(self, store, tmp_path, name, index):
+        """Vector matrices that are not 2-D, and item flags that do not
+        cover every item, are an inconsistent store naming its path."""
+        path = store.save(tmp_path / "s")
+        np.save(path / f"{name}.npy", np.load(path / f"{name}.npy")[index])
         with pytest.raises(CorruptStoreError, match=re.escape(str(path))):
             EmbeddingStore.load(path)
 

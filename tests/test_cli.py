@@ -26,31 +26,27 @@ class TestParser:
         assert args.epochs == 2
 
     def test_export_embeddings_defaults(self):
-        args = build_parser().parse_args(["export-embeddings", "out.npz"])
-        assert args.out == "out.npz"
+        args = build_parser().parse_args(["export-embeddings", "out"])
+        assert args.out == "out"
         assert args.model == "Firzen"
         assert args.checkpoint is None
 
     def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve", "--store", "s.npz"])
-        assert args.store == "s.npz"
+        args = build_parser().parse_args(["serve", "--store", "s"])
+        assert args.store == "s"
         assert args.queries is None
         assert args.block_size == 1024
 
     def test_serve_store_and_checkpoint_conflict(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--store", "s.npz",
+            build_parser().parse_args(["serve", "--store", "s",
                                        "--checkpoint", "c.npz"])
 
     def test_export_format_flag(self):
-        args = build_parser().parse_args(["export-embeddings", "out"])
-        assert args.format == "v1"
-        args = build_parser().parse_args(
-            ["export-embeddings", "out", "--format", "v2"])
-        assert args.format == "v2"
+        """One store format: there is no --format to choose one."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["export-embeddings", "out", "--format", "v3"])
+                ["export-embeddings", "out", "--format", "v2"])
 
     def test_serve_daemon_flags(self):
         args = build_parser().parse_args(
@@ -135,14 +131,14 @@ class TestCommands:
         assert main(["train", "BPR", "--size", "tiny", "--epochs", "1",
                      "--embedding-dim", "8", "--seed", "5",
                      "--checkpoint", ckpt]) == 0
-        out_path = str(tmp_path / "store.npz")
+        out_path = str(tmp_path / "store")
         assert main(["export-embeddings", out_path, "--checkpoint", ckpt,
                      "--embedding-dim", "8"]) == 0
         from repro.serve import EmbeddingStore
         assert EmbeddingStore.load(out_path).metadata["seed"] == 5
 
     def test_export_then_serve_with_ingest(self, capsys, tmp_path):
-        store_path = str(tmp_path / "store.npz")
+        store_path = str(tmp_path / "store")
         code = main(["export-embeddings", store_path, "--model", "BPR",
                      "--size", "tiny", "--epochs", "1",
                      "--embedding-dim", "8"])
@@ -172,12 +168,12 @@ class TestCommands:
         assert f" {store.num_items}:" in out.splitlines()[-1]
 
     def test_export_v2_then_serve_mmap(self, capsys, tmp_path):
-        store_dir = str(tmp_path / "store_v2")
+        store_dir = str(tmp_path / "store")
         assert main(["export-embeddings", store_dir, "--model", "BPR",
                      "--size", "tiny", "--epochs", "1",
-                     "--embedding-dim", "8", "--format", "v2"]) == 0
+                     "--embedding-dim", "8"]) == 0
         out = capsys.readouterr().out
-        assert "format v2" in out
+        assert f"store written to {store_dir}" in out
 
         queries = tmp_path / "queries.txt"
         queries.write_text("stats\ntopk 0 5\nquit\n")

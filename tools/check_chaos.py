@@ -12,9 +12,9 @@ reliability contracts end to end (the CI ``chaos-smoke`` job's gate):
    followed by a fresh-process resume — the resumed training fingerprint
    must be bit-identical to an uninterrupted run's, and a corrupt
    snapshot must degrade to a clean (still bit-exact) restart.
-2. **Stores**: a torn v1 write is rejected with ``CorruptStoreError``;
-   a killed v2 write never publishes; an ArtifactStore entry corrupted
-   on disk is quarantined and recomputed.
+2. **Stores**: a published store with a torn array is rejected with
+   ``CorruptStoreError``, mapped or not; a killed write never publishes;
+   an ArtifactStore entry corrupted on disk is quarantined and recomputed.
 3. **Serving**: a daemon under a seeded fault plan (slow + failing
    batches against a bounded queue) never returns a torn or
    wrong-version response — every 200 bit-matches the library ranker,
@@ -114,37 +114,37 @@ def check_training(seed: int, epochs: int, tmp, failures: list) -> None:
 
 
 def check_stores(seed: int, tmp, failures: list) -> None:
-    """Torn writes rejected on both formats; quarantine + recompute."""
+    """A torn array and a killed write are rejected; quarantine +
+    recompute."""
+    from repro.reliability.faults import tear_file
     rng = np.random.default_rng(seed)
     store = EmbeddingStore(rng.normal(size=(10, 8)),
                            rng.normal(size=(20, 8)))
 
-    v1 = tmp / "torn.npz"
-    plan = FaultPlan([FaultSpec(op="store.v1.write", kind="torn")],
-                     seed=seed, name="torn-v1")
-    try:
-        with inject(plan):
-            store.save(v1)
-        failures.append("stores: v1 torn plan never fired")
-    except InjectedCrash:
-        pass
-    try:
-        EmbeddingStore.load(v1)
-        failures.append("stores: torn v1 archive loaded without error")
-    except CorruptStoreError:
-        pass
+    # a published store whose array a disk fault cut short: rejected
+    # whether its matrices are read or memory-mapped
+    torn = store.save(tmp / "torn")
+    tear_file(torn / "item_vectors.npy")
+    for mmap in (False, True):
+        try:
+            EmbeddingStore.load(torn, mmap=mmap)
+            failures.append(f"stores: torn array loaded (mmap={mmap})")
+        except CorruptStoreError:
+            pass
 
-    v2 = tmp / "torn.v2"
+    # a write killed between the arrays and the manifest never
+    # publishes
+    killed = tmp / "killed"
     plan = FaultPlan([FaultSpec(op="store.v2.write", kind="crash")],
-                     seed=seed, name="kill-v2")
+                     seed=seed, name="kill-write")
     try:
         with inject(plan):
-            store.save(v2, format="v2")
-        failures.append("stores: v2 kill plan never fired")
+            store.save(killed)
+        failures.append("stores: kill plan never fired")
     except InjectedCrash:
         pass
-    if v2.exists():
-        failures.append("stores: killed v2 write still published")
+    if killed.exists():
+        failures.append("stores: killed write still published")
 
     from repro.experiments.store import ArtifactStore
     artifacts = ArtifactStore(tmp / "artifacts")

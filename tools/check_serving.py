@@ -87,13 +87,12 @@ def expected_rankings(store: EmbeddingStore, k: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("store", help="exported embedding store (v1 .npz "
-                                      "or v2 directory)")
+    parser.add_argument("store", help="exported embedding store directory")
     parser.add_argument("--swap-store",
                         help="second store to hot-swap to mid-stream "
                              "(default: republish the first store)")
     parser.add_argument("--mmap", action="store_true",
-                        help="memory-map the initial store (v2 only)")
+                        help="memory-map the initial store")
     parser.add_argument("--clients", type=int, default=6)
     parser.add_argument("--requests", type=int, default=8,
                         help="requests per client per mode")
