@@ -214,15 +214,18 @@ def build_knowledge_graph(world: World,
     config = world.config
     num_items = config.num_items
     if tfidf is None:
+        reviews = world.reviews
         tfidf = select_feature_words(
-            world.reviews,
+            np.repeat(np.arange(len(reviews)), reviews.shape[1]),
+            reviews.ravel(),
+            world.interactions[:, 1],
+            world.vocabulary,
             min_frequency=min_frequency,
             max_frequency=max_frequency,
             min_score=min_score,
         )
 
     feature_words = tfidf.selected_words
-    feature_index = {w: i for i, w in enumerate(feature_words)}
     num_features = len(feature_words)
     feature_base = num_items
     brand_base = feature_base + num_features
@@ -238,13 +241,7 @@ def build_knowledge_graph(world: World,
     sim_heads, sim_tails = _similarity_pairs(world.text_features,
                                              similarity_top_k)
     items = np.arange(num_items, dtype=np.int64)
-    item_words = tfidf.item_words
-    word_counts = [len(words) for words in item_words.values()]
-    word_heads = np.repeat(np.fromiter(item_words, dtype=np.int64,
-                                       count=len(item_words)), word_counts)
-    word_ids = np.fromiter(
-        (feature_index[word] for words in item_words.values()
-         for word in words), dtype=np.int64, count=len(word_heads))
+    word_heads, word_ids = tfidf.item_words.T
     # (heads, relation ids, tails) per relation
     blocks = [
         (word_heads, RELATION_INDEX["described_by"], feature_base + word_ids),
@@ -267,7 +264,7 @@ def build_knowledge_graph(world: World,
     labels: dict[int, str] = {}
     for item in range(num_items):
         labels[item] = f"item:{item}"
-    for word, idx in feature_index.items():
+    for idx, word in enumerate(feature_words):
         labels[feature_base + idx] = f"feature:{word}"
     for b in range(config.num_brands):
         labels[brand_base + b] = f"brand:{b}"

@@ -54,15 +54,15 @@ def _shatter_relations(kg: KnowledgeGraph, num_relations: int,
     WikiSports has 227 relation types; attention-based KG models must cope
     with a wide relation vocabulary, so we randomly refine each of our six
     schema relations into ``num_relations`` buckets (deterministically per
-    (relation, tail) pair so duplicates stay duplicates).
+    (relation, tail) pair so duplicates stay duplicates). The int64 hash
+    of a tail cannot overflow below 3.4e9 entities.
     """
     base = kg.num_relations
     per_relation = max(num_relations // base, 1)
     triplets = kg.triplets.copy()
     salt = int(rng.integers(1, 2 ** 31))
-    for row in triplets:
-        bucket = (int(row[2]) * 2654435761 + salt) % per_relation
-        row[1] = int(row[1]) * per_relation + bucket
+    triplets[:, 1] = (triplets[:, 1] * per_relation
+                      + (triplets[:, 2] * 2654435761 + salt) % per_relation)
     return KnowledgeGraph(
         triplets=triplets,
         num_entities=kg.num_entities,

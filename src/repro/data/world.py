@@ -12,6 +12,13 @@ items here for the same reason they do on the real data.
 Knobs control how informative each modality is (``text_noise`` vs
 ``image_noise``), mirroring the paper's observation that on Amazon Beauty the
 textual modality contributes more than the visual one (Table VIII).
+
+Review text stays integer word ids from sampling to the KG: ``World.reviews``
+is one ``(interactions, words_per_review)`` id matrix drawn in a single
+generator call. ``World.vocabulary`` maps an id to its word, and its strings
+are read in two places only: they fix the order of the TF-IDF-selected
+feature words, and with it the numbering of the KG's Feature entities (string
+order parts from id order past 10,000 words), and they label those entities.
 """
 
 from __future__ import annotations
@@ -54,6 +61,17 @@ class WorldConfig:
     category_cluster_fidelity: float = 0.9
     seed: int = 0
 
+    def __post_init__(self):
+        # a cluster's topical block must fit inside the vocabulary, or
+        # review word ids would run past it
+        if not 1 <= self.cluster_vocab_size <= self.vocab_size:
+            raise ValueError(
+                f"cluster_vocab_size must be in [1, vocab_size="
+                f"{self.vocab_size}], got {self.cluster_vocab_size}")
+        if self.words_per_review < 0:
+            raise ValueError(f"words_per_review must be >= 0, got "
+                             f"{self.words_per_review}")
+
 
 @dataclass
 class World:
@@ -67,7 +85,9 @@ class World:
     interactions: np.ndarray          # (n, 2) int array of (user, item)
     text_features: np.ndarray         # (num_items, text_feature_dim)
     image_features: np.ndarray        # (num_items, image_feature_dim)
-    reviews: list = field(repr=False, default_factory=list)
+    # (len(interactions), words_per_review) int64 word ids: row i is the
+    # review of interactions[i]
+    reviews: np.ndarray = field(repr=False)
     item_brand: np.ndarray = None     # (num_items,) brand index
     item_category: np.ndarray = None  # (num_items,) category index
     vocabulary: list = field(repr=False, default_factory=list)
@@ -132,27 +152,34 @@ def _build_vocabulary(config: WorldConfig) -> list[str]:
 
 
 def _sample_reviews(rng: np.random.Generator, config: WorldConfig,
-                    interactions: np.ndarray, item_clusters: np.ndarray,
-                    vocabulary: list[str]) -> list[tuple[int, int, list[str]]]:
-    """Generate one bag-of-words review per interaction.
+                    interactions: np.ndarray,
+                    item_clusters: np.ndarray) -> np.ndarray:
+    """Generate one bag-of-words review per interaction, as word ids.
 
     Each item cluster owns a block of "topical" words; reviews mix topical
     words (informative for the KG Feature entities) with uniform background
-    words (the noise TF-IDF should filter).
+    words (the noise TF-IDF should filter). Row i of the returned
+    ``(len(interactions), words_per_review)`` int64 matrix reviews
+    ``interactions[i]``: its first ``words_per_review // 2`` words come
+    from the item's cluster block ``[start, start + cluster_vocab_size)``,
+    the rest from ``[0, vocab_size)``.
+
+    One broadcast ``rng.integers(low, high)`` draws the whole matrix in
+    row-major order. That consumes the generator exactly as drawing each
+    review's topical words, then its background words, in turn: the
+    words and the generator state after them are the same either way,
+    so every later draw of the world is too.
     """
-    reviews = []
     block = config.cluster_vocab_size
-    for user, item in interactions:
-        cluster = int(item_clusters[item])
-        start = (cluster * block) % max(config.vocab_size - block, 1)
-        topical = rng.integers(start, start + block,
-                               size=config.words_per_review // 2)
-        background = rng.integers(0, config.vocab_size,
-                                  size=config.words_per_review
-                                  - config.words_per_review // 2)
-        words = [vocabulary[w] for w in np.concatenate([topical, background])]
-        reviews.append((int(user), int(item), words))
-    return reviews
+    topical = config.words_per_review // 2
+    start = ((item_clusters[interactions[:, 1]] * block)
+             % max(config.vocab_size - block, 1))
+    shape = (len(interactions), config.words_per_review)
+    low = np.zeros(shape, dtype=np.int64)
+    high = np.full(shape, config.vocab_size, dtype=np.int64)
+    low[:, :topical] = start[:, None]
+    high[:, :topical] = start[:, None] + block
+    return rng.integers(low, high)
 
 
 def _assign_categorical(rng: np.random.Generator, clusters: np.ndarray,
@@ -186,9 +213,7 @@ def generate_world(config: WorldConfig) -> World:
     image_features = _project_features(
         rng, item_latents, config.image_feature_dim, config.image_noise)
 
-    vocabulary = _build_vocabulary(config)
-    reviews = _sample_reviews(rng, config, interactions, item_clusters,
-                              vocabulary)
+    reviews = _sample_reviews(rng, config, interactions, item_clusters)
     item_brand = _assign_categorical(
         rng, item_clusters, config.num_brands, config.num_clusters,
         config.brand_cluster_fidelity)
@@ -208,7 +233,7 @@ def generate_world(config: WorldConfig) -> World:
         reviews=reviews,
         item_brand=item_brand,
         item_category=item_category,
-        vocabulary=vocabulary,
+        vocabulary=_build_vocabulary(config),
     )
 
 

@@ -113,12 +113,6 @@ class ArtifactStore:
             return None
         return path
 
-    def get_meta(self, stage: str, key: str) -> dict | None:
-        path = self.get(stage, key)
-        if path is None:
-            return None
-        return json.loads((path / META).read_text())
-
     # -- commit ----------------------------------------------------------
     def stage_dir(self, stage: str, key: str) -> Path:
         """A private temp directory to assemble an artifact in; pass it

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import load_amazon, load_weixin
+from repro.data.weixin import _shatter_relations
 
 
 class TestTinyDataset:
@@ -59,3 +60,36 @@ class TestLoaders:
         wx = load_weixin(size="tiny")
         assert wx.kg.triplets[:, 1].max() < wx.kg.num_relations
         assert len(wx.kg.relation_names) == wx.kg.num_relations
+
+
+def loop_shatter(triplets, per_relation, salt):
+    """The per-triplet Python loop the array expression replaced."""
+    triplets = triplets.copy()
+    for row in triplets:
+        bucket = (int(row[2]) * 2654435761 + salt) % per_relation
+        row[1] = int(row[1]) * per_relation + bucket
+    return triplets
+
+
+class TestWeixinShatter:
+    @pytest.mark.parametrize("num_relations", [6, 24, 100])
+    def test_equals_the_loop(self, num_relations):
+        kg = load_amazon("beauty", size="tiny").kg
+        shattered = _shatter_relations(kg, num_relations,
+                                       np.random.default_rng(7))
+        salt = int(np.random.default_rng(7).integers(1, 2 ** 31))
+        per_relation = max(num_relations // kg.num_relations, 1)
+        want = loop_shatter(kg.triplets, per_relation, salt)
+        assert shattered.triplets.dtype == want.dtype
+        assert shattered.triplets.tobytes() == want.tobytes()
+        assert shattered.num_relations == kg.num_relations * per_relation
+
+    def test_large_tails_hash_without_overflow(self):
+        kg = load_amazon("beauty", size="tiny").kg
+        tails = np.array([0, 2 ** 31, 3 * 10 ** 9, 3_400_000_000])
+        big = kg.with_triplets(np.column_stack(
+            [np.zeros(4, dtype=np.int64), np.arange(4), tails]))
+        shattered = _shatter_relations(big, 24, np.random.default_rng(1))
+        salt = int(np.random.default_rng(1).integers(1, 2 ** 31))
+        want = loop_shatter(big.triplets, 4, salt)
+        np.testing.assert_array_equal(shattered.triplets, want)

@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import text_reference
 from repro.data import kg_builder
 from repro.data.kg_builder import (RELATION_INDEX, RELATIONS,
                                    _similarity_pairs, build_knowledge_graph)
-from repro.data.text import select_feature_words
 from repro.data.world import WorldConfig, generate_world
 
 MODULE_WORLD = WorldConfig(
@@ -130,12 +128,14 @@ def reference_similarity_pairs(features, top_k):
 
 
 def reference_triplets(world, cooccurrence_top_k=None,
-                       similarity_top_k=None):
-    """Python triplet list, deduplicated and sorted with sorted(set(...))."""
+                       similarity_top_k=None, min_frequency=10):
+    """Python triplet list, deduplicated and sorted with sorted(set(...)),
+    with the feature words of the ``Counter`` TF-IDF reference."""
     config = world.config
     num_items = config.num_items
-    tfidf = select_feature_words(world.reviews, min_frequency=10,
-                                 max_frequency=1000, min_score=0.02)
+    tfidf = text_reference.select_feature_words(
+        text_reference.world_reviews(world), min_frequency=min_frequency,
+        max_frequency=1000, min_score=0.02)
     feature_index = {w: i for i, w in enumerate(tfidf.selected_words)}
     brand_base = num_items + len(feature_index)
     category_base = brand_base + config.num_brands
@@ -163,14 +163,6 @@ def reference_triplets(world, cooccurrence_top_k=None,
     return np.asarray(sorted(set(triplets)), dtype=np.int64)
 
 
-def golden_world():
-    path = Path(__file__).resolve().parents[1] / "golden" / "protocol.py"
-    spec = importlib.util.spec_from_file_location("golden_protocol", path)
-    protocol = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(protocol)
-    return generate_world(protocol.golden_world())
-
-
 def repeated_rows_world():
     """Ten distinct text rows repeated five times: the top-50 similarities
     are all near 1, so the cut falls inside groups of exactly equal ones."""
@@ -180,7 +172,7 @@ def repeated_rows_world():
 
 
 REFERENCE_CASES = {
-    "golden": (golden_world, {}),
+    "golden": (lambda: generate_world(text_reference.golden_config()), {}),
     "module-50": (lambda: generate_world(MODULE_WORLD), {}),
     "items-45": (lambda: generate_world(
         WorldConfig(num_users=70, num_items=45, seed=3)), {}),
@@ -189,6 +181,8 @@ REFERENCE_CASES = {
                 {"cooccurrence_top_k": 7, "similarity_top_k": 7}),
     "items-2": (lambda: generate_world(
         WorldConfig(num_users=20, num_items=2, seed=0)), {}),
+    "vocab-12000": (lambda: generate_world(
+        text_reference.LARGE_VOCABULARY_WORLD), {"min_frequency": 2}),
 }
 
 

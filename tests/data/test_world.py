@@ -1,4 +1,9 @@
-"""Tests for the synthetic world generator."""
+"""Tests for the synthetic world generator.
+
+Reviews are drawn as one word-id matrix; the per-review loop that drew
+them as strings is kept in ``text_reference.py``, and the matrix must
+hold its words and leave the generator in its state.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.world import WorldConfig, apply_k_core, generate_world
+import text_reference as reference
+from repro.data.amazon import beauty_config
+from repro.data.weixin import weixin_config
+from repro.data.world import (WorldConfig, _sample_reviews, apply_k_core,
+                              generate_world)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +61,10 @@ class TestGeneration:
 
     def test_one_review_per_interaction(self, world):
         assert len(world.reviews) == len(world.interactions)
+        assert world.reviews.shape[1] == world.config.words_per_review
+        assert world.reviews.dtype == np.int64
+        assert 0 <= world.reviews.min()
+        assert world.reviews.max() < len(world.vocabulary)
 
     def test_interactions_respect_latent_affinity(self, world):
         """Interacted pairs should have above-average latent affinity —
@@ -80,6 +93,71 @@ class TestGeneration:
             _, counts = np.unique(brands, return_counts=True)
             majority_share.append(counts.max() / len(brands))
         assert np.mean(majority_share) > 0.6
+
+
+def small_world(**overrides) -> WorldConfig:
+    return WorldConfig(**{"num_users": 30, "num_items": 20,
+                          "num_clusters": 4, "seed": 1, **overrides})
+
+
+SAMPLING_WORLDS = {
+    "catalog": lambda: reference.CATALOG_WORLD,
+    "beauty": beauty_config,
+    "weixin": weixin_config,
+    "golden": reference.golden_config,
+    "words-0": lambda: small_world(words_per_review=0),
+    "words-1": lambda: small_world(words_per_review=1),
+    "words-7": lambda: small_world(words_per_review=7),
+    "vocab-is-block": lambda: small_world(vocab_size=30,
+                                          cluster_vocab_size=30),
+    # 8 blocks of 10 in (50 - 10): the later clusters' blocks wrap
+    "blocks-wrap": lambda: small_world(num_clusters=8, vocab_size=50,
+                                       cluster_vocab_size=10),
+    # a one-word block draws nothing from the generator
+    "block-1": lambda: small_world(cluster_vocab_size=1),
+}
+
+
+class TestReviewSampling:
+    @pytest.mark.parametrize("skip", [0, 1], ids=["fresh", "mid-stream"])
+    @pytest.mark.parametrize("case", list(SAMPLING_WORLDS))
+    def test_matches_the_per_review_loop(self, case, skip):
+        """Same words, and the generator left in the same state (PCG64's
+        buffered 32-bit half included), from a fresh generator and from
+        one that holds a buffered half."""
+        config = SAMPLING_WORLDS[case]()
+        world = generate_world(config)
+        rng = np.random.default_rng(config.seed + 100)
+        rng.integers(0, 10, size=skip)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        got = _sample_reviews(rng, config, world.interactions,
+                              world.item_clusters)
+        want = reference.sample_reviews(twin, config, world.interactions,
+                                        world.item_clusters,
+                                        world.vocabulary)
+        assert got.dtype == np.int64
+        assert got.shape == (len(world.interactions),
+                             config.words_per_review)
+        assert [[world.vocabulary[w] for w in row] for row in got] \
+            == [words for _, _, words in want]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides, field", [
+        ({"vocab_size": 20, "cluster_vocab_size": 30},
+         "cluster_vocab_size"),
+        ({"cluster_vocab_size": 0}, "cluster_vocab_size"),
+        ({"words_per_review": -1}, "words_per_review"),
+    ])
+    def test_rejects_out_of_range_fields(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            WorldConfig(**overrides)
+
+    def test_accepts_the_edges(self):
+        WorldConfig(vocab_size=30, cluster_vocab_size=30)
+        WorldConfig(cluster_vocab_size=1, words_per_review=0)
 
 
 class TestKCore:

@@ -23,7 +23,8 @@ class TestCommit:
         committed = store.get("train", "k1")
         assert committed is not None
         assert (committed / "model.npz").read_bytes() == b"payload"
-        assert store.get_meta("train", "k1") == {"model": "BPR"}
+        assert json.loads((committed / "meta.json").read_text()) == {
+            "model": "BPR"}
 
     def test_losing_a_commit_race_keeps_the_winner(self, store):
         first = store.stage_dir("eval", "k")

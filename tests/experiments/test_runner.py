@@ -243,6 +243,14 @@ class TestWorldHandling:
                                   rebuilt.features[modality])
         assert np.array_equal(loaded.kg.triplets, rebuilt.kg.triplets)
 
+    def test_invalid_custom_world_is_rejected_at_the_edge(self, runner):
+        """A spec's world dict reaches ``WorldConfig`` unchecked; a topical
+        block wider than the vocabulary must fail there, by name."""
+        spec = tiny_spec(models=(), world=dict(
+            TINY_WORLD, vocab_size=20, cluster_vocab_size=30))
+        with pytest.raises(ValueError, match="cluster_vocab_size"):
+            runner.dataset(spec)
+
 
 class TestScaleDatasetStage:
     """dataset="scale" routes through the chunked out-of-core builder

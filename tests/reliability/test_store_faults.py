@@ -7,6 +7,8 @@ fault-injection plans and the file mangling those plans apply.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -128,7 +130,7 @@ class TestArtifactStoreQuarantine:
         path = store.get("train", "k")
         assert path is not None
         assert (path / "blob.bin").read_bytes() == b"payload-bytes"
-        assert store.get_meta("train", "k") == {"m": 1}
+        assert json.loads((path / "meta.json").read_text()) == {"m": 1}
         assert store.quarantined == []
 
     def test_corrupt_read_quarantines_and_misses(self, tmp_path):
