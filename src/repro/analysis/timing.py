@@ -45,7 +45,7 @@ from ..serve.ranker import BatchRanker, interactions_to_csr
 from ..serve.snapshot import SnapshotManager
 from ..serve.store import EmbeddingStore
 from ..train.sampler import BPRSampler
-from ..train.trainer import TrainConfig, train_model
+from ..train.trainer import GRAD_CLIP, TrainConfig, train_model
 
 
 def runtime_columns() -> dict:
@@ -700,7 +700,7 @@ def measure_step_breakdown(dataset: RecDataset, model_name: str,
                            epochs: int = 4, batch_size: int = 512,
                            learning_rate: float = 0.05,
                            embedding_dim: int = 32, seed: int = 0,
-                           grad_clip: float = 10.0, repeats: int = 3,
+                           repeats: int = 3,
                            **model_kwargs) -> dict[str, StepPhaseBreakdown]:
     """Time each training-step phase in two gradient modes.
 
@@ -746,7 +746,7 @@ def measure_step_breakdown(dataset: RecDataset, model_name: str,
                     loss.backward()
                     phase_s["backward"] += time.perf_counter() - start
                     start = time.perf_counter()
-                    clip_grad_norm(optimizer.params, grad_clip)
+                    clip_grad_norm(optimizer.params, GRAD_CLIP)
                     phase_s["clip"] += time.perf_counter() - start
                     start = time.perf_counter()
                     optimizer.step()

@@ -1,25 +1,22 @@
-"""Optimizers: SGD (with momentum) and Adam (the paper's choice).
+"""Adam (the paper's optimizer), stepped by rows, and gradient clipping.
 
-Both optimizers step a 2-D parameter **by rows** when its gradient is
-row-sparse (:mod:`repro.autograd.rowsparse`): the rows the gradient
-names take the ordinary update, and every other row that already has
-optimizer state takes the dense update with a zero gradient row (Adam's
-moment decay, SGD's velocity decay, keep moving such a row). Both land
-in the same step, with the identical floating-point operations the
-dense schedule runs, so trained parameters and moments are
-bit-identical to it after every step.
+Adam steps a 2-D parameter **by rows** when its gradient is row-sparse
+(:mod:`repro.autograd.rowsparse`): the rows the gradient names take the
+ordinary update, and every other row that already has moments takes
+the dense update with a zero gradient row (the moment decay keeps
+moving such a row). Both land in the same step, with the identical
+floating-point operations the dense schedule runs, so trained
+parameters and moments are bit-identical to it after every step.
 
-Rows without optimizer state are skipped outright: with ``m = v = 0``
-the dense Adam update is ``p -= lr * (0 / b1) / (sqrt(0 / b2) + eps) =
-p - 0.0``, an exact no-op (same for SGD). On catalog-dominated tables
-(strict cold-start items, rare KG entities) this is most of the
-catalog, so a step costs the rows that ever had a gradient instead of
-the whole table.
+Rows without moments are skipped outright: with ``m = v = 0`` the dense
+update is ``p -= lr * (0 / b1) / (sqrt(0 / b2) + eps) = p - 0.0``, an
+exact no-op. On catalog-dominated tables (strict cold-start items, rare
+KG entities) this is most of the catalog, so a step costs the rows that
+ever had a gradient instead of the whole table.
 
-Row stepping is enabled per optimizer when ``REPRO_SPARSE_GRAD`` is not
-``0`` and ``weight_decay == 0`` — decoupled weight decay touches every
-row through the parameter itself, so those configurations keep the
-dense schedule (sparse gradients are densified on arrival).
+Row stepping is on unless ``REPRO_SPARSE_GRAD`` is ``0`` or the
+optimizer is built with ``sparse=False``; parameters that are not 2-D
+are always stepped densely (sparse gradients are densified on arrival).
 """
 
 from __future__ import annotations
@@ -35,13 +32,30 @@ from .tensor import Tensor
 _CLIP_CHUNK = 4096
 
 
-class Optimizer:
-    def __init__(self, params: list[Tensor]):
+class Adam:
+    """Adam (Kingma & Ba, 2015) with bias correction."""
+
+    def __init__(self, params: list[Tensor], lr: float = 0.001,
+                 betas: tuple[float, float] = (0.9, 0.999),
+                 eps: float = 1e-8, sparse: bool | None = None):
         self.params = [p for p in params if p.requires_grad]
-        #: per parameter: the boolean mask of rows with optimizer state
-        #: for a parameter stepped by rows, ``None`` for one stepped
-        #: densely only.
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self._step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+        by_rows = rowsparse.enabled() if sparse is None else sparse
+        #: per parameter: the boolean mask of rows with moments for a
+        #: parameter stepped by rows, ``None`` for one stepped densely
+        #: only.
         self._masks: list[np.ndarray | None] = []
+        for p in self.params:
+            mask = None
+            if by_rows and p.data.ndim == 2:
+                mask = np.zeros(p.data.shape[0], dtype=bool)
+                p._lazy = True
+            self._masks.append(mask)
         #: indices whose mask is recovered from the moment buffers
         #: before their next row step (after a dense step or a restore).
         self._stale: set[int] = set()
@@ -50,21 +64,8 @@ class Optimizer:
         for p in self.params:
             p.zero_grad()
 
-    def _init_masks(self, sparse: bool | None) -> None:
-        by_rows = (rowsparse.enabled() if sparse is None else sparse) \
-            and self.weight_decay == 0.0
-        self._masks = []
-        for p in self.params:
-            mask = None
-            if by_rows and p.data.ndim == 2:
-                mask = np.zeros(p.data.shape[0], dtype=bool)
-                p._lazy = True
-            self._masks.append(mask)
-
     def step(self) -> None:
-        raise NotImplementedError
-
-    def _step_params(self, step: int, lr: float) -> None:
+        self._step_count += 1
         for i, p in enumerate(self.params):
             grad = p.grad
             if grad is None:
@@ -72,140 +73,16 @@ class Optimizer:
             mask = self._masks[i]
             if isinstance(grad, RowSparseGrad):
                 if mask is not None:
-                    self._row_step(i, mask, grad, step, lr)
+                    self._row_step(i, mask, grad)
                     continue
                 grad = grad.to_dense()
-            self._dense_kernel(i, grad, step, lr)
+            self._dense_step(i, grad)
             if mask is not None:
                 self._stale.add(i)
 
-    def _row_step(self, idx: int, mask: np.ndarray, grad: RowSparseGrad,
-                  step: int, lr: float) -> None:
-        rows = grad.rows
-        if idx in self._stale:
-            mask |= self._active_rows(idx)
-            self._stale.discard(idx)
-        if self._has_idle_updates():
-            mask[rows] = False
-            idle = np.flatnonzero(mask)
-            if idle.size:
-                self._idle_kernel(idx, idle, step, lr)
-        self._row_kernel(idx, rows, grad.values, step, lr)
-        mask[rows] = True
-
-    # Hooks the concrete optimizers provide.
-    def _has_idle_updates(self) -> bool:
-        raise NotImplementedError
-
-    def _active_rows(self, idx: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _dense_kernel(self, idx: int, grad, step: int, lr: float) -> None:
-        raise NotImplementedError
-
-    def _row_kernel(self, idx: int, rows, values, step: int,
-                    lr: float) -> None:
-        raise NotImplementedError
-
-    def _idle_kernel(self, idx: int, rows, step: int, lr: float) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay.
-
-    Steps by rows like Adam: without momentum a zero-gradient row is an
-    exact no-op (``p -= lr * 0.0``) and only the named rows move; with
-    momentum every row with velocity takes its decay each step — so the
-    sparse and dense schedules stay bit-identical, mirroring Adam's
-    contract.
-    """
-
-    def __init__(self, params: list[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0,
-                 sparse: bool | None = None):
-        super().__init__(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-        self._init_masks(sparse)
-
-    def step(self) -> None:
-        self._step_params(0, self.lr)
-
-    def _has_idle_updates(self) -> bool:
-        return bool(self.momentum)
-
-    def _active_rows(self, idx: int) -> np.ndarray:
-        return self._velocity[idx].any(axis=1)
-
-    def _dense_kernel(self, idx: int, grad, step: int, lr: float) -> None:
-        p = self.params[idx]
-        if self.weight_decay:
-            grad = grad + self.weight_decay * p.data
-        if self.momentum:
-            vel = self._velocity[idx]
-            vel *= self.momentum
-            vel += grad
-            grad = vel
-        p.data -= lr * grad
-
-    def _row_kernel(self, idx: int, rows, values, step: int,
-                    lr: float) -> None:
-        if self.momentum:
-            vel = self._velocity[idx]
-            block = vel[rows]
-            block *= self.momentum
-            block += values
-            vel[rows] = block
-            values = block
-        self.params[idx].data[rows] -= lr * values
-
-    def _idle_kernel(self, idx: int, rows, step: int, lr: float) -> None:
-        # Dense schedule with a zero gradient row and momentum:
-        # vel = vel * mu + 0.0; p -= lr * vel.
-        vel = self._velocity[idx]
-        block = vel[rows]
-        block *= self.momentum
-        block += 0.0
-        vel[rows] = block
-        self.params[idx].data[rows] -= lr * block
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction."""
-
-    def __init__(self, params: list[Tensor], lr: float = 0.001,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0,
-                 sparse: bool | None = None):
-        super().__init__(params)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._init_masks(sparse)
-
-    def step(self) -> None:
-        self._step_count += 1
-        self._step_params(self._step_count, self.lr)
-
-    def _has_idle_updates(self) -> bool:
-        return True
-
-    def _active_rows(self, idx: int) -> np.ndarray:
-        return self._m[idx].any(axis=1) | self._v[idx].any(axis=1)
-
-    def _dense_kernel(self, idx: int, grad, step: int, lr: float) -> None:
-        bias1 = 1.0 - self.beta1 ** step
-        bias2 = 1.0 - self.beta2 ** step
-        p = self.params[idx]
-        if self.weight_decay:
-            grad = grad + self.weight_decay * p.data
+    def _dense_step(self, idx: int, grad: np.ndarray) -> None:
+        bias1 = 1.0 - self.beta1 ** self._step_count
+        bias2 = 1.0 - self.beta2 ** self._step_count
         m, v = self._m[idx], self._v[idx]
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
@@ -213,12 +90,27 @@ class Adam(Optimizer):
         v += (1.0 - self.beta2) * grad * grad
         m_hat = m / bias1
         v_hat = v / bias2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.params[idx].data -= \
+            self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def _row_kernel(self, idx: int, rows, values, step: int,
-                    lr: float) -> None:
-        bias1 = 1.0 - self.beta1 ** step
-        bias2 = 1.0 - self.beta2 ** step
+    def _row_step(self, idx: int, mask: np.ndarray,
+                  grad: RowSparseGrad) -> None:
+        rows = grad.rows
+        if idx in self._stale:
+            mask |= self._m[idx].any(axis=1) | self._v[idx].any(axis=1)
+            self._stale.discard(idx)
+        mask[rows] = False
+        idle = np.flatnonzero(mask)
+        if idle.size:
+            # The dense schedule's zero gradient row: m = m * b1 + 0.0,
+            # v = v * b2 + 0.0, then the ordinary parameter update.
+            self._row_kernel(idx, idle, 0.0)
+        self._row_kernel(idx, rows, grad.values)
+        mask[rows] = True
+
+    def _row_kernel(self, idx: int, rows: np.ndarray, values) -> None:
+        bias1 = 1.0 - self.beta1 ** self._step_count
+        bias2 = 1.0 - self.beta2 ** self._step_count
         m, v = self._m[idx], self._v[idx]
         mb = m[rows]
         mb *= self.beta1
@@ -229,24 +121,7 @@ class Adam(Optimizer):
         vb += (1.0 - self.beta2) * values * values
         v[rows] = vb
         self.params[idx].data[rows] -= \
-            lr * (mb / bias1) / (np.sqrt(vb / bias2) + self.eps)
-
-    def _idle_kernel(self, idx: int, rows, step: int, lr: float) -> None:
-        # Dense schedule with a zero gradient row:
-        # m = m * b1 + 0.0; v = v * b2 + 0.0; p -= lr * m_hat / (...).
-        bias1 = 1.0 - self.beta1 ** step
-        bias2 = 1.0 - self.beta2 ** step
-        m, v = self._m[idx], self._v[idx]
-        mb = m[rows]
-        mb *= self.beta1
-        mb += 0.0
-        m[rows] = mb
-        vb = v[rows]
-        vb *= self.beta2
-        vb += 0.0
-        v[rows] = vb
-        self.params[idx].data[rows] -= \
-            lr * (mb / bias1) / (np.sqrt(vb / bias2) + self.eps)
+            self.lr * (mb / bias1) / (np.sqrt(vb / bias2) + self.eps)
 
 
 def _grad_sq_sum(grad) -> float:
@@ -296,7 +171,7 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     representations meet bit-for-bit. The two specs differ by a few
     ulps at most, which only matters when clipping actually binds —
     and no shipped training configuration comes within an order of
-    magnitude of the default ``grad_clip=10`` threshold (measured
+    magnitude of the trainer's ``GRAD_CLIP = 10`` bound (measured
     pre-clip norms peak around 0.35), so recorded results are
     unaffected. ``tests/optim/test_clip_norm.py`` pins the row-ordered
     spec and the sparse/dense equality.

@@ -22,7 +22,7 @@ sequence* as the dense path it replaces:
 * rows absent from a sparse gradient correspond to exact ``+0.0``
   contributions in the dense path, and adding ``0.0`` is exact — the
   only representable difference is the sign of a zero, which provably
-  cannot propagate into Adam/SGD moments or parameter values.
+  cannot propagate into Adam moments or parameter values.
 
 ``REPRO_SPARSE_GRAD=0`` disables sparse emission entirely, forcing the
 historical dense path (the bit-parity reference).

@@ -104,9 +104,6 @@ def _add_training(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--embedding-dim", type=int, default=32)
     parser.add_argument("--learning-rate", type=float, default=0.05)
     parser.add_argument("--batch-size", type=int, default=512)
-    parser.add_argument("--lr-schedule", default="constant",
-                        choices=("constant", "step", "cosine",
-                                 "warmup-cosine"))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--k", type=int, default=20)
 
@@ -116,7 +113,6 @@ def _train_config(args) -> TrainConfig:
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
-        lr_schedule=args.lr_schedule,
         eval_every=max(args.epochs // 4, 1),
         eval_k=args.k,
         seed=args.seed,

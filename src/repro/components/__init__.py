@@ -1,14 +1,11 @@
 """Reusable model components shared by Firzen and the baselines."""
 
 from .lightgcn import lightgcn_propagate
-from .segments import segment_indicator, segment_softmax_weighted_sum
 from .kgat import KnowledgeGraphAttention
 from .transr import TransRScorer, transr_loss
 
 __all__ = [
     "lightgcn_propagate",
-    "segment_indicator",
-    "segment_softmax_weighted_sum",
     "KnowledgeGraphAttention",
     "TransRScorer",
     "transr_loss",

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.io import DATASET_FORMAT
-from ..train.trainer import TrainConfig
+from ..train.trainer import GRAD_CLIP, TrainConfig
 
 #: bump when training/evaluation semantics change in a way that makes
 #: previously-stored artifacts stale (bit-level results differ)
@@ -37,6 +37,11 @@ PIPELINE_VERSION = 2
 #: dataset size presets accepted by the loaders (large/xlarge exist only
 #: on the out-of-core ``dataset="scale"`` path)
 SIZES = ("tiny", "small", "medium", "large", "xlarge")
+
+#: ``train`` keys older spec files carry for options that were removed,
+#: each with the one value every run used, which is today's behaviour
+RETIRED_TRAIN_KEYS = {"weight_decay": 0.0, "grad_clip": GRAD_CLIP,
+                      "monitor": "hm_recall", "lr_schedule": "constant"}
 
 
 def _param_dtype() -> str:
@@ -125,7 +130,15 @@ class ExperimentSpec:
         self.models = tuple(self.models)
         self.scenarios = _coerce_steps(self.scenarios)
         if isinstance(self.train, dict):
+            known = {f.name for f in dataclasses.fields(TrainConfig)}
+            unknown = sorted(set(self.train) - known)
+            if unknown:
+                raise ValueError(f"unknown train key {unknown[0]!r}; "
+                                 f"allowed keys: {', '.join(sorted(known))}")
             self.train = TrainConfig(**self.train)
+        elif not isinstance(self.train, TrainConfig):
+            raise ValueError(f"train must be an object of TrainConfig "
+                             f"fields, got {self.train!r}")
         if self.size not in SIZES:
             raise ValueError(f"unknown size {self.size!r}; "
                              f"allowed values: {', '.join(SIZES)}")
@@ -191,6 +204,16 @@ class ExperimentSpec:
             raise ValueError(f"spec pins the {backend!r} array backend, "
                              "but the fast tier was removed; "
                              "\"reference\" is the only backend")
+        # And optimizer options that were removed: each is dropped when
+        # it holds the value every run used.
+        train = payload.get("train")
+        if isinstance(train, dict):
+            for key, value in RETIRED_TRAIN_KEYS.items():
+                if key in train and train.pop(key) != value:
+                    raise ValueError(
+                        f"spec sets train {key!r}, but that option was "
+                        f"removed; training always runs as {key}="
+                        f"{value!r}")
         return cls(**payload)
 
     @classmethod

@@ -11,21 +11,24 @@ epoch's floating-point sequence depends on:
 
 * the model's ``state_dict`` (parameters plus model-owned buffers such
   as Firzen's fusion betas);
-* every optimizer driving the model — the trainer's plus any the model
+* every Adam driving the model — the trainer's plus any the model
   owns internally (Firzen's alternating TransR and discriminator Adams)
-  — with step counts and moment/velocity buffers. Every row-sparse
-  step is applied when it is taken, so the buffers are complete; on
-  restore each row-stepped parameter recovers its mask of rows with
-  state from the moment buffers, which is the exact condition under
-  which a zero-gradient row update is not a no-op;
+  — with step counts and moment buffers. Every row-sparse step is
+  applied when it is taken, so the buffers are complete; on restore
+  each row-stepped parameter recovers its mask of rows with moments
+  from the buffers, which is the exact condition under which a
+  zero-gradient row update is not a no-op;
 * the position of every random-number stream: the trainer's sampler
   generator and each generator reachable from the model (dropout
   streams, KG negative sampling, discriminator batches, ...);
 * batch-norm running statistics (not parameters, not in state_dict);
 * model-declared training state (:meth:`Module.training_state`);
-* the early-stopping monitor, the LR-schedule position, the loss/val
-  history accumulated so far, and the best-validation parameter
-  snapshot.
+* the early-stopping state, the loss/val history accumulated so far,
+  and the best-validation parameter snapshot.
+
+The learning rates are not state: each optimizer keeps the constant
+rate it was built with, and header keys this module does not read are
+ignored.
 
 Snapshots are written atomically (temp file + ``os.replace``), so a
 kill during the write leaves the previous snapshot intact. A snapshot
@@ -47,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from ..autograd.nn import BatchNorm1d, Module
-from ..autograd.optim import SGD, Adam, Optimizer
+from ..autograd.optim import Adam
 from ..reliability import fire, is_injected_crash
 
 
@@ -110,9 +113,9 @@ def collect_rng_streams(model: Module) -> dict[str, np.random.Generator]:
     return dict(_walk(model, (np.random.Generator,)))
 
 
-def collect_optimizers(model: Module) -> dict[str, Optimizer]:
+def collect_optimizers(model: Module) -> dict[str, Adam]:
     """Every optimizer the model owns internally, by path."""
-    return dict(_walk(model, (Optimizer,)))
+    return dict(_walk(model, (Adam,)))
 
 
 def collect_batchnorms(model: Module) -> dict[str, BatchNorm1d]:
@@ -125,38 +128,23 @@ def collect_batchnorms(model: Module) -> dict[str, BatchNorm1d]:
 # optimizer state
 # ---------------------------------------------------------------------------
 
-def _optimizer_meta(opt: Optimizer) -> dict:
-    meta = {"type": type(opt).__name__, "lr": opt.lr}
-    if isinstance(opt, Adam):
-        meta["step_count"] = opt._step_count
-    return meta
+def _optimizer_meta(opt: Adam) -> dict:
+    return {"type": type(opt).__name__, "step_count": opt._step_count}
 
 
-def _optimizer_arrays(opt: Optimizer, prefix: str,
+def _optimizer_arrays(opt: Adam, prefix: str,
                       arrays: dict[str, np.ndarray]) -> None:
-    if isinstance(opt, Adam):
-        for i, (m, v) in enumerate(zip(opt._m, opt._v)):
-            arrays[f"{prefix}.m{i}"] = m
-            arrays[f"{prefix}.v{i}"] = v
-    elif isinstance(opt, SGD):
-        for i, vel in enumerate(opt._velocity):
-            arrays[f"{prefix}.vel{i}"] = vel
+    for i, (m, v) in enumerate(zip(opt._m, opt._v)):
+        arrays[f"{prefix}.m{i}"] = m
+        arrays[f"{prefix}.v{i}"] = v
 
 
-def _load_optimizer(opt: Optimizer, meta: dict, prefix: str,
-                    archive) -> None:
+def _load_optimizer(opt: Adam, meta: dict, prefix: str, archive) -> None:
     if meta["type"] != type(opt).__name__:
         raise ValueError(f"snapshot optimizer {prefix!r} is a "
                          f"{meta['type']}, not a {type(opt).__name__}")
-    opt.lr = float(meta["lr"])
-    if isinstance(opt, Adam):
-        opt._step_count = int(meta["step_count"])
-        buffers = (opt._m, opt._v)
-        names = ("m", "v")
-    else:
-        buffers = (opt._velocity,)
-        names = ("vel",)
-    for name, buffer_list in zip(names, buffers):
+    opt._step_count = int(meta["step_count"])
+    for name, buffer_list in (("m", opt._m), ("v", opt._v)):
         for i, buf in enumerate(buffer_list):
             stored = archive[f"{prefix}.{name}{i}"]
             if stored.shape != buf.shape:
@@ -179,9 +167,9 @@ def _rng_state(gen: np.random.Generator) -> dict:
 
 
 def save_training_snapshot(path: str | Path, model: Module, *,
-                           optimizer: Optimizer,
+                           optimizer: Adam,
                            sampler_rng: np.random.Generator,
-                           stopper, scheduler, result, epoch: int,
+                           stopper, result, epoch: int,
                            best_state: dict | None) -> None:
     """Capture the complete training state after ``epoch`` completed."""
     path = Path(path)
@@ -229,8 +217,6 @@ def save_training_snapshot(path: str | Path, model: Module, *,
             "best_epoch": stopper.best_epoch,
             "bad_epochs": stopper._bad_epochs,
         },
-        "scheduler": {"epoch": scheduler.epoch,
-                      "lr": scheduler.optimizer.lr},
         "result": {
             "losses": result.losses,
             "val_history": [list(entry) for entry in result.val_history],
@@ -299,10 +285,9 @@ def load_training_snapshot(path: str | Path) -> TrainingSnapshot:
 
 
 def restore_training_snapshot(snapshot: TrainingSnapshot, model: Module, *,
-                              optimizer: Optimizer,
+                              optimizer: Adam,
                               sampler_rng: np.random.Generator,
-                              stopper, scheduler,
-                              result) -> dict | None:
+                              stopper, result) -> dict | None:
     """Restore everything captured by :func:`save_training_snapshot`
     into freshly-constructed training objects; returns the best-state
     parameter snapshot (or None)."""
@@ -350,9 +335,6 @@ def restore_training_snapshot(snapshot: TrainingSnapshot, model: Module, *,
     stopper.best_value = float(stop["best_value"])
     stopper.best_epoch = int(stop["best_epoch"])
     stopper._bad_epochs = int(stop["bad_epochs"])
-
-    scheduler.epoch = int(header["scheduler"]["epoch"])
-    scheduler.optimizer.lr = float(header["scheduler"]["lr"])
 
     res = header["result"]
     result.losses = list(res["losses"])

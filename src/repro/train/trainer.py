@@ -1,8 +1,9 @@
 """Generic training loop shared by every model in the comparison.
 
-Implements the paper's optimization scheme: Adam, BPR batches with uniform
-negative sampling, optional alternating auxiliary step (KG representation
-loss), validation-based early stopping with best-state restoration.
+Implements the paper's optimization scheme: Adam at a constant learning
+rate, BPR batches with uniform negative sampling, optional alternating
+auxiliary step (KG representation loss), validation-based early stopping
+on harmonic-mean recall with best-state restoration.
 
 Training is resumable: pass ``snapshot_path`` and the loop writes a full
 training-state snapshot (:mod:`repro.train.snapshot`) at epoch
@@ -27,38 +28,33 @@ from ..reliability import fire
 from .early_stopping import EarlyStopping
 from .sampler import BPRSampler
 
-#: allowed values of :attr:`TrainConfig.monitor`
-MONITORS = ("hm_recall", "warm_recall", "cold_recall")
-#: allowed values of :attr:`TrainConfig.lr_schedule`
-LR_SCHEDULES = ("constant", "step", "cosine", "warmup-cosine")
+#: global gradient-norm bound applied before every optimizer step
+GRAD_CLIP = 10.0
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of the shared training loop."""
+    """Hyperparameters of the shared training loop: Adam at a constant
+    learning rate, with the gradient norm clipped to :data:`GRAD_CLIP`."""
 
     epochs: int = 30
     batch_size: int = 512
     learning_rate: float = 0.01
-    weight_decay: float = 0.0
-    grad_clip: float = 10.0
     eval_every: int = 5
     patience: int = 3
     eval_k: int = 20
-    monitor: str = "hm_recall"   # hm_recall | warm_recall | cold_recall
-    lr_schedule: str = "constant"  # constant | step | cosine | warmup-cosine
     seed: int = 0
     verbose: bool = False
 
     def __post_init__(self) -> None:
-        if self.monitor not in MONITORS:
-            raise ValueError(
-                f"unknown monitor {self.monitor!r}; "
-                f"allowed values: {', '.join(MONITORS)}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ValueError(
-                f"unknown lr_schedule {self.lr_schedule!r}; "
-                f"allowed values: {', '.join(LR_SCHEDULES)}")
+        for name in ("epochs", "batch_size", "eval_every", "patience",
+                     "eval_k"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got "
+                             f"{self.learning_rate!r}")
 
 
 @dataclass
@@ -75,10 +71,6 @@ class TrainResult:
 def _monitor_value(model, dataset: RecDataset, config: TrainConfig) -> float:
     result = evaluate_model(model, dataset.split, k=config.eval_k,
                             use_validation=True)
-    if config.monitor == "warm_recall":
-        return result.warm.recall
-    if config.monitor == "cold_recall":
-        return result.cold.recall
     # Harmonic-mean recall, with a small warm-side floor so models that are
     # all-zero on one side still get ordered by the other.
     hm = result.hm.recall
@@ -113,11 +105,7 @@ def train_model(model, dataset: RecDataset,
     rng = np.random.default_rng(config.seed)
     sampler = BPRSampler(dataset.split.train, dataset.num_items,
                          dataset.split.warm_items, rng)
-    optimizer = Adam(model.parameters(), lr=config.learning_rate,
-                     weight_decay=config.weight_decay)
-    from .schedulers import build_scheduler
-    scheduler = build_scheduler(config.lr_schedule, optimizer,
-                                config.epochs)
+    optimizer = Adam(model.parameters(), lr=config.learning_rate)
     stopper = EarlyStopping(patience=config.patience)
     result = TrainResult()
     best_state = None
@@ -140,7 +128,7 @@ def train_model(model, dataset: RecDataset,
         else:
             best_state = restore_training_snapshot(
                 snapshot, model, optimizer=optimizer, sampler_rng=rng,
-                stopper=stopper, scheduler=scheduler, result=result)
+                stopper=stopper, result=result)
             start_epoch = snapshot.epoch + 1
 
     base_seconds = result.train_seconds
@@ -156,13 +144,12 @@ def train_model(model, dataset: RecDataset,
             optimizer.zero_grad()
             loss = model.loss(users, pos, neg)
             loss.backward()
-            clip_grad_norm(optimizer.params, config.grad_clip)
+            clip_grad_norm(optimizer.params, GRAD_CLIP)
             optimizer.step()
             epoch_loss += loss.item()
             num_batches += 1
         model.extra_step()
         model.on_epoch_end(epoch)
-        scheduler.step()
         result.losses.append(epoch_loss / max(num_batches, 1))
         result.epochs_run = epoch + 1
 
@@ -185,8 +172,8 @@ def train_model(model, dataset: RecDataset,
                 time.perf_counter() - start)
             save_training_snapshot(
                 snapshot_path, model, optimizer=optimizer,
-                sampler_rng=rng, stopper=stopper, scheduler=scheduler,
-                result=result, epoch=epoch, best_state=best_state)
+                sampler_rng=rng, stopper=stopper, result=result,
+                epoch=epoch, best_state=best_state)
         # Injection seam: a "crash" here simulates a kill right after
         # the epoch's snapshot landed — the canonical point the chaos
         # suite interrupts at to prove resume is bit-exact.

@@ -1,11 +1,12 @@
-"""Segment operations built from frozen sparse matmuls.
+"""Segment softmax built from frozen sparse matmuls: the test reference
+of the fused KG attention.
 
 The knowledge-aware attention (paper eq. 9-11) needs a softmax over each
-head entity's ego network — a segment softmax. We express segment sums as
-multiplication by an indicator matrix so the existing autograd primitives
-provide the gradients. (KGAT layers run the fused
+head entity's ego network — a segment softmax. Here segment sums are
+multiplication by an indicator matrix, so the existing autograd
+primitives provide the gradients. KGAT layers run the fused
 :func:`repro.autograd.fused.attention_message` instead; this composable
-form is its test reference.)
+form is what ``test_fused.py`` checks it against.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, sparse_matmul
-from ..autograd import init as _init
+from repro.autograd import Tensor, sparse_matmul
+from repro.autograd import init as _init
 
 
 def segment_indicator(segment_ids: np.ndarray,

@@ -23,10 +23,10 @@ import pytest
 from repro.autograd import Tensor, concat, fused
 from repro.autograd.optim import Adam, clip_grad_norm
 from repro.baselines import create_model
-from repro.components.segments import segment_softmax_weighted_sum
 from repro.components.transr import TransRScorer, transr_loss
 from repro.data import load_amazon
 from repro.train.trainer import TrainConfig, train_model
+from segments_reference import segment_softmax_weighted_sum
 
 
 @pytest.fixture(scope="module")

@@ -5,44 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.autograd.optim import SGD, Adam, clip_grad_norm
+from repro.autograd.optim import Adam, clip_grad_norm
 
 
 def quadratic_loss(param: Tensor) -> Tensor:
     target = Tensor(np.array([1.0, -2.0, 3.0]))
     diff = param - target
     return (diff * diff).sum()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        param = Tensor(np.zeros(3), requires_grad=True)
-        opt = SGD([param], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            quadratic_loss(param).backward()
-            opt.step()
-        np.testing.assert_allclose(param.data, [1.0, -2.0, 3.0], atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            param = Tensor(np.zeros(3), requires_grad=True)
-            opt = SGD([param], lr=0.01, momentum=momentum)
-            for _ in range(30):
-                opt.zero_grad()
-                quadratic_loss(param).backward()
-                opt.step()
-            return quadratic_loss(param).item()
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks(self):
-        param = Tensor(np.ones(3) * 10.0, requires_grad=True)
-        opt = SGD([param], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        (param.sum() * 0.0).backward()
-        opt.step()
-        assert np.all(np.abs(param.data) < 10.0)
 
 
 class TestAdam:

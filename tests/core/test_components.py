@@ -2,15 +2,32 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.components.segments import (segment_indicator,
-                                       segment_softmax_weighted_sum)
 from repro.components.kgat import KnowledgeGraphAttention
 from repro.components.transr import TransRScorer, transr_loss
 from repro.graphs.ckg import build_collaborative_kg
+
+
+def _segments_reference():
+    """The segment softmax kept in ``tests/autograd`` as the fused KG
+    attention's reference."""
+    path = (Path(__file__).resolve().parents[1] / "autograd"
+            / "segments_reference.py")
+    spec = importlib.util.spec_from_file_location("segments_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_reference = _segments_reference()
+segment_indicator = _reference.segment_indicator
+segment_softmax_weighted_sum = _reference.segment_softmax_weighted_sum
 
 
 class TestSegments:

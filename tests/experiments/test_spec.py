@@ -102,6 +102,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match="fast tier was removed"):
             ExperimentSpec.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("key, value", [("weight_decay", 1e-4),
+                                            ("grad_clip", 5.0)])
+    def test_removed_train_option_with_another_value_rejected(self, key,
+                                                               value):
+        # The other two removed options (monitor, lr_schedule) are
+        # checked in test_trainer.py's TestConfigValidation.
+        payload = json.loads(_spec().to_json())
+        payload["train"][key] = value
+        with pytest.raises(ValueError, match=f"{key}.*removed"):
+            ExperimentSpec.from_json(json.dumps(payload))
+
+    def test_unknown_train_key_rejected(self):
+        payload = json.loads(_spec().to_json())
+        payload["train"]["momentum"] = 0.9
+        with pytest.raises(ValueError, match="unknown train key 'momentum'"):
+            ExperimentSpec.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("train", [5, None, [3]])
+    def test_train_that_is_not_an_object_rejected(self, train):
+        payload = {**json.loads(_spec().to_json()), "train": train}
+        with pytest.raises(ValueError, match="train must be an object"):
+            ExperimentSpec.from_json(json.dumps(payload))
+
     def test_unknown_size_rejected(self):
         with pytest.raises(ValueError, match="tiny, small, medium"):
             _spec(size="enormous")

@@ -62,10 +62,15 @@ def golden_dataset():
     return build_dataset("golden-tiny", golden_world())
 
 
-def golden_fingerprint(model_name: str) -> dict[str, str]:
+def golden_fingerprint(model_name: str,
+                       train_config: TrainConfig | None = None
+                       ) -> dict[str, str]:
     """Train ``model_name`` under the frozen protocol and fingerprint
-    the result (params + loss curve + RNG positions + combined)."""
+    the result (params + loss curve + RNG positions + combined).
+    ``train_config`` stands in for :func:`golden_train_config`, for a
+    check that another source of it trains the same bits."""
     model = create_model(model_name, golden_dataset(),
                          embedding_dim=EMBEDDING_DIM, seed=SEED)
-    result = train_model(model, golden_dataset(), golden_train_config())
+    result = train_model(model, golden_dataset(),
+                         train_config or golden_train_config())
     return training_fingerprint(model, result)

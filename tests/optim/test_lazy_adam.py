@@ -140,18 +140,18 @@ class TestObservationPoints:
 
 
 class TestLifecycle:
-    def test_weight_decay_forces_dense_schedule(self):
-        p = Tensor(np.random.default_rng(0).normal(size=SHAPE),
-                   requires_grad=True)
-        opt = Adam([p], lr=0.05, weight_decay=1e-4)
-        ref = Tensor(p.data.copy(), requires_grad=True)
-        ref_opt = Adam([ref], lr=0.05, weight_decay=1e-4, sparse=False)
-        g = sparse_grad([0, 4], np.random.default_rng(3))
-        p.grad = g
-        ref.grad = g.to_dense()
-        opt.step()
-        ref_opt.step()
-        np.testing.assert_array_equal(p.data, ref.data)
+    def test_lazy_hook_installed_only_when_eligible(self):
+        rng = np.random.default_rng(0)
+        p = make_param(rng)
+        bias = Tensor(np.zeros(SHAPE[1]), requires_grad=True)
+        stack = Tensor(rng.normal(size=(2, *SHAPE)), requires_grad=True)
+        dense = make_param(rng)
+        Adam([p, bias, stack], lr=0.05, sparse=True)
+        Adam([dense], lr=0.05, sparse=False)
+        assert p._lazy  # 2-D: stepped by rows
+        assert not bias._lazy  # other ranks are stepped densely
+        assert not stack._lazy
+        assert not dense._lazy  # the dense reference schedule
 
     def test_two_optimizers_share_one_parameter(self):
         # Firzen shares embedding tables between the trainer's Adam and

@@ -19,6 +19,12 @@ class TestParser:
         assert args.dataset == "beauty"
         assert args.epochs == 12
 
+    def test_train_has_no_lr_schedule_flag(self):
+        # One constant learning rate: argparse exits before training.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "BPR", "--lr-schedule", "cosine"])
+        assert excinfo.value.code == 2
+
     def test_compare_accepts_multiple(self):
         args = build_parser().parse_args(
             ["compare", "BPR", "LightGCN", "--epochs", "2"])

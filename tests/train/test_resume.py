@@ -45,21 +45,40 @@ def _assert_state_equal(left: dict, right: dict, context: str) -> None:
         assert np.array_equal(left[key], right[key]), (context, key)
 
 
-def _add_planner_counters(snapshot) -> None:
-    """Give the snapshot header the step planner's trace/replay
-    counters, as snapshots written before the planner was removed
-    carry them."""
+def _edit_header(snapshot, edit) -> None:
     with np.load(snapshot) as archive:
         arrays = {key: archive[key] for key in archive.files}
     header = json.loads(arrays[HEADER_KEY].tobytes().decode("utf-8"))
-    header["planner"] = {"traces": 2, "replays": 40, "fallbacks": 0}
+    edit(header)
     arrays[HEADER_KEY] = np.frombuffer(json.dumps(header).encode("utf-8"),
                                        dtype=np.uint8)
     np.savez_compressed(snapshot, **arrays)
 
 
-@pytest.mark.parametrize("edit_header", (None, _add_planner_counters),
-                         ids=("as_written", "planner_counters"))
+def _add_planner_counters(snapshot) -> None:
+    """Give the snapshot header the step planner's trace/replay
+    counters, as snapshots written before the planner was removed
+    carry them."""
+    _edit_header(snapshot, lambda header: header.update(
+        planner={"traces": 2, "replays": 40, "fallbacks": 0}))
+
+
+def _add_schedule_state(snapshot) -> None:
+    """Give the snapshot header an LR-schedule position and a learning
+    rate per optimizer, as snapshots written while LR schedules existed
+    carry them. The stored rate is not the run's, so a restore that
+    read it would change the trajectory."""
+    def edit(header):
+        header["scheduler"] = {"epoch": header["epoch"] + 1, "lr": 0.5}
+        for meta in header["optimizers"].values():
+            meta["lr"] = 0.5
+    _edit_header(snapshot, edit)
+
+
+@pytest.mark.parametrize("edit_header", (None, _add_planner_counters,
+                                         _add_schedule_state),
+                         ids=("as_written", "planner_counters",
+                              "schedule_state"))
 @pytest.mark.parametrize("model_name", MODELS)
 def test_kill_resume_bit_exact(model_name, edit_header, tiny_dataset,
                                tmp_path):
