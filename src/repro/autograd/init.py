@@ -3,13 +3,10 @@
 All parameters are created in :data:`PARAM_DTYPE` (float64): every
 number in the published benchmark tables (results/) was produced by
 float64 training, and retraining under a different rounding regime
-re-rolls each 12-epoch outcome — so the default is kept
-bit-reproducible. Float32 training is fully supported (the autograd
-engine preserves whichever float dtype it is given, and
-:mod:`repro.engine` asserts dtype stability through propagation):
-flip ``PARAM_DTYPE`` to run the whole trainable side at single
-precision. The flag is read at call time, so flipping it needs no
-re-import.
+re-rolls each 12-epoch outcome — so training is kept float64 and
+bit-reproducible. The frozen-graph operators are float64 too, so a
+propagation (:mod:`repro.engine`) returns float64 whatever the dtype
+of its operand.
 """
 
 from __future__ import annotations

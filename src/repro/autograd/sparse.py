@@ -5,13 +5,10 @@ adjacency structure never receives gradients. That lets us keep adjacency
 matrices as ``scipy.sparse`` CSR and only differentiate through the dense
 embedding operand of each propagation step.
 
-Normalizers compute and emit float64 — the dtype the published
+Normalizers compute and emit float64 CSR — the dtype the published
 benchmark tables were trained under (changing operator rounding re-rolls
-every trained outcome). Dtype unification happens one layer up: the
-engine (:mod:`repro.engine`) pins each propagation operator to the
-operand's dtype exactly once per plan, so hot-path matmuls never convert
-— float64 training keeps these exact values, and a float32 operand gets
-one float32 variant per plan.
+every trained outcome). Each graph builder calls one of them once and
+keeps the result; :func:`repro.engine.propagate` multiplies it as is.
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
     Gradient flows only into ``x`` (``matrix.T @ upstream``); the matrix is
     a constant, matching the paper's frozen-graph training.
 
-    ``matrix`` should already be CSR (every graph builder and the engine
-    pin their operators to CSR once): a CSR input is used as-is, with no
-    per-call format conversion. Other sparse formats are converted here
+    ``matrix`` should already be CSR (every normalizer below emits CSR,
+    and :func:`repro.engine.as_operator` pins a plan's operator to it):
+    a CSR input is used as-is, with no per-call format conversion. Other sparse formats are converted here
     as a convenience — callers on hot paths should convert once instead.
     """
     if not sp.issparse(matrix):

@@ -14,7 +14,7 @@ from ..autograd import Tensor, bpr_loss, concat, embedding_l2, rowwise_dot
 from ..autograd.nn import Embedding, Linear
 from ..components.lightgcn import lightgcn_propagate
 from ..data.datasets import RecDataset
-from ..engine import get_engine
+from ..engine import propagate
 from ..graphs.interaction import InteractionGraph
 from ..graphs.item_item import build_item_item_graphs
 from ..graphs.user_user import UserUserGraph
@@ -55,13 +55,12 @@ class DragonModel(Recommender):
             self.item_emb.weight, self.num_layers)
 
         # Homogeneous item graph: propagate content-projected + id signal.
-        engine = get_engine()
         modal_parts = []
         for modality in self.dataset.modalities:
             projected = self.projectors[modality](self._features[modality])
             adjacency = self.item_graphs[modality].adjacency(mode)
-            propagated = engine.propagate(adjacency, projected + item_out,
-                                          pooling="last")
+            propagated = propagate(adjacency, projected + item_out,
+                                   pooling="last")
             modal_parts.append(propagated)
         item_homogeneous = modal_parts[0]
         for part in modal_parts[1:]:
@@ -69,8 +68,8 @@ class DragonModel(Recommender):
         item_homogeneous = item_homogeneous * (1.0 / len(modal_parts))
 
         # Homogeneous user graph.
-        user_homogeneous = engine.propagate(self.user_graph.attention,
-                                            user_out, pooling="last")
+        user_homogeneous = propagate(self.user_graph.attention, user_out,
+                                     pooling="last")
 
         user_final = concat([user_out, user_homogeneous], axis=1)
         item_final = concat([item_out, item_homogeneous], axis=1)

@@ -14,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor, bpr_loss, embedding_l2, stack
+from ..autograd import Tensor, bpr_loss, embedding_l2, row_normalize, stack
 from ..autograd.nn import Embedding
 from ..data.datasets import RecDataset
-from ..engine import get_engine
+from ..engine import propagate
 from .base import Recommender
 
 
@@ -55,7 +55,6 @@ class KGCNModel(Recommender):
         triplets = kg.triplets
         item_heads = triplets[triplets[:, 0] < self.num_items]
         sampled = self._sample_neighborhoods(item_heads, sample_rng)
-        engine = get_engine()
         self._relation_matrices: list[sp.csr_matrix] = []
         for relation in range(kg.num_relations):
             mask = sampled[:, 1] == relation
@@ -63,8 +62,7 @@ class KGCNModel(Recommender):
                 (np.ones(int(mask.sum())),
                  (sampled[mask, 0], sampled[mask, 2])),
                 shape=(self.num_items, kg.num_entities))
-            self._relation_matrices.append(
-                engine.normalized(matrix, "row", cache=False))
+            self._relation_matrices.append(row_normalize(matrix))
 
     def _sample_neighborhoods(self, item_heads: np.ndarray,
                               rng: np.random.Generator) -> np.ndarray:
@@ -94,9 +92,8 @@ class KGCNModel(Recommender):
         more collaborative signal into cold items than the original model
         exhibits (see DESIGN.md, substitutions).
         """
-        engine = get_engine()
         frozen = self.entity_emb.weight.detach()
-        return [engine.propagate(matrix, frozen, pooling="last")
+        return [propagate(matrix, frozen, pooling="last")
                 for matrix in self._relation_matrices]
 
     def _user_relation_weights(self, users) -> Tensor:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd import Tensor
+from ..autograd import Tensor, symmetric_normalize
 from ..data.datasets import RecDataset
-from ..engine import get_engine
+from ..engine import propagate
 from .kgcn import KGCNModel
 
 
@@ -42,13 +42,11 @@ class KGNNLSModel(KGCNModel):
             shape=(self.num_items, self.num_items))
         adjacency = adjacency + adjacency.T
         adjacency.data[:] = 1.0
-        self._smooth = get_engine().normalized(adjacency, "sym",
-                                               cache=False)
+        self._smooth = symmetric_normalize(adjacency)
 
     def _label_smoothness(self) -> Tensor:
         items = self.entity_emb.weight[:self.num_items]
-        smoothed = get_engine().propagate(self._smooth, items,
-                                          pooling="last")
+        smoothed = propagate(self._smooth, items, pooling="last")
         diff = items - smoothed
         return (diff * diff).mean()
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import (Tensor, bpr_loss, embedding_l2, infonce, rowwise_dot)
+from ..autograd import (Tensor, bpr_loss, embedding_l2, infonce, row_normalize,
+                        rowwise_dot)
 from ..autograd.nn import (BatchNorm1d, Dropout, Embedding, LeakyReLU,
                            Linear, Sequential, Sigmoid)
 from ..components.lightgcn import lightgcn_propagate
 from ..data.datasets import RecDataset
-from ..engine import get_engine
+from ..engine import propagate
 from ..graphs.interaction import InteractionGraph
 from .base import Recommender
 
@@ -61,19 +62,15 @@ class MMSSLModel(Recommender):
                           for m in dataset.modalities}
 
     def _rebind_aggregators(self) -> None:
-        engine = get_engine()
-        self._user_norm = engine.normalized(self.graph.user_item_matrix,
-                                            "row")
-        # The transpose is a fresh one-shot matrix: nothing to cache on.
-        self._item_norm = engine.normalized(
-            self.graph.user_item_matrix.T.tocsr(), "row", cache=False)
+        user_item = self.graph.user_item_matrix
+        self._user_norm = row_normalize(user_item)
+        self._item_norm = row_normalize(user_item.T.tocsr())
 
     def _modal_user_item(self, modality: str):
         """Aggregate projected features over interactions (eqs. 7-8 style)."""
-        engine = get_engine()
         projected = self.projectors[modality](self._features[modality])
-        x_user = engine.propagate(self._user_norm, projected, pooling="last")
-        x_item = engine.propagate(self._item_norm, x_user, pooling="last")
+        x_user = propagate(self._user_norm, projected, pooling="last")
+        x_item = propagate(self._item_norm, x_user, pooling="last")
         return x_user, x_item
 
     def _forward(self):

@@ -11,10 +11,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..autograd import infonce
-from ..autograd.sparse import build_bipartite_adjacency
+from ..autograd.sparse import build_bipartite_adjacency, symmetric_normalize
 from ..components.lightgcn import lightgcn_propagate
 from ..data.datasets import RecDataset
-from ..engine import get_engine
 from .lightgcn import LightGCNModel
 
 
@@ -40,8 +39,7 @@ class SGLModel(LightGCNModel):
         kept = inter[keep]
         adjacency = build_bipartite_adjacency(
             self.num_users, self.num_items, kept[:, 0], kept[:, 1])
-        # Per-batch throwaway augmentation: normalize without caching.
-        return get_engine().normalized(adjacency, "sym", cache=False)
+        return symmetric_normalize(adjacency)
 
     def loss(self, users, pos_items, neg_items):
         base = super().loss(users, pos_items, neg_items)

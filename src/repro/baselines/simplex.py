@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, cosine_similarity, embedding_l2
+from ..autograd import Tensor, cosine_similarity, embedding_l2, row_normalize
 from ..autograd.nn import Embedding
 from ..data.datasets import RecDataset
-from ..engine import get_engine
+from ..engine import propagate
 from .base import Recommender
 
 
@@ -40,15 +40,14 @@ class SimpleXModel(Recommender):
         matrix = sp.csr_matrix(
             (np.ones(len(train)), (train[:, 0], train[:, 1])),
             shape=(self.num_users, self.num_items))
-        self._history = get_engine().normalized(matrix, "row", cache=False)
+        self._history = row_normalize(matrix)
         self._neg_rng = np.random.default_rng(
             int(self.rng.integers(0, 2 ** 31)))
         self._warm_items = dataset.split.warm_items
 
     def _user_repr(self) -> Tensor:
-        aggregated = get_engine().propagate(self._history,
-                                            self.item_emb.weight,
-                                            pooling="last")
+        aggregated = propagate(self._history, self.item_emb.weight,
+                               pooling="last")
         return self.user_emb.weight * self.gamma + aggregated * (1 - self.gamma)
 
     def loss(self, users, pos_items, neg_items):

@@ -90,6 +90,23 @@ def _load_dataset(name: str, size: str):
     return load_amazon(name, size=size)
 
 
+def _positive(convert):
+    """An argparse ``type`` that parses with ``convert`` and rejects
+    values that are not positive."""
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"must be positive, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", choices=DATASETS, default="beauty")
     parser.add_argument("--size",
@@ -100,12 +117,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_training(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=int, default=12)
-    parser.add_argument("--embedding-dim", type=int, default=32)
-    parser.add_argument("--learning-rate", type=float, default=0.05)
-    parser.add_argument("--batch-size", type=int, default=512)
+    parser.add_argument("--epochs", type=_positive_int, default=12)
+    parser.add_argument("--embedding-dim", type=_positive_int, default=32)
+    parser.add_argument("--learning-rate", type=_positive_float, default=0.05)
+    parser.add_argument("--batch-size", type=_positive_int, default=512)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--k", type=int, default=20)
+    parser.add_argument("--k", type=_positive_int, default=20)
 
 
 def _train_config(args) -> TrainConfig:
@@ -432,8 +449,13 @@ def _resolve_spec(name_or_path: str):
 def _run_env_overrides(args) -> tuple[int | None, str | None]:
     import os
     epochs = args.epochs
-    if epochs is None and os.environ.get("REPRO_BENCH_EPOCHS"):
-        epochs = int(os.environ["REPRO_BENCH_EPOCHS"])
+    raw = os.environ.get("REPRO_BENCH_EPOCHS")
+    if epochs is None and raw:
+        try:
+            epochs = _positive_int(raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            args.usage_error(f"REPRO_BENCH_EPOCHS must be a positive "
+                             f"integer, got {raw!r}")
     size = args.size
     if size is None and os.environ.get("REPRO_BENCH_SIZE"):
         size = os.environ["REPRO_BENCH_SIZE"]
@@ -622,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "resumable artifact-store pipeline")
     p_run.add_argument("spec", help="preset name (see 'experiments "
                                     "list') or path to a JSON spec file")
-    p_run.add_argument("--epochs", type=int, default=None,
+    p_run.add_argument("--epochs", type=_positive_int, default=None,
                        help="override the spec's training epochs "
                             "(default: REPRO_BENCH_EPOCHS or the spec)")
     p_run.add_argument("--size", default=None,
@@ -642,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--fingerprint-out", default=None,
                        help="also write the result fingerprint to this "
                             "file (the CI parity gate compares two runs)")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, usage_error=p_run.error)
 
     p_experiments = sub.add_parser(
         "experiments", help="list experiment presets, scenario "

@@ -1,8 +1,7 @@
 """LightGCN propagation (paper eq. 5-6), used by most graph models here.
 
-Propagation goes through the frozen-graph engine, which caches one
-precompiled :class:`~repro.engine.PropagationPlan` per (adjacency,
-depth).
+The joint user+item embedding runs the L hops of
+:func:`repro.engine.propagate` over the frozen normalized adjacency.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 import scipy.sparse as sp
 
 from ..autograd import Tensor, concat
-from ..engine import get_engine
+from ..engine import propagate
 
 
 def lightgcn_propagate(norm_adjacency: sp.spmatrix, user_emb: Tensor,
@@ -25,6 +24,5 @@ def lightgcn_propagate(norm_adjacency: sp.spmatrix, user_emb: Tensor,
     """
     num_users = user_emb.shape[0]
     ego = concat([user_emb, item_emb], axis=0)
-    pooled = get_engine().plan(norm_adjacency, num_layers,
-                               pooling="mean").apply(ego)
+    pooled = propagate(norm_adjacency, ego, num_layers, pooling="mean")
     return pooled[:num_users], pooled[num_users:]

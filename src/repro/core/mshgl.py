@@ -14,7 +14,7 @@ import numpy as np
 
 from ..autograd import Tensor, mean_stack
 from ..autograd.nn import Module, MultiHeadSelfAttention
-from ..engine import get_engine
+from ..engine import propagate
 from ..graphs.item_item import ItemItemGraph
 from ..graphs.user_user import UserUserGraph
 from .config import FirzenConfig
@@ -38,8 +38,8 @@ class ItemItemPropagation(Module):
     def forward(self, item_emb: Tensor, mode: str,
                 masked: bool = True) -> Tensor:
         adjacency = self.graph.adjacency(mode, masked=masked)
-        return get_engine().propagate(adjacency, item_emb,
-                                      self.num_layers, pooling="mean")
+        return propagate(adjacency, item_emb, self.num_layers,
+                         pooling="mean")
 
 
 class UserUserPropagation(Module):
@@ -51,8 +51,8 @@ class UserUserPropagation(Module):
         self.num_layers = num_layers
 
     def forward(self, user_emb: Tensor) -> Tensor:
-        return get_engine().propagate(self.graph.attention, user_emb,
-                                      self.num_layers, pooling="last")
+        return propagate(self.graph.attention, user_emb, self.num_layers,
+                         pooling="last")
 
 
 class MSHGL(Module):

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, dropout as ag_dropout
+from ..autograd import Tensor, dropout as ag_dropout, row_normalize
 from ..autograd.nn import Embedding, Linear, Module
 from ..components.kgat import KnowledgeGraphAttention
-from ..engine import get_engine
 from ..components.lightgcn import lightgcn_propagate
 from ..data.datasets import RecDataset
+from ..engine import propagate
 from ..graphs.ckg import CollaborativeKG
 from ..graphs.interaction import InteractionGraph
 from .config import FirzenConfig
@@ -72,21 +72,17 @@ class ModalityEncoder(Module):
     def rebind(self, graph: InteractionGraph) -> None:
         """Rebuild the frozen aggregation matrices against a (possibly
         extended) interaction graph."""
-        engine = get_engine()
         user_item = graph.user_item_matrix
-        self._to_users = engine.normalized(user_item, "row")
-        # The transpose is a fresh one-shot matrix: nothing to cache on.
-        self._to_items = engine.normalized(user_item.T.tocsr(), "row",
-                                           cache=False)
+        self._to_users = row_normalize(user_item)
+        self._to_items = row_normalize(user_item.T.tocsr())
 
     def forward(self):
         """Returns ``(x_u, x_i, projected_items)`` for this modality."""
-        engine = get_engine()
         projected = self.projector(self.features)
         projected = ag_dropout(projected, self.dropout_rate, self._drop_rng,
                                training=self.training)
-        x_user = engine.propagate(self._to_users, projected, pooling="last")
-        x_item = engine.propagate(self._to_items, x_user, pooling="last")
+        x_user = propagate(self._to_users, projected, pooling="last")
+        x_item = propagate(self._to_items, x_user, pooling="last")
         return x_user, x_item, projected
 
 

@@ -1,10 +1,9 @@
 """Synthetic benchmark construction (the paper's datasets, rebuilt)."""
 
 from .amazon import load_amazon
-from .chunked import (DEFAULT_CHUNK_ROWS, NpyStreamWriter,
-                      coo_to_csr_chunked, decode_pairs, encode_pairs,
-                      external_k_core, external_sorted_unique,
-                      read_npy_chunks, sorted_coo_to_csr)
+from .chunked import (DEFAULT_CHUNK_ROWS, NpyStreamWriter, decode_pairs,
+                      encode_pairs, external_k_core, external_sorted_unique,
+                      read_npy_chunks)
 from .io import (CorruptDatasetError, DatasetDirWriter,
                  dataset_fingerprint, load_dataset, save_dataset)
 from .datasets import DatasetStatistics, RecDataset, build_dataset
@@ -48,8 +47,6 @@ __all__ = [
     "decode_pairs",
     "external_sorted_unique",
     "external_k_core",
-    "sorted_coo_to_csr",
-    "coo_to_csr_chunked",
     "SCALE_SIZE_PRESETS",
     "ScaleConfig",
     "scale_config",

@@ -14,9 +14,7 @@ million-interaction worlds on a small-RAM host:
   concatenated input);
 * :func:`external_k_core` — the paper's user k-core filter as repeated
   bounded-memory passes (bit-identical to
-  :func:`repro.data.world.apply_k_core`);
-* :func:`sorted_coo_to_csr` / :func:`coo_to_csr_chunked` — chunked
-  COO→CSR with ``O(num_rows)`` scratch.
+  :func:`repro.data.world.apply_k_core`).
 
 Writers append with plain buffered ``file.write`` — the bytes land in
 the page cache, not in process RSS, which is what keeps the build's
@@ -301,62 +299,3 @@ def external_k_core(pairs_path: str | Path, k: int,
             return target, kept
         current = target
         generation += 1
-
-
-# ----------------------------------------------------------------------
-# chunked COO -> CSR
-# ----------------------------------------------------------------------
-def sorted_coo_to_csr(chunks, num_rows: int,
-                      indices_out: str | Path) -> np.ndarray:
-    """One-pass CSR build from a row-sorted chunk stream.
-
-    ``chunks`` yields ``(n, 2)`` arrays whose rows are globally sorted
-    by the first column (what the external dedup produces).  Column
-    indices append sequentially to ``indices_out``; the returned
-    ``indptr`` is the cumulative row histogram.  Scratch is
-    ``O(num_rows)``.
-    """
-    counts = np.zeros(num_rows, dtype=np.int64)
-    with NpyStreamWriter(indices_out, np.int64) as writer:
-        for chunk in chunks:
-            chunk = np.asarray(chunk, dtype=np.int64)
-            counts += np.bincount(chunk[:, 0], minlength=num_rows)
-            writer.write(chunk[:, 1])
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
-
-
-def coo_to_csr_chunked(chunk_factory, num_rows: int,
-                       indices_out: str | Path) -> np.ndarray:
-    """Two-pass CSR build for *unsorted* chunk streams.
-
-    ``chunk_factory`` is a zero-argument callable returning a fresh
-    iterator of ``(n, 2)`` chunks (the stream is consumed twice: a
-    counting pass, then a scatter pass into a writable memmap).  Within
-    each row, entries keep their stream order — the same stable order
-    an in-RAM ``argsort(kind="stable")`` build produces — so the result
-    is chunk-size invariant.
-    """
-    counts = np.zeros(num_rows, dtype=np.int64)
-    for chunk in chunk_factory():
-        counts += np.bincount(np.asarray(chunk)[:, 0],
-                              minlength=num_rows)
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    out = np.lib.format.open_memmap(
-        Path(indices_out), mode="w+", dtype=np.int64,
-        shape=(int(indptr[-1]),))
-    cursor = indptr[:-1].copy()
-    for chunk in chunk_factory():
-        chunk = np.asarray(chunk, dtype=np.int64)
-        order = np.argsort(chunk[:, 0], kind="stable")
-        rows = chunk[order, 0]
-        # offset of each entry within its row group in this chunk
-        first = np.searchsorted(rows, rows)
-        positions = cursor[rows] + (np.arange(len(rows)) - first)
-        out[positions] = chunk[order, 1]
-        cursor += np.bincount(chunk[:, 0], minlength=num_rows)
-    out.flush()
-    del out
-    return indptr

@@ -1,38 +1,32 @@
-"""Frozen-graph propagation engine.
+"""Frozen-graph propagation.
 
 The paper's graphs — the collaborative KG and the homogeneous
 item-item/user-user kNN graphs — are all *frozen*: adjacency never
 receives gradients, so every multi-layer propagation is a fixed linear
-operator applied to trainable embeddings. This package precompiles those
-operators once and shares them across the whole stack:
+operator applied to trainable embeddings. Each graph builder normalizes
+its operator once (with the normalizers of :mod:`repro.autograd.sparse`)
+and keeps it; this package applies it:
 
-* **normalized-adjacency cache** — symmetric/row/softmax normalizations
-  computed once per graph, pinned to CSR, never re-derived;
-* **propagation plans** — one cached plan per (graph, depth, pooling)
-  that runs the L sparse hops and pools them (mean or last);
-* **`propagate()`** — the differentiable API every component, baseline,
-  core model, and the serving path call instead of hand-rolling loops
-  over :func:`repro.autograd.sparse.sparse_matmul`. Operators are
-  float64, the exact values the published tables were trained with; a
-  float32 operand (which :class:`~repro.autograd.tensor.Tensor`
-  preserves) gets one float32 variant per plan, so no hot-path matmul
-  converts. The serving store does not use plans: its onboarding runs
-  :func:`apply_dense` at :data:`OPERATOR_DTYPE`.
+* **`propagate()`** — the differentiable API every component, baseline
+  and core model call instead of hand-rolling loops over
+  :func:`repro.autograd.sparse.sparse_matmul`: it runs the L sparse hops
+  of a :class:`PropagationPlan` and pools them (mean or last);
+* **operator form** — :func:`as_operator` pins an operator to CSR with a
+  float dtype without reordering its nonzeros. The serving store does
+  not propagate: its onboarding runs :func:`apply_dense` at
+  :data:`OPERATOR_DTYPE`.
 """
 
 from .ops import (OPERATOR_DTYPE, apply_dense, as_operator,
                   mean_aggregation_operator)
-from .propagate import (PropagationEngine, PropagationPlan, get_engine,
-                        normalized_adjacency, propagate)
+from .propagate import PropagationPlan, get_engine, propagate
 
 __all__ = [
     "OPERATOR_DTYPE",
-    "PropagationEngine",
     "PropagationPlan",
     "apply_dense",
     "as_operator",
     "get_engine",
     "mean_aggregation_operator",
-    "normalized_adjacency",
     "propagate",
 ]

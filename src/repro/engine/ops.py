@@ -1,17 +1,14 @@
-"""Operator canonicalization for the frozen-graph engine.
+"""Operator canonicalization for frozen-graph propagation.
 
-Every propagation operator the engine touches is pinned to a canonical
-form — CSR, float dtype — exactly once, and each plan carries
-dtype-matched variants of it (see ``PropagationPlan``), so hot paths
-(training forwards/backwards, serving aggregation) multiply without any
-format or dtype conversion: scipy otherwise re-converts the sparse
-operand on every mismatched multiply. Stored nonzero *order* is left
-untouched: re-sorting indices would change floating-point summation
-order and silently perturb trained results by ulps.
+:func:`as_operator` pins a propagation operator to a canonical form —
+CSR, float dtype — so the sparse multiplies run without a format or
+dtype conversion: scipy otherwise re-converts the sparse operand on
+every mismatched multiply. Stored nonzero *order* is left untouched:
+re-sorting indices would change floating-point summation order and
+silently perturb trained results by ulps.
 
-Operators are float64, the training dtype (the published benchmark
-tables are float64-reproducible); a plan builds a float32 variant only
-for a float32 operand. :data:`OPERATOR_DTYPE` (float32) is the serving
+Training operators are float64 (the published benchmark tables are
+float64-reproducible). :data:`OPERATOR_DTYPE` (float32) is the serving
 store's dtype: :func:`apply_dense` pins the onboarding operators and
 operands to it.
 """

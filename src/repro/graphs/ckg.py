@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..data.kg_builder import KnowledgeGraph
 
@@ -36,14 +35,6 @@ class CollaborativeKG:
     def user_node(self, user) -> np.ndarray:
         """Map user index -> CKG node id."""
         return np.asarray(user) + self.num_entities
-
-    def head_index(self) -> sp.csr_matrix:
-        """CSR over heads: row h lists positions of triplets with head h."""
-        rows = self.triplets[:, 0]
-        cols = np.arange(len(self.triplets))
-        vals = np.ones(len(self.triplets))
-        return sp.csr_matrix((vals, (rows, cols)),
-                             shape=(self.num_nodes, len(self.triplets)))
 
 
 def build_collaborative_kg(kg: KnowledgeGraph, interactions: np.ndarray,

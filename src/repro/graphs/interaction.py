@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..autograd.sparse import build_bipartite_adjacency
-from ..engine import normalized_adjacency
+from ..autograd.sparse import build_bipartite_adjacency, symmetric_normalize
 
 
 class InteractionGraph:
@@ -29,7 +28,7 @@ class InteractionGraph:
         items = self.interactions[:, 1]
         self.adjacency = build_bipartite_adjacency(
             num_users, num_items, users, items)
-        self.norm_adjacency = normalized_adjacency(self.adjacency, "sym")
+        self.norm_adjacency = symmetric_normalize(self.adjacency)
         self.user_item_matrix = sp.csr_matrix(
             (np.ones(len(users)), (users, items)),
             shape=(num_users, num_items))

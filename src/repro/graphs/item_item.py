@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ..autograd.sparse import symmetric_normalize
 from ..data.kg_builder import similarity_panels
-from ..engine import normalized_adjacency
 
 
 def knn_sparsify(features: np.ndarray, top_k: int,
@@ -83,13 +83,13 @@ class ItemItemGraph:
         # train).
         train_knn = knn_sparsify(features, top_k, restrict_to=warm_items)
         full_knn = knn_sparsify(features, top_k)
-        self.train_adjacency = normalized_adjacency(train_knn, "sym")
+        self.train_adjacency = symmetric_normalize(train_knn)
 
         # Inference view: all items, with the cold->warm mask applied
         # *before* normalization so degrees reflect the masked structure.
         masked = cold_mask_matrix(full_knn, self.is_cold)
-        self.infer_adjacency = normalized_adjacency(masked, "sym")
-        self._unmasked_infer_adjacency = normalized_adjacency(full_knn, "sym")
+        self.infer_adjacency = symmetric_normalize(masked)
+        self._unmasked_infer_adjacency = symmetric_normalize(full_knn)
 
     def adjacency(self, mode: str = "train",
                   masked: bool = True) -> sp.csr_matrix:

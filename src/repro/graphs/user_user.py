@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..engine import normalized_adjacency
+from ..autograd.sparse import row_softmax
 
 
 def cooccurrence_counts(user_item: sp.spmatrix) -> sp.csr_matrix:
@@ -84,7 +84,7 @@ class UserUserGraph:
         counts = cooccurrence_counts(user_item)
         self.topk_counts = topk_per_row(counts, top_k)
         # eq. 19: attention = softmax over each row's co-occurrence counts.
-        self.attention = normalized_adjacency(self.topk_counts, "softmax")
+        self.attention = row_softmax(self.topk_counts)
 
     @property
     def num_users(self) -> int:

@@ -34,9 +34,8 @@ with the same seed produce equal logs. Plans serialize to JSON
 committable file.
 
 Activation is process-global (guarded by a lock, usable from the
-daemon's worker threads): ``with inject(plan): ...`` or the
-``REPRO_FAULT_PLAN=<path.json>`` environment variable read by
-:func:`plan_from_env` (what ``tools/check_chaos.py`` subprocesses use).
+daemon's worker threads): ``with inject(plan): ...``, which is how
+``tools/check_chaos.py`` and the tests install their plans.
 When no plan is active, :func:`fire` is one global read — the seams
 cost nothing in production.
 """
@@ -292,16 +291,6 @@ def inject(plan: FaultPlan):
     finally:
         with _active_lock:
             _active = None
-
-
-def plan_from_env(environ=None) -> FaultPlan | None:
-    """The plan named by ``REPRO_FAULT_PLAN`` (a JSON file), if any."""
-    import os
-    env = os.environ if environ is None else environ
-    path = env.get("REPRO_FAULT_PLAN")
-    if not path:
-        return None
-    return FaultPlan.load(path)
 
 
 def fire(op: str, path: str | Path | None = None) -> None:

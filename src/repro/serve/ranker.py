@@ -164,15 +164,9 @@ class BatchRanker:
         self.score_tile = int(score_tile)
 
     @classmethod
-    def from_model(cls, model, train_interactions: np.ndarray | None = None,
-                   **kwargs) -> "BatchRanker":
+    def from_model(cls, model, **kwargs) -> "BatchRanker":
         """Wrap a trained :class:`repro.baselines.base.Recommender`."""
-        seen = None
-        if train_interactions is not None:
-            seen = interactions_to_csr(train_interactions, model.num_users,
-                                       model.num_items)
-        return cls(model.user_matrix(), model.item_matrix(), seen=seen,
-                   **kwargs)
+        return cls(model.user_matrix(), model.item_matrix(), **kwargs)
 
     @classmethod
     def from_store(cls, store, **kwargs) -> "BatchRanker":
@@ -187,12 +181,6 @@ class BatchRanker:
     @property
     def num_items(self) -> int:
         return self.item_vectors.shape[0]
-
-    def scores(self, user_ids: np.ndarray) -> np.ndarray:
-        """Raw (unmasked) scores over all items; rows align with input."""
-        users = np.asarray(user_ids, dtype=np.int64)
-        return _active_backend().matmul(self.user_vectors[users],
-                                        self.item_vectors.T)
 
     def topk(self, user_ids: np.ndarray, k: int = 20,
              candidates: np.ndarray | None = None,

@@ -6,11 +6,10 @@ auxiliary step (KG representation loss), validation-based early stopping
 on harmonic-mean recall with best-state restoration.
 
 Training is resumable: pass ``snapshot_path`` and the loop writes a full
-training-state snapshot (:mod:`repro.train.snapshot`) at epoch
-boundaries; a later call with the same arguments restores it and
-continues the run **bit-exactly** — parameters, optimizer moments, RNG
-positions, and every downstream metric are identical to an
-uninterrupted run.
+training-state snapshot (:mod:`repro.train.snapshot`) after every epoch;
+a later call with the same arguments restores it and continues the run
+**bit-exactly** — parameters, optimizer moments, RNG positions, and
+every downstream metric are identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -82,20 +81,16 @@ def _monitor_value(model, dataset: RecDataset, config: TrainConfig) -> float:
 def train_model(model, dataset: RecDataset,
                 config: TrainConfig | None = None, *,
                 snapshot_path: str | Path | None = None,
-                snapshot_every: int = 1,
-                resume: bool = True,
                 epoch_hook=None) -> TrainResult:
     """Train ``model`` on ``dataset`` and restore its best validation state.
 
     Parameters
     ----------
     snapshot_path:
-        Where to write the per-epoch training-state snapshot. When the
-        file already exists (and ``resume`` is true) the run continues
-        from it instead of starting over; the resumed trajectory is
-        bit-identical to an uninterrupted run.
-    snapshot_every:
-        Snapshot cadence in epochs (the final epoch is always captured).
+        Where to write the training-state snapshot after every epoch.
+        When the file already exists the run continues from it instead
+        of starting over; the resumed trajectory is bit-identical to an
+        uninterrupted run.
     epoch_hook:
         Optional ``hook(epoch, model)`` called after each epoch's
         snapshot point; exceptions propagate (tests use this to simulate
@@ -111,7 +106,7 @@ def train_model(model, dataset: RecDataset,
     best_state = None
     start_epoch = 0
 
-    if snapshot_path is not None and resume and Path(snapshot_path).exists():
+    if snapshot_path is not None and Path(snapshot_path).exists():
         from .snapshot import CorruptSnapshotError, \
             load_training_snapshot, restore_training_snapshot
         try:
@@ -164,9 +159,7 @@ def train_model(model, dataset: RecDataset,
             if stopper.update(value, epoch):
                 best_state = model.state_dict()
 
-        if snapshot_path is not None and (
-                (epoch + 1) % snapshot_every == 0
-                or epoch == config.epochs - 1 or stopper.should_stop):
+        if snapshot_path is not None:
             from .snapshot import save_training_snapshot
             result.train_seconds = base_seconds + (
                 time.perf_counter() - start)

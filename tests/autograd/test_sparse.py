@@ -64,8 +64,7 @@ class TestSparseMatmul:
 class TestNormalizations:
     def test_normalizers_emit_float64_csr(self, rng):
         """Training operators stay float64 (the published tables'
-        dtype); the engine materializes dtype-matched variants once per
-        plan for float32 consumers."""
+        dtype)."""
         dense = (rng.random((6, 6)) > 0.5).astype(float)
         matrix = sp.csr_matrix(dense)
         for normalize in (symmetric_normalize, row_normalize, row_softmax):

@@ -1,4 +1,4 @@
-"""Out-of-core primitives: streaming writers, external merge, chunked CSR.
+"""Out-of-core primitives: streaming writers, external merge, k-core.
 
 Every external-memory algorithm here has an in-RAM numpy reference it
 must equal exactly — bit-identity is the contract that lets the scale
@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 from repro.data.chunked import (DEFAULT_CHUNK_ROWS, NpyStreamWriter,
-                                coo_to_csr_chunked, decode_pairs,
-                                encode_pairs, external_k_core,
-                                external_sorted_unique, read_npy_chunks,
-                                sorted_coo_to_csr)
+                                decode_pairs, encode_pairs, external_k_core,
+                                external_sorted_unique, read_npy_chunks)
 from repro.data.world import apply_k_core
 
 #: the parity grid every chunked algorithm is exercised over: degenerate
@@ -145,45 +143,3 @@ class TestExternalKCore:
                                     chunk_rows=16)
         assert kept == 0
         assert len(np.load(out)) == 0
-
-
-class TestChunkedCsr:
-    def reference_csr(self, rows, cols, num_rows):
-        import scipy.sparse as sp
-        data = np.ones(len(rows))
-        return sp.csr_matrix((data, (rows, cols)), shape=(num_rows,
-                                                          cols.max() + 1))
-
-    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-    def test_sorted_coo_to_csr(self, rng, tmp_path, chunk_rows):
-        pairs = np.unique(random_pairs(rng, rows=700), axis=0)
-        chunks = [pairs[s:s + chunk_rows]
-                  for s in range(0, len(pairs), chunk_rows)]
-        indices_out = tmp_path / "indices.npy"
-        indptr = sorted_coo_to_csr(iter(chunks), num_rows=40,
-                                   indices_out=indices_out)
-        ref = self.reference_csr(pairs[:, 0], pairs[:, 1], 40)
-        np.testing.assert_array_equal(indptr, ref.indptr)
-        np.testing.assert_array_equal(np.load(indices_out), ref.indices)
-
-    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-    def test_unsorted_two_pass_scatter(self, rng, tmp_path, chunk_rows):
-        pairs = random_pairs(rng, rows=700)
-        rng.shuffle(pairs)  # rows arrive in arbitrary order
-
-        def factory():
-            return (pairs[s:s + chunk_rows]
-                    for s in range(0, len(pairs), chunk_rows))
-
-        indices_out = tmp_path / "indices.npy"
-        indptr = coo_to_csr_chunked(factory, num_rows=40,
-                                    indices_out=indices_out)
-        # reference: stable sort by row, preserving within-row arrival
-        order = np.argsort(pairs[:, 0], kind="stable")
-        expected_indices = pairs[order, 1]
-        expected_indptr = np.zeros(41, dtype=np.int64)
-        np.cumsum(np.bincount(pairs[:, 0], minlength=40),
-                  out=expected_indptr[1:])
-        np.testing.assert_array_equal(indptr, expected_indptr)
-        np.testing.assert_array_equal(np.load(indices_out),
-                                      expected_indices)

@@ -1,26 +1,18 @@
-"""Propagation plans: parity, gradients, caching, dtype stability."""
+"""Propagation plans: parity, gradients, operator form."""
 
 from __future__ import annotations
-
-import gc
 
 import numpy as np
 import scipy.sparse as sp
 import pytest
 
 from repro.autograd import Tensor, mean_stack
-from repro.engine import (OPERATOR_DTYPE, PropagationEngine, PropagationPlan,
-                          apply_dense, as_operator, mean_aggregation_operator,
+from repro.engine import (OPERATOR_DTYPE, PropagationPlan, apply_dense,
+                          as_operator, get_engine, mean_aggregation_operator,
                           propagate)
 from repro.graphs.interaction import InteractionGraph
 from repro.graphs.item_item import build_item_item_graphs
 from repro.graphs.user_user import UserUserGraph
-
-
-@pytest.fixture()
-def engine() -> PropagationEngine:
-    """A private engine instance so tests never pollute the singleton."""
-    return PropagationEngine()
 
 
 def graph_operators(dataset) -> dict:
@@ -93,36 +85,16 @@ class TestFoldedParity:
 
 
 class TestDtypeStability:
-    def test_float32_propagation_stays_float32(self, rng):
-        """A float32 operand multiplies a float32 operator variant: no
-        upcast anywhere in forward or backward."""
-        operator = as_operator(sp.random(20, 20, density=0.2, format="csr",
-                                         random_state=2))
-        x = Tensor(rng.normal(size=(20, 4)).astype(np.float32),
-                   requires_grad=True)
-        out = propagate(operator, x, num_layers=2, pooling="mean")
-        assert out.data.dtype == np.float32
-        out.sum().backward()
-        assert x.grad.dtype == np.float32
-
     def test_float64_operand_keeps_float64_and_exact_operator(self, rng):
         operator = as_operator(sp.random(20, 20, density=0.2, format="csr",
                                          random_state=2))
         x = Tensor(rng.normal(size=(20, 4)))
         plan = PropagationPlan(operator, 2, "mean")
         assert plan.apply(x).data.dtype == np.float64
-        # The float64 variant is the original operator, not a float32
-        # round-trip: training math is bit-identical to the pre-engine
+        # The plan multiplies the original operator, not a converted
+        # copy: training math is bit-identical to the pre-engine
         # implementation.
-        assert plan._matrix(np.dtype(np.float64)) is operator
-
-    def test_dtype_variants_materialized_once(self, rng):
-        operator = as_operator(sp.random(20, 20, density=0.2, format="csr",
-                                         random_state=2))
-        plan = PropagationPlan(operator, 2, "mean")
-        first = plan._matrix(np.dtype(np.float32))
-        assert plan._matrix(np.dtype(np.float32)) is first
-        assert first.dtype == np.float32
+        assert plan.operator is operator
 
     def test_plan_operator_is_pinned_csr(self, rng):
         matrix = sp.random(20, 20, density=0.2, format="coo",
@@ -145,48 +117,18 @@ class TestDtypeStability:
         assert as_operator(compact, dtype=OPERATOR_DTYPE) is compact
 
 
-class TestEngineCache:
-    def test_plan_cache_hits_on_same_operator(self, engine, rng):
+class TestPropagate:
+    def test_propagate_applies_an_uncached_plan(self, rng):
         operator = as_operator(sp.random(25, 25, density=0.1, format="csr",
                                          random_state=4))
-        x = Tensor(rng.normal(size=(25, 4)).astype(np.float32))
-        engine.propagate(operator, x, 2)
-        engine.propagate(operator, x, 2)
-        assert engine.stats.plans_built == 1
-        assert engine.stats.plan_hits == 1
-
-    def test_new_operator_builds_new_plan(self, engine, rng):
-        x = Tensor(rng.normal(size=(25, 4)).astype(np.float32))
-        for state in (6, 7):
-            operator = as_operator(sp.random(25, 25, density=0.1,
-                                             format="csr",
-                                             random_state=state))
-            engine.propagate(operator, x, 2)
-        assert engine.stats.plans_built == 2
-
-    def test_normalized_cache_and_bypass(self, engine):
-        adjacency = sp.random(25, 25, density=0.1, format="csr",
-                              random_state=8)
-        first = engine.normalized(adjacency, "sym")
-        assert engine.normalized(adjacency, "sym") is first
-        assert engine.stats.normalized_hits == 1
-        engine.normalized(adjacency, "sym", cache=False)
-        assert engine.stats.normalized_built == 2
-
-    def test_dropped_operators_take_their_plans_with_them(self, engine,
-                                                          rng):
-        """Plans ride on the source matrix: dropping the graph (rebind,
-        per-batch augmentation) must free the compiled plan too."""
-        import weakref
-
-        x = Tensor(rng.normal(size=(25, 4)).astype(np.float32))
-        operator = as_operator(sp.random(25, 25, density=0.1, format="csr",
-                                         random_state=9))
-        plan_ref = weakref.ref(engine.plan(operator, 2))
-        assert plan_ref() is not None
-        del operator
-        gc.collect()
-        assert plan_ref() is None
+        x = Tensor(rng.normal(size=(25, 4)))
+        expected = PropagationPlan(operator, 2, "mean").apply(x).data
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                propagate(operator, x, 2, pooling="mean").data, expected)
+        # The repository benchmark's traced run reads these two keys.
+        assert get_engine().stats.as_dict() == {"plan_hits": 0,
+                                                "plans_folded": 0}
 
 
 class TestServingOperators:

@@ -44,10 +44,6 @@ class TestConstruction:
         heads = set(ckg.triplets[:, 0].tolist())
         assert cold <= heads
 
-    def test_head_index_shape(self, ckg):
-        index = ckg.head_index()
-        assert index.shape == (ckg.num_nodes, len(ckg.triplets))
-
 
 class TestNegativeSampling:
     def test_shapes_and_ranges(self, tiny_dataset, rng):

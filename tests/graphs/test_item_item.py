@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.autograd import symmetric_normalize
 from repro.data import build_dataset, kg_builder, load_amazon
 from repro.data.kg_builder import similarity_panels
-from repro.engine import normalized_adjacency
 from repro.graphs.item_item import (ItemItemGraph, cold_mask_matrix,
                                     knn_sparsify)
 
@@ -58,10 +58,9 @@ def reference_views(similarity, top_k, warm, is_cold):
     """The three ``ItemItemGraph`` views built on the reference kNN."""
     train = reference_knn(similarity, top_k, restrict_to=warm)
     full = reference_knn(similarity, top_k)
-    return {"train": normalized_adjacency(train, "sym"),
-            "infer": normalized_adjacency(cold_mask_matrix(full, is_cold),
-                                          "sym"),
-            "unmasked": normalized_adjacency(full, "sym")}
+    return {"train": symmetric_normalize(train),
+            "infer": symmetric_normalize(cold_mask_matrix(full, is_cold)),
+            "unmasked": symmetric_normalize(full)}
 
 
 def graph_views(graph):

@@ -8,7 +8,7 @@ import pytest
 from repro.reliability import (FaultPlan, FaultSpec, InjectedCrash,
                                InjectedError, InjectedTimeout, active_plan,
                                fire, inject, is_injected_crash)
-from repro.reliability.faults import flip_byte, plan_from_env, tear_file
+from repro.reliability.faults import flip_byte, tear_file
 
 
 class TestFaultSpec:
@@ -134,13 +134,6 @@ class TestDeterminism:
         loaded = FaultPlan.load(path)
         assert loaded.specs == plan.specs
         assert loaded.seed == 3
-
-    def test_plan_from_env(self, tmp_path, monkeypatch):
-        assert plan_from_env({}) is None
-        path = FaultPlan([FaultSpec(op="x", kind="error")],
-                         name="env").save(tmp_path / "p.json")
-        plan = plan_from_env({"REPRO_FAULT_PLAN": str(path)})
-        assert plan is not None and plan.name == "env"
 
 
 class TestMangling:

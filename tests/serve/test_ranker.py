@@ -177,14 +177,16 @@ class TestBatchRanker:
             assert 1 not in finite
         np.testing.assert_array_equal(result.items[0], result.items[1])
 
-    def test_from_model_and_scores(self, tiny_dataset):
+    def test_from_model(self, tiny_dataset):
         from repro.baselines import create_model
         model = create_model("BPR", tiny_dataset, embedding_dim=8)
-        ranker = BatchRanker.from_model(
-            model, train_interactions=tiny_dataset.split.train)
+        ranker = BatchRanker.from_model(model, block_size=2)
+        assert ranker.block_size == 2 and ranker.seen is None
         users = np.arange(5)
-        np.testing.assert_allclose(ranker.scores(users),
-                                   model.score_users(users))
+        expected = topk_from_scores(model.score_users(users), 10)
+        result = ranker.topk(users, 10)
+        np.testing.assert_array_equal(result.items, expected.items)
+        np.testing.assert_allclose(result.scores, expected.scores)
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):

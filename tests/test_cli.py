@@ -91,6 +91,39 @@ class TestParser:
             main(["bench", *argv])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "BPR", "--size", "tiny", "--epochs", "0"],
+        ["train", "BPR", "--size", "tiny", "--epochs", "abc"],
+        ["train", "BPR", "--size", "tiny", "--batch-size", "0"],
+        ["train", "BPR", "--size", "tiny", "--k", "-1"],
+        ["train", "BPR", "--size", "tiny", "--embedding-dim", "0"],
+        ["train", "BPR", "--size", "tiny", "--learning-rate", "0"],
+        ["train", "BPR", "--size", "tiny", "--learning-rate", "-1"],
+        ["bench", "sparse", "--fixture-scale", "0.1", "--embedding-dim", "0"],
+        ["run", "smoke", "--size", "tiny", "--epochs", "0"],
+    ], ids=["epochs-0", "epochs-abc", "batch-size-0", "k-negative",
+            "embedding-dim-0", "learning-rate-0", "learning-rate-negative",
+            "bench-sparse-embedding-dim-0", "run-epochs-0"])
+    def test_rejects_non_positive_training_flags(self, argv, capsys,
+                                                 monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_run_rejects_bad_bench_epochs_variable(self, value, capsys,
+                                                   monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
+        monkeypatch.setenv("REPRO_BENCH_EPOCHS", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "smoke", "--size", "tiny"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "REPRO_BENCH_EPOCHS" in err
+
     def test_run_env_overrides_yield_to_flags(self, monkeypatch):
         from repro.cli import _run_env_overrides
         monkeypatch.setenv("REPRO_BENCH_EPOCHS", "5")

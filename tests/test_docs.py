@@ -6,6 +6,7 @@ few content checks the script doesn't enforce.
 
 from __future__ import annotations
 
+import importlib
 import re
 import subprocess
 import sys
@@ -20,6 +21,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: a ``REPRO_*`` environment-variable name (``REPRO_*`` globs excluded)
 ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]\b")
+
+#: a backticked dotted path into the package, as README.md and docs/
+#: write them (```repro.data.chunked```)
+DOC_PATH = re.compile(r"`(repro(?:\.\w+)+)`")
+
+#: an absolute Sphinx cross-reference into the package in a docstring
+XREF = re.compile(
+    r":(?:class|func|mod|meth|data|attr|exc):`~?(repro(?:\.\w+)+)`")
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +123,42 @@ class TestEnvironmentVariables:
         assert in_docs - in_code == set(), (
             "README.md or docs/ name REPRO_* variables nothing under "
             "src/ reads")
+
+
+def resolves(path: str) -> bool:
+    """Whether ``path`` names something: import its longest module
+    prefix, then ``getattr`` the remaining names."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def unresolved(files, pattern) -> list[str]:
+    references = [(path, match) for path in files
+                  for match in pattern.findall(path.read_text())]
+    assert references, f"no reference matches {pattern.pattern!r}"
+    return [f"{path.relative_to(ROOT)}: {name}"
+            for path, name in references if not resolves(name)]
+
+
+class TestReferences:
+    """Every ``repro.…`` path the docs name, and every absolute
+    cross-reference in a docstring, resolves: deleting or renaming a
+    name leaves no stale reference behind."""
+
+    def test_markdown_paths_resolve(self):
+        files = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+        assert unresolved(files, DOC_PATH) == []
+
+    def test_docstring_cross_references_resolve(self):
+        files = sorted((ROOT / "src").rglob("*.py"))
+        assert unresolved(files, XREF) == []
