@@ -1,7 +1,8 @@
 """Single-build measurement probe: ``python -m repro.analysis.scale_probe``.
 
-Builds one scale dataset (in-RAM reference, or chunked when
-``--chunk-rows`` is given) and prints a one-line JSON report::
+Builds one scale dataset (the in-RAM reference, or the streamed
+block-at-a-time build with ``--streamed``) and prints a one-line JSON
+report::
 
     {"seconds": ..., "maxrss_mb": ..., "interactions": ...,
      "num_users": ..., "num_items": ..., "fingerprint": ...}
@@ -64,17 +65,18 @@ def main(argv=None) -> int:
                         help="override the preset's user count")
     parser.add_argument("--num-items", type=int, default=None,
                         help="override the preset's item count")
-    parser.add_argument("--chunk-rows", type=int, default=None,
-                        help="chunked out-of-core build at this chunk "
-                        "size (default: in-RAM reference build)")
+    parser.add_argument("--streamed", action="store_true",
+                        help="the streamed build, one generator block "
+                        "at a time (default: the in-RAM reference)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None,
-                        help="publish the dataset here (chunked mode "
+                        help="publish the dataset here (--streamed "
                         "only; default: a private temp dir)")
     args = parser.parse_args(argv)
 
     from repro.data.io import dataset_fingerprint
-    from repro.data.scale import build_scale_dataset, scale_config
+    from repro.data.scale import (build_scale_dataset,
+                                  build_scale_dataset_in_ram, scale_config)
 
     overrides = {}
     if args.num_users is not None:
@@ -84,8 +86,8 @@ def main(argv=None) -> int:
     config = scale_config(args.size, seed=args.seed, **overrides)
 
     start = time.perf_counter()
-    dataset = build_scale_dataset(config, chunk_rows=args.chunk_rows,
-                                  out=args.out)
+    dataset = (build_scale_dataset(config, out=args.out) if args.streamed
+               else build_scale_dataset_in_ram(config))
     seconds = time.perf_counter() - start
     interactions = sum(
         len(getattr(dataset.split, name))
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
         "interactions": int(interactions),
         "num_users": config.num_users,
         "num_items": config.num_items,
-        "chunk_rows": args.chunk_rows,
+        "streamed": args.streamed,
         "fingerprint": dataset_fingerprint(dataset),
     }
     print(json.dumps(report))

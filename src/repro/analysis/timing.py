@@ -859,12 +859,12 @@ class BuildScalingRow:
     """One point of the build-scaling curve: the wall-clock and peak-RSS
     cost of materializing a benchmark at a given catalog size.
 
-    ``mode`` distinguishes the in-RAM reference build from the chunked
-    out-of-core build; both are measured in dedicated subprocesses
+    ``mode`` distinguishes the in-RAM reference build from the streamed
+    block-at-a-time build; both are measured in dedicated subprocesses
     (:mod:`repro.analysis.scale_probe`), so each peak RSS is an honest
     per-build high-water mark, not this process's accumulated one.
     ``fingerprint`` is the dataset's content hash — equal across modes
-    by the chunked-parity contract, and the CLI gate fails if not.
+    by the streamed-parity contract, and the CLI gate fails if not.
     """
 
     size: str
@@ -899,24 +899,19 @@ class BuildScalingRow:
 
 
 def measure_build_scaling(sizes: tuple = ("tiny", "small"),
-                          chunk_rows: int | None = None,
                           seed: int = 0) -> list[BuildScalingRow]:
-    """Build throughput and peak RSS vs catalog size, in-RAM vs chunked.
+    """Build throughput and peak RSS vs catalog size, in-RAM vs streamed.
 
     Each (size, mode) point is one subprocess probe.  The in-RAM
-    reference's RSS grows with the catalog; the chunked build's must
-    stay bounded by the chunk size — the curve this addendum exists to
-    show (and the CI job asserts under a ceiling).
+    reference's RSS grows with the catalog; the streamed build's must
+    stay bounded by one generator block — the curve this addendum
+    exists to show (and the CI job asserts under a ceiling).
     """
-    from ..data.chunked import DEFAULT_CHUNK_ROWS
     from .scale_probe import run_probe
-    chunk_rows = chunk_rows or DEFAULT_CHUNK_ROWS
     rows = []
     for size in sizes:
-        for mode_args, mode in (
-                ([], "in-RAM"),
-                (["--chunk-rows", chunk_rows],
-                 f"chunked({chunk_rows})")):
+        for mode_args, mode in (([], "in-RAM"),
+                                (["--streamed"], "streamed")):
             report = run_probe(["--size", size, "--seed", seed,
                                 *mode_args])
             rows.append(BuildScalingRow(

@@ -60,10 +60,11 @@ Commands
     catalog-scale synthetic store, also with items ingested beside the
     queries (``--min-serving-speedup``). ``bench scaling``: build
     throughput and peak RSS vs catalog size, in-RAM reference vs
-    chunked build (one subprocess probe per point, with a hard
-    fingerprint-parity gate), then serving p50/p99 on a million-item
-    store (``--serving-scale`` shrinks it); ``--scaling-out`` records
-    the combined tables as the Table-VII scaling addendum.
+    streamed block-at-a-time build (one subprocess probe per point,
+    with a hard fingerprint-parity gate), then serving p50/p99 on a
+    million-item store (``--serving-scale`` shrinks it);
+    ``--scaling-out`` records the combined tables as the Table-VII
+    scaling addendum.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from pathlib import Path
 
 from .baselines import available_models, create_model, model_family
 from .baselines.registry import EXTRA_MODELS
-from .data import DEFAULT_CHUNK_ROWS, load_amazon, load_weixin
+from .data import load_amazon, load_weixin
 from .eval import evaluate_model
 from .serve import EmbeddingStore, ServingSession
 from .train import TrainConfig, train_model
@@ -170,6 +171,7 @@ def cmd_train(args) -> int:
             "size": args.size,
             "seed": args.seed,
             "epochs": result.epochs_run,
+            "embedding_dim": args.embedding_dim,
         })
         print(f"checkpoint written to {args.checkpoint}")
     return 0
@@ -218,7 +220,9 @@ def _trained_model(args):
         dataset = _load_dataset(meta.get("dataset", args.dataset),
                                 meta.get("size", args.size))
         model = create_model(meta.get("model", args.model), dataset,
-                             embedding_dim=args.embedding_dim, seed=seed)
+                             embedding_dim=meta.get("embedding_dim",
+                                                    args.embedding_dim),
+                             seed=seed)
         load_checkpoint(model, args.checkpoint)
         model.eval()
     else:
@@ -392,21 +396,19 @@ def cmd_bench_scaling(args) -> int:
                                   measure_serving_latency,
                                   synthetic_serving_store)
     sizes = tuple(args.scaling_sizes)
-    build_rows = measure_build_scaling(sizes=sizes,
-                                       chunk_rows=args.chunk_rows,
-                                       seed=args.seed)
+    build_rows = measure_build_scaling(sizes=sizes, seed=args.seed)
     build_table = format_table(
         [row.as_row() for row in build_rows],
         title="Build scaling: wall-clock and peak RSS vs catalog size "
-              f"(in-RAM reference vs chunked({args.chunk_rows}))")
+              "(in-RAM reference vs streamed)")
     print(build_table)
-    # Always-on parity gate: the chunked build must be bit-identical
+    # Always-on parity gate: the streamed build must be bit-identical
     # to the in-RAM reference at every measured size.
     for size in sizes:
         fingerprints = {row.mode: row.fingerprint
                         for row in build_rows if row.size == size}
         if len(set(fingerprints.values())) > 1:
-            print(f"FAIL: chunked build at size {size!r} is not "
+            print(f"FAIL: streamed build at size {size!r} is not "
                   f"bit-identical to the in-RAM reference "
                   f"(fingerprints {fingerprints})", file=sys.stderr)
             return 1
@@ -448,14 +450,13 @@ def _resolve_spec(name_or_path: str):
 
 def _run_env_overrides(args) -> tuple[int | None, str | None]:
     import os
+    from .experiments.presets import bench_env_epochs
     epochs = args.epochs
-    raw = os.environ.get("REPRO_BENCH_EPOCHS")
-    if epochs is None and raw:
+    if epochs is None:
         try:
-            epochs = _positive_int(raw)
-        except (ValueError, argparse.ArgumentTypeError):
-            args.usage_error(f"REPRO_BENCH_EPOCHS must be a positive "
-                             f"integer, got {raw!r}")
+            epochs = bench_env_epochs()
+        except ValueError as exc:
+            args.usage_error(str(exc))
     size = args.size
     if size is None and os.environ.get("REPRO_BENCH_SIZE"):
         size = os.environ["REPRO_BENCH_SIZE"]
@@ -613,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--queries", default=None,
                          help="file with one query per line "
                               "(default: interactive REPL)")
-    p_serve.add_argument("--block-size", type=int, default=1024)
+    p_serve.add_argument("--block-size", type=_positive_int, default=1024)
     p_serve.add_argument("--mmap", action="store_true",
                          help="memory-map the --store directory "
                               "(zero-copy load)")
@@ -623,13 +624,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8099,
                          help="daemon port (0 binds an ephemeral port)")
-    p_serve.add_argument("--max-batch", type=int, default=64,
+    p_serve.add_argument("--max-batch", type=_positive_int, default=64,
                          help="daemon: max requests coalesced into one "
                               "blocked topk call")
-    p_serve.add_argument("--max-queue", type=int, default=1024,
+    p_serve.add_argument("--max-queue", type=_positive_int, default=1024,
                          help="daemon: admission-queue bound; overflow "
                               "is shed with 503 + Retry-After")
-    p_serve.add_argument("--deadline-ms", type=float, default=None,
+    p_serve.add_argument("--deadline-ms", type=_positive_float,
+                         default=None,
                          help="daemon: per-request deadline; requests "
                               "queued past it get 504 instead of a "
                               "late answer")
@@ -688,8 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serving", help="micro-batched vs sequential serving latency on "
                         "a catalog-scale synthetic store")
     b_scaling = bench.add_parser(
-        "scaling", help="out-of-core build cost vs catalog size, then "
-                        "serving latency on a million-item store")
+        "scaling", help="build cost vs catalog size, in-RAM reference "
+                        "vs streamed, then serving latency on a "
+                        "million-item store")
     for b, func in ((b_train, cmd_bench_train),
                     (b_sparse, cmd_bench_sparse),
                     (b_serving, cmd_bench_serving),
@@ -710,24 +713,23 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exit nonzero when the sparse/dense "
                                "epochs-per-second ratio falls below this "
                                "floor")
-    b_sparse.add_argument("--fixture-scale", type=float, default=1.0,
+    b_sparse.add_argument("--fixture-scale", type=_positive_float,
+                          default=1.0,
                           help="size multiplier for the fixture (smaller "
                                "is faster; CI uses 0.5)")
     _add_training(b_sparse)
     b_scaling.add_argument("--scaling-sizes", nargs="+",
                            default=["tiny", "small"],
                            help="scale size presets to measure")
-    b_scaling.add_argument("--chunk-rows", type=int,
-                           default=DEFAULT_CHUNK_ROWS,
-                           help="chunk size for the out-of-core build")
     b_scaling.add_argument("--scaling-out", default=None,
                            help="also write the combined tables to this "
                                 "file (the recorded Table-VII scaling "
                                 "addendum)")
     for b, clients in ((b_serving, 8), (b_scaling, 4)):
-        b.add_argument("--serving-scale", type=float, default=1.0,
+        b.add_argument("--serving-scale", type=_positive_float,
+                       default=1.0,
                        help="size multiplier for the synthetic catalog")
-        b.add_argument("--clients", type=int, default=clients,
+        b.add_argument("--clients", type=_positive_int, default=clients,
                        help="concurrent client threads")
         b.add_argument("--min-serving-speedup", type=float, default=None,
                        help="exit nonzero when micro-batched throughput "

@@ -59,5 +59,3 @@ class FirzenConfig:
     inference_use_knowledge: bool | None = None
     # Freeze beta at its uniform initialization (fusion ablation bench).
     freeze_beta: bool = False
-    # Inference masking of cold -> warm propagation (eq. 34-35)
-    mask_cold_to_warm: bool = True

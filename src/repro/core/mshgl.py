@@ -35,11 +35,9 @@ class ItemItemPropagation(Module):
         self.graph = graph
         self.num_layers = num_layers
 
-    def forward(self, item_emb: Tensor, mode: str,
-                masked: bool = True) -> Tensor:
-        adjacency = self.graph.adjacency(mode, masked=masked)
-        return propagate(adjacency, item_emb, self.num_layers,
-                         pooling="mean")
+    def forward(self, item_emb: Tensor, mode: str) -> Tensor:
+        return propagate(self.graph.adjacency(mode), item_emb,
+                         self.num_layers, pooling="mean")
 
 
 class UserUserPropagation(Module):
@@ -85,11 +83,8 @@ class MSHGL(Module):
         if not modalities:
             return self.user_propagation(fused_users), fused_items
 
-        per_modality = [
-            self.item_propagation[m](
-                fused_items, mode, masked=self.config.mask_cold_to_warm)
-            for m in modalities
-        ]
+        per_modality = [self.item_propagation[m](fused_items, mode)
+                        for m in modalities]
         if len(per_modality) > 1:
             attended = self.fusion_attention(per_modality)
             final_items = mean_stack(attended)

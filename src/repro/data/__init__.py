@@ -1,9 +1,7 @@
 """Synthetic benchmark construction (the paper's datasets, rebuilt)."""
 
 from .amazon import load_amazon
-from .chunked import (DEFAULT_CHUNK_ROWS, NpyStreamWriter, decode_pairs,
-                      encode_pairs, external_k_core, external_sorted_unique,
-                      read_npy_chunks)
+from .chunked import NpyStreamWriter, decode_pairs, encode_pairs
 from .io import (CorruptDatasetError, DatasetDirWriter,
                  dataset_fingerprint, load_dataset, save_dataset)
 from .datasets import DatasetStatistics, RecDataset, build_dataset
@@ -40,13 +38,9 @@ __all__ = [
     "WorldConfig",
     "generate_world",
     "apply_k_core",
-    "DEFAULT_CHUNK_ROWS",
     "NpyStreamWriter",
-    "read_npy_chunks",
     "encode_pairs",
     "decode_pairs",
-    "external_sorted_unique",
-    "external_k_core",
     "SCALE_SIZE_PRESETS",
     "ScaleConfig",
     "scale_config",

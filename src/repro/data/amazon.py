@@ -21,7 +21,7 @@ from .world import WorldConfig
 
 SIZE_PRESETS = {
     # (num_users, num_items) multipliers applied to the base sizes below.
-    # large/xlarge exist for spec compatibility with the out-of-core
+    # large/xlarge exist for spec compatibility with the streamed
     # "scale" dataset; in-RAM worlds at these multipliers are slow but
     # still feasible.
     "tiny": 0.5,

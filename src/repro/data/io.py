@@ -9,7 +9,7 @@ A dataset is an array directory (:mod:`repro.utils.arraydir`): raw
 with one atomic rename, so a torn build never publishes and a published
 directory is always complete.  Arrays load ``mmap_mode="r"`` on
 request, which is what lets million-scale datasets open without
-resident copies.  The out-of-core builder (:mod:`repro.data.scale`)
+resident copies.  The streamed builder (:mod:`repro.data.scale`)
 streams its arrays straight into a :class:`DatasetDirWriter`'s staged
 directory, so big arrays are written exactly once.
 """
@@ -145,7 +145,7 @@ def dataset_fingerprint(dataset: RecDataset) -> str:
 
     Storage-independent: an in-RAM build, a directory roundtrip, and an
     mmap'd directory of the same dataset all hash identically — the
-    equality the chunked-vs-in-RAM parity gate checks.  Memmapped
+    equality the streamed-vs-in-RAM parity gate checks.  Memmapped
     arrays are hashed in bounded slabs, never copied whole.
     """
     digest = hashlib.sha256()

@@ -4,22 +4,23 @@
 — the right tool at benchmark scale, hopeless at a million users.  This
 module is the scale substitute: a *streaming* generator whose every
 draw is a pure function of ``(seed, block)``, so interactions, features
-and KG triplets are emitted in bounded chunks and any catalog size is
-bit-reproducible.
+and KG triplets are emitted one fixed block at a time and any catalog
+size is bit-reproducible.
 
 Determinism contract (what the parity tests pin):
 
-* generation happens in FIXED internal blocks (:data:`_USER_BLOCK`
-  users, :data:`_ITEM_BLOCK` items), each seeded independently via
-  ``np.random.default_rng((seed, salt, block))`` — the caller-facing
-  ``chunk_rows`` only re-slices the deterministic stream, it never
-  changes a single byte of it;
+* generation happens in FIXED blocks (:data:`_USER_BLOCK` users,
+  :data:`_ITEM_BLOCK` items), each seeded independently via
+  ``np.random.default_rng((seed, salt, block))``;
+* an interaction block holds whole users in ascending order, so every
+  ``user * num_items + item`` key of a block sorts below every key of
+  the next one, and each user's degree is known within its block;
 * dataset membership (cold items, train/val/test assignment,
   known/unknown halves) is a per-row :func:`hash_u01` of stable ids —
-  no draw depends on array order or chunk boundaries;
-* ``build_scale_dataset(config, chunk_rows=None)`` is the in-RAM
-  reference; any ``chunk_rows`` routes through
-  :mod:`repro.data.chunked` and must produce a byte-identical dataset.
+  no draw depends on array order or block boundaries;
+* :func:`build_scale_dataset_in_ram` is the reference;
+  :func:`build_scale_dataset` dedups, k-cores and splits one block at a
+  time and must produce a byte-identical dataset.
 
 The statistical shape mirrors the paper's benchmarks: bounded-Pareto
 per-user activity (long-tailed, mean ≈ 34), Zipfian item popularity
@@ -37,16 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .chunked import (NpyStreamWriter, decode_pairs, encode_pairs,
-                      external_k_core, external_sorted_unique,
-                      read_npy_chunks)
+from .chunked import NpyStreamWriter, decode_pairs, encode_pairs
 from .datasets import RecDataset
 from .kg_builder import RELATION_INDEX, RELATIONS, KnowledgeGraph
 from .splits import ColdStartSplit
 from .world import apply_k_core
 
-#: fixed generation granularities — NOT tunable, by design: chunk-size
-#: invariance holds because these never move with ``chunk_rows``
+#: fixed generation granularities — NOT tunable, by design: every
+#: draw is seeded per block, so moving them would change the data
 _USER_BLOCK = 4096
 _ITEM_BLOCK = 8192
 
@@ -71,8 +70,9 @@ def hash_u01(values, seed: int, salt: int) -> np.ndarray:
     """Deterministic per-value uniform in [0, 1) (splitmix64 finalizer).
 
     Pure and order-free: the value for an id never depends on which
-    chunk it arrives in, which is what makes every membership decision
-    (cold item, split bucket, coverage) chunk-size invariant.
+    block it arrives in, which is what makes every membership decision
+    (cold item, split bucket, coverage) the same block by block as on
+    the whole array.
     """
     mix = (int(seed) * 0x9E3779B97F4A7C15
            + int(salt) * 0xBF58476D1CE4E5B9
@@ -198,30 +198,11 @@ def _sample_cdf(cdf: np.ndarray, items: np.ndarray,
 # ----------------------------------------------------------------------
 # interaction stream
 # ----------------------------------------------------------------------
-def _reslice(blocks, chunk_rows: int | None):
-    """Re-slice a deterministic block stream into ``chunk_rows`` pieces
-    (pure re-batching: the concatenated bytes are unchanged)."""
-    if chunk_rows is None:
-        yield from blocks
-        return
-    chunk_rows = max(int(chunk_rows), 1)
-    pending: list[np.ndarray] = []
-    size = 0
-    for block in blocks:
-        while len(block):
-            take = min(chunk_rows - size, len(block))
-            pending.append(block[:take])
-            size += take
-            block = block[take:]
-            if size == chunk_rows:
-                yield (pending[0] if len(pending) == 1
-                       else np.concatenate(pending))
-                pending, size = [], 0
-    if size:
-        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-
-
-def _interaction_blocks(config: ScaleConfig):
+def iter_interaction_chunks(config: ScaleConfig):
+    """Yield raw ``(n, 2)`` interaction blocks, one per
+    :data:`_USER_BLOCK` users in ascending user order (duplicates
+    included — dedup and k-core are build steps, like real log
+    ingestion)."""
     tables = _popularity_tables(config)
     pop_order, global_cdf, cluster_items, cluster_cdfs = tables
     dmin = float(config.interactions_per_user_min)
@@ -254,13 +235,6 @@ def _interaction_blocks(config: ScaleConfig):
         yield np.column_stack([users_rep, items])
 
 
-def iter_interaction_chunks(config: ScaleConfig,
-                            chunk_rows: int | None = None):
-    """Yield raw ``(n, 2)`` interaction chunks (duplicates included —
-    dedup and k-core are build steps, like real log ingestion)."""
-    yield from _reslice(_interaction_blocks(config), chunk_rows)
-
-
 # ----------------------------------------------------------------------
 # feature stream
 # ----------------------------------------------------------------------
@@ -270,7 +244,9 @@ def feature_dims(config: ScaleConfig) -> dict[str, int]:
     return {m: d for m, d in dims.items() if d > 0}
 
 
-def _feature_blocks(config: ScaleConfig, modality: str):
+def iter_feature_chunks(config: ScaleConfig, modality: str):
+    """Yield ``(n, dim)`` float32 feature blocks for one modality, one
+    per :data:`_ITEM_BLOCK` items."""
     salt = _MODALITY_SALTS[modality]
     dim = feature_dims(config)[modality]
     centers_rng = np.random.default_rng((config.seed, _SALT_CENTERS,
@@ -293,12 +269,6 @@ def _feature_blocks(config: ScaleConfig, modality: str):
         yield block_features.astype(np.float32)
 
 
-def iter_feature_chunks(config: ScaleConfig, modality: str,
-                        chunk_rows: int | None = None):
-    """Yield ``(n, dim)`` float32 feature chunks for one modality."""
-    yield from _reslice(_feature_blocks(config, modality), chunk_rows)
-
-
 # ----------------------------------------------------------------------
 # knowledge-graph stream
 # ----------------------------------------------------------------------
@@ -316,7 +286,9 @@ def scale_kg_layout(config: ScaleConfig) -> dict[str, int]:
     }
 
 
-def _kg_blocks(config: ScaleConfig):
+def iter_kg_chunks(config: ScaleConfig):
+    """Yield ``(n, 3)`` (head, relation, tail) triplet blocks, one per
+    :data:`_ITEM_BLOCK` items."""
     layout = scale_kg_layout(config)
     n = config.num_items
     K = config.num_clusters
@@ -347,22 +319,15 @@ def _kg_blocks(config: ScaleConfig):
                               ("bought_together", 3 * K)):
             parts.append((ids, RELATION_INDEX[relation],
                           (ids + hop) % n))
-        chunk = np.concatenate([
+        yield np.concatenate([
             np.column_stack([heads,
                              np.full(len(heads), rel, dtype=np.int64),
                              tails])
             for heads, rel, tails in parts])
-        yield chunk
-
-
-def iter_kg_chunks(config: ScaleConfig,
-                   chunk_rows: int | None = None):
-    """Yield ``(n, 3)`` (head, relation, tail) triplet chunks."""
-    yield from _reslice(_kg_blocks(config), chunk_rows)
 
 
 # ----------------------------------------------------------------------
-# split assignment (pure per-row hashing — order- and chunk-free)
+# split assignment (pure per-row hashing — order- and block-free)
 # ----------------------------------------------------------------------
 _STREAMED_SPLIT_FIELDS = (
     "train", "warm_val", "warm_test", "cold_val", "cold_test",
@@ -376,7 +341,7 @@ def split_rows(pairs: np.ndarray, config: ScaleConfig
     """Partition interaction rows into the paper's benchmark splits.
 
     Every decision is a per-row hash of stable ids, so applying this to
-    a whole array or chunk-by-chunk yields identical concatenations:
+    a whole array or block by block yields identical concatenations:
     cold items by item hash (``cold_fraction``); warm rows 8:1:1 into
     train/warm_val/warm_test; cold rows 1:1 into cold_val/cold_test,
     each halved into known/unknown for the normal-cold protocol.
@@ -443,30 +408,23 @@ def default_scale_name(config: ScaleConfig) -> str:
 # ----------------------------------------------------------------------
 # builds
 # ----------------------------------------------------------------------
-def build_scale_dataset(config: ScaleConfig,
-                        chunk_rows: int | None = None,
-                        out: str | Path | None = None,
-                        name: str | None = None) -> RecDataset:
-    """Materialize a benchmark dataset from the streaming generator.
-
-    ``chunk_rows=None`` is the in-RAM reference build (returns a fully
-    resident :class:`RecDataset`).  Any other value routes through the
-    out-of-core pipeline in :mod:`repro.data.chunked` — peak memory is
-    bounded by ``chunk_rows``, the result is published as a dataset
-    directory (``out``, or a private temp dir) and returned mmap'd —
-    and is byte-identical to the reference build by contract.
-    """
-    name = name or default_scale_name(config)
-    if chunk_rows is None:
-        return _build_in_ram(config, name)
-    return _build_chunked(config, int(chunk_rows), out, name)
-
-
-def _build_in_ram(config: ScaleConfig, name: str) -> RecDataset:
-    raw = np.concatenate(list(iter_interaction_chunks(config)))
+def _dedup_k_core(raw: np.ndarray, config: ScaleConfig) -> np.ndarray:
+    """Key-sorted unique ``(user, item)`` pairs of ``raw`` that survive
+    the user k-core.  On whole users in ascending blocks this is
+    block-additive: the concatenation over blocks equals one call on
+    the concatenated stream."""
     keys = np.unique(encode_pairs(raw, config.num_items))
-    pairs = apply_k_core(decode_pairs(keys, config.num_items),
-                         k=config.k_core)
+    return apply_k_core(decode_pairs(keys, config.num_items),
+                        k=config.k_core)
+
+
+def build_scale_dataset_in_ram(config: ScaleConfig,
+                               name: str | None = None) -> RecDataset:
+    """The in-RAM reference build: concatenates every stream and returns
+    a fully resident :class:`RecDataset`.  Peak memory grows with the
+    catalog; :func:`build_scale_dataset` must match it byte for byte."""
+    pairs = _dedup_k_core(
+        np.concatenate(list(iter_interaction_chunks(config))), config)
     warm_items, cold_items = item_partition(config)
     split = ColdStartSplit(
         num_users=config.num_users, num_items=config.num_items,
@@ -481,16 +439,27 @@ def _build_in_ram(config: ScaleConfig, name: str) -> RecDataset:
         num_relations=len(RELATIONS),
         num_items=config.num_items,
     )
-    return RecDataset(name=name, num_users=config.num_users,
+    return RecDataset(name=name or default_scale_name(config),
+                      num_users=config.num_users,
                       num_items=config.num_items, split=split,
                       features=features, kg=kg, world=None)
 
 
-def _build_chunked(config: ScaleConfig, chunk_rows: int,
-                   out: str | Path | None, name: str) -> RecDataset:
+def build_scale_dataset(config: ScaleConfig,
+                        out: str | Path | None = None,
+                        name: str | None = None) -> RecDataset:
+    """Materialize a benchmark dataset one generator block at a time.
+
+    Each interaction block is deduped, k-cored and hash-split in RAM
+    and appended to the split arrays of a staged dataset directory;
+    each feature and KG block is appended as it is generated.  Peak
+    memory is one block plus the ``O(num_items)`` popularity tables.
+    The directory is published at ``out`` (or a private temp dir) and
+    returned mmap'd; it is byte-identical to
+    :func:`build_scale_dataset_in_ram`.
+    """
     from .io import DatasetDirWriter, load_dataset
 
-    chunk_rows = max(chunk_rows, 1)
     if out is None:
         keep = Path(tempfile.mkdtemp(prefix="repro-scale-"))
         atexit.register(shutil.rmtree, keep, ignore_errors=True)
@@ -500,36 +469,16 @@ def _build_chunked(config: ScaleConfig, chunk_rows: int,
     # Leaving the block on an error removes the staged directory; an
     # injected crash (the dataset.build.write chaos seam) leaves it on
     # disk, exactly as a real kill would.
-    with DatasetDirWriter(out) as writer, tempfile.TemporaryDirectory(
-            prefix="repro-scale-build-") as scratch:
-        work = Path(scratch)
-        # 1. dedup: external sorted-unique over encoded (user, item)
-        # keys == np.unique of the concatenated stream
-        unique_path = external_sorted_unique(
-            (encode_pairs(c, config.num_items)
-             for c in iter_interaction_chunks(config, chunk_rows)),
-            work / "dedup", chunk_rows=chunk_rows)
-        # 2. decode back to an on-disk (n, 2) pair file (key-sorted)
-        pairs_path = work / "pairs.npy"
-        with NpyStreamWriter(pairs_path, np.int64,
-                             row_shape=(2,)) as pair_writer:
-            for key_chunk in read_npy_chunks(unique_path, chunk_rows):
-                pair_writer.write(decode_pairs(key_chunk,
-                                               config.num_items))
-        # 3. user k-core to a fixed point (order-preserving)
-        kept_path, _ = external_k_core(pairs_path, config.k_core,
-                                       work / "kcore",
-                                       chunk_rows=chunk_rows)
-        # 4. hash-split the surviving stream straight into the staged
-        # dataset directory (one stream writer per split field)
+    with DatasetDirWriter(out) as writer:
         split_writers = {
             field: NpyStreamWriter(
                 writer.array_path(f"split.{field}"), np.int64,
                 row_shape=(2,))
             for field in _STREAMED_SPLIT_FIELDS}
         try:
-            for chunk in read_npy_chunks(kept_path, chunk_rows):
-                for field, rows in split_rows(chunk, config).items():
+            for block in iter_interaction_chunks(config):
+                pairs = _dedup_k_core(block, config)
+                for field, rows in split_rows(pairs, config).items():
                     if len(rows):
                         split_writers[field].write(rows)
         finally:
@@ -538,17 +487,16 @@ def _build_chunked(config: ScaleConfig, chunk_rows: int,
         warm_items, cold_items = item_partition(config)
         writer.add_array("split.warm_items", warm_items)
         writer.add_array("split.cold_items", cold_items)
-        # 5. features and KG, streamed
         for modality, dim in feature_dims(config).items():
             with NpyStreamWriter(
                     writer.array_path(f"features.{modality}"),
                     np.float32, row_shape=(dim,)) as stream:
-                for chunk in iter_feature_chunks(config, modality,
-                                                 chunk_rows):
-                    stream.write(chunk)
+                for block in iter_feature_chunks(config, modality):
+                    stream.write(block)
         with NpyStreamWriter(writer.array_path("kg.triplets"),
                              np.int64, row_shape=(3,)) as stream:
-            for chunk in iter_kg_chunks(config, chunk_rows):
-                stream.write(chunk)
-        writer.commit(scale_dataset_header(config, name))
+            for block in iter_kg_chunks(config):
+                stream.write(block)
+        writer.commit(scale_dataset_header(
+            config, name or default_scale_name(config)))
     return load_dataset(out, mmap=True)

@@ -237,23 +237,17 @@ def generate_world(config: WorldConfig) -> World:
     )
 
 
-def apply_k_core(interactions: np.ndarray, k: int = 5,
-                 on: str = "user") -> np.ndarray:
-    """Apply the paper's 5-core filter on users (drop users with < k
-    interactions, repeating until stable).
+def apply_k_core(interactions: np.ndarray, k: int = 5) -> np.ndarray:
+    """Apply the paper's 5-core filter on users: drop every user with
+    fewer than ``k`` interactions, keeping row order.
 
-    Each pass recounts degrees with a single ``np.bincount`` and keeps
-    rows by a vectorized gather — bit-identical to the historical
-    per-row set filter (order-preserving), without the Python loop that
-    dominated large builds.
+    Dropping a user removes only that user's rows, so no surviving
+    user's degree changes and one pass is already the fixed point a
+    repeat-until-stable loop reaches.  Degrees come from one
+    ``np.bincount`` and rows are kept by a vectorized gather.
     """
     current = np.asarray(interactions)
-    while True:
-        if len(current) == 0:
-            return current
-        degrees = np.bincount(current[:, 0])
-        mask = degrees[current[:, 0]] >= k
-        filtered = current[mask]
-        if len(filtered) == len(current):
-            return filtered
-        current = filtered
+    if len(current) == 0:
+        return current
+    degrees = np.bincount(current[:, 0])
+    return current[degrees[current[:, 0]] >= k]

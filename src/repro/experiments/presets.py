@@ -8,6 +8,8 @@ specs of their own; presets cover the common entry points.
 
 from __future__ import annotations
 
+import os
+
 from ..train.trainer import TrainConfig
 from .spec import ExperimentSpec
 
@@ -19,6 +21,24 @@ PAPER_MODELS = (
     "DropoutNet", "CLCRec",
     "MKGAT", "Firzen",
 )
+
+
+def bench_env_epochs() -> int | None:
+    """``REPRO_BENCH_EPOCHS`` as a positive integer, or None when it is
+    unset or empty; raises ``ValueError`` naming the variable on any
+    other value.  ``repro run`` and the benchmark harnesses both read
+    the variable through this function."""
+    raw = os.environ.get("REPRO_BENCH_EPOCHS")
+    if not raw:
+        return None
+    try:
+        epochs = int(raw)
+    except ValueError:
+        epochs = 0
+    if epochs <= 0:
+        raise ValueError(f"REPRO_BENCH_EPOCHS must be a positive "
+                         f"integer, got {raw!r}")
+    return epochs
 
 
 def bench_train_config(epochs: int = 12) -> TrainConfig:
@@ -87,8 +107,8 @@ def _scale_smoke() -> ExperimentSpec:
         train=TrainConfig(epochs=2, eval_every=2, batch_size=512,
                           learning_rate=0.05),
         embedding_dim=16,
-        description="chunked out-of-core scale generator through the "
-                    "full pipeline (CI smoke)")
+        description="streamed scale generator through the full "
+                    "pipeline (CI smoke)")
 
 
 def _scaling_sweep() -> ExperimentSpec:
@@ -99,7 +119,7 @@ def _scaling_sweep() -> ExperimentSpec:
                           learning_rate=0.05),
         embedding_dim=16,
         sweep=("size", ("tiny", "small")),
-        description="catalog size as a sweep axis over the chunked "
+        description="catalog size as a sweep axis over the streamed "
                     "scale generator")
 
 

@@ -134,16 +134,12 @@ class Runner:
             dataset = build_dataset("custom",
                                     WorldConfig(**(spec.world or {})))
         elif spec.dataset == "scale":
-            from ..data.chunked import DEFAULT_CHUNK_ROWS
             from ..data.scale import build_scale_dataset, scale_config
-            # Always the chunked build at the default chunk size: it is
-            # byte-identical to the in-RAM reference at ANY chunk size
-            # (parity-tested), so the knob never fragments content
-            # addresses — and the build stays memory-bounded at every
+            # The streamed build: byte-identical to the in-RAM
+            # reference (parity-tested) and memory-bounded at every
             # size preset.
             dataset = build_scale_dataset(
-                scale_config(spec.size, **(spec.world or {})),
-                chunk_rows=DEFAULT_CHUNK_ROWS)
+                scale_config(spec.size, **(spec.world or {})))
         elif spec.dataset == "weixin":
             from ..data import load_weixin
             dataset = load_weixin(size=spec.size)

@@ -35,7 +35,7 @@ from ..train.trainer import GRAD_CLIP, TrainConfig
 PIPELINE_VERSION = 2
 
 #: dataset size presets accepted by the loaders (large/xlarge exist only
-#: on the out-of-core ``dataset="scale"`` path)
+#: on the streamed ``dataset="scale"`` path)
 SIZES = ("tiny", "small", "medium", "large", "xlarge")
 
 #: ``train`` keys older spec files carry for options that were removed,

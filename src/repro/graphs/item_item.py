@@ -87,18 +87,15 @@ class ItemItemGraph:
 
         # Inference view: all items, with the cold->warm mask applied
         # *before* normalization so degrees reflect the masked structure.
-        masked = cold_mask_matrix(full_knn, self.is_cold)
-        self.infer_adjacency = symmetric_normalize(masked)
-        self._unmasked_infer_adjacency = symmetric_normalize(full_knn)
+        self.infer_adjacency = symmetric_normalize(
+            cold_mask_matrix(full_knn, self.is_cold))
 
-    def adjacency(self, mode: str = "train",
-                  masked: bool = True) -> sp.csr_matrix:
+    def adjacency(self, mode: str = "train") -> sp.csr_matrix:
         """Return the propagation matrix for ``mode`` in {train, infer}."""
         if mode == "train":
             return self.train_adjacency
         if mode == "infer":
-            return self.infer_adjacency if masked else \
-                self._unmasked_infer_adjacency
+            return self.infer_adjacency
         raise ValueError(f"unknown mode {mode!r}")
 
 

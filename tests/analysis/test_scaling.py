@@ -20,7 +20,7 @@ class TestPeakRss:
 class TestBuildScalingRow:
     def _row(self, **overrides):
         base = dict(size="tiny", num_users=2000, num_items=1500,
-                    interactions=38914, mode="chunked(65536)",
+                    interactions=38914, mode="streamed",
                     build_seconds=2.0, build_peak_rss_mb=100.0,
                     fingerprint="ab" * 8)
         base.update(overrides)
@@ -36,7 +36,7 @@ class TestBuildScalingRow:
         # subprocess's peak vs the measuring process's own peak
         assert cells["Build peak RSS (MB)"] == 100.0
         assert cells["Peak RSS (MB)"] > 0
-        assert cells["Mode"] == "chunked(65536)"
+        assert cells["Mode"] == "streamed"
         assert cells["Fingerprint"] == "ab" * 8
 
 
@@ -44,7 +44,7 @@ class TestScaleProbe:
     def test_probe_reports_a_build(self, capsys):
         from repro.analysis.scale_probe import main
         assert main(["--size", "tiny", "--num-users", "300",
-                     "--num-items", "200", "--chunk-rows", "64"]) == 0
+                     "--num-items", "200", "--streamed"]) == 0
         report = json.loads(
             capsys.readouterr().out.strip().splitlines()[-1])
         assert report["num_users"] == 300
@@ -55,7 +55,7 @@ class TestScaleProbe:
     def test_probe_modes_agree_on_content(self, capsys):
         from repro.analysis.scale_probe import main
         fingerprints = []
-        for extra in ([], ["--chunk-rows", "97"]):
+        for extra in ([], ["--streamed"]):
             assert main(["--size", "tiny", "--num-users", "300",
                          "--num-items", "200", *extra]) == 0
             out = capsys.readouterr().out.strip().splitlines()[-1]

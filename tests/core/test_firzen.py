@@ -117,19 +117,6 @@ class TestInferenceGating:
         model.invalidate()
         assert not np.allclose(full, gated)
 
-    def test_mask_toggle_changes_cold_rows(self, trained, tiny_dataset):
-        model, _ = trained
-        model.invalidate()
-        masked = model.item_matrix().copy()
-        model.config.mask_cold_to_warm = False
-        model.invalidate()
-        unmasked = model.item_matrix().copy()
-        model.config.mask_cold_to_warm = True
-        model.invalidate()
-        warm = ~tiny_dataset.split.is_cold
-        # removing the mask lets cold signal reach warm rows
-        assert not np.allclose(masked[warm], unmasked[warm])
-
 
 class TestNormalColdStart:
     def test_adapt_to_interactions_changes_representations(

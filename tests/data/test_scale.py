@@ -1,24 +1,27 @@
-"""The streaming scale generator: chunk invariance, parity, v2 output.
+"""The streaming scale generator: block-at-a-time parity, v2 output.
 
-The load-bearing contract: a chunked out-of-core build is *byte*-
-identical to the in-RAM reference at every chunk size, because every
-generation decision is a function of entity identity (block-seeded RNG
-or hash-based coin flips), never of visit order.
+The load-bearing contract: the streamed build, which dedups, k-cores
+and splits one generator block at a time, is *byte*-identical to the
+in-RAM reference, because every generation decision is a function of
+entity identity (block-seeded RNG or hash-based coin flips), never of
+visit order, and every interaction block holds whole users in
+ascending order.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.data.chunked import DEFAULT_CHUNK_ROWS
-from repro.data.io import dataset_fingerprint, load_dataset
-from repro.data.scale import (ScaleConfig, build_scale_dataset, hash_u01,
-                              item_partition, iter_feature_chunks,
-                              iter_interaction_chunks, iter_kg_chunks,
+from repro.data.chunked import encode_pairs
+from repro.data.io import _SPLIT_FIELDS, dataset_fingerprint, load_dataset
+from repro.data.scale import (_ITEM_BLOCK, _USER_BLOCK, ScaleConfig,
+                              build_scale_dataset,
+                              build_scale_dataset_in_ram, hash_u01,
+                              item_partition, iter_interaction_chunks,
                               scale_config, split_rows)
-
-CHUNK_SIZES = (1, 13, DEFAULT_CHUNK_ROWS, 10**9)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +34,24 @@ def config():
 
 @pytest.fixture(scope="module")
 def reference(config):
-    return build_scale_dataset(config, chunk_rows=None)
+    return build_scale_dataset_in_ram(config)
+
+
+@pytest.fixture(scope="module")
+def blocks_config():
+    """Three user blocks and two item blocks, with activity low enough
+    that the k-core drops users in every user block, and partial
+    modality coverage."""
+    return scale_config("tiny", seed=0, num_users=2 * _USER_BLOCK + 50,
+                        num_items=_ITEM_BLOCK + 100,
+                        interactions_per_user_min=3,
+                        interactions_per_user_max=20,
+                        modality_coverage=0.8)
+
+
+# each seed draws a different world, so the k-core drops and the cold,
+# split and coverage coin flips land differently in every block
+PARITY_SEEDS = (1, 13, 65536, 10**9)
 
 
 class TestHashU01:
@@ -54,59 +74,50 @@ class TestHashU01:
         assert not np.array_equal(a, hash_u01(ids, seed=0, salt=2))
 
 
-class TestChunkInvariance:
-    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-    def test_interaction_stream_reslices_only(self, config, chunk_rows):
-        whole = np.concatenate(list(iter_interaction_chunks(config)))
-        sliced = np.concatenate(
-            list(iter_interaction_chunks(config, chunk_rows=chunk_rows)))
-        np.testing.assert_array_equal(sliced, whole)
-
-    @pytest.mark.parametrize("chunk_rows", (1, 13, 10**9))
-    def test_feature_stream_reslices_only(self, config, chunk_rows):
-        for modality in ("text", "image"):
-            whole = np.concatenate(
-                list(iter_feature_chunks(config, modality)))
-            sliced = np.concatenate(list(iter_feature_chunks(
-                config, modality, chunk_rows=chunk_rows)))
-            np.testing.assert_array_equal(sliced, whole)
-
-    @pytest.mark.parametrize("chunk_rows", (1, 13, 10**9))
-    def test_kg_stream_reslices_only(self, config, chunk_rows):
-        whole = np.concatenate(list(iter_kg_chunks(config)))
-        sliced = np.concatenate(
-            list(iter_kg_chunks(config, chunk_rows=chunk_rows)))
-        np.testing.assert_array_equal(sliced, whole)
-
-
 class TestBuildParity:
-    @pytest.mark.parametrize("chunk_rows", CHUNK_SIZES)
-    def test_chunked_build_is_bit_identical(self, config, reference,
-                                            chunk_rows, tmp_path):
-        chunked = build_scale_dataset(config, chunk_rows=chunk_rows,
-                                      out=tmp_path / "ds.v2")
+    @pytest.mark.parametrize("seed", PARITY_SEEDS)
+    def test_chunked_build_is_bit_identical(self, blocks_config, seed,
+                                            tmp_path):
+        config = dataclasses.replace(blocks_config, seed=seed)
+        chunked = build_scale_dataset(config, out=tmp_path / "ds.v2")
+        reference = build_scale_dataset_in_ram(config)
         assert dataset_fingerprint(chunked) == \
             dataset_fingerprint(reference)
-        # fingerprint equality is the contract; spot-check the arrays
-        # it summarizes so a hash bug cannot mask a real divergence
-        np.testing.assert_array_equal(np.asarray(chunked.split.train),
-                                      reference.split.train)
-        np.testing.assert_array_equal(
-            np.asarray(chunked.features["text"]),
-            reference.features["text"])
+        # fingerprint equality is the contract; compare the arrays it
+        # summarizes too, so a hash bug cannot mask a real divergence
+        for field in _SPLIT_FIELDS:
+            np.testing.assert_array_equal(
+                np.asarray(getattr(chunked.split, field)),
+                getattr(reference.split, field))
+        for modality, features in reference.features.items():
+            np.testing.assert_array_equal(
+                np.asarray(chunked.features[modality]), features)
         np.testing.assert_array_equal(np.asarray(chunked.kg.triplets),
                                       reference.kg.triplets)
 
+    def test_blocks_hold_whole_users_in_key_order(self, blocks_config):
+        """What per-block dedup and k-core rest on, and proof that this
+        world exercises them: every block's keys sort below the next
+        block's, and the k-core drops users in every block."""
+        blocks = list(iter_interaction_chunks(blocks_config))
+        assert len(blocks) == 3
+        last_key = -1
+        for block in blocks:
+            keys = np.unique(encode_pairs(block, blocks_config.num_items))
+            assert keys[0] > last_key
+            last_key = keys[-1]
+            degrees = np.bincount(keys // blocks_config.num_items)
+            assert (degrees[degrees > 0] < blocks_config.k_core).any()
+
     def test_seeds_change_content(self, config):
-        import dataclasses
         other = dataclasses.replace(config, seed=config.seed + 1)
-        assert dataset_fingerprint(build_scale_dataset(other)) != \
-            dataset_fingerprint(build_scale_dataset(config))
+        assert dataset_fingerprint(build_scale_dataset_in_ram(other)) != \
+            dataset_fingerprint(build_scale_dataset_in_ram(config))
 
     def test_chunked_output_is_a_mmap_v2_directory(self, config,
                                                    tmp_path):
         out = tmp_path / "scale.v2"
-        build_scale_dataset(config, chunk_rows=64, out=out)
+        build_scale_dataset(config, out=out)
         assert (out / "manifest.json").exists()
         loaded = load_dataset(out, mmap=True)
         assert isinstance(loaded.features["text"], np.memmap)
@@ -159,7 +170,7 @@ class TestWorldShape:
     def test_trains_a_model_end_to_end(self, config):
         from repro.baselines import create_model
         from repro.train import TrainConfig, train_model
-        dataset = build_scale_dataset(config, chunk_rows=128)
+        dataset = build_scale_dataset(config)
         model = create_model("BPR", dataset, embedding_dim=8, seed=0)
         result = train_model(model, dataset,
                              TrainConfig(epochs=1, eval_every=1,

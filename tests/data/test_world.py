@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import text_reference as reference
@@ -184,8 +184,9 @@ class TestKCore:
 
     @staticmethod
     def _legacy_k_core(interactions, k):
-        """The original per-round boolean-mask loop the vectorized
-        ``bincount`` implementation must equal bit-for-bit."""
+        """The original per-round boolean-mask loop, repeated until no
+        row is dropped, that the single ``bincount`` pass must equal
+        bit-for-bit."""
         current = np.asarray(interactions)
         while True:
             if len(current) == 0:
@@ -201,6 +202,7 @@ class TestKCore:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6),
            st.integers(min_value=1, max_value=8))
+    @example(seed=0, k=10**6)  # a k that empties the world
     def test_bincount_k_core_matches_legacy_loop(self, seed, k):
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(0, 120))

@@ -137,6 +137,20 @@ class TestSerialization:
         assert _spec().train.epochs == 2
 
 
+class TestBenchEnvironment:
+    def test_bench_env_epochs(self, monkeypatch):
+        from repro.experiments.presets import bench_env_epochs
+        monkeypatch.delenv("REPRO_BENCH_EPOCHS", raising=False)
+        assert bench_env_epochs() is None
+        for raw, epochs in (("", None), ("5", 5)):
+            monkeypatch.setenv("REPRO_BENCH_EPOCHS", raw)
+            assert bench_env_epochs() == epochs
+        for raw in ("abc", "0", "-3", "1.5"):
+            monkeypatch.setenv("REPRO_BENCH_EPOCHS", raw)
+            with pytest.raises(ValueError, match="REPRO_BENCH_EPOCHS"):
+                bench_env_epochs()
+
+
 class TestSweep:
     def test_expansion_produces_distinct_addresses(self):
         spec = _spec(models=("Firzen",),

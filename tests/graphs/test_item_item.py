@@ -55,18 +55,16 @@ def reference_knn(similarity, top_k, restrict_to=None):
 
 
 def reference_views(similarity, top_k, warm, is_cold):
-    """The three ``ItemItemGraph`` views built on the reference kNN."""
+    """The two ``ItemItemGraph`` views built on the reference kNN."""
     train = reference_knn(similarity, top_k, restrict_to=warm)
     full = reference_knn(similarity, top_k)
     return {"train": symmetric_normalize(train),
-            "infer": symmetric_normalize(cold_mask_matrix(full, is_cold)),
-            "unmasked": symmetric_normalize(full)}
+            "infer": symmetric_normalize(cold_mask_matrix(full, is_cold))}
 
 
 def graph_views(graph):
     return {"train": graph.adjacency("train"),
-            "infer": graph.adjacency("infer"),
-            "unmasked": graph.adjacency("infer", masked=False)}
+            "infer": graph.adjacency("infer")}
 
 
 def assert_same_csr(got, want):
@@ -168,15 +166,6 @@ class TestItemItemGraph:
         infer = graph.adjacency("infer").toarray()
         assert infer[7:, :].sum() > 0          # cold rows receive
         assert infer[:7, 7:].sum() == 0        # warm rows never from cold
-
-    def test_unmasked_view_keeps_cold_to_warm(self, features):
-        warm = np.arange(7)
-        is_cold = np.zeros(10, dtype=bool)
-        is_cold[7:] = True
-        graph = ItemItemGraph("text", features, 3, warm, is_cold)
-        unmasked = graph.adjacency("infer", masked=False).toarray()
-        masked = graph.adjacency("infer", masked=True).toarray()
-        assert unmasked[:7, 7:].sum() >= masked[:7, 7:].sum()
 
     def test_unknown_mode_raises(self, features):
         graph = ItemItemGraph("text", features, 3, np.arange(7),

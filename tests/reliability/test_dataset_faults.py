@@ -1,6 +1,6 @@
 """Fault injection on the dataset-directory write seam.
 
-The chunked scale builder and ``save_dataset`` publish through the same
+The streamed scale builder and ``save_dataset`` publish through the same
 staged-write pattern as the serving store: arrays into a
 ``*.tmp-<pid>`` sibling, manifest last, one atomic ``os.replace``.
 The ``dataset.build.write`` seam lets the chaos suite kill or tear the
@@ -18,7 +18,8 @@ import pytest
 from repro.data import save_dataset
 from repro.data.io import (CorruptDatasetError, dataset_fingerprint,
                            load_dataset)
-from repro.data.scale import build_scale_dataset, scale_config
+from repro.data.scale import (build_scale_dataset,
+                              build_scale_dataset_in_ram, scale_config)
 from repro.reliability import (FaultPlan, FaultSpec, InjectedCrash,
                                inject)
 
@@ -60,17 +61,17 @@ class TestDatasetWriteFaults:
     def test_chunked_build_crash_then_rebuild_recovers(self, config,
                                                        tmp_path):
         out = tmp_path / "scale"
-        reference = dataset_fingerprint(build_scale_dataset(config))
+        reference = dataset_fingerprint(build_scale_dataset_in_ram(config))
         plan = FaultPlan([FaultSpec(op="dataset.build.write",
                                     kind="crash", times=1)],
                          name="kill-scale-build")
         with inject(plan):
             with pytest.raises(InjectedCrash):
-                build_scale_dataset(config, chunk_rows=64, out=out)
+                build_scale_dataset(config, out=out)
             assert not out.exists()
             # recovery is simply rebuilding: deterministic generation
             # lands on the same bits the uninterrupted build produces
-            rebuilt = build_scale_dataset(config, chunk_rows=64, out=out)
+            rebuilt = build_scale_dataset(config, out=out)
         assert dataset_fingerprint(rebuilt) == reference
         np.testing.assert_array_equal(
             np.asarray(load_dataset(out, mmap=True).split.train),

@@ -101,9 +101,24 @@ class TestParser:
         ["train", "BPR", "--size", "tiny", "--learning-rate", "-1"],
         ["bench", "sparse", "--fixture-scale", "0.1", "--embedding-dim", "0"],
         ["run", "smoke", "--size", "tiny", "--epochs", "0"],
+        ["serve", "--store", "st", "--block-size", "0", "--queries",
+         "q.txt"],
+        ["serve", "--store", "st", "--daemon", "--max-batch", "0"],
+        ["serve", "--store", "st", "--daemon", "--max-queue", "-1"],
+        ["serve", "--store", "st", "--daemon", "--deadline-ms", "0"],
+        ["bench", "serving", "--clients", "0"],
+        ["bench", "scaling", "--clients", "0"],
+        ["bench", "serving", "--serving-scale", "0"],
+        ["bench", "scaling", "--serving-scale", "-0.1"],
+        ["bench", "sparse", "--fixture-scale", "0"],
     ], ids=["epochs-0", "epochs-abc", "batch-size-0", "k-negative",
             "embedding-dim-0", "learning-rate-0", "learning-rate-negative",
-            "bench-sparse-embedding-dim-0", "run-epochs-0"])
+            "bench-sparse-embedding-dim-0", "run-epochs-0",
+            "serve-block-size-0", "serve-max-batch-0",
+            "serve-max-queue-negative", "serve-deadline-ms-0",
+            "bench-serving-clients-0", "bench-scaling-clients-0",
+            "bench-serving-scale-0", "bench-scaling-scale-negative",
+            "bench-sparse-fixture-scale-0"])
     def test_rejects_non_positive_training_flags(self, argv, capsys,
                                                  monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
@@ -157,7 +172,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Cold" in out and "Warm" in out and "HM" in out
 
-        code = main(["evaluate", ckpt, "--embedding-dim", "8"])
+        # the checkpoint records its embedding size: no flag needed
+        code = main(["evaluate", ckpt])
         assert code == 0
         out = capsys.readouterr().out
         assert "BPR" in out
@@ -175,10 +191,12 @@ class TestCommands:
                      "--embedding-dim", "8", "--seed", "5",
                      "--checkpoint", ckpt]) == 0
         out_path = str(tmp_path / "store")
-        assert main(["export-embeddings", out_path, "--checkpoint", ckpt,
-                     "--embedding-dim", "8"]) == 0
+        assert main(["export-embeddings", out_path,
+                     "--checkpoint", ckpt]) == 0
         from repro.serve import EmbeddingStore
-        assert EmbeddingStore.load(out_path).metadata["seed"] == 5
+        store = EmbeddingStore.load(out_path)
+        assert store.metadata["seed"] == 5
+        assert store.user_vectors.shape[1] == 8
 
     def test_export_then_serve_with_ingest(self, capsys, tmp_path):
         store_path = str(tmp_path / "store")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Scale smoke check: bounded-memory out-of-core builds, with parity.
+"""Scale smoke check: block-bounded streamed builds, with parity.
 
 Usage (from the repo root, with ``PYTHONPATH=src``)::
 
@@ -10,17 +10,17 @@ The CI scale-smoke job drives three assertions, each measured in a
 dedicated subprocess (:mod:`repro.analysis.scale_probe`) so every peak
 RSS is an honest per-build high-water mark:
 
-1. **Ceiling** — a chunked build of a million-interaction world stays
+1. **Ceiling** — a streamed build of a million-interaction world stays
    under ``--rss-ceiling-mb`` (the in-RAM reference needs roughly twice
-   the chunked peak at this size, so the ceiling is meaningful).
+   the streamed peak at this size, so the ceiling is meaningful).
 2. **Boundedness** — doubling the catalog size must not move the
-   chunked build's peak RSS by more than ``--growth-mb``; if peak
-   memory scaled with the catalog, the out-of-core claim would be
+   streamed build's peak RSS by more than ``--growth-mb``; if peak
+   memory scaled with the catalog, the block-at-a-time claim would be
    false even under a generous ceiling.
-3. **Parity** — at a small size, the in-RAM reference and two chunked
-   builds at different (coprime) chunk sizes all produce the same
-   dataset fingerprint: chunking is an execution strategy, never a
-   semantic one.
+3. **Parity** — on a world of three user blocks and two item blocks,
+   the in-RAM reference and the streamed build produce the same
+   dataset fingerprint: per-block dedup and k-core concatenate to
+   the global ones, so block boundaries never change a byte.
 
 Exit status: 0 when all assertions hold, 1 on any failure.
 """
@@ -42,22 +42,20 @@ def main(argv: list[str] | None = None) -> int:
                              "this many interactions after k-core")
     parser.add_argument("--rss-ceiling-mb", type=float, default=600.0,
                         help="hard peak-RSS ceiling for the full-scale "
-                             "chunked build")
+                             "streamed build")
     parser.add_argument("--growth-mb", type=float, default=192.0,
-                        help="max allowed chunked peak-RSS increase "
+                        help="max allowed streamed peak-RSS increase "
                              "from half-scale to full-scale")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     from repro.analysis.scale_probe import run_probe
-    from repro.data.chunked import DEFAULT_CHUNK_ROWS
     failures: list[str] = []
 
     full = run_probe(["--size", "medium", "--seed", args.seed,
                       "--num-users", args.num_users,
-                      "--num-items", args.num_items,
-                      "--chunk-rows", DEFAULT_CHUNK_ROWS])
-    print(f"full scale  ({args.num_users}x{args.num_items}, chunked): "
+                      "--num-items", args.num_items, "--streamed"])
+    print(f"full scale  ({args.num_users}x{args.num_items}, streamed): "
           f"{full['interactions']:,} interactions, "
           f"peak RSS {full['maxrss_mb']:.1f} MB, "
           f"{full['seconds']:.1f}s, fingerprint {full['fingerprint']}")
@@ -68,37 +66,38 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.min_interactions:,}")
     if full["maxrss_mb"] > args.rss_ceiling_mb:
         failures.append(
-            f"full-scale chunked build peaked at "
+            f"full-scale streamed build peaked at "
             f"{full['maxrss_mb']:.1f} MB, above the --rss-ceiling-mb "
             f"of {args.rss_ceiling_mb:.0f}")
 
     half = run_probe(["--size", "medium", "--seed", args.seed,
                       "--num-users", args.num_users // 2,
-                      "--num-items", args.num_items // 2,
-                      "--chunk-rows", DEFAULT_CHUNK_ROWS])
+                      "--num-items", args.num_items // 2, "--streamed"])
     growth = full["maxrss_mb"] - half["maxrss_mb"]
     print(f"half scale  ({args.num_users // 2}x{args.num_items // 2}, "
-          f"chunked): {half['interactions']:,} interactions, "
+          f"streamed): {half['interactions']:,} interactions, "
           f"peak RSS {half['maxrss_mb']:.1f} MB "
           f"(full - half = {growth:+.1f} MB)")
     if growth > args.growth_mb:
         failures.append(
-            f"chunked peak RSS grew {growth:.1f} MB from half- to "
+            f"streamed peak RSS grew {growth:.1f} MB from half- to "
             f"full-scale, above the --growth-mb bound of "
             f"{args.growth_mb:.0f} — peak memory is scaling with the "
-            "catalog, not the chunk size")
+            "catalog, not the generator block")
 
-    parity = {}
-    for label, extra in (("in-RAM", []),
-                         ("chunked(4096)", ["--chunk-rows", 4096]),
-                         ("chunked(4099)", ["--chunk-rows", 4099])):
-        report = run_probe(["--size", "tiny", "--seed", args.seed, *extra])
-        parity[label] = report["fingerprint"]
-    print("parity      (tiny): " + ", ".join(
+    # three user blocks (4,096 users each) and two item blocks (8,192
+    # items each), so the streamed build dedups and k-cores per block
+    users, items = 2 * 4096 + 50, 8192 + 100
+    world = ["--size", "tiny", "--seed", args.seed,
+             "--num-users", users, "--num-items", items]
+    parity = {label: run_probe([*world, *extra])["fingerprint"]
+              for label, extra in (("in-RAM", []),
+                                   ("streamed", ["--streamed"]))}
+    print(f"parity      ({users}x{items}): " + ", ".join(
         f"{label}={fp}" for label, fp in parity.items()))
     if len(set(parity.values())) > 1:
         failures.append(
-            f"chunked builds are not bit-identical to the in-RAM "
+            f"the streamed build is not bit-identical to the in-RAM "
             f"reference: {parity}")
 
     if failures:
@@ -106,10 +105,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: {line}", file=sys.stderr)
         return 1
     print(f"scale smoke OK: {full['interactions']:,}-interaction "
-          f"chunked build peaked at {full['maxrss_mb']:.1f} MB "
+          f"streamed build peaked at {full['maxrss_mb']:.1f} MB "
           f"(ceiling {args.rss_ceiling_mb:.0f}), half->full growth "
-          f"{growth:+.1f} MB (bound {args.growth_mb:.0f}), and all "
-          "parity fingerprints matched")
+          f"{growth:+.1f} MB (bound {args.growth_mb:.0f}), and the "
+          "streamed build matched the in-RAM fingerprint")
     return 0
 
 
