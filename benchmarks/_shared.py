@@ -31,14 +31,14 @@ from repro.eval.protocol import ScenarioResult
 from repro.experiments import (ArtifactStore, ExperimentSpec, Runner,
                                comparison_rows as _spec_comparison_rows)
 from repro.experiments.presets import (PAPER_MODELS, bench_env_epochs,
-                                       bench_train_config as
-                                       _preset_train_config)
+                                       bench_env_size, bench_train_config
+                                       as _preset_train_config)
 from repro.eval.reporting import write_text_result
 from repro.train import TrainConfig
 from repro.utils.tables import format_table
 
 BENCH_EPOCHS = bench_env_epochs() or 12
-BENCH_SIZE = os.environ.get("REPRO_BENCH_SIZE", "small")
+BENCH_SIZE = bench_env_size() or "small"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "results"
 

@@ -73,6 +73,9 @@ def main(argv=None) -> int:
                         help="publish the dataset here (--streamed "
                         "only; default: a private temp dir)")
     args = parser.parse_args(argv)
+    if args.out is not None and not args.streamed:
+        parser.error("--out needs --streamed: the in-RAM build writes "
+                     "no dataset")
 
     from repro.data.io import dataset_fingerprint
     from repro.data.scale import (build_scale_dataset,

@@ -7,7 +7,8 @@ a small but complete tape-based autodiff engine with the same semantics
 
 The design is deliberately simple: each :class:`Tensor` stores its value,
 its parents, and a closure that pushes the upstream gradient to the parents.
-``backward()`` runs a reverse topological sweep. Gradients are validated
+The binary ops compute a parent's gradient only when that parent requires
+one. ``backward()`` runs a reverse topological sweep. Gradients are validated
 against central finite differences in ``tests/autograd/test_gradcheck.py``.
 
 The compute-dominant primitives — matmuls, the transcendental
@@ -252,7 +253,10 @@ class Tensor:
         data = self.data + other.data
 
         def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad
+                    else None,
+                    _unbroadcast(g, other.shape) if other.requires_grad
+                    else None)
 
         return self._make(data, (self, other), backward)
 
@@ -269,8 +273,10 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
+                _unbroadcast(g * other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(g * self.data, other.shape)
+                if other.requires_grad else None,
             )
 
         return self._make(data, (self, other), backward)
@@ -287,7 +293,10 @@ class Tensor:
         data = self.data - other.data
 
         def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad
+                    else None,
+                    _unbroadcast(-g, other.shape) if other.requires_grad
+                    else None)
 
         return self._make(data, (self, other), backward)
 
@@ -316,8 +325,10 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data ** 2), other.shape),
+                _unbroadcast(g / other.data, self.shape)
+                if self.requires_grad else None,
+                _unbroadcast(-g * self.data / (other.data ** 2), other.shape)
+                if other.requires_grad else None,
             )
 
         return self._make(data, (self, other), backward)
@@ -348,23 +359,31 @@ class Tensor:
         data = _active_backend().matmul(self.data, other.data)
 
         def backward(g):
+            grad_self = grad_other = None
             if self.data.ndim == 1 and other.data.ndim == 1:
-                return (g * other.data, g * self.data)
-            if self.data.ndim == 1:
-                grad_self = g @ other.data.T
-                grad_other = np.outer(self.data, g)
-                return (grad_self, grad_other)
-            if other.data.ndim == 1:
-                grad_self = np.outer(g, other.data)
-                grad_other = self.data.T @ g
-                return (grad_self, grad_other)
-            backend = _active_backend()
-            grad_self = backend.matmul(g, np.swapaxes(other.data, -1, -2))
-            grad_other = backend.matmul(np.swapaxes(self.data, -1, -2), g)
-            return (
-                _unbroadcast(grad_self, self.shape),
-                _unbroadcast(grad_other, other.shape),
-            )
+                if self.requires_grad:
+                    grad_self = g * other.data
+                if other.requires_grad:
+                    grad_other = g * self.data
+            elif self.data.ndim == 1:
+                if self.requires_grad:
+                    grad_self = g @ other.data.T
+                if other.requires_grad:
+                    grad_other = np.outer(self.data, g)
+            elif other.data.ndim == 1:
+                if self.requires_grad:
+                    grad_self = np.outer(g, other.data)
+                if other.requires_grad:
+                    grad_other = self.data.T @ g
+            else:
+                backend = _active_backend()
+                if self.requires_grad:
+                    grad_self = _unbroadcast(backend.matmul(
+                        g, np.swapaxes(other.data, -1, -2)), self.shape)
+                if other.requires_grad:
+                    grad_other = _unbroadcast(backend.matmul(
+                        np.swapaxes(self.data, -1, -2), g), other.shape)
+            return (grad_self, grad_other)
 
         return self._make(data, (self, other), backward)
 

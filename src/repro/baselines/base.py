@@ -97,7 +97,11 @@ class Recommender(Module):
         return self._cached_items
 
     def score_users(self, user_ids: np.ndarray) -> np.ndarray:
-        """Scores over all items for each user id (rows align with input)."""
+        """Scores over all items for each user id (rows align with input).
+
+        Returns a new array the caller may overwrite: evaluation masks
+        and ranks it in place. Overrides keep that contract.
+        """
         users = self.user_matrix()[np.asarray(user_ids, dtype=np.int64)]
         return users @ self.item_matrix().T
 

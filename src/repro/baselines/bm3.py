@@ -17,6 +17,7 @@ from ..autograd.nn import Embedding, Linear
 from ..components.lightgcn import lightgcn_propagate
 from ..data.datasets import RecDataset
 from ..graphs.interaction import InteractionGraph
+from ..utils.arrays import sorted_unique
 from .base import Recommender
 
 
@@ -66,7 +67,7 @@ class BM3Model(Recommender):
             dropout(item_out, self.dropout_rate, self._drop_rng,
                     training=self.training))
         target_items = item_out.detach()
-        unique_items = np.unique(np.concatenate([pos_items, neg_items]))
+        unique_items = sorted_unique(np.concatenate([pos_items, neg_items]))
         graph_align = (1.0 - cosine_similarity(
             items_online.take_rows(unique_items),
             target_items.take_rows(unique_items))).mean()

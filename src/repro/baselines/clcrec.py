@@ -17,6 +17,7 @@ from ..autograd.nn import Embedding, Linear
 from ..components.lightgcn import lightgcn_propagate
 from ..data.datasets import RecDataset
 from ..graphs.interaction import InteractionGraph
+from ..utils.arrays import sorted_unique
 from .base import Recommender
 
 
@@ -69,7 +70,7 @@ class CLCRecModel(Recommender):
             + content.take_rows(neg_items)
         main = bpr_loss(rowwise_dot(u, pos), rowwise_dot(u, neg))
 
-        unique_items = np.unique(np.concatenate([pos_items, neg_items]))
+        unique_items = sorted_unique(np.concatenate([pos_items, neg_items]))
         contrast = infonce(
             content.take_rows(unique_items),
             item_out.take_rows(unique_items),

@@ -21,6 +21,7 @@ from ..components.lightgcn import lightgcn_propagate
 from ..data.datasets import RecDataset
 from ..engine import propagate
 from ..graphs.interaction import InteractionGraph
+from ..utils.arrays import sorted_unique
 from .base import Recommender
 
 
@@ -96,7 +97,7 @@ class MMSSLModel(Recommender):
 
         # Adversarial: discriminator scores rows of the virtual graph
         # (generated from modality features) vs the observed graph.
-        unique_users = np.unique(users)
+        unique_users = sorted_unique(users)
         adv = None
         observed = Tensor(np.asarray(
             self.graph.user_item_matrix[unique_users].todense()))

@@ -14,6 +14,7 @@ from ..autograd import infonce
 from ..autograd.sparse import build_bipartite_adjacency, symmetric_normalize
 from ..components.lightgcn import lightgcn_propagate
 from ..data.datasets import RecDataset
+from ..utils.arrays import sorted_unique
 from .lightgcn import LightGCNModel
 
 
@@ -51,8 +52,8 @@ class SGLModel(LightGCNModel):
         view2_u, view2_i = lightgcn_propagate(
             self._augmented_adjacency(), self.user_emb.weight,
             self.item_emb.weight, self.num_layers)
-        unique_users = np.unique(users)
-        unique_items = np.unique(np.concatenate([pos_items, neg_items]))
+        unique_users = sorted_unique(users)
+        unique_items = sorted_unique(np.concatenate([pos_items, neg_items]))
         ssl = infonce(view1_u.take_rows(unique_users),
                       view2_u.take_rows(unique_users),
                       temperature=self.ssl_temperature)

@@ -449,17 +449,15 @@ def _resolve_spec(name_or_path: str):
 
 
 def _run_env_overrides(args) -> tuple[int | None, str | None]:
-    import os
-    from .experiments.presets import bench_env_epochs
-    epochs = args.epochs
-    if epochs is None:
-        try:
+    from .experiments.presets import bench_env_epochs, bench_env_size
+    epochs, size = args.epochs, args.size
+    try:
+        if epochs is None:
             epochs = bench_env_epochs()
-        except ValueError as exc:
-            args.usage_error(str(exc))
-    size = args.size
-    if size is None and os.environ.get("REPRO_BENCH_SIZE"):
-        size = os.environ["REPRO_BENCH_SIZE"]
+        if size is None:
+            size = bench_env_size()
+    except ValueError as exc:
+        args.usage_error(str(exc))
     return epochs, size
 
 

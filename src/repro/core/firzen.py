@@ -29,6 +29,7 @@ from ..graphs.ckg import build_collaborative_kg, sample_kg_negatives
 from ..graphs.interaction import InteractionGraph
 from ..graphs.item_item import build_item_item_graphs
 from ..graphs.user_user import UserUserGraph
+from ..utils.arrays import sorted_unique
 from .config import FirzenConfig
 from .discriminator import GraphRowDiscriminator, gumbel_augmented_graph
 from .mshgl import MSHGL
@@ -158,7 +159,7 @@ class FirzenModel(Recommender):
         neg = final_i.take_rows(neg_items)
         total = bpr_loss(rowwise_dot(u, pos), rowwise_dot(u, neg))
 
-        unique_users = np.unique(users)
+        unique_users = sorted_unique(users)
         # Adversarial generator term: make each modality's virtual graph
         # look real to the (frozen) discriminator.
         if self.config.adv_weight > 0 and modality_raw:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..utils.arrays import sorted_unique
 from .text import TfidfResult, select_feature_words
 from .world import World
 
@@ -87,27 +88,30 @@ class KnowledgeGraph:
     def triplet_set(self) -> set[tuple[int, int, int]]:
         return {tuple(int(v) for v in row) for row in self.triplets}
 
-    def contains_triplets(self, heads: np.ndarray, relations: np.ndarray,
-                          tails: np.ndarray) -> np.ndarray:
-        """Vectorized membership test (the negative-sampling hot path).
+    def sorted_triplet_keys(self) -> np.ndarray:
+        """The sorted unique :func:`triplet_keys` of the triplets.
 
-        The sorted key index is built lazily once per KG; the triplet
-        store is frozen, and every mutation path (``with_triplets``)
-        returns a fresh instance.
+        Built lazily once per KG; the triplet store is frozen, and every
+        mutation path (``with_triplets``) returns a fresh instance.
         """
         if self._triplet_keys is None:
-            self._triplet_keys = np.unique(triplet_keys(
+            self._triplet_keys = sorted_unique(triplet_keys(
                 self.triplets[:, 0], self.triplets[:, 1],
                 self.triplets[:, 2], self.num_relations, self.num_entities))
+        return self._triplet_keys
+
+    def contains_triplets(self, heads: np.ndarray, relations: np.ndarray,
+                          tails: np.ndarray) -> np.ndarray:
+        """Vectorized membership test (the negative-sampling hot path)."""
+        index = self.sorted_triplet_keys()
         keys = triplet_keys(np.asarray(heads, dtype=np.int64),
                             np.asarray(relations, dtype=np.int64),
                             np.asarray(tails, dtype=np.int64),
                             self.num_relations, self.num_entities)
-        if not len(self._triplet_keys):
+        if not len(index):
             return np.zeros(len(keys), dtype=bool)
-        slot = np.searchsorted(self._triplet_keys, keys)
-        slot = np.minimum(slot, len(self._triplet_keys) - 1)
-        return self._triplet_keys[slot] == keys
+        slot = np.minimum(np.searchsorted(index, keys), len(index) - 1)
+        return index[slot] == keys
 
 
 def _cooccurrence_pairs(interactions: np.ndarray, num_items: int,
@@ -255,7 +259,7 @@ def build_knowledge_graph(world: World,
                             RELATION_INDEX["bought_together"]), co_tails),
         (sim_heads, RELATION_INDEX["also_viewed"], sim_tails),
     ]
-    keys = np.unique(np.concatenate([
+    keys = sorted_unique(np.concatenate([
         triplet_keys(heads, relations, tails, len(RELATIONS), num_entities)
         for heads, relations, tails in blocks]))
     head_relations, tails = np.divmod(keys, num_entities)

@@ -3,7 +3,7 @@
 Warm setting: candidates are all *warm* items the user has not interacted
 with in training. Cold setting: candidates are all *cold* items. Scores
 come from a model's ``score_users`` method; train items are masked to
-``-inf`` before ranking.
+``-inf`` in the matrix it returns, before ranking.
 
 Masking and ranking are vectorized over the user axis via the serving
 layer's kernels (:mod:`repro.serve.ranker`), and the ground truth and the
@@ -22,6 +22,7 @@ import numpy as np
 from ..data.splits import ColdStartSplit
 from ..serve.ranker import (apply_seen_mask, interactions_to_csr,
                             topk_from_scores)
+from ..utils.arrays import sorted_unique
 from .metrics import MetricResult, harmonic_mean_result, ranking_metrics
 
 
@@ -55,7 +56,8 @@ def evaluate_scenario(model, split: ColdStartSplit, which: str,
     Parameters
     ----------
     model:
-        Anything with ``score_users(user_ids) -> (len(user_ids), num_items)``.
+        Anything with ``score_users(user_ids) -> (len(user_ids), num_items)``
+        returning a new array: the seen items are masked in it in place.
     which:
         Name of the ``(n, 2)`` ground-truth pairs on ``split``.
     known:
@@ -75,15 +77,14 @@ def evaluate_scenario(model, split: ColdStartSplit, which: str,
     # user's relevant items are one contiguous run of them.
     num_items = split.num_items
     users, first_seen = np.unique(pairs[:, 0], return_index=True)
-    codes = np.unique(pairs[:, 0] * num_items + pairs[:, 1])
+    codes = sorted_unique(pairs[:, 0] * num_items + pairs[:, 1])
     relevant_counts = np.diff(np.searchsorted(codes, users * num_items),
                               append=len(codes))
 
     cold_scenario = which.startswith("cold")
     candidates = np.asarray(split.cold_items if cold_scenario
                             else split.warm_items)
-    scores = np.array(model.score_users(users), dtype=np.float64,
-                      copy=True)
+    scores = np.asarray(model.score_users(users), dtype=np.float64)
     masked = [] if cold_scenario else [split.train]
     if known is not None:
         masked.append(known)

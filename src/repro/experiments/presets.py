@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 
 from ..train.trainer import TrainConfig
-from .spec import ExperimentSpec
+from .spec import SIZES, ExperimentSpec
 
 #: the paper's Table II / III roster, in the paper's ordering
 PAPER_MODELS = (
@@ -39,6 +39,20 @@ def bench_env_epochs() -> int | None:
         raise ValueError(f"REPRO_BENCH_EPOCHS must be a positive "
                          f"integer, got {raw!r}")
     return epochs
+
+
+def bench_env_size() -> str | None:
+    """``REPRO_BENCH_SIZE`` as one of the size presets, or None when it
+    is unset or empty; raises ``ValueError`` naming the variable on any
+    other value.  ``repro run`` and the benchmark harnesses both read
+    the variable through this function."""
+    raw = os.environ.get("REPRO_BENCH_SIZE")
+    if not raw:
+        return None
+    if raw not in SIZES:
+        raise ValueError(f"REPRO_BENCH_SIZE must be one of "
+                         f"{', '.join(SIZES)}, got {raw!r}")
+    return raw
 
 
 def bench_train_config(epochs: int = 12) -> TrainConfig:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.kg_builder import KnowledgeGraph
+from ..data.kg_builder import KnowledgeGraph, triplet_keys
 
 
 @dataclass
@@ -73,22 +73,27 @@ def sample_kg_negatives(kg: KnowledgeGraph, batch_size: int,
     """Sample ``(h, r, t_pos, t_neg)`` for the TransR loss (eq. 30).
 
     Negative tails are uniform entity draws re-sampled until the corrupted
-    triplet is not in the KG (with a bounded number of retries).
+    triplet is not in the KG (at most ten re-draws per slot).
     """
     if kg.num_triplets == 0:
         raise ValueError("cannot sample from an empty KG")
     idx = rng.integers(0, kg.num_triplets, size=batch_size)
     pos = kg.triplets[idx]
     neg_tails = rng.integers(0, kg.num_entities, size=batch_size)
-    # One vectorized membership pass over the batch; only the (rare)
-    # colliding slots re-draw, depth-first per slot so the generator
-    # stream matches the original all-Python rejection loop exactly.
+    # One vectorized membership pass over the batch; only the colliding
+    # slots re-draw, depth-first per slot so the generator stream
+    # matches the original all-Python rejection loop exactly. A re-draw
+    # is tested with one scalar search of the KG's sorted keys.
+    index = kg.sorted_triplet_keys()
     for i in np.flatnonzero(
             kg.contains_triplets(pos[:, 0], pos[:, 1], neg_tails)):
-        tries = 0
-        while kg.contains_triplets(
-                pos[i, 0:1], pos[i, 1:2], neg_tails[i:i + 1])[0] \
-                and tries < 10:
+        # the key of (head, relation, tail) is this base plus the tail
+        base = int(triplet_keys(pos[i, 0], pos[i, 1], 0, kg.num_relations,
+                                kg.num_entities))
+        for _ in range(10):
             neg_tails[i] = rng.integers(0, kg.num_entities)
-            tries += 1
+            key = base + int(neg_tails[i])
+            slot = int(index.searchsorted(key))
+            if slot == len(index) or index[slot] != key:
+                break
     return pos[:, 0], pos[:, 1], pos[:, 2], neg_tails

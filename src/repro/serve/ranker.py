@@ -117,19 +117,22 @@ def topk_from_scores(scores: np.ndarray, k: int,
 
     Row semantics match :func:`repro.eval.protocol.rank_candidates`
     exactly (same partition + stable-sort tie-breaking), so rankings are
-    bit-identical to the seed per-user path.
+    bit-identical to the seed per-user path. ``scores`` is never
+    written: the candidate columns are gathered into one new block,
+    which is negated in place (IEEE negation is exact).
     """
     if candidates is None:
-        cand_scores = scores
+        neg_scores = np.negative(scores)
         candidates = np.arange(scores.shape[1], dtype=np.int64)
     else:
         candidates = np.asarray(candidates, dtype=np.int64)
-        cand_scores = scores[:, candidates]
+        neg_scores = np.take(scores, candidates, axis=1)
+        np.negative(neg_scores, out=neg_scores)
     k = min(int(k), len(candidates))
     if k <= 0:
         empty = np.empty((scores.shape[0], 0))
         return TopKResult(empty.astype(np.int64), empty.astype(scores.dtype))
-    top, neg_top = _neg_topk_rows(-cand_scores, k)
+    top, neg_top = _neg_topk_rows(neg_scores, k)
     return TopKResult(candidates[top], -neg_top)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.arrays import sorted_unique
+
 
 class BPRSampler:
     """Negative sampler over warm items.
@@ -24,7 +26,7 @@ class BPRSampler:
             self._positives.setdefault(int(user), set()).add(int(item))
         # Sorted (user, item) keys for the vectorized collision test in
         # sample_negatives; empty train sets still get a valid array.
-        self._positive_keys = np.unique(
+        self._positive_keys = sorted_unique(
             self.train[:, 0] * np.int64(num_items) + self.train[:, 1]
         ) if len(self.train) else np.empty(0, dtype=np.int64)
 

@@ -1,1 +1,2 @@
-"""Shared utilities: table rendering and array-directory I/O."""
+"""Shared utilities: table rendering, array-directory I/O and array
+helpers."""

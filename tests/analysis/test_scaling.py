@@ -61,3 +61,13 @@ class TestScaleProbe:
             out = capsys.readouterr().out.strip().splitlines()[-1]
             fingerprints.append(json.loads(out)["fingerprint"])
         assert fingerprints[0] == fingerprints[1]
+
+    def test_out_without_streamed_is_a_usage_error(self, capsys, tmp_path):
+        from repro.analysis.scale_probe import main
+        out = tmp_path / "dataset"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--size", "tiny", "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--streamed" in err
+        assert not out.exists()

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from repro.autograd import Tensor, concat, infonce, sparse_matmul, stack
 from repro.autograd import fused
 from repro.autograd.rowsparse import RowSparseGrad
+from repro.backend import ArrayBackend, active
 
 
 def numeric_gradient(func, arrays, index, eps=1e-6):
@@ -354,6 +355,35 @@ class TestGraphStructure:
             x = x * 1.0
         x.sum().backward()
         np.testing.assert_allclose(a.grad, np.ones(4))
+
+    @pytest.mark.parametrize("x_requires_grad, calls",
+                             [(False, 1), (True, 2)])
+    def test_matmul_backward_skips_a_constant_operand(
+            self, rng, monkeypatch, x_requires_grad, calls):
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=x_requires_grad)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        out = (x @ w).sum()
+        shapes = []
+        original = ArrayBackend.matmul
+
+        def counting(self, a, b):
+            shapes.append(a.shape)
+            return original(self, a, b)
+
+        monkeypatch.setattr(type(active()), "matmul", counting)
+        out.backward()
+        assert len(shapes) == calls
+        np.testing.assert_array_equal(w.grad, x.data.T @ np.ones((4, 2)))
+        assert (x.grad is not None) == x_requires_grad
+
+    def test_elementwise_backward_skips_constant_operands(self, rng):
+        w = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3,)) + 3.0)
+        for op in (lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: a * b, lambda a, b: a / b):
+            for left, right in ((w, c), (c, w)):
+                grads = op(left, right)._backward(np.ones(3))
+                assert [g is None for g in grads] == [left is c, right is c]
 
     def test_backward_requires_scalar(self, rng):
         a = Tensor(rng.normal(size=(3,)), requires_grad=True)

@@ -150,6 +150,21 @@ class TestBenchEnvironment:
             with pytest.raises(ValueError, match="REPRO_BENCH_EPOCHS"):
                 bench_env_epochs()
 
+    def test_bench_env_size(self, monkeypatch):
+        from repro.experiments.presets import bench_env_size
+        from repro.experiments.spec import SIZES
+        monkeypatch.delenv("REPRO_BENCH_SIZE", raising=False)
+        assert bench_env_size() is None
+        monkeypatch.setenv("REPRO_BENCH_SIZE", "")
+        assert bench_env_size() is None
+        for size in SIZES:
+            monkeypatch.setenv("REPRO_BENCH_SIZE", size)
+            assert bench_env_size() == size
+        for raw in ("huge", "Tiny", " small"):
+            monkeypatch.setenv("REPRO_BENCH_SIZE", raw)
+            with pytest.raises(ValueError, match="REPRO_BENCH_SIZE"):
+                bench_env_size()
+
 
 class TestSweep:
     def test_expansion_produces_distinct_addresses(self):

@@ -5,7 +5,37 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.kg_builder import KnowledgeGraph
 from repro.graphs.ckg import build_collaborative_kg, sample_kg_negatives
+
+
+def reference_kg_negatives(kg, batch_size, rng):
+    """The per-slot rejection loop ``sample_kg_negatives`` replaced: each
+    re-draw is tested with a one-element ``contains_triplets`` call."""
+    idx = rng.integers(0, kg.num_triplets, size=batch_size)
+    pos = kg.triplets[idx]
+    neg_tails = rng.integers(0, kg.num_entities, size=batch_size)
+    for i in np.flatnonzero(
+            kg.contains_triplets(pos[:, 0], pos[:, 1], neg_tails)):
+        tries = 0
+        while kg.contains_triplets(
+                pos[i, 0:1], pos[i, 1:2], neg_tails[i:i + 1])[0] \
+                and tries < 10:
+            neg_tails[i] = rng.integers(0, kg.num_entities)
+            tries += 1
+    return pos[:, 0], pos[:, 1], pos[:, 2], neg_tails
+
+
+def dense_kg():
+    """Six entities, two relations, every tail but entity 5: five of
+    six tail draws collide, so about one slot in six keeps colliding
+    through all ten re-draws."""
+    heads, relations, tails = np.meshgrid(np.arange(6), np.arange(2),
+                                          np.arange(5), indexing="ij")
+    triplets = np.column_stack([heads.ravel(), relations.ravel(),
+                                tails.ravel()])
+    return KnowledgeGraph(triplets=triplets, num_entities=6,
+                          num_relations=2, num_items=3)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +97,29 @@ class TestNegativeSampling:
         bad = sum((int(h), int(r), int(t)) in existing
                   for h, r, t in zip(heads, relations, neg))
         assert bad / 128 < 0.1
+
+    def test_matches_per_slot_loop_on_a_dense_kg(self):
+        kg = dense_kg()
+        exhausted = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = sample_kg_negatives(kg, 64, rng)
+            want = reference_kg_negatives(kg, 64, want_rng)
+            for got_part, want_part in zip(got, want):
+                np.testing.assert_array_equal(got_part, want_part)
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+            exhausted += int(kg.contains_triplets(*got[:2], got[3]).sum())
+        assert exhausted > 0     # some slots used up their ten re-draws
+
+    def test_matches_per_slot_loop_on_the_tiny_kg(self, tiny_dataset):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = sample_kg_negatives(tiny_dataset.kg, 512, rng)
+            want = reference_kg_negatives(tiny_dataset.kg, 512, want_rng)
+            np.testing.assert_array_equal(got[3], want[3])
+            assert rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_empty_kg_raises(self, tiny_dataset, rng):
         empty = tiny_dataset.kg.with_triplets(

@@ -104,6 +104,14 @@ class TestTopkFromScores:
             np.testing.assert_allclose(result.scores[row],
                                        scores[row][result.items[row]])
 
+    @pytest.mark.parametrize("candidates", [None, np.arange(0, 12, 2)])
+    def test_leaves_the_scores_unchanged(self, rng, candidates):
+        # the negation happens in place on a gathered or new block only
+        scores = rng.normal(size=(5, 12))
+        before = scores.copy()
+        topk_from_scores(scores, 4, candidates=candidates)
+        np.testing.assert_array_equal(scores, before)
+
     def test_k_clamped_to_candidates(self, rng):
         scores = rng.normal(size=(3, 10))
         result = topk_from_scores(scores, 99, candidates=np.array([2, 5]))

@@ -139,6 +139,17 @@ class TestParser:
         err = capsys.readouterr().err
         assert "usage:" in err and "REPRO_BENCH_EPOCHS" in err
 
+    def test_run_rejects_unknown_bench_size_variable(self, capsys,
+                                                     monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
+        monkeypatch.delenv("REPRO_BENCH_EPOCHS", raising=False)
+        monkeypatch.setenv("REPRO_BENCH_SIZE", "huge")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "smoke"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "REPRO_BENCH_SIZE" in err
+
     def test_run_env_overrides_yield_to_flags(self, monkeypatch):
         from repro.cli import _run_env_overrides
         monkeypatch.setenv("REPRO_BENCH_EPOCHS", "5")
