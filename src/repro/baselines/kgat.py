@@ -19,6 +19,7 @@ from ..autograd.nn import Embedding
 from ..autograd.optim import Adam
 from ..components.kgat import KnowledgeGraphAttention
 from ..components.transr import TransRScorer, transr_loss
+from ..data.chunked import unique_pairs
 from ..data.datasets import RecDataset
 from ..graphs.ckg import build_collaborative_kg, sample_kg_negatives
 from .base import Recommender
@@ -85,8 +86,8 @@ class KGATModel(Recommender):
             self._kg_optimizer.step()
 
     def adapt_to_interactions(self, extra):
-        combined = np.unique(np.concatenate(
-            [self.dataset.split.train, extra]), axis=0)
+        combined = unique_pairs(np.concatenate(
+            [self.dataset.split.train, extra]), self.num_items)
         self.ckg = build_collaborative_kg(
             self.dataset.kg, combined, self.num_users)
         for layer in self.attention_layers:

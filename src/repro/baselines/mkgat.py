@@ -17,6 +17,7 @@ from ..autograd.nn import Embedding, Linear
 from ..autograd.optim import Adam
 from ..components.kgat import KnowledgeGraphAttention
 from ..components.transr import TransRScorer, transr_loss
+from ..data.chunked import unique_pairs
 from ..data.datasets import RecDataset
 from ..data.kg_builder import KnowledgeGraph
 from ..graphs.ckg import build_collaborative_kg, sample_kg_negatives
@@ -134,8 +135,8 @@ class MKGATModel(Recommender):
             self._kg_optimizer.step()
 
     def adapt_to_interactions(self, extra):
-        combined = np.unique(np.concatenate(
-            [self.dataset.split.train, extra]), axis=0)
+        combined = unique_pairs(np.concatenate(
+            [self.dataset.split.train, extra]), self.num_items)
         self.ckg = build_collaborative_kg(
             self.extended_kg, combined, self.num_users)
         for layer in self.attention_layers:

@@ -8,7 +8,8 @@ directory, so nothing catalog-sized is ever resident:
   (the final shape is patched into the fixed-size header on close, so
   the file is a perfectly ordinary array to ``np.load``/mmap);
 * :func:`encode_pairs` / :func:`decode_pairs` — ``(user, item)`` rows
-  to sortable ``user * num_items + item`` keys and back.
+  to sortable ``user * num_items + item`` keys and back;
+  :func:`unique_pairs` deduplicates rows through those keys.
 
 Writers append with plain buffered ``file.write`` — the bytes land in
 the page cache, not in process RSS, which is what keeps the build's
@@ -21,6 +22,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+
+from ..utils.arrays import sorted_unique
 
 # Fixed-size npy header block: magic(6) + version(2) + header-len(2)
 # + header text. Reserving the same padded length for the placeholder
@@ -95,3 +98,12 @@ def decode_pairs(keys: np.ndarray, num_items: int) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.int64)
     return np.column_stack([keys // np.int64(num_items),
                             keys % np.int64(num_items)])
+
+
+def unique_pairs(pairs: np.ndarray, num_items: int) -> np.ndarray:
+    """The distinct ``(user, item)`` rows of ``pairs`` as int64, sorted by
+    user, then item: ``np.unique(pairs, axis=0)`` for items in
+    ``[0, num_items)``, by a sort of their int64 keys in place of a
+    structured-dtype sort of the rows."""
+    return decode_pairs(sorted_unique(encode_pairs(pairs, num_items)),
+                        num_items)

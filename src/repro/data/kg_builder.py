@@ -123,6 +123,11 @@ def _cooccurrence_pairs(interactions: np.ndarray, num_items: int,
     order of the COO form of the CSR product ``matrix.T @ matrix`` (rows
     ascending, each row's columns as scipy's product leaves them), so
     where ``top_k`` cuts a tie group is fixed.
+
+    That is the prefix of a stable argsort of every entry, found without
+    sorting them all: a partition finds the ``top_k``-th largest count,
+    and only the entries at or above it, kept in entry order, are
+    stably sorted.
     """
     import scipy.sparse as sp
 
@@ -133,10 +138,14 @@ def _cooccurrence_pairs(interactions: np.ndarray, num_items: int,
         shape=(int(users.max()) + 1 if len(users) else 1, num_items),
     )
     co = (matrix.T @ matrix).tocoo()
-    off_diagonal = co.row != co.col
-    order = np.argsort(-co.data[off_diagonal], kind="stable")[:top_k]
-    return (co.row[off_diagonal][order].astype(np.int64),
-            co.col[off_diagonal][order].astype(np.int64))
+    kept = co.row != co.col
+    if 0 < top_k < np.count_nonzero(kept):
+        counts = co.data[kept]
+        cut = len(counts) - top_k
+        kept &= co.data >= np.partition(counts, cut)[cut]
+    entries = np.flatnonzero(kept)
+    entries = entries[np.argsort(-co.data[entries], kind="stable")[:top_k]]
+    return co.row[entries].astype(np.int64), co.col[entries].astype(np.int64)
 
 
 def similarity_panels(features: np.ndarray):

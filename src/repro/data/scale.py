@@ -38,8 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..utils.arrays import sorted_unique
-from .chunked import NpyStreamWriter, decode_pairs, encode_pairs
+from .chunked import NpyStreamWriter, encode_pairs, unique_pairs
 from .datasets import RecDataset
 from .kg_builder import RELATION_INDEX, RELATIONS, KnowledgeGraph
 from .splits import ColdStartSplit
@@ -414,8 +413,7 @@ def _dedup_k_core(raw: np.ndarray, config: ScaleConfig) -> np.ndarray:
     the user k-core.  On whole users in ascending blocks this is
     block-additive: the concatenation over blocks equals one call on
     the concatenated stream."""
-    keys = sorted_unique(encode_pairs(raw, config.num_items))
-    return apply_k_core(decode_pairs(keys, config.num_items),
+    return apply_k_core(unique_pairs(raw, config.num_items),
                         k=config.k_core)
 
 

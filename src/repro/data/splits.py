@@ -74,17 +74,24 @@ def make_cold_start_split(interactions: np.ndarray, num_users: int,
                           num_items: int, rng: np.random.Generator,
                           cold_fraction: float = 0.2,
                           train_ratio: float = 0.8) -> ColdStartSplit:
-    """Build the paper's strict cold-start split from raw interactions."""
+    """Build the paper's strict cold-start split from raw interactions.
+
+    ``cold_fraction`` must lie in [0, 1]: outside it, the cold slice of
+    the shuffled items would wrap (a negative count) or swallow every
+    item and leave nothing to train on.
+    """
+    if not 0.0 <= cold_fraction <= 1.0:
+        raise ValueError(f"cold_fraction must be in [0, 1], got "
+                         f"{cold_fraction}")
     items = np.arange(num_items)
     shuffled = rng.permutation(items)
     num_cold = int(round(cold_fraction * num_items))
     cold_items = np.sort(shuffled[:num_cold])
     warm_items = np.sort(shuffled[num_cold:])
-    cold_set = set(cold_items.tolist())
+    is_cold = np.zeros(num_items, dtype=bool)
+    is_cold[cold_items] = True
 
-    cold_mask = np.fromiter(
-        (int(i) in cold_set for i in interactions[:, 1]),
-        dtype=bool, count=len(interactions))
+    cold_mask = is_cold[interactions[:, 1]]
     cold_inter = interactions[cold_mask]
     warm_inter = interactions[~cold_mask]
 

@@ -23,6 +23,7 @@ order parts from id order past 10,000 words), and they label those entities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,13 @@ class WorldConfig:
         if self.words_per_review < 0:
             raise ValueError(f"words_per_review must be >= 0, got "
                              f"{self.words_per_review}")
+        # a negative temperature inverts every user's preferences, and a
+        # zero one divides the scores by zero
+        if not (math.isfinite(self.interaction_temperature)
+                and self.interaction_temperature > 0):
+            raise ValueError(f"interaction_temperature must be a positive "
+                             f"finite number, got "
+                             f"{self.interaction_temperature}")
 
 
 @dataclass
@@ -109,28 +117,68 @@ def _sample_cluster_latents(rng: np.random.Generator, count: int,
     return latents, clusters
 
 
+def _draw_without_replacement(rng: np.random.Generator, row: np.ndarray,
+                              count: int) -> list[int]:
+    """``count`` distinct indices of ``row``, drawn with probabilities
+    ``row`` (non-negative, summing to 1), in draw order.
+
+    Runs the rounds ``rng.choice(len(row), count, replace=False, p=row)``
+    runs, without its per-call validation, copy and ``np.unique``: each
+    round draws one ``rng.random`` per missing index, zeroes the indices
+    already found, inverts the renormalised cumulative sum and keeps
+    each new index's first occurrence.  The same doubles are drawn in
+    the same order, so the indices, and the generator state after them,
+    are ``choice``'s.  Zeroes the found indices of ``row`` in place.
+
+    Raises ``ValueError`` where ``choice`` does: a NaN in ``row``, or
+    fewer non-zero entries than ``count``.  Otherwise every round finds
+    at least one new index (a zeroed entry has no width in the
+    cumulative sum), so the loop ends.
+    """
+    if np.isnan(row).any():
+        raise ValueError("Probabilities contain NaN")
+    if np.count_nonzero(row) < count:
+        raise ValueError("Fewer non-zero entries in p than size")
+    found: list[int] = []
+    while len(found) < count:
+        draws = rng.random(count - len(found))
+        row[found] = 0.0
+        cdf = np.cumsum(row)
+        cdf /= cdf[-1]
+        found.extend(dict.fromkeys(
+            cdf.searchsorted(draws, side="right").tolist()))
+    return found
+
+
 def _sample_interactions(rng: np.random.Generator, config: WorldConfig,
                          user_latents: np.ndarray,
                          item_latents: np.ndarray) -> np.ndarray:
     """Draw user-item interactions from a softmax preference model.
 
     Per-user interaction counts follow a shifted geometric distribution to
-    mimic the long-tailed activity of real platforms.
+    mimic the long-tailed activity of real platforms.  The softmax of
+    every user's row is taken at once, in place on the score matrix;
+    each row holds the bits of that user's own softmax.  Each user then
+    draws a count and that many distinct items
+    (:func:`_draw_without_replacement`).
     """
-    scores = user_latents @ item_latents.T
-    pairs: list[tuple[int, int]] = []
+    probs = user_latents @ item_latents.T
+    probs /= config.interaction_temperature
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     mean_extra = max(config.interactions_per_user_mean - 5.0, 0.5)
+    items: list[int] = []
+    counts = np.empty(config.num_users, dtype=np.int64)
     for user in range(config.num_users):
         # 5-core filter is applied downstream, so draw at least 5.
         count = 5 + rng.geometric(1.0 / (1.0 + mean_extra)) - 1
         count = min(count, config.num_items - 1)
-        logits = scores[user] / config.interaction_temperature
-        logits = logits - logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        items = rng.choice(config.num_items, size=count, replace=False, p=probs)
-        pairs.extend((user, int(item)) for item in items)
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        items.extend(_draw_without_replacement(rng, probs[user], count))
+        counts[user] = count
+    return np.column_stack([
+        np.repeat(np.arange(config.num_users, dtype=np.int64), counts),
+        np.asarray(items, dtype=np.int64)])
 
 
 def _project_features(rng: np.random.Generator, latents: np.ndarray,

@@ -6,6 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..autograd.sparse import build_bipartite_adjacency, symmetric_normalize
+from ..data.chunked import unique_pairs
 
 
 class InteractionGraph:
@@ -50,6 +51,6 @@ class InteractionGraph:
         Used by the normal cold-start protocol (Table VI), where the *known*
         half of cold interactions becomes available at inference.
         """
-        combined = np.concatenate([self.interactions, extra])
-        combined = np.unique(combined, axis=0)
+        combined = unique_pairs(np.concatenate([self.interactions, extra]),
+                                self.num_items)
         return InteractionGraph(self.num_users, self.num_items, combined)

@@ -4,8 +4,11 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.data.chunked import NpyStreamWriter, decode_pairs, encode_pairs
+from repro.data.chunked import (NpyStreamWriter, decode_pairs, encode_pairs,
+                                unique_pairs)
 
 
 def random_pairs(rng, rows=500, num_users=40, num_items=30):
@@ -66,3 +69,34 @@ class TestPairEncoding:
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
         keys = encode_pairs(pairs[order], num_items=30)
         assert (np.diff(keys) >= 0).all()
+
+
+def assert_unique_pairs_match_np_unique(pairs, num_items):
+    want = np.unique(pairs, axis=0)
+    got = unique_pairs(pairs, num_items)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestUniquePairs:
+    """``np.unique(pairs, axis=0)`` is the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_equals_np_unique_rows(self, num_items, data):
+        pairs = np.array(data.draw(st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, num_items - 1)),
+            max_size=60)), dtype=np.int64).reshape(-1, 2)
+        assert_unique_pairs_match_np_unique(pairs, num_items)
+
+    def test_empty(self):
+        assert_unique_pairs_match_np_unique(
+            np.empty((0, 2), dtype=np.int64), 5)
+
+    def test_all_duplicates(self):
+        assert_unique_pairs_match_np_unique(
+            np.tile(np.array([[3, 4]], dtype=np.int64), (7, 1)), 5)
+
+    def test_random_pairs(self, rng):
+        assert_unique_pairs_match_np_unique(random_pairs(rng), 30)

@@ -12,7 +12,8 @@ import scipy.sparse as sp
 import text_reference
 from repro.data import kg_builder
 from repro.data.kg_builder import (RELATION_INDEX, RELATIONS,
-                                   _similarity_pairs, build_knowledge_graph)
+                                   _cooccurrence_pairs, _similarity_pairs,
+                                   build_knowledge_graph)
 from repro.data.world import WorldConfig, generate_world
 
 MODULE_WORLD = WorldConfig(
@@ -218,6 +219,60 @@ class TestSelfPairs:
                              == RELATION_INDEX["also_viewed"]]
         assert len(viewed) == num_items * (num_items - 1)
         assert not np.any(viewed[:, 0] == viewed[:, 2])
+
+
+def full_sort_cooccurrence_pairs(interactions, num_items, top_k):
+    """The plain stable argsort of every off-diagonal count."""
+    users = interactions[:, 0]
+    items = interactions[:, 1]
+    matrix = sp.csr_matrix((np.ones(len(items)), (users, items)),
+                           shape=(int(users.max()) + 1, num_items))
+    co = (matrix.T @ matrix).tocoo()
+    off_diagonal = co.row != co.col
+    order = np.argsort(-co.data[off_diagonal], kind="stable")[:top_k]
+    return (co.row[off_diagonal][order].astype(np.int64),
+            co.col[off_diagonal][order].astype(np.int64))
+
+
+COOCCURRENCE_TOP_K = {
+    "zero": lambda num_items, entries: 0,
+    "seven": lambda num_items, entries: 7,
+    "num-items": lambda num_items, entries: num_items,
+    "entries": lambda num_items, entries: entries,
+    "above-entries": lambda num_items, entries: entries + 5,
+}
+
+
+class TestCooccurrenceSelection:
+    """The partition keeps the full stable sort's prefix, in its order,
+    on the train-catalog world (437,614 entries)."""
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        world = generate_world(text_reference.CATALOG_WORLD)
+        users, items = world.interactions.T
+        matrix = sp.csr_matrix((np.ones(len(items)), (users, items)))
+        co = (matrix.T @ matrix).tocoo()
+        return world, co.data[co.row != co.col]
+
+    @pytest.mark.parametrize("top_k", list(COOCCURRENCE_TOP_K))
+    def test_equals_the_full_stable_sort(self, catalog, top_k):
+        world, counts = catalog
+        num_items = world.config.num_items
+        top_k = COOCCURRENCE_TOP_K[top_k](num_items, len(counts))
+        got = _cooccurrence_pairs(world.interactions, num_items, top_k)
+        want = full_sort_cooccurrence_pairs(world.interactions, num_items,
+                                            top_k)
+        assert len(got[0]) == min(top_k, len(counts))
+        for got_side, want_side in zip(got, want):
+            assert got_side.dtype == want_side.dtype
+            assert got_side.tobytes() == want_side.tobytes()
+
+    def test_the_default_cut_falls_inside_a_tie(self, catalog):
+        world, counts = catalog
+        ranked = np.sort(counts)[::-1]
+        num_items = world.config.num_items
+        assert ranked[num_items - 1] == ranked[num_items]
 
 
 @pytest.mark.parametrize("panel_elements", [50, 120, 1000])

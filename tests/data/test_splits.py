@@ -66,6 +66,30 @@ class TestPartition:
         assert warm_users <= train_users
 
 
+class TestValidation:
+    @pytest.mark.parametrize("cold_fraction", [-0.2, 1.5])
+    def test_rejects_cold_fraction_outside_unit_interval(self,
+                                                         cold_fraction):
+        """-0.2 would slice 16 of 20 items cold from the end of the
+        shuffle, 1.5 every item, leaving no training set."""
+        world = generate_world(WorldConfig(num_users=30, num_items=20,
+                                           seed=1))
+        with pytest.raises(ValueError, match="cold_fraction"):
+            make_cold_start_split(world.interactions, 30, 20,
+                                  np.random.default_rng(0),
+                                  cold_fraction=cold_fraction)
+
+    @pytest.mark.parametrize("cold_fraction, num_cold", [(0.0, 0),
+                                                         (1.0, 20)])
+    def test_accepts_the_edges(self, cold_fraction, num_cold):
+        world = generate_world(WorldConfig(num_users=30, num_items=20,
+                                           seed=1))
+        split = make_cold_start_split(world.interactions, 30, 20,
+                                      np.random.default_rng(0),
+                                      cold_fraction=cold_fraction)
+        assert len(split.cold_items) == num_cold
+
+
 class TestHelpers:
     def test_is_cold_mask(self, split):
         mask = split.is_cold

@@ -2,7 +2,10 @@
 
 Reviews are drawn as one word-id matrix; the per-review loop that drew
 them as strings is kept in ``text_reference.py``, and the matrix must
-hold its words and leave the generator in its state.
+hold its words and leave the generator in its state.  Interactions are
+drawn without ``Generator.choice``; the per-user ``rng.choice`` loop
+that drew them is kept here, and the draw must return its bytes and
+leave the generator in its state.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from hypothesis import strategies as st
 import text_reference as reference
 from repro.data.amazon import beauty_config
 from repro.data.weixin import weixin_config
-from repro.data.world import (WorldConfig, _sample_reviews, apply_k_core,
-                              generate_world)
+from repro.data.world import (WorldConfig, _draw_without_replacement,
+                              _sample_interactions, _sample_reviews,
+                              apply_k_core, generate_world)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,16 @@ SAMPLING_WORLDS = {
 }
 
 
+def twin_generators(seed: int, skip: int):
+    """Two generators in one state; ``skip`` 32-bit draws leave a
+    buffered half in PCG64."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10, size=skip)
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return rng, twin
+
+
 class TestReviewSampling:
     @pytest.mark.parametrize("skip", [0, 1], ids=["fresh", "mid-stream"])
     @pytest.mark.parametrize("case", list(SAMPLING_WORLDS))
@@ -127,10 +141,7 @@ class TestReviewSampling:
         one that holds a buffered half."""
         config = SAMPLING_WORLDS[case]()
         world = generate_world(config)
-        rng = np.random.default_rng(config.seed + 100)
-        rng.integers(0, 10, size=skip)
-        twin = np.random.default_rng()
-        twin.bit_generator.state = rng.bit_generator.state
+        rng, twin = twin_generators(config.seed + 100, skip)
         got = _sample_reviews(rng, config, world.interactions,
                               world.item_clusters)
         want = reference.sample_reviews(twin, config, world.interactions,
@@ -144,12 +155,103 @@ class TestReviewSampling:
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
+def reference_sample_interactions(rng, config, user_latents, item_latents):
+    """The per-user ``rng.choice`` loop the draw must equal byte for
+    byte, generator state included."""
+    scores = user_latents @ item_latents.T
+    pairs: list[tuple[int, int]] = []
+    mean_extra = max(config.interactions_per_user_mean - 5.0, 0.5)
+    for user in range(config.num_users):
+        count = 5 + rng.geometric(1.0 / (1.0 + mean_extra)) - 1
+        count = min(count, config.num_items - 1)
+        logits = scores[user] / config.interaction_temperature
+        logits = logits - logits.max()
+        probs = np.exp(logits)
+        probs /= probs.sum()
+        items = rng.choice(config.num_items, size=count, replace=False,
+                           p=probs)
+        pairs.extend((user, int(item)) for item in items)
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+class TestInteractionSampling:
+    @pytest.mark.parametrize("skip", [0, 1], ids=["fresh", "mid-stream"])
+    @pytest.mark.parametrize("case", list(SAMPLING_WORLDS))
+    def test_matches_the_per_user_choice_loop(self, case, skip):
+        config = SAMPLING_WORLDS[case]()
+        world = generate_world(config)
+        rng, twin = twin_generators(config.seed + 100, skip)
+        got = _sample_interactions(rng, config, world.user_latents,
+                                   world.item_latents)
+        want = reference_sample_interactions(
+            twin, config, world.user_latents, world.item_latents)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_underflowing_softmax_raises_on_both_sides(self):
+        """At temperature 1e-4 most of a user's probabilities underflow
+        to 0, leaving fewer non-zero items than the count: both sides
+        raise, and neither loops."""
+        world = generate_world(small_world())
+        config = small_world(interaction_temperature=1e-4)
+        rng, twin = twin_generators(5, 0)
+        with pytest.raises(ValueError, match="non-zero"):
+            _sample_interactions(rng, config, world.user_latents,
+                                 world.item_latents)
+        with pytest.raises(ValueError, match="non-zero"):
+            reference_sample_interactions(twin, config, world.user_latents,
+                                          world.item_latents)
+
+
+class TestDrawWithoutReplacement:
+    def test_raises_on_nan(self):
+        rng, twin = twin_generators(0, 0)
+        row = np.array([0.5, np.nan])
+        with pytest.raises(ValueError, match="NaN"):
+            _draw_without_replacement(rng, row, 1)
+        with pytest.raises(ValueError, match="NaN"):
+            twin.choice(2, size=1, replace=False, p=row)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_raises_on_too_few_non_zero_entries(self):
+        rng, twin = twin_generators(0, 0)
+        row = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="non-zero"):
+            _draw_without_replacement(rng, row, 2)
+        with pytest.raises(ValueError, match="non-zero"):
+            twin.choice(3, size=2, replace=False, p=row)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_takes_every_non_zero_entry(self):
+        """Every non-zero entry is drawn, the one at 1e-300 too: it has
+        no width in the cumulative sum until the 1.0 beside it is
+        zeroed."""
+        row = np.array([0.0, 1.0, 0.0, 1e-300, 0.0])
+        row /= row.sum()
+        rng, twin = twin_generators(3, 0)
+        got = _draw_without_replacement(rng, row.copy(), 2)
+        want = twin.choice(len(row), size=2, replace=False, p=row)
+        assert got == want.tolist() == [1, 3]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_count_zero_draws_nothing(self):
+        rng, twin = twin_generators(0, 0)
+        assert _draw_without_replacement(rng, np.array([1.0]), 0) == []
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("overrides, field", [
         ({"vocab_size": 20, "cluster_vocab_size": 30},
          "cluster_vocab_size"),
         ({"cluster_vocab_size": 0}, "cluster_vocab_size"),
         ({"words_per_review": -1}, "words_per_review"),
+        # preferences inverted: users would pick their lowest scores
+        ({"interaction_temperature": -1.0}, "interaction_temperature"),
+        # scores divided by zero: NaN probabilities in the draw
+        ({"interaction_temperature": 0.0}, "interaction_temperature"),
     ])
     def test_rejects_out_of_range_fields(self, overrides, field):
         with pytest.raises(ValueError, match=field):
