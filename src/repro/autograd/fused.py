@@ -1,8 +1,9 @@
-"""Fused kernels for the knowledge-graph attention and TransR scorer.
+"""Fused kernels for the KG attention, TransR and the discriminator.
 
-The knowledge-graph attention layer (paper eq. 9-13) and the TransR
-scorer (eq. 30) each run as a *single* autograd node that returns one
-pre-summed gradient per parent.
+The knowledge-graph attention layer (paper eq. 9-13), the TransR
+scorer (eq. 30) and one pass of Firzen's discriminator (eq. 26-27)
+each run as a *single* autograd node that returns one pre-summed
+gradient per parent.
 
 Distinct-row projections
 ------------------------
@@ -36,14 +37,26 @@ Everything per-triplet runs through operators that
 TransR computes ``(x_h - x_t) W_r + e_r`` with one GEMM and one
 ``grad_w[r]`` per relation.
 
+Discriminator pass
+------------------
+:func:`discriminator_pass` runs Linear -> LeakyReLU -> BatchNorm1d ->
+Dropout -> Linear -> Sigmoid -> mean (or sum) over the layers of a
+``Sequential``, which keeps owning the parameters, the batch-norm
+running statistics and the dropout generator. Given a factored pair
+``(U, I)`` instead of explicit rows, the first layer is
+``U (I^T W1)``: the ``len(U) x len(I)`` matrix ``U I^T`` is never
+built. A ``frozen`` pass takes no parameter gradients.
+
 Numerics
 --------
-The kernels are not bit-identical to the per-relation graphs they
-replaced (GEMM shapes and summation order differ). The per-relation
-graphs stay in ``tests/autograd/test_fused.py`` as the reference, held to
-``1e-12`` for one call and ``1e-10`` for parameters and losses after
-training; finite differences in ``tests/autograd/test_gradcheck.py``
-cover both SDDMM branches and duplicate CSR entries.
+The kernels are not bit-identical to the graphs they replaced (GEMM
+shapes and summation order differ). Those graphs stay in the tests as
+the reference (the per-relation graphs in
+``tests/autograd/test_fused.py``, the ``Sequential`` network in
+``tests/core/test_discriminator.py``), held to ``1e-12`` for one call
+and ``1e-10`` for parameters and losses after training; finite
+differences in ``tests/autograd/test_gradcheck.py`` cover both SDDMM
+branches, duplicate CSR entries and both discriminator input forms.
 """
 
 from __future__ import annotations
@@ -307,5 +320,115 @@ def transr_scores(entity_emb: Tensor, w_list: list, rel_emb: Tensor,
         return tuple([grad_entity, grad_e] + grad_w)
 
     out._parents = tuple([entity_emb, rel_emb] + list(w_list))
+    out._backward = backward
+    return out
+
+
+def discriminator_mask(network, num_rows: int) -> np.ndarray | None:
+    """The inverted-dropout mask of one training pass over ``num_rows``
+    rows, drawn from the network's ``Dropout`` generator as that module
+    draws it (``rng.random(shape) < keep``, scaled by ``1 / keep``);
+    ``None`` in eval mode or at rate 0."""
+    drop, linear2 = network.layers[3], network.layers[4]
+    if not drop.training or drop.rate <= 0.0:
+        return None
+    keep = 1.0 - drop.rate
+    shape = (num_rows, linear2.weight.shape[0])
+    return (drop.rng.random(shape) < keep).astype(
+        linear2.weight.data.dtype) / keep
+
+
+def discriminator_pass(network, rows: Tensor, items: Tensor | None = None,
+                       *, reduce: str = "mean", frozen: bool = False,
+                       mask: np.ndarray | None = None) -> Tensor:
+    """Fused eq. 26: the mean (or ``reduce="sum"``) score of one pass of
+    ``network`` — a ``Sequential`` of Linear, LeakyReLU, BatchNorm1d,
+    Dropout, Linear and Sigmoid — as one node.
+
+    ``rows`` are the input rows or, with ``items``, the factors of the
+    rows ``rows @ items.T``. In training mode the batch statistics
+    normalize, the running statistics update with ``BatchNorm1d``'s
+    expressions, and ``mask`` (by default a fresh
+    :func:`discriminator_mask`) drops units; in eval mode the running
+    statistics normalize and nothing drops. A ``frozen`` pass returns
+    gradients for its inputs only.
+    """
+    linear1, act, bn, _, linear2, _ = network.layers
+    params = (linear1.weight, linear1.bias, bn.gamma, bn.beta,
+              linear2.weight, linear2.bias)
+    w1, b1, gamma, beta, w2, b2 = (p.data for p in params)
+    backend = _active_backend()
+    x = rows.data
+    n = len(x)
+    if items is None:
+        pre = backend.matmul(x, w1) + b1
+    else:
+        item_w = backend.matmul(items.data.T, w1)
+        pre = backend.matmul(x, item_w) + b1
+    slope = act.negative_slope
+    hidden = np.where(pre > 0.0, pre, slope * pre)
+    training = bn.training
+    if training:
+        mean = hidden.sum(axis=0, keepdims=True) * (1.0 / n)
+        centered = hidden - mean
+        var = (centered * centered).sum(axis=0, keepdims=True) * (1.0 / n)
+        bn.running_mean = ((1 - bn.momentum) * bn.running_mean
+                           + bn.momentum * mean.ravel())
+        bn.running_var = ((1 - bn.momentum) * bn.running_var
+                          + bn.momentum * var.ravel())
+        std = backend.sqrt(var + bn.eps)
+        norm = centered / std
+    else:
+        std = np.sqrt(bn.running_var + bn.eps)
+        norm = (hidden - bn.running_mean) / std
+    if mask is None:
+        mask = discriminator_mask(network, n)
+    dropped = norm * gamma + beta
+    if mask is not None:
+        dropped *= mask
+    scores = backend.sigmoid(backend.matmul(dropped, w2) + b2)
+    scale = 1.0 / scores.size if reduce == "mean" else 1.0
+    total = scores.sum() * scale
+
+    inputs = (rows,) if items is None else (rows, items)
+    parents = inputs if frozen else inputs + params
+    requires = any(p.requires_grad for p in parents)
+    out = Tensor(total, requires_grad=requires)
+    if not requires:
+        return out
+
+    def backward(g):
+        g_pre2 = np.broadcast_to(g * scale, scores.shape) \
+            * scores * (1.0 - scores)
+        g_scaled = backend.matmul(g_pre2, w2.T)
+        if mask is not None:
+            g_scaled *= mask
+        g_norm = g_scaled * gamma
+        if training:
+            g_hidden = (g_norm - g_norm.mean(axis=0)
+                        - norm * (g_norm * norm).mean(axis=0)) / std
+        else:
+            g_hidden = g_norm / std
+        g_pre = g_hidden * np.where(pre > 0.0, 1.0, slope)
+        if items is None:
+            grads = [backend.matmul(g_pre, w1.T)
+                     if rows.requires_grad else None]
+            grad_w1 = None if frozen else backend.matmul(x.T, g_pre)
+        else:
+            g_item_w = backend.matmul(x.T, g_pre)
+            grads = [backend.matmul(g_pre, item_w.T)
+                     if rows.requires_grad else None,
+                     backend.matmul(w1, g_item_w.T)
+                     if items.requires_grad else None]
+            grad_w1 = (None if frozen
+                       else backend.matmul(items.data, g_item_w))
+        if not frozen:
+            grads += [grad_w1, g_pre.sum(axis=0),
+                      (g_scaled * norm).sum(axis=0), g_scaled.sum(axis=0),
+                      backend.matmul(dropped.T, g_pre2),
+                      g_pre2.sum(axis=0)]
+        return tuple(grads)
+
+    out._parents = parents
     out._backward = backward
     return out

@@ -4,11 +4,20 @@ Architecture follows the paper exactly:
 ``D(x) = sigmoid(Drop(BN(LeakyReLU(Linear(x)))))``, applied to rows of a
 (virtual or augmented) user-item interaction matrix.
 
+Every pass runs as one fused node,
+:func:`repro.autograd.fused.discriminator_pass`, over the layers of the
+``network`` (which owns the parameters, the batch-norm statistics and
+the dropout generator). The generator scores a *frozen* D on the
+*factored* virtual graph: given user vectors ``U`` and item vectors
+``I``, the first layer is ``U (I^T W1)``, so the users x items matrix is
+never built, and no parameter gradient is taken.
+
 Substitution note: the paper's gradient penalty needs second-order autodiff,
 which our tape engine does not provide. We use a *finite-difference*
 directional gradient penalty: sample a random unit direction ``v``, estimate
 ``||nabla D|| ~ |D(x + eps v) - D(x)| / eps`` along it, and penalize its
-deviation from 1. This is differentiable with first-order autodiff and
+deviation from 1. Both passes apply one dropout mask, so they differ only
+by the perturbation. This is differentiable with first-order autodiff and
 enforces the same 1-Lipschitz objective in expectation over directions.
 """
 
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, fused
 from ..autograd.nn import (BatchNorm1d, Dropout, LeakyReLU, Linear, Module,
                            Sequential, Sigmoid)
 
@@ -39,17 +48,25 @@ class GraphRowDiscriminator(Module):
         )
         self._fd_rng = np.random.default_rng(int(rng.integers(0, 2 ** 31)))
 
-    def forward(self, rows: Tensor) -> Tensor:
-        """Mean discriminator score over the batch of rows."""
-        return self.network(rows).mean()
+    def forward(self, rows: Tensor, items: Tensor | None = None,
+                frozen: bool = False) -> Tensor:
+        """Mean discriminator score over ``rows`` or, given ``items``,
+        over the rows of ``rows @ items.T``; a ``frozen`` pass takes no
+        parameter gradients."""
+        return fused.discriminator_pass(self.network, rows, items,
+                                        frozen=frozen)
 
     def gradient_penalty(self, interpolated: Tensor,
                          eps: float = 1e-2) -> Tensor:
         """Finite-difference one-sided gradient penalty (see module doc)."""
         direction = self._fd_rng.normal(size=interpolated.shape)
         direction /= max(np.linalg.norm(direction), 1e-12)
-        base = self.network(interpolated).sum()
-        shifted = self.network(interpolated + Tensor(eps * direction)).sum()
+        mask = fused.discriminator_mask(self.network, len(interpolated))
+        base = fused.discriminator_pass(self.network, interpolated,
+                                        reduce="sum", mask=mask)
+        shifted = fused.discriminator_pass(
+            self.network, interpolated + Tensor(eps * direction),
+            reduce="sum", mask=mask)
         grad_norm = ((shifted - base) * (1.0 / eps)).abs()
         return (grad_norm - 1.0) ** 2
 

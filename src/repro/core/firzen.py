@@ -9,10 +9,11 @@ Pipeline (paper Fig. 4):
 3. **MSHGL** — item-item and user-user homogeneous propagation with
    dependency-aware multi-head fusion (eq. 18-21).
 
-Training optimizes BPR + adversarial + contrastive losses (eq. 32) and
-alternates with the TransR KG objective (eq. 30). Inference expands the
-item-item graphs to strict cold-start items under the cold->warm mask
-(eq. 34-35).
+Training optimizes BPR + adversarial + contrastive losses (eq. 32)
+against a frozen discriminator, and alternates with the discriminator's
+own WGAN-GP phase (eq. 26-27) and the TransR KG objective (eq. 30).
+Inference expands the item-item graphs to strict cold-start items under
+the cold->warm mask (eq. 34-35).
 """
 
 from __future__ import annotations
@@ -161,13 +162,13 @@ class FirzenModel(Recommender):
 
         unique_users = sorted_unique(users)
         # Adversarial generator term: make each modality's virtual graph
-        # look real to the (frozen) discriminator.
+        # look real to the frozen discriminator, scored on its factors.
         if self.config.adv_weight > 0 and modality_raw:
             adv = None
             for modality, (x_u, x_i, _) in modality_raw.items():
-                virtual = x_u.take_rows(unique_users).normalize().matmul(
-                    x_i.normalize().transpose())
-                term = -self.discriminator(virtual)
+                term = -self.discriminator(
+                    x_u.take_rows(unique_users).normalize(),
+                    x_i.normalize(), frozen=True)
                 adv = term if adv is None else adv + term
             total = total + self.config.adv_weight * adv
 
@@ -250,13 +251,19 @@ class FirzenModel(Recommender):
 
         # Record post-update scores for the beta momentum rule.
         for modality in modality_raw:
-            self._last_disc_scores[modality] = float(
-                self.discriminator(Tensor(virtual_rows[modality])).item())
+            self._last_disc_scores[modality] = float(self.discriminator(
+                Tensor(virtual_rows[modality]), frozen=True).item())
 
     def on_epoch_end(self, epoch: int):
         if (self.config.use_modality and self.modalities
                 and not self.config.freeze_beta):
             self.fusion.update_beta(self._last_disc_scores)
+
+    def parameters(self):
+        """The trainer's parameters: all but the discriminator's, which
+        only ``_disc_optimizer`` steps (eq. 26-27)."""
+        disc = {id(p) for p in self.discriminator.parameters()}
+        return [p for p in super().parameters() if id(p) not in disc]
 
     # ------------------------------------------------------------------
     # inference

@@ -32,7 +32,7 @@ from ..train.trainer import GRAD_CLIP, TrainConfig
 
 #: bump when training/evaluation semantics change in a way that makes
 #: previously-stored artifacts stale (bit-level results differ)
-PIPELINE_VERSION = 2
+PIPELINE_VERSION = 3
 
 #: dataset size presets accepted by the loaders (large/xlarge exist only
 #: on the streamed ``dataset="scale"`` path)

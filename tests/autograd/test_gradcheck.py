@@ -6,7 +6,7 @@ Two layers of coverage:
 * :class:`TestPrimitiveGrid` — every primitive ``Tensor.backward``
   sweeps through (``src/repro/autograd/tensor.py``), over a grid of
   random shapes and parameter dtypes, plus the fused KGAT-attention /
-  TransR kernels and the row-sparse gather paths.
+  TransR / discriminator kernels and the row-sparse gather paths.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import scipy.sparse as sp
 
 from repro.autograd import Tensor, concat, infonce, sparse_matmul, stack
 from repro.autograd import fused
+from repro.autograd.nn import (BatchNorm1d, Dropout, LeakyReLU, Linear,
+                               Sequential, Sigmoid)
 from repro.autograd.rowsparse import RowSparseGrad
 from repro.backend import ArrayBackend, active
 
@@ -332,6 +334,37 @@ class TestFusedKernelGradcheck:
                   e, [w0, w1], r, heads, relations, tails),
               rng.normal(size=(5, 3)), rng.normal(size=(3, 2)),
               rng.normal(size=(3, 2)), rng.normal(size=(2, 2)))
+
+    @pytest.mark.parametrize("training", [True, False],
+                             ids=["train", "eval"])
+    @pytest.mark.parametrize("form", ["rows", "factored"])
+    def test_discriminator_pass(self, rng, form, training):
+        network = Sequential(Linear(6, 4, rng), LeakyReLU(0.2),
+                             BatchNorm1d(4), Dropout(0.2, rng),
+                             Linear(4, 1, rng), Sigmoid())
+        bn = network.layers[2]
+        bn.running_mean = rng.normal(scale=0.1, size=4)
+        bn.running_var = rng.uniform(0.5, 1.5, size=4)
+        if not training:
+            network.eval()
+        # One mask for every pass; the batch statistics, not the
+        # running ones the passes update, normalize in training mode.
+        mask = fused.discriminator_mask(network, 5)
+        owners = [(0, "weight"), (0, "bias"), (2, "gamma"), (2, "beta"),
+                  (4, "weight"), (4, "bias")]
+        inputs = ([rng.normal(size=(5, 6))] if form == "rows"
+                  else [rng.normal(size=(5, 3)), rng.normal(size=(6, 3))])
+        params = [getattr(network.layers[i], name).data
+                  for i, name in owners]
+
+        def run(*tensors):
+            split = len(inputs)
+            for (i, name), param in zip(owners, tensors[split:]):
+                setattr(network.layers[i], name, param)
+            return fused.discriminator_pass(network, *tensors[:split],
+                                            mask=mask)
+
+        check(run, *inputs, *params)
 
 
 class TestGraphStructure:

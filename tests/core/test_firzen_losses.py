@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import FirzenConfig, FirzenModel
+from repro.train import trainer
 
 
 def _model(dataset, **config_kwargs):
@@ -49,17 +50,43 @@ class TestObjectiveTerms:
             assert encoder.projector.weight.grad is not None
         assert model.knowledge.entity_emb.weight.grad is not None
 
-    def test_discriminator_not_updated_by_generator_loss(self, tiny_dataset):
-        """The adversarial term in loss() trains the *generator* side; the
-        discriminator's own update happens in extra_step."""
+    def test_discriminator_not_updated_by_generator_loss(self, tiny_dataset,
+                                                         monkeypatch):
+        """The adversarial term in loss() trains the *generator* side
+        against a frozen discriminator; the discriminator's own update
+        happens in extra_step."""
+        model = _model(tiny_dataset, adv_weight=0.5)
+        disc_ids = {id(p) for p in model.discriminator.parameters()}
+        built = []
+
+        class RecordingAdam(trainer.Adam):
+            def __init__(self, params, *args, **kwargs):
+                super().__init__(params, *args, **kwargs)
+                built.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "Adam", RecordingAdam)
+            trainer.train_model(model, tiny_dataset,
+                                trainer.TrainConfig(epochs=1))
+        assert len(built) == 1
+        assert not disc_ids & {id(p) for p in built[0].params}
+
+        # One generator step, as the trainer runs it, leaves D's six
+        # parameters bit-identical and gives them no gradient.
         users, pos, neg = _warm_batch(tiny_dataset)
         model = _model(tiny_dataset, adv_weight=0.5)
         before = model.discriminator.state_dict()
-        loss = model.loss(users, pos, neg)
-        loss.backward()
-        # gradient may exist, but the trainer only steps model.parameters()
-        # through the main optimizer — discriminator has its own.
-        # Here we check extra_step actually moves the discriminator.
+        assert len(before) == 6
+        optimizer = trainer.Adam(model.parameters(), lr=0.05)
+        optimizer.zero_grad()
+        model.loss(users, pos, neg).backward()
+        trainer.clip_grad_norm(optimizer.params, trainer.GRAD_CLIP)
+        optimizer.step()
+        assert all(p.grad is None for p in model.discriminator.parameters())
+        after = model.discriminator.state_dict()
+        for key in before:
+            assert np.array_equal(before[key], after[key]), key
+
         model.extra_step()
         after = model.discriminator.state_dict()
         moved = any(not np.allclose(before[k], after[k]) for k in before)
