@@ -66,13 +66,6 @@ class Module:
         named = self.named_parameters()
         for name, value in state.items():
             if name not in named:
-                # Legacy checkpoints stored today's stacked per-relation
-                # projections as separate ``name[i]`` entries; fold each
-                # block into the stacked parameter it became.
-                target, index = _stacked_block_target(named, name, value)
-                if target is not None:
-                    target.data[index][...] = value
-                    continue
                 raise KeyError(f"unknown parameter {name!r}")
             if named[name].data.shape != value.shape:
                 raise ValueError(
@@ -92,25 +85,6 @@ class Module:
 
     def load_training_state(self, state: dict) -> None:
         """Restore what :meth:`training_state` captured."""
-
-
-def _stacked_block_target(named: dict, name: str, value):
-    """Resolve a legacy ``base[i]`` state key against a parameter that
-    is now one stacked tensor named ``base`` (one leading block axis).
-    Returns ``(tensor, index)`` or ``(None, None)``."""
-    if not name.endswith("]"):
-        return None, None
-    base, _, index_part = name[:-1].rpartition("[")
-    if not base or not index_part.isdigit():
-        return None, None
-    target = named.get(base)
-    index = int(index_part)
-    if (target is not None
-            and target.data.ndim == np.ndim(value) + 1
-            and index < target.data.shape[0]
-            and target.data.shape[1:] == np.shape(value)):
-        return target, index
-    return None, None
 
 
 def _collect(value, seen: set[int]) -> list[Tensor]:

@@ -6,20 +6,22 @@ Commands
     Print Table-I style statistics for the built-in benchmarks.
 ``train``
     Train one model on one benchmark, print Cold/Warm/HM metrics, and
-    optionally save a checkpoint.
+    optionally write it as a checkpoint directory (``--checkpoint``).
 ``evaluate``
-    Load a checkpoint and re-run the all-ranking evaluation.
+    Rebuild a checkpoint's model from the spec in its manifest and
+    re-run the all-ranking evaluation.
 ``compare``
     Train several models and print the comparison table.
 ``models``
     List the registered models and their families.
 ``export-embeddings``
-    Snapshot a trained model (fresh or from a checkpoint) into a serving
-    ``EmbeddingStore`` — an mmap-able directory of raw arrays.
+    Snapshot a trained model (from the flags or a checkpoint) into a
+    serving ``EmbeddingStore`` — an mmap-able directory of raw arrays.
 ``serve``
-    Answer batched top-k queries from a store/checkpoint/fresh model —
-    interactive REPL or file-driven — including online ``ingest`` of
-    brand-new cold items and hot ``swap`` to a newer store.
+    Answer batched top-k queries from a store, a checkpoint or the
+    flags' model — interactive REPL or file-driven — including online
+    ``ingest`` of brand-new cold items and hot ``swap`` to a newer
+    store.
     ``--daemon`` starts the stdlib-HTTP JSON service instead
     (micro-batched admission queue, atomic snapshot hot-swap via
     ``POST /swap`` to stores in the ``--store`` path's parent directory;
@@ -65,6 +67,15 @@ Commands
     million-item store (``--serving-scale`` shrinks it);
     ``--scaling-out`` records the combined tables as the Table-VII
     scaling addendum.
+
+``train``, ``compare``, ``export-embeddings`` and ``serve`` (without
+``--store``) turn their flags into an experiment spec and train through
+the runner ``run`` uses, so trained models and metrics are cached in
+the same artifact store and a killed training resumes from its
+snapshot. A checkpoint (``--checkpoint``) is an array directory whose
+manifest records the model and the spec that built it; ``evaluate`` and
+``--checkpoint`` rebuild the model from that spec. A ``.npz`` archive of
+an older release is a usage error.
 """
 
 from __future__ import annotations
@@ -73,13 +84,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baselines import available_models, create_model, model_family
+from .baselines import available_models, model_family
 from .baselines.registry import EXTRA_MODELS
 from .data import load_amazon, load_weixin
 from .eval import evaluate_model
+from .experiments import ExperimentSpec, Runner, comparison_rows
+from .experiments.runner import save_trained
 from .serve import EmbeddingStore, ServingSession
-from .train import TrainConfig, train_model
-from .train.checkpoint import load_checkpoint, save_checkpoint
+from .train import TrainConfig
 from .utils.tables import format_table, scenario_rows
 
 DATASETS = ("beauty", "cell_phones", "clothing", "weixin")
@@ -106,6 +118,18 @@ def _positive(convert):
 
 _positive_int = _positive(int)
 _positive_float = _positive(float)
+
+
+def _checkpoint_dir(text: str) -> str:
+    """An argparse ``type`` for checkpoint paths: a checkpoint is an
+    array directory, so a ``.npz`` archive is refused before anything
+    is built or trained."""
+    if Path(text).suffix == ".npz":
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is a .npz archive, but a checkpoint is an array "
+            "directory (manifest.json plus one .npy per array): drop the "
+            "suffix; an archive of an older release must be retrained")
+    return text
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -153,93 +177,63 @@ def cmd_models(args) -> int:
     return 0
 
 
+def _spec(args, models) -> ExperimentSpec:
+    """The experiment the training flags describe."""
+    return ExperimentSpec(name="cli", dataset=args.dataset, size=args.size,
+                          models=tuple(models), train=_train_config(args),
+                          embedding_dim=args.embedding_dim, seed=args.seed,
+                          eval_k=args.k)
+
+
 def cmd_train(args) -> int:
-    dataset = _load_dataset(args.dataset, args.size)
-    model = create_model(args.model, dataset,
-                         embedding_dim=args.embedding_dim, seed=args.seed)
-    result = train_model(model, dataset, _train_config(args))
+    runner, spec = Runner(), _spec(args, [args.model])
+    model, result = runner.trained(spec, args.model)
+    # Millisecond precision: a model read from the artifact store prints
+    # its recorded time, so a rerun that retrained shows up in a diff.
     print(f"trained {result.epochs_run} epochs "
-          f"in {result.train_seconds:.1f}s")
-    scenario = evaluate_model(model, dataset.split, k=args.k)
-    print(format_table(
-        scenario_rows(args.model, model_family(args.model), scenario),
-        title=f"{args.model} on {dataset.name}"))
+          f"in {result.train_seconds:.3f}s")
+    print(format_table(comparison_rows(runner, spec),
+                       title=f"{args.model} on {runner.dataset(spec).name}"))
     if args.checkpoint:
-        save_checkpoint(model, args.checkpoint, metadata={
-            "model": args.model,
-            "dataset": args.dataset,
-            "size": args.size,
-            "seed": args.seed,
-            "epochs": result.epochs_run,
-            "embedding_dim": args.embedding_dim,
-        })
+        save_trained(args.checkpoint, model, spec, args.model)
         print(f"checkpoint written to {args.checkpoint}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    model, dataset, _ = _trained_model(args)
-    scenario = evaluate_model(model, dataset.split, k=args.k)
-    print(format_table(scenario_rows(model.name, model_family(model.name),
-                                     scenario),
-                       title=f"{model.name} (from {args.checkpoint})"))
+    runner = Runner()
+    spec, name, model = runner.checkpointed(args.checkpoint)
+    scenario = evaluate_model(model, runner.dataset(spec).split,
+                              k=args.k or spec.eval_k)
+    print(format_table(scenario_rows(name, model_family(name), scenario),
+                       title=f"{name} (from {args.checkpoint})"))
     return 0
 
 
 def cmd_compare(args) -> int:
-    dataset = _load_dataset(args.dataset, args.size)
-    rows = []
-    for name in args.models:
-        print(f"training {name} ...", file=sys.stderr)
-        model = create_model(name, dataset,
-                             embedding_dim=args.embedding_dim,
-                             seed=args.seed)
-        train_model(model, dataset, _train_config(args))
-        result = evaluate_model(model, dataset.split, k=args.k)
-        rows.append({
-            "Method": name,
-            "Type": model_family(name),
-            f"Cold R@{args.k}": round(100 * result.cold.recall, 2),
-            f"Cold M@{args.k}": round(100 * result.cold.mrr, 2),
-            f"Warm R@{args.k}": round(100 * result.warm.recall, 2),
-            f"Warm M@{args.k}": round(100 * result.warm.mrr, 2),
-            f"HM M@{args.k}": round(100 * result.hm.mrr, 2),
-        })
-    print(format_table(rows, title=f"Comparison on {dataset.name}"))
+    runner, spec = Runner(), _spec(args, args.models)
+    print(format_table(comparison_rows(runner, spec),
+                       title=f"Comparison on {runner.dataset(spec).name}"))
     return 0
 
 
 def _trained_model(args):
-    """A trained model, its dataset, and the effective seed — from a
-    checkpoint or trained fresh (shared by ``evaluate``,
+    """A trained model, its dataset and its spec — rebuilt from
+    ``--checkpoint``, or the runner's for the flags (shared by
     ``export-embeddings`` and ``serve``)."""
+    runner = Runner()
     if args.checkpoint:
-        from .train.checkpoint import peek_metadata
-        meta = peek_metadata(args.checkpoint)
-        seed = meta.get("seed", args.seed)
-        dataset = _load_dataset(meta.get("dataset", args.dataset),
-                                meta.get("size", args.size))
-        model = create_model(meta.get("model", args.model), dataset,
-                             embedding_dim=meta.get("embedding_dim",
-                                                    args.embedding_dim),
-                             seed=seed)
-        load_checkpoint(model, args.checkpoint)
-        model.eval()
+        spec, _, model = runner.checkpointed(args.checkpoint)
     else:
-        seed = args.seed
-        dataset = _load_dataset(args.dataset, args.size)
-        model = create_model(args.model, dataset,
-                             embedding_dim=args.embedding_dim, seed=seed)
-        print(f"training {args.model} on {dataset.name} ...",
-              file=sys.stderr)
-        train_model(model, dataset, _train_config(args))
-    return model, dataset, seed
+        spec = _spec(args, [args.model])
+        model, _ = runner.trained(spec, args.model)
+    return model, runner.dataset(spec), spec
 
 
 def cmd_export_embeddings(args) -> int:
-    model, dataset, seed = _trained_model(args)
+    model, dataset, spec = _trained_model(args)
     store = EmbeddingStore.from_model(model, dataset,
-                                      metadata={"seed": seed})
+                                      metadata={"seed": spec.seed})
     written = store.save(args.out)
     print(format_table([store.describe()], title="Exported store"))
     print(f"store written to {written}")
@@ -577,14 +571,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model")
     p_train.add_argument("model")
-    p_train.add_argument("--checkpoint", default=None)
+    p_train.add_argument("--checkpoint", type=_checkpoint_dir, default=None,
+                         help="also write the trained model as a "
+                              "checkpoint directory")
     _add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint")
-    p_eval.add_argument("checkpoint")
-    p_eval.add_argument("--model", default="Firzen")
-    _add_common(p_eval)
+    p_eval.add_argument("checkpoint", type=_checkpoint_dir,
+                        help="checkpoint directory (from train "
+                             "--checkpoint, or a train artifact's model/)")
+    p_eval.add_argument("--k", type=_positive_int, default=None,
+                        help="ranking cutoff (default: the checkpoint "
+                             "spec's)")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_compare = sub.add_parser("compare", help="compare several models")
@@ -596,7 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
         "export-embeddings",
         help="snapshot a trained model into a serving store")
     p_export.add_argument("out", help="output store directory")
-    p_export.add_argument("--checkpoint", default=None)
+    p_export.add_argument("--checkpoint", type=_checkpoint_dir,
+                          default=None,
+                          help="export this checkpoint directory instead "
+                               "of the flags' model")
     p_export.add_argument("--model", default="Firzen")
     _add_common(p_export)
     p_export.set_defaults(func=cmd_export_embeddings)
@@ -606,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_serve.add_mutually_exclusive_group()
     source.add_argument("--store", default=None,
                         help="load an exported EmbeddingStore directory")
-    source.add_argument("--checkpoint", default=None,
-                        help="snapshot a training checkpoint instead")
+    source.add_argument("--checkpoint", type=_checkpoint_dir, default=None,
+                        help="serve this checkpoint directory instead")
     p_serve.add_argument("--model", default="Firzen")
     p_serve.add_argument("--queries", default=None,
                          help="file with one query per line "

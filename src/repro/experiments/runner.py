@@ -7,12 +7,14 @@ from the spec (plus the code-relevant knobs):
 1. **dataset** — the built benchmark (split + features + KG) after any
    dataset-stage scenario transforms, persisted via
    :mod:`repro.data.io`;
-2. **train** — one trained checkpoint per model, plus its training
-   record. While training runs, a full per-epoch training-state
-   snapshot (:mod:`repro.train.snapshot`) lives in the stage's
-   ``.partial`` directory: a killed run resumes from it **bit-exactly**
-   — the resumed parameters, optimizer moments, RNG positions and every
-   downstream metric are identical to an uninterrupted run;
+2. **train** — one trained checkpoint per model (``model/``, an array
+   directory whose manifest records the model name and the spec), plus
+   its training record. While training runs, a full training-state
+   snapshot (:mod:`repro.train.snapshot`) of the newest epoch lives in
+   ``<key>.partial/snapshot/epoch-<n>/``: a killed run resumes from it
+   **bit-exactly** — the resumed parameters, optimizer moments, RNG
+   positions and every downstream metric are identical to an
+   uninterrupted run;
 3. **eval** — metric artifacts (plain JSON; floats round-trip exactly,
    so tables rendered from artifacts are byte-identical to tables
    rendered from a live evaluation).
@@ -39,7 +41,7 @@ from ..data.io import load_dataset, save_dataset
 from ..reliability import retry_call
 from ..eval.metrics import MetricResult
 from ..eval.protocol import ScenarioResult, evaluate_model
-from ..train.checkpoint import load_checkpoint, save_checkpoint
+from ..train.snapshot import read_checkpoint, save_checkpoint
 from ..train.trainer import TrainResult, train_model
 from .scenarios import (apply_dataset_steps, apply_inference_steps,
                         get_scenario)
@@ -74,6 +76,14 @@ def _config_type(model_name: str):
         from ..core import FirzenConfig
         return FirzenConfig
     return None
+
+
+def save_trained(path, model, spec: ExperimentSpec, model_name: str):
+    """Publish a trained roster entry as a checkpoint whose manifest
+    names the model and the spec that built it (what
+    :meth:`Runner.checkpointed` rebuilds it from); returns the path."""
+    return save_checkpoint(path, model, {
+        "model": model_name, "spec": json.loads(spec.to_json())})
 
 
 @dataclass
@@ -208,36 +218,22 @@ class Runner:
         committed = None if self.refresh else self._read(
             lambda: self.store.get("train", key))
         if committed is not None:
-            model = self._create_model(spec, model_name, dataset)
-            self._read(lambda: load_checkpoint(
-                model, committed / "model.npz"))
-            model.eval()
+            _, _, model = self.checkpointed(committed / "model")
             meta = self._read(lambda: json.loads(
                 (committed / META).read_text()))
             result = TrainResult(**meta["result"])
         else:
             self.stats["train_runs"] += 1
-            snapshot = self.store.partial_dir("train", key) \
-                / "snapshot.npz"
+            snapshot = self.store.partial_dir("train", key) / "snapshot"
             model = self._create_model(spec, model_name, dataset)
             result = train_model(model, dataset, spec.train,
                                  snapshot_path=snapshot)
             staged = self.store.stage_dir("train", key)
-            save_checkpoint(model, staged / "model.npz", metadata={
-                "model": model_name, "dataset": spec.dataset,
-                "size": spec.size, "seed": spec.seed,
-                "epochs": result.epochs_run,
-            })
+            save_trained(staged / "model", model, spec, model_name)
             self.store.commit("train", key, staged, {
                 "model": model_name,
                 "spec": spec.name,
-                "result": {
-                    "losses": result.losses,
-                    "val_history": [list(v) for v in result.val_history],
-                    "best_epoch": result.best_epoch,
-                    "train_seconds": result.train_seconds,
-                    "epochs_run": result.epochs_run,
-                },
+                "result": dataclasses.asdict(result),
             }, overwrite=self.refresh)
             self.store.clear_partial("train", key)
         self._models[key] = (model, result)
@@ -253,6 +249,20 @@ class Runner:
         fresh.eval()
         fresh.invalidate()
         return fresh
+
+    def checkpointed(self, path) -> tuple[ExperimentSpec, str, object]:
+        """(spec, model name, model) of a checkpoint written by
+        :func:`save_trained`: the spec in its manifest builds the dataset
+        and the model, and the stored parameters fill it."""
+        checkpoint = self._read(lambda: read_checkpoint(
+            path, {"model": str, "spec": dict}))
+        model_name = checkpoint.header["model"]
+        spec = ExperimentSpec.from_json(
+            json.dumps(checkpoint.header["spec"]))
+        model = self._create_model(spec, model_name, self.dataset(spec))
+        checkpoint.load_model(model)
+        model.eval()
+        return spec, model_name, model
 
     # -- stage 3: eval ----------------------------------------------------
     def evaluation(self, spec: ExperimentSpec,

@@ -13,8 +13,9 @@ the parameter dtype (``PARAM_DTYPE``) and :data:`PIPELINE_VERSION`,
 which must be bumped by any PR that intentionally changes training or
 evaluation semantics (everything else — sparse gradients, fused
 kernels — is bit-identical by contract and therefore excluded on
-purpose).  The dataset key also folds in the on-disk dataset format,
-so a cache entry in an older layout is never read.
+purpose).  The dataset and train keys also fold in the on-disk format
+of datasets and of trained state, so a cache entry in an older layout
+is never read.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data.io import DATASET_FORMAT
+from ..train.snapshot import FORMAT_VERSION as TRAINED_FORMAT
 from ..train.trainer import GRAD_CLIP, TrainConfig
 
 #: bump when training/evaluation semantics change in a way that makes
@@ -165,6 +167,7 @@ class ExperimentSpec:
         train.pop("verbose")
         return content_key({
             "pipeline": PIPELINE_VERSION,
+            "format": TRAINED_FORMAT,
             "dtype": _param_dtype(),
             "dataset": self.dataset_key(),
             "model": model,

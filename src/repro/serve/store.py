@@ -10,8 +10,9 @@ contiguous ``float32`` arrays.  On disk it is an array directory
 manifest, which ``load(mmap=True)`` maps zero-copy straight off the
 page cache.
 
-Unlike a training checkpoint (:mod:`repro.train.checkpoint`), which
-stores *parameters* and rebuilds graphs from the dataset, a store holds
+Unlike a training checkpoint (:func:`repro.train.snapshot.save_checkpoint`,
+the same array-directory format), which stores *parameters* and
+rebuilds graphs from the dataset, a store holds
 the *outputs* of the forward pass: it can answer queries without the
 model, the dataset generator, or the autograd stack, and it is what the
 online onboarding API (:func:`repro.serve.ingest_items`) extends when

@@ -1,10 +1,9 @@
-"""Full training-state snapshots: kill a run, resume it bit-exactly.
+"""Trained state on disk: epoch snapshots and model checkpoints.
 
-A model checkpoint (:mod:`repro.train.checkpoint`) stores parameters —
-enough to *evaluate* a trained model, not enough to *continue training*
-it: the optimizer moments and every random-number stream would restart
-from scratch and the resumed trajectory would diverge from an
-uninterrupted one.
+A checkpoint stores a model's parameters — enough to *evaluate* a
+trained model, not enough to *continue training* it: the optimizer
+moments and every random-number stream would restart from scratch and
+the resumed trajectory would diverge from an uninterrupted one.
 
 A training snapshot captures, at an epoch boundary, everything the next
 epoch's floating-point sequence depends on:
@@ -27,48 +26,62 @@ epoch's floating-point sequence depends on:
   and the best-validation parameter snapshot.
 
 The learning rates are not state: each optimizer keeps the constant
-rate it was built with, and header keys this module does not read are
-ignored.
+rate it was built with, and manifest keys this module does not read
+are ignored.
 
-Snapshots are written atomically (temp file + ``os.replace``), so a
-kill during the write leaves the previous snapshot intact. A snapshot
-that is damaged anyway (torn by a kill that beat the rename, bit rot)
-loads as :class:`CorruptSnapshotError`, which the trainer treats as "no
-snapshot": training restarts from scratch — deterministic, so the rerun
-is still bit-exact with an uninterrupted run.
+Both are array directories (:mod:`repro.utils.arraydir`): one ``.npy``
+per array under its key (``model.<param>``, ``best.<param>``,
+``opt.<path>.m<i>``, ...) and a ``manifest.json`` with the rest. A
+checkpoint holds only the ``model.*`` arrays plus the fields its writer
+records. A snapshot path is a directory of epochs: each epoch is
+published as ``epoch-<n>/`` (staged as ``epoch-<n>.tmp-<pid>``, renamed
+into place) before the older epochs are deleted, so a kill at any
+moment leaves the last published epoch loadable; a staged directory is
+never read. What the array-directory readers reject — a torn or
+missing array, a missing or unreadable manifest, one without a field
+the restore reads — raises :class:`CorruptSnapshotError`, which the
+trainer treats as "no snapshot": it restarts from scratch,
+deterministically, so the rerun is still bit-exact. Any other read
+error (``EIO``) propagates and leaves the snapshot on disk.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-import zipfile
-import zlib
+import dataclasses
+import shutil
 from pathlib import Path
 
 import numpy as np
 
 from ..autograd.nn import BatchNorm1d, Module
 from ..autograd.optim import Adam
-from ..reliability import fire, is_injected_crash
+from ..reliability import fire
+from ..utils.arraydir import (ArrayDirWriter, check_fields, read_array,
+                              read_manifest)
 
 
 class CorruptSnapshotError(ValueError):
-    """The snapshot file exists but cannot be read back.
+    """A snapshot or checkpoint directory is torn, damaged, or not one.
 
-    Raised (with the offending path) in place of the raw
-    ``zipfile.BadZipFile`` / ``EOFError`` the numpy archive layer
-    produces on a torn or corrupted file."""
+    Raised with the offending path by the array-directory readers."""
 
-FORMAT_VERSION = 1
-HEADER_KEY = "__snapshot_header__"
+#: the manifest's ``version``; the experiment runner folds it into its
+#: train-stage content address, so no older layout is ever read
+FORMAT_VERSION = 2
+
+#: manifest key -> kind, for every snapshot and checkpoint
+_MANIFEST_KINDS = {"version": int, "model_class": str, "arrays": list}
+
+#: further manifest keys :func:`restore_training_snapshot` reads
+_SNAPSHOT_KINDS = {"epoch": int, "optimizers": dict, "rngs": dict,
+                   "sampler_rng": dict, "stopper": dict, "result": dict,
+                   "training_state": dict}
 
 #: key used for the trainer-owned optimizer (model-owned optimizers are
 #: keyed by their attribute path, e.g. ``._kg_optimizer``)
 TRAINER_OPTIMIZER = "@trainer"
 
-#: header placeholder for a training-state value stored as an array
+#: manifest placeholder for a training-state value stored as an array
 ARRAY_MARKER = "__array__"
 
 
@@ -159,94 +172,20 @@ def _load_optimizer(opt: Adam, meta: dict, prefix: str, archive) -> None:
 
 
 # ---------------------------------------------------------------------------
-# save / load
+# array directories
 # ---------------------------------------------------------------------------
 
-def _rng_state(gen: np.random.Generator) -> dict:
-    return gen.bit_generator.state
-
-
-def save_training_snapshot(path: str | Path, model: Module, *,
-                           optimizer: Adam,
-                           sampler_rng: np.random.Generator,
-                           stopper, result, epoch: int,
-                           best_state: dict | None) -> None:
-    """Capture the complete training state after ``epoch`` completed."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    optimizers = {TRAINER_OPTIMIZER: optimizer}
-    optimizers.update(collect_optimizers(model))
-
-    arrays: dict[str, np.ndarray] = {}
-    for name, value in model.state_dict().items():
-        arrays[f"model.{name}"] = value
-    if best_state is not None:
-        for name, value in best_state.items():
-            arrays[f"best.{name}"] = value
-    for opt_path, opt in optimizers.items():
-        _optimizer_arrays(opt, f"opt.{opt_path}", arrays)
-    for bn_path, bn in collect_batchnorms(model).items():
-        arrays[f"bn.{bn_path}.mean"] = bn.running_mean
-        arrays[f"bn.{bn_path}.var"] = bn.running_var
-
-    # Model-declared training state: JSON values go into the header,
-    # ndarray values (e.g. the dynamic-graph ablation's rebuilt graph
-    # features) into the archive under a marker.
-    training_state = {}
-    for state_key, value in model.training_state().items():
-        if isinstance(value, np.ndarray):
-            arrays[f"tstate.{state_key}"] = value
-            training_state[state_key] = ARRAY_MARKER
-        else:
-            training_state[state_key] = value
-
-    header = {
-        "version": FORMAT_VERSION,
-        "model_class": type(model).__name__,
-        "epoch": epoch,
-        "has_best": best_state is not None,
-        "optimizers": {p: _optimizer_meta(o)
-                       for p, o in optimizers.items()},
-        "rngs": {p: _rng_state(g)
-                 for p, g in collect_rng_streams(model).items()},
-        "sampler_rng": _rng_state(sampler_rng),
-        "training_state": training_state,
-        "stopper": {
-            "best_value": stopper.best_value,
-            "best_epoch": stopper.best_epoch,
-            "bad_epochs": stopper._bad_epochs,
-        },
-        "result": {
-            "losses": result.losses,
-            "val_history": [list(entry) for entry in result.val_history],
-            "best_epoch": result.best_epoch,
-            "train_seconds": result.train_seconds,
-            "epochs_run": result.epochs_run,
-        },
-    }
-    arrays[HEADER_KEY] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8)
-
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp.npz")
-    os.close(fd)
-    try:
-        np.savez_compressed(tmp, **arrays)
-        # Injection seam: a "torn"/"crash" here is a kill between
-        # writing the temp file and the atomic rename — the previous
-        # snapshot (if any) must stay intact and loadable.
-        fire("train.snapshot.write", path=tmp)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        # A simulated kill leaves the temp file behind, as a real kill
-        # would; ordinary failures clean it up.
-        if not is_injected_crash(exc) and os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _publish(path: Path, arrays: dict[str, np.ndarray],
+             manifest: dict) -> Path:
+    with ArrayDirWriter(path, "train.snapshot.write") as writer:
+        for name, array in arrays.items():
+            writer.add_array(name, array)
+        return writer.commit({**manifest, "version": FORMAT_VERSION,
+                              "arrays": writer.names})
 
 
 class TrainingSnapshot:
-    """A loaded snapshot: the header plus the stored arrays."""
+    """A loaded snapshot or checkpoint: the manifest plus the arrays."""
 
     def __init__(self, header: dict, arrays: dict[str, np.ndarray]):
         self.header = header
@@ -261,27 +200,133 @@ class TrainingSnapshot:
                 for key, value in self.arrays.items()
                 if key.startswith(prefix)}
 
+    def load_model(self, model: Module) -> None:
+        """Load the stored parameters into ``model``, which must be of
+        the class that wrote them, with the same shapes."""
+        if self.header["model_class"] != type(model).__name__:
+            raise ValueError(
+                f"{self.header['model_class']!r} wrote this state, "
+                f"not {type(model).__name__!r}")
+        model.load_state_dict(self._prefixed("model."))
+        # The parameter writes were untracked in-place mutations as far
+        # as the representation caches are concerned.
+        model.invalidate()
 
-def load_training_snapshot(path: str | Path) -> TrainingSnapshot:
+
+def _read(path: Path, kinds: dict) -> TrainingSnapshot:
+    manifest = read_manifest(path, CorruptSnapshotError)
+    check_fields(manifest, {**_MANIFEST_KINDS, **kinds}, path,
+                 CorruptSnapshotError)
+    if manifest["version"] != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported training-state version "
+                         f"{manifest['version']}")
+    return TrainingSnapshot(manifest, {
+        name: read_array(path, name, CorruptSnapshotError)
+        for name in manifest["arrays"]})
+
+
+def _model_arrays(model: Module) -> dict[str, np.ndarray]:
+    return {f"model.{name}": value
+            for name, value in model.state_dict().items()}
+
+
+def save_checkpoint(path: str | Path, model: Module,
+                    fields: dict | None = None) -> Path:
+    """Publish ``model``'s parameters as a checkpoint directory whose
+    manifest also records ``fields`` (JSON values); returns the path."""
+    return _publish(Path(path), _model_arrays(model),
+                    {**(fields or {}), "model_class": type(model).__name__})
+
+
+def read_checkpoint(path: str | Path,
+                    fields: dict | None = None) -> TrainingSnapshot:
+    """The checkpoint at ``path``, its manifest checked also for the
+    ``fields`` (key -> kind, as :func:`check_fields` takes) the caller
+    reads; load it with :meth:`TrainingSnapshot.load_model`."""
+    return _read(Path(path), fields or {})
+
+
+# ---------------------------------------------------------------------------
+# snapshots
+# ---------------------------------------------------------------------------
+
+def _rng_state(gen: np.random.Generator) -> dict:
+    return gen.bit_generator.state
+
+
+def _published_epochs(path: Path) -> dict[int, Path]:
+    """Epoch number -> published epoch directory; staged ones (and any
+    other entry) are skipped."""
+    epochs = {}
+    for child in path.iterdir() if path.is_dir() else ():
+        prefix, _, number = child.name.partition("-")
+        if prefix == "epoch" and number.isdigit():
+            epochs[int(number)] = child
+    return epochs
+
+
+def save_training_snapshot(path: str | Path, model: Module, *,
+                           optimizer: Adam,
+                           sampler_rng: np.random.Generator,
+                           stopper, result, epoch: int,
+                           best_state: dict | None) -> Path:
+    """Publish the complete training state after ``epoch`` completed as
+    ``path/epoch-<epoch>``, then delete the older epochs."""
     path = Path(path)
-    fire("train.snapshot.read", path=path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            header = json.loads(
-                archive[HEADER_KEY].tobytes().decode("utf-8"))
-            if header["version"] != FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported snapshot version {header['version']}")
-            arrays = {key: archive[key] for key in archive.files
-                      if key != HEADER_KEY}
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, EOFError, KeyError, zlib.error,
-            json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
-        raise CorruptSnapshotError(
-            f"training snapshot {path} is corrupt or truncated "
-            f"({exc})") from exc
-    return TrainingSnapshot(header, arrays)
+    optimizers = {TRAINER_OPTIMIZER: optimizer}
+    optimizers.update(collect_optimizers(model))
+
+    arrays = _model_arrays(model)
+    for name, value in (best_state or {}).items():
+        arrays[f"best.{name}"] = value
+    for opt_path, opt in optimizers.items():
+        _optimizer_arrays(opt, f"opt.{opt_path}", arrays)
+    for bn_path, bn in collect_batchnorms(model).items():
+        arrays[f"bn.{bn_path}.mean"] = bn.running_mean
+        arrays[f"bn.{bn_path}.var"] = bn.running_var
+
+    # Model-declared training state: JSON values go into the manifest,
+    # ndarray values (e.g. the dynamic-graph ablation's rebuilt graph
+    # features) into the arrays under a marker.
+    training_state = {}
+    for state_key, value in model.training_state().items():
+        if isinstance(value, np.ndarray):
+            arrays[f"tstate.{state_key}"] = value
+            training_state[state_key] = ARRAY_MARKER
+        else:
+            training_state[state_key] = value
+
+    published = _publish(path / f"epoch-{epoch}", arrays, {
+        "model_class": type(model).__name__,
+        "epoch": epoch,
+        "optimizers": {p: _optimizer_meta(o)
+                       for p, o in optimizers.items()},
+        "rngs": {p: _rng_state(g)
+                 for p, g in collect_rng_streams(model).items()},
+        "sampler_rng": _rng_state(sampler_rng),
+        "training_state": training_state,
+        "stopper": {
+            "best_value": stopper.best_value,
+            "best_epoch": stopper.best_epoch,
+            "bad_epochs": stopper._bad_epochs,
+        },
+        "result": dataclasses.asdict(result),
+    })
+    for older, directory in _published_epochs(path).items():
+        if older < epoch:
+            shutil.rmtree(directory, ignore_errors=True)
+    return published
+
+
+def load_training_snapshot(path: str | Path) -> TrainingSnapshot | None:
+    """The newest published epoch under ``path``, or None when there
+    is none."""
+    epochs = _published_epochs(Path(path))
+    if not epochs:
+        return None
+    newest = epochs[max(epochs)]
+    fire("train.snapshot.read", path=newest)
+    return _read(newest, _SNAPSHOT_KINDS)
 
 
 def restore_training_snapshot(snapshot: TrainingSnapshot, model: Module, *,
@@ -292,12 +337,7 @@ def restore_training_snapshot(snapshot: TrainingSnapshot, model: Module, *,
     into freshly-constructed training objects; returns the best-state
     parameter snapshot (or None)."""
     header = snapshot.header
-    if header["model_class"] != type(model).__name__:
-        raise ValueError(
-            f"snapshot was written by {header['model_class']!r}, "
-            f"not {type(model).__name__!r}")
-
-    model.load_state_dict(snapshot._prefixed("model."))
+    snapshot.load_model(model)
     training_state = {
         state_key: (snapshot.arrays[f"tstate.{state_key}"]
                     if value == ARRAY_MARKER else value)
@@ -342,12 +382,4 @@ def restore_training_snapshot(snapshot: TrainingSnapshot, model: Module, *,
     result.best_epoch = int(res["best_epoch"])
     result.train_seconds = float(res["train_seconds"])
     result.epochs_run = int(res["epochs_run"])
-
-    # Parameter writes above were untracked in-place mutations as far as
-    # the representation caches are concerned.
-    if hasattr(model, "invalidate"):
-        model.invalidate()
-
-    if header["has_best"]:
-        return snapshot._prefixed("best.")
-    return None
+    return snapshot._prefixed("best.") or None

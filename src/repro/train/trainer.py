@@ -5,15 +5,17 @@ rate, BPR batches with uniform negative sampling, optional alternating
 auxiliary step (KG representation loss), validation-based early stopping
 on harmonic-mean recall with best-state restoration.
 
-Training is resumable: pass ``snapshot_path`` and the loop writes a full
-training-state snapshot (:mod:`repro.train.snapshot`) after every epoch;
-a later call with the same arguments restores it and continues the run
-**bit-exactly** — parameters, optimizer moments, RNG positions, and
-every downstream metric are identical to an uninterrupted run.
+Training is resumable: pass ``snapshot_path`` and the loop publishes a
+full training-state snapshot (:mod:`repro.train.snapshot`) after every
+epoch; a later call with the same arguments restores the newest and
+continues the run **bit-exactly** — parameters, optimizer moments, RNG
+positions, and every downstream metric are identical to an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,10 +89,10 @@ def train_model(model, dataset: RecDataset,
     Parameters
     ----------
     snapshot_path:
-        Where to write the training-state snapshot after every epoch.
-        When the file already exists the run continues from it instead
-        of starting over; the resumed trajectory is bit-identical to an
-        uninterrupted run.
+        Directory the training-state snapshot of every epoch is
+        published in. When it holds a published epoch the run continues
+        from the newest instead of starting over; the resumed trajectory
+        is bit-identical to an uninterrupted run.
     epoch_hook:
         Optional ``hook(epoch, model)`` called after each epoch's
         snapshot point; exceptions propagate (tests use this to simulate
@@ -106,7 +108,8 @@ def train_model(model, dataset: RecDataset,
     best_state = None
     start_epoch = 0
 
-    if snapshot_path is not None and Path(snapshot_path).exists():
+    snapshot = None
+    if snapshot_path is not None:
         from .snapshot import CorruptSnapshotError, \
             load_training_snapshot, restore_training_snapshot
         try:
@@ -119,12 +122,12 @@ def train_model(model, dataset: RecDataset,
             import warnings
             warnings.warn(f"ignoring corrupt training snapshot: {exc}",
                           RuntimeWarning, stacklevel=2)
-            Path(snapshot_path).unlink(missing_ok=True)
-        else:
-            best_state = restore_training_snapshot(
-                snapshot, model, optimizer=optimizer, sampler_rng=rng,
-                stopper=stopper, result=result)
-            start_epoch = snapshot.epoch + 1
+            shutil.rmtree(snapshot_path)
+    if snapshot is not None:
+        best_state = restore_training_snapshot(
+            snapshot, model, optimizer=optimizer, sampler_rng=rng,
+            stopper=stopper, result=result)
+        start_epoch = snapshot.epoch + 1
 
     base_seconds = result.train_seconds
     start = time.perf_counter()

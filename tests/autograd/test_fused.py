@@ -134,25 +134,6 @@ class TestAttentionParity:
             np.testing.assert_allclose(states[0][key], states[1][key],
                                        err_msg=key, **TRAINED_TOL)
 
-    def test_legacy_split_projection_checkpoint_loads(self, dataset):
-        # Checkpoints from before the stacked parameter stored one
-        # 'relation_proj[i]' entry per relation; they must keep loading.
-        model = create_model("KGAT", dataset, seed=0)
-        state = model.state_dict()
-        legacy = {}
-        for key, value in state.items():
-            if key.endswith(".relation_proj") and value.ndim == 3:
-                for i in range(value.shape[0]):
-                    legacy[f"{key}[{i}]"] = value[i] + 1.0
-            else:
-                legacy[key] = value
-        assert len(legacy) > len(state)
-        model.load_state_dict(legacy)
-        for key, value in state.items():
-            if key.endswith(".relation_proj") and value.ndim == 3:
-                loaded = model.named_parameters()[key].data
-                assert np.array_equal(loaded, value + 1.0)
-
     def test_trained_firzen_bit_equal(self, dataset, monkeypatch):
         states = []
         losses = []

@@ -103,7 +103,9 @@ class TestStages:
         assert len(hashed) == len(list(files.iterdir()))
         hashed.clear()
         fresh.trained(spec, "BPR")
-        assert hashed == ["model.npz"]
+        model = fresh.store.get("train", spec.train_key("BPR"),
+                                verify=False) / "model"
+        assert hashed == sorted(path.name for path in model.iterdir())
         assert fresh.stats["train_runs"] == 0
 
     def test_refresh_retrains(self, runner, tmp_path):
@@ -152,7 +154,7 @@ class TestParityWithDirectPipeline:
         killed = Runner(ArtifactStore(tmp_path / "killed"))
         dataset = killed.dataset(spec)
         key = spec.train_key("BPR")
-        snapshot = killed.store.partial_dir("train", key) / "snapshot.npz"
+        snapshot = killed.store.partial_dir("train", key) / "snapshot"
         victim = killed._create_model(spec, "BPR", dataset)
 
         class _Killed(Exception):

@@ -10,6 +10,9 @@ in the trainer's recovery paths can accidentally absorb it.
 
 from __future__ import annotations
 
+import errno
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from repro.train import TrainConfig, train_model
 from repro.train.fingerprint import training_fingerprint
 from repro.train.snapshot import CorruptSnapshotError, \
     load_training_snapshot
+from repro.utils.arraydir import MANIFEST_NAME
 
 
 def _config(epochs: int = 4) -> TrainConfig:
@@ -46,7 +50,7 @@ def test_injected_kill_at_every_epoch_boundary_resumes_bit_exact(
     expected_fp = training_fingerprint(reference, ref_result)
 
     for kill_epoch in range(1, config.epochs):
-        snapshot = tmp_path / f"kill{kill_epoch}.npz"
+        snapshot = tmp_path / f"kill{kill_epoch}"
         plan = FaultPlan(
             [FaultSpec(op="train.epoch.end", kind="crash",
                        at=kill_epoch)],
@@ -84,7 +88,7 @@ def test_same_fault_seed_reproduces_identical_failure_sequence(
         with inject(plan):
             with pytest.raises(InjectedCrash):
                 train_model(victim, tiny_dataset, config,
-                            snapshot_path=tmp_path / f"{tag}.npz")
+                            snapshot_path=tmp_path / f"{tag}")
         return plan.event_log()
 
     assert one_run("first") == one_run("second")
@@ -93,10 +97,11 @@ def test_same_fault_seed_reproduces_identical_failure_sequence(
 def test_kill_during_snapshot_write_keeps_previous_snapshot(
         tiny_dataset, tmp_path):
     """A torn snapshot *write* may not damage the previous snapshot:
-    the temp-file + rename protocol means resume restarts from the last
+    each epoch is staged and renamed into its own directory, and older
+    epochs go only after that, so resume restarts from the last
     published epoch."""
     config = _config(epochs=3)
-    snapshot = tmp_path / "snap.npz"
+    snapshot = tmp_path / "snap"
     # epoch 1's snapshot lands, epoch 2's write is killed mid-file
     plan = FaultPlan([FaultSpec(op="train.snapshot.write", kind="torn",
                                 at=2)], name="torn-snapshot-write")
@@ -119,15 +124,17 @@ def test_kill_during_snapshot_write_keeps_previous_snapshot(
 
 def test_corrupt_snapshot_raises_structured_error(tiny_dataset, tmp_path):
     config = _config(epochs=2)
-    snapshot = tmp_path / "snap.npz"
+    snapshot = tmp_path / "snap"
     model = _fresh(tiny_dataset)
     train_model(model, tiny_dataset, config, snapshot_path=snapshot)
-    # tear the published snapshot itself (bit rot / partial copy)
+    # tear an array of the published snapshot itself (bit rot / partial
+    # copy)
     from repro.reliability.faults import tear_file
-    tear_file(snapshot, keep_fraction=0.4)
+    tear_file(snapshot / "epoch-1" / "model.user_emb.weight.npy",
+              keep_fraction=0.4)
     with pytest.raises(CorruptSnapshotError) as info:
         load_training_snapshot(snapshot)
-    assert str(snapshot) in str(info.value)
+    assert str(snapshot / "epoch-1") in str(info.value)
     assert isinstance(info.value, ValueError)  # back-compat
 
 
@@ -140,7 +147,7 @@ def test_trainer_degrades_gracefully_on_corrupt_snapshot(
     reference = _fresh(tiny_dataset)
     ref_result = train_model(reference, tiny_dataset, config)
 
-    snapshot = tmp_path / "snap.npz"
+    snapshot = tmp_path / "snap"
     victim = _fresh(tiny_dataset)
     plan = FaultPlan([FaultSpec(op="train.epoch.end", kind="crash",
                                 at=1)])
@@ -149,7 +156,7 @@ def test_trainer_degrades_gracefully_on_corrupt_snapshot(
             train_model(victim, tiny_dataset, config,
                         snapshot_path=snapshot)
     from repro.reliability.faults import tear_file
-    tear_file(snapshot, keep_fraction=0.3)
+    tear_file(snapshot / "epoch-0" / MANIFEST_NAME, keep_fraction=0.3)
 
     resumed = _fresh(tiny_dataset)
     with pytest.warns(RuntimeWarning, match="corrupt training snapshot"):
@@ -166,7 +173,7 @@ def test_transient_snapshot_read_fault_is_not_swallowed(
     surface (the runner's retry layer handles it), not silently restart
     training from scratch."""
     config = _config(epochs=2)
-    snapshot = tmp_path / "snap.npz"
+    snapshot = tmp_path / "snap"
     model = _fresh(tiny_dataset)
     train_model(model, tiny_dataset, config, snapshot_path=snapshot)
 
@@ -176,3 +183,57 @@ def test_transient_snapshot_read_fault_is_not_swallowed(
         with pytest.raises(OSError):
             train_model(fresh, tiny_dataset, config,
                         snapshot_path=snapshot)
+
+
+def test_array_read_error_is_not_corruption(tiny_dataset, tmp_path,
+                                            monkeypatch):
+    """An OSError such as EIO inside the array read is not corruption:
+    it reaches the caller, and the snapshot stays on disk for the next
+    attempt instead of being deleted for a restart from scratch."""
+    config = _config(epochs=2)
+    snapshot = tmp_path / "snap"
+    train_model(_fresh(tiny_dataset), tiny_dataset, config,
+                snapshot_path=snapshot)
+
+    def failing_load(*args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(np, "load", failing_load)
+    with pytest.raises(OSError) as info:
+        train_model(_fresh(tiny_dataset), tiny_dataset, config,
+                    snapshot_path=snapshot)
+    assert info.value.errno == errno.EIO
+    assert not isinstance(info.value, CorruptSnapshotError)
+    monkeypatch.undo()
+    assert load_training_snapshot(snapshot).epoch == 1
+
+
+def test_malformed_manifest_is_corrupt(tiny_dataset, tmp_path):
+    """A manifest without a field the restore reads is a corrupt
+    snapshot naming its path, and the trainer restarts from scratch to
+    the reference bits."""
+    config = _config(epochs=3)
+    reference = _fresh(tiny_dataset)
+    train_model(reference, tiny_dataset, config)
+
+    snapshot = tmp_path / "snap"
+    plan = FaultPlan([FaultSpec(op="train.epoch.end", kind="crash",
+                                at=2)])
+    with inject(plan):
+        with pytest.raises(InjectedCrash):
+            train_model(_fresh(tiny_dataset), tiny_dataset, config,
+                        snapshot_path=snapshot)
+    manifest = snapshot / "epoch-1" / MANIFEST_NAME
+    header = json.loads(manifest.read_text())
+    del header["optimizers"]
+    manifest.write_text(json.dumps(header))
+
+    with pytest.raises(CorruptSnapshotError,
+                       match="without optimizers") as info:
+        load_training_snapshot(snapshot)
+    assert str(snapshot / "epoch-1") in str(info.value)
+    resumed = _fresh(tiny_dataset)
+    with pytest.warns(RuntimeWarning, match="corrupt training snapshot"):
+        train_model(resumed, tiny_dataset, config, snapshot_path=snapshot)
+    _assert_state_equal(reference.state_dict(), resumed.state_dict(),
+                        "restart after a malformed manifest")

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import (ExperimentSpec, Runner, comparison_rows,
+                               default_store)
+from repro.train import TrainConfig
+from repro.utils.tables import format_table
 
 
 class TestParser:
@@ -46,7 +50,23 @@ class TestParser:
     def test_serve_store_and_checkpoint_conflict(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--store", "s",
-                                       "--checkpoint", "c.npz"])
+                                       "--checkpoint", "c"])
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "BPR", "--size", "tiny", "--checkpoint", "x.npz"],
+        ["evaluate", "x.npz"],
+        ["export-embeddings", "out", "--checkpoint", "x.npz"],
+        ["serve", "--checkpoint", "x.npz"],
+    ], ids=["train", "evaluate", "export-embeddings", "serve"])
+    def test_npz_checkpoint_is_a_usage_error(self, argv, capsys):
+        # a checkpoint is an array directory: argparse exits before any
+        # dataset is built or model trained
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "x.npz" in err and "array directory" in err
+        assert not default_store().root.exists()
 
     def test_export_format_flag(self):
         """One store format: there is no --format to choose one."""
@@ -176,18 +196,53 @@ class TestCommands:
         assert "weixin-sports" in out
 
     def test_train_and_evaluate_roundtrip(self, capsys, tmp_path):
-        ckpt = str(tmp_path / "bpr.npz")
+        ckpt = str(tmp_path / "bpr")
         code = main(["train", "BPR", "--size", "tiny", "--epochs", "2",
                      "--embedding-dim", "8", "--checkpoint", ckpt])
         assert code == 0
         out = capsys.readouterr().out
         assert "Cold" in out and "Warm" in out and "HM" in out
 
-        # the checkpoint records its embedding size: no flag needed
+        # the checkpoint records its spec: no flag needed
         code = main(["evaluate", ckpt])
         assert code == 0
         out = capsys.readouterr().out
         assert "BPR" in out
+
+    def test_train_reads_the_artifact_store(self, capsys, monkeypatch):
+        argv = ["train", "BPR", "--size", "tiny", "--epochs", "2",
+                "--embedding-dim", "8"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the rerun trained again")
+
+        monkeypatch.setattr("repro.experiments.runner.train_model",
+                            no_training)
+        assert main(argv) == 0
+        # the stored model prints its recorded training time
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("model, model_kwargs", [
+        ("BPR", {}),
+        ("Firzen", {"config": {"item_item_topk": 5,
+                               "user_user_topk": 5}}),
+    ], ids=["bpr-dim-8", "firzen-config-override"])
+    def test_evaluate_runner_checkpoint(self, capsys, model, model_kwargs):
+        """``evaluate`` rebuilds a runner-trained model from the spec in
+        its checkpoint and prints the runner's metrics."""
+        spec = ExperimentSpec(
+            name="cli-test", size="tiny", models=(model,),
+            train=TrainConfig(epochs=1, eval_every=1, batch_size=128),
+            model_kwargs={model: model_kwargs}, embedding_dim=8)
+        runner = Runner()
+        runner.trained(spec, model)
+        ckpt = runner.store.get("train", spec.train_key(model)) / "model"
+        expected = format_table(comparison_rows(runner, spec),
+                                title=f"{model} (from {ckpt})")
+        assert main(["evaluate", str(ckpt)]) == 0
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_compare_command(self, capsys):
         code = main(["compare", "BPR", "MostPopular", "--size", "tiny",
@@ -197,7 +252,7 @@ class TestCommands:
         assert "MostPopular" in out
 
     def test_export_from_checkpoint_preserves_seed(self, capsys, tmp_path):
-        ckpt = str(tmp_path / "model.npz")
+        ckpt = str(tmp_path / "model")
         assert main(["train", "BPR", "--size", "tiny", "--epochs", "1",
                      "--embedding-dim", "8", "--seed", "5",
                      "--checkpoint", ckpt]) == 0

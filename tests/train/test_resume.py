@@ -12,16 +12,18 @@ streams.
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.baselines import create_model
+from repro.reliability.faults import tear_file
 from repro.train import TrainConfig, train_model
 from repro.train.fingerprint import training_fingerprint
-from repro.train.snapshot import (HEADER_KEY, collect_optimizers,
-                                  collect_rng_streams,
+from repro.train.snapshot import (collect_optimizers, collect_rng_streams,
                                   load_training_snapshot)
+from repro.utils.arraydir import MANIFEST_NAME
 
 MODELS = ("KGAT", "Firzen")
 
@@ -45,14 +47,18 @@ def _assert_state_equal(left: dict, right: dict, context: str) -> None:
         assert np.array_equal(left[key], right[key]), (context, key)
 
 
+def _published(snapshot):
+    """The one published epoch directory under ``snapshot``."""
+    [epoch_dir] = [path for path in snapshot.iterdir()
+                   if ".tmp-" not in path.name]
+    return epoch_dir
+
+
 def _edit_header(snapshot, edit) -> None:
-    with np.load(snapshot) as archive:
-        arrays = {key: archive[key] for key in archive.files}
-    header = json.loads(arrays[HEADER_KEY].tobytes().decode("utf-8"))
+    manifest = _published(snapshot) / MANIFEST_NAME
+    header = json.loads(manifest.read_text())
     edit(header)
-    arrays[HEADER_KEY] = np.frombuffer(json.dumps(header).encode("utf-8"),
-                                       dtype=np.uint8)
-    np.savez_compressed(snapshot, **arrays)
+    manifest.write_text(json.dumps(header))
 
 
 def _add_planner_counters(snapshot) -> None:
@@ -92,7 +98,7 @@ def test_kill_resume_bit_exact(model_name, edit_header, tiny_dataset,
     # perturb the trajectory.
     snapshotted = _fresh(model_name, tiny_dataset)
     snap_result = train_model(snapshotted, tiny_dataset, config,
-                              snapshot_path=tmp_path / "full.npz")
+                              snapshot_path=tmp_path / "full")
     _assert_state_equal(reference.state_dict(), snapshotted.state_dict(),
                         "snapshotting changed the trajectory")
     assert ref_result.losses == snap_result.losses
@@ -106,16 +112,16 @@ def test_kill_resume_bit_exact(model_name, edit_header, tiny_dataset,
 
     with pytest.raises(_Killed):
         train_model(killed, tiny_dataset, config,
-                    snapshot_path=tmp_path / "killed.npz",
+                    snapshot_path=tmp_path / "killed",
                     epoch_hook=kill_hook)
 
     if edit_header is not None:
-        edit_header(tmp_path / "killed.npz")
+        edit_header(tmp_path / "killed")
 
     resumed = _fresh(model_name, tiny_dataset)
     resumed_epochs = []
     res_result = train_model(
-        resumed, tiny_dataset, config, snapshot_path=tmp_path / "killed.npz",
+        resumed, tiny_dataset, config, snapshot_path=tmp_path / "killed",
         epoch_hook=lambda epoch, model: resumed_epochs.append(epoch))
     assert resumed_epochs[0] == 2   # resumed, not restarted
 
@@ -132,8 +138,8 @@ def test_kill_resume_bit_exact(model_name, edit_header, tiny_dataset,
 
     # 3. Adam moments, RNG positions: the final snapshots of the two trajectories must be
     #    bit-identical array-for-array and stream-for-stream.
-    uninterrupted = load_training_snapshot(tmp_path / "full.npz")
-    killed_resumed = load_training_snapshot(tmp_path / "killed.npz")
+    uninterrupted = load_training_snapshot(tmp_path / "full")
+    killed_resumed = load_training_snapshot(tmp_path / "killed")
     assert uninterrupted.header["epoch"] == killed_resumed.header["epoch"]
     assert uninterrupted.header["rngs"] == killed_resumed.header["rngs"]
     assert uninterrupted.header["sampler_rng"] == \
@@ -164,7 +170,7 @@ def test_kill_at_every_epoch_boundary(model_name, tiny_dataset, tmp_path):
     expected = reference.state_dict()
 
     for kill_epoch in range(3):
-        snapshot = tmp_path / f"kill{kill_epoch}.npz"
+        snapshot = tmp_path / f"kill{kill_epoch}"
 
         def kill_hook(epoch, model, _stop=kill_epoch):
             if epoch == _stop:
@@ -240,10 +246,10 @@ def test_training_state_array_values_roundtrip(tiny_dataset, tmp_path):
 
     with pytest.raises(_Killed):
         train_model(victim, tiny_dataset, config,
-                    snapshot_path=tmp_path / "a.npz", epoch_hook=kill_hook)
+                    snapshot_path=tmp_path / "a", epoch_hook=kill_hook)
     resumed = fresh()
     train_model(resumed, tiny_dataset, config,
-                snapshot_path=tmp_path / "a.npz")
+                snapshot_path=tmp_path / "a")
     assert isinstance(resumed.restored, np.ndarray)
     assert np.array_equal(resumed.restored, np.full((2, 3), 1.0))
     assert np.array_equal(resumed._blob, reference._blob)
@@ -262,7 +268,7 @@ def test_early_stop_state_survives_resume(tiny_dataset, tmp_path):
         pytest.skip("early stopping did not trigger on this substrate")
 
     resumed = _fresh("BPR", tiny_dataset)
-    snapshot = tmp_path / "stop.npz"
+    snapshot = tmp_path / "stop"
     train_model(resumed, tiny_dataset, config, snapshot_path=snapshot)
     again = _fresh("BPR", tiny_dataset)
     again_result = train_model(again, tiny_dataset, config,
@@ -270,3 +276,46 @@ def test_early_stop_state_survives_resume(tiny_dataset, tmp_path):
     assert again_result.epochs_run == ref_result.epochs_run
     _assert_state_equal(reference.state_dict(), again.state_dict(),
                         "early-stopped resume")
+
+
+def test_staged_epoch_is_ignored(tiny_dataset, tmp_path):
+    """A staged ``epoch-<n>.tmp-<pid>`` directory (a write killed before
+    its rename) next to an older published epoch is never read: resume
+    starts from the published epoch and lands on the reference bits."""
+    config = _config(epochs=4)
+    reference = _fresh("KGAT", tiny_dataset)
+    train_model(reference, tiny_dataset, config)
+
+    snapshot = tmp_path / "snap"
+
+    def kill_hook(epoch, model):
+        if epoch == 1:
+            raise _Killed()
+
+    with pytest.raises(_Killed):
+        train_model(_fresh("KGAT", tiny_dataset), tiny_dataset, config,
+                    snapshot_path=snapshot, epoch_hook=kill_hook)
+    # another process's write of epoch 2, killed before its manifest
+    staged = snapshot / "epoch-2.tmp-999999"
+    shutil.copytree(snapshot / "epoch-1", staged)
+    tear_file(staged)
+    assert not (staged / MANIFEST_NAME).exists()
+
+    resumed = _fresh("KGAT", tiny_dataset)
+    resumed_epochs = []
+    train_model(resumed, tiny_dataset, config, snapshot_path=snapshot,
+                epoch_hook=lambda epoch, model: resumed_epochs.append(epoch))
+    assert resumed_epochs == [2, 3]
+    _assert_state_equal(reference.state_dict(), resumed.state_dict(),
+                        "resume beside a staged epoch")
+
+
+def test_finished_run_leaves_one_epoch(tiny_dataset, tmp_path):
+    """Each epoch's publish deletes the older epochs: a finished run
+    leaves exactly its last epoch on disk."""
+    config = _config(epochs=3)
+    snapshot = tmp_path / "snap"
+    train_model(_fresh("BPR", tiny_dataset), tiny_dataset, config,
+                snapshot_path=snapshot)
+    assert [path.name for path in snapshot.iterdir()] == ["epoch-2"]
+    assert load_training_snapshot(snapshot).epoch == 2

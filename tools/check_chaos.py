@@ -67,7 +67,7 @@ def check_training(seed: int, epochs: int, tmp, failures: list) -> None:
     expected = training_fingerprint(reference, ref_result)["combined"]
 
     for kill_epoch in range(1, epochs):
-        snapshot = tmp / f"kill{kill_epoch}.npz"
+        snapshot = tmp / f"kill{kill_epoch}"
         plan = FaultPlan(
             [FaultSpec(op="train.epoch.end", kind="crash",
                        at=kill_epoch)],
@@ -92,7 +92,7 @@ def check_training(seed: int, epochs: int, tmp, failures: list) -> None:
 
     # corrupt-snapshot degradation: restart from scratch, same bits
     from repro.reliability.faults import tear_file
-    snapshot = tmp / "corrupt.npz"
+    snapshot = tmp / "corrupt"
     victim = fresh()
     plan = FaultPlan([FaultSpec(op="train.epoch.end", kind="crash")],
                      seed=seed)
@@ -101,7 +101,7 @@ def check_training(seed: int, epochs: int, tmp, failures: list) -> None:
             train_model(victim, dataset, config, snapshot_path=snapshot)
     except InjectedCrash:
         pass
-    tear_file(snapshot, keep_fraction=0.3)
+    tear_file(min((snapshot / "epoch-0").glob("*.npy")), keep_fraction=0.3)
     import warnings
     restarted = fresh()
     with warnings.catch_warnings():
