@@ -2,26 +2,12 @@
 
 Rows: BA / BA+KA / BA+KA+VA / BA+KA+VA+TA. Paper shapes: adding KA
 dominates the training-time increase (TransR + attention + adversarial
-objectives); adding the modalities adds little inference latency.
+objectives); adding the modalities adds little inference latency. The
+KA assertions compare wall-clock increments of a few tenths of a
+second, so they can fail on a loaded host.
 
 Serving addendum: full-ranking top-k throughput of the seed per-user
 loop vs the batched serving path, on a >=256-user batch.
-
-Training addendum: epochs/second through the frozen-graph engine for
-three representative models, against the epochs/second the pre-engine
-seed implementation measured on the reference machine (the
-``SEED_EPOCHS_PER_SECOND`` snapshot below) — the before/after record of
-the engine refactor. Absolute numbers are machine-dependent; the
-snapshot documents the *relative* change on one machine.
-
-Optimizer/gradient addendum: the row-sparse gradient pipeline (PR 3)
-vs the dense schedule it replaced, on the catalog-dominated synthetic
-fixture where most embedding rows never receive a gradient — epochs/
-second (interleaved rotated-order rounds) plus the per-phase
-training-step breakdown. Both modes train bit-identical models; the
-dense column is the schedule this repo ran before the row-sparse
-pipeline landed. The heterogeneous models
-(Firzen, KGAT) get the same per-phase breakdown on beauty/small.
 
 Serving-latency addendum: client-observed p50/p99 of the micro-batched
 daemon path under concurrent closed-loop load, against a sequential
@@ -34,34 +20,34 @@ straggler window only added latency, so the batcher takes the queued
 backlog without waiting). Ingest-under-load stays ~1.0-1.4x:
 snapshot republish happens off the query path. Gates are no-regression
 floors on the batched/sequential ratio.
+
+Training throughput is not measured here. The repository benchmark
+(``perfbench/``, declared in ``BENCHMARK.json``) gates
+``train_epochs_per_s`` on ``train-firzen`` and on ``train-catalog``,
+whose 80%-cold catalog is where the row-sparse gradient pipeline pays:
+forcing the dense schedule (``REPRO_SPARSE_GRAD=0``) fails that bound.
+Its traced runs (``--trace 1``) report the per-phase step costs
+(``train.*_ms``). Tier-1 tests (``tests/optim/test_model_parity.py``)
+pin that row-sparse gradients stay sparse through backward, clip and
+step, and that a row-stepped table's forward is the dense forward.
+
+Regenerate ``results/table7_timing.txt`` with::
+
+    PYTHONPATH=src python -m pytest -q benchmarks/test_table7_timing.py
 """
 
 from _shared import get_dataset, get_trained_model, write_result
-from repro.analysis.timing import (breakdown_rows,
-                                   catalog_dominated_dataset,
-                                   measure_feature_sets,
-                                   measure_ranking_throughput,
-                                   measure_serving_latency,
-                                   measure_sparse_training_throughput,
-                                   measure_step_breakdown,
-                                   measure_training_throughput,
-                                   synthetic_serving_store)
+from repro.analysis.timing import (
+    # the paper's four feature-set rows
+    measure_feature_sets,
+    # the serving addenda: the seed's ranking paths against BatchRanker,
+    # and the micro-batched daemon path against sequential queries
+    measure_ranking_throughput,
+    measure_serving_latency,
+    synthetic_serving_store,
+)
 from repro.train import TrainConfig
 from repro.utils.tables import format_table
-
-#: epochs/second of the seed implementation (commit b325cd5: per-call
-#: CSR conversion, per-row Python rejection sampling, np.add.at gather
-#: backward), measured on the reference machine with the same protocol
-#: measure_training_throughput uses (beauty/small, 8 epochs, batch 512,
-#: lr 0.05, seed 0, one warm-up step, final-epoch validation included,
-#: best of 3 repeats x 3 interleaved rounds — the machine is noisy, so
-#: the *best* seed round is recorded, making the speedups conservative).
-SEED_EPOCHS_PER_SECOND = {
-    "LightGCN": 67.9,
-    "LightGCN (3 layers)": 61.6,
-    "KGAT": 1.17,
-    "Firzen": 1.59,
-}
 
 
 def test_table7_timing(benchmark):
@@ -80,36 +66,6 @@ def test_table7_timing(benchmark):
         get_trained_model("beauty", "Firzen", epochs=2)[0], dataset.split,
         num_users=256)
 
-    training_rows = measure_training_throughput(
-        dataset, model_names=("LightGCN", "KGAT", "Firzen"), epochs=8,
-        embedding_dim=32)
-    deep_rows = measure_training_throughput(
-        dataset, model_names=("LightGCN",), epochs=8,
-        embedding_dim=32, num_layers=3)
-    for row in deep_rows:
-        row.model = f"{row.model} (3 layers)"
-    training_rows += deep_rows
-    training_table = []
-    for row in training_rows:
-        cells = row.as_row()
-        seed_eps = SEED_EPOCHS_PER_SECOND.get(row.model)
-        cells["Seed (epochs/s)"] = seed_eps
-        cells["Speedup vs seed"] = (
-            round(row.epochs_per_second / seed_eps, 2)
-            if seed_eps else None)
-        training_table.append(cells)
-
-    catalog = catalog_dominated_dataset()
-    sparse_rows = measure_sparse_training_throughput(
-        catalog, model_names=("BPR",), epochs=12, embedding_dim=64)
-    breakdown = measure_step_breakdown(catalog, "BPR", epochs=4,
-                                       embedding_dim=64)
-
-    hetero_breakdowns = []
-    for name in ("Firzen", "KGAT"):
-        hetero_breakdowns += breakdown_rows(
-            measure_step_breakdown(dataset, name, epochs=3))
-
     serving_rows = measure_serving_latency(
         synthetic_serving_store(seed=0), clients=8, requests_per_client=40,
         k=20, repeats=3, seed=0)
@@ -120,31 +76,6 @@ def test_table7_timing(benchmark):
         + format_table(warm.as_rows() + cold.as_rows(),
                        "Serving addendum: full-ranking throughput")
         + "\n\n"
-        + format_table(training_table,
-                       "Training addendum: epochs/second through the "
-                       "frozen-graph engine (seed column: reference-"
-                       "machine snapshot, commit b325cd5)")
-        + "\n\n"
-        + format_table([row.as_row() for row in sparse_rows],
-                       "Optimizer/gradient addendum: row-sparse pipeline "
-                       "vs dense schedule on the catalog-dominated "
-                       "fixture (500 users x 12000 items, 80% strict "
-                       "cold; bit-identical trained models; interleaved "
-                       "rotated-order rounds, best of 3)")
-        + "\n\n"
-        + format_table(breakdown_rows(breakdown),
-                       "Optimizer/gradient addendum: per-phase "
-                       "training-step cost on the catalog-dominated "
-                       "fixture (step includes the zero-gradient "
-                       "updates of idle rows with optimizer state; "
-                       "interleaved rotated-order rounds, best of 3)")
-        + "\n\n"
-        + format_table(hetero_breakdowns,
-                       "Optimizer/gradient addendum: per-phase "
-                       "training-step cost of the heterogeneous models "
-                       "(beauty/small; extra = discriminator + "
-                       "TransR per-epoch phases, amortized per step)")
-        + "\n\n"
         + format_table([row.as_row() for row in serving_rows],
                        "Serving-latency addendum: micro-batched daemon "
                        "path vs sequential single-query baseline, "
@@ -154,28 +85,6 @@ def test_table7_timing(benchmark):
                        "from compute-time backlog, with no straggler "
                        "window; ingest row: 5 hot-swap republishes "
                        "racing the stream)"))
-
-    # Every model trains at a real (positive) throughput.
-    for row in training_rows:
-        assert row.epochs_per_second > 0
-
-    # The row-sparse pipeline must clearly beat the dense schedule on
-    # the catalog-dominated fixture (the reference machine records
-    # >= 2x; 1.5 is the noise-tolerant floor), and the breakdown must
-    # show the win where the design puts it: the optimizer step and
-    # the gather backward, with the clip phase no longer scanning the
-    # full tables.
-    assert sparse_rows[0].speedup >= 1.5
-    sparse_bd, dense_bd = breakdown["sparse"], breakdown["dense"]
-    assert sparse_bd.step_ms < dense_bd.step_ms
-    assert sparse_bd.backward_ms < dense_bd.backward_ms
-    assert sparse_bd.clip_ms < dense_bd.clip_ms
-    # Both modes run the same forward: a gather reads the parameter as
-    # it is, since every row update landed in its own step. The floor
-    # leaves room for noise only (interleaved rotated-order rounds
-    # cancel the first-measured mode's undecayed-CPU-clock bias), so a
-    # per-gather cost cannot creep back into the sparse forward.
-    assert sparse_bd.forward_ms <= 1.25 * dense_bd.forward_ms
 
     # The batched serving path must beat the seed's one-query-at-a-time
     # serving by a wide margin on a production-sized batch — on the

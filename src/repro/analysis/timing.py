@@ -7,13 +7,7 @@ Firzen variants that consume increasing feature sets: BA only, +KA, +VA,
 * serving: full-ranking top-k throughput of the seed per-user Python
   loop vs the batched :class:`repro.serve.ranker.BatchRanker` path;
 * training: epochs/second per model through the frozen-graph engine
-  (:func:`measure_training_throughput`);
-* optimizer/gradient: the row-sparse gradient pipeline vs the dense
-  schedule — a per-phase training-step breakdown
-  (:func:`measure_step_breakdown`) and epochs/second on a
-  catalog-dominated fixture (:func:`measure_sparse_training_throughput`
-  over :func:`catalog_dominated_dataset`), both training bit-identical
-  models in either mode.
+  (:func:`measure_training_throughput`, behind ``repro bench train``).
 
 Every repeated measurement runs through :func:`compare`: interleaved
 rounds that run each mode once, with the starting mode rotated per
@@ -24,28 +18,22 @@ under — backend name, parameter dtype, effective BLAS thread count
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..backend import runtime_info as _runtime_info
-from ..autograd.optim import Adam, clip_grad_norm
 from ..baselines import create_model
 from ..core.config import FirzenConfig
 from ..core.firzen import FirzenModel
-from ..data import build_dataset
 from ..data.datasets import RecDataset
 from ..data.splits import ColdStartSplit
-from ..data.world import WorldConfig
 from ..serve.daemon import LoadShedError, MicroBatcher
 from ..serve.ranker import BatchRanker, interactions_to_csr
 from ..serve.snapshot import SnapshotManager
 from ..serve.store import EmbeddingStore
-from ..train.sampler import BPRSampler
-from ..train.trainer import GRAD_CLIP, TrainConfig, train_model
+from ..train.trainer import TrainConfig, train_model
 
 
 def runtime_columns() -> dict:
@@ -75,8 +63,8 @@ def compare(modes, run_once, rounds: int) -> dict:
     ``b c a``, then ``c a b``): a fixed order would hand whichever mode
     runs first the benefit of an undecayed CPU clock and bias every
     cross-mode ratio. The caller reduces the per-round results (best
-    epochs/s, fewest seconds, per-phase minimum, ...). Modes must be
-    distinct: each names one result list.
+    epochs/s, fewest seconds, ...). Modes must be distinct: each names
+    one result list.
     """
     modes = tuple(modes)
     if len(set(modes)) != len(modes):
@@ -286,7 +274,8 @@ def _measure_scenario(model, ranker: BatchRanker, scenario: str,
 
 
 # ----------------------------------------------------------------------
-# training addendum: epochs/second through the frozen-graph engine
+# training throughput (``repro bench train``): epochs/second through
+# the frozen-graph engine
 # ----------------------------------------------------------------------
 @dataclass
 class TrainingThroughputRow:
@@ -621,234 +610,6 @@ def measure_serving_latency(store: EmbeddingStore | None = None,
             expired=best["expired"],
         ))
     return rows
-
-
-# ----------------------------------------------------------------------
-# optimizer/gradient addendum: row-sparse pipeline vs dense baseline
-# ----------------------------------------------------------------------
-@contextmanager
-def _sparse_mode(enabled: bool):
-    """Force ``REPRO_SPARSE_GRAD`` for the duration of one measurement."""
-    previous = os.environ.get("REPRO_SPARSE_GRAD")
-    os.environ["REPRO_SPARSE_GRAD"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SPARSE_GRAD", None)
-        else:
-            os.environ["REPRO_SPARSE_GRAD"] = previous
-
-
-def catalog_dominated_dataset(scale: float = 1.0,
-                              seed: int = 0) -> RecDataset:
-    """Synthetic timing fixture where the catalog dwarfs the active set.
-
-    Models the workload the row-sparse gradient pipeline targets (and
-    the paper's strict cold-start regime taken to production scale):
-    a large item catalog of which most rows never receive a gradient —
-    80% strict cold-start items plus whatever warm items a batch
-    doesn't touch. Dense training scales with the catalog here; the
-    sparse pipeline scales with the touched rows.
-    """
-    config = WorldConfig(
-        num_users=int(500 * scale),
-        num_items=int(12000 * scale),
-        num_clusters=8,
-        interactions_per_user_mean=60.0,
-        seed=seed,
-    )
-    return build_dataset("synthetic-catalog", config, cold_fraction=0.8)
-
-
-@dataclass
-class StepPhaseBreakdown:
-    """Per-phase cost of one training step (milliseconds per step).
-
-    ``step_ms`` is the whole optimizer update: the rows the gradient
-    names and, under row-sparse gradients, the zero-gradient update of
-    every other row that has optimizer state, both applied in the step.
-
-    ``extra_ms`` is the per-epoch auxiliary work (``extra_step`` — the
-    discriminator and TransR phases — plus ``on_epoch_end``), amortized
-    over the epoch's steps.
-    """
-
-    model: str
-    mode: str  # "sparse" | "dense"
-    steps: int
-    sample_ms: float
-    forward_ms: float
-    backward_ms: float
-    clip_ms: float
-    step_ms: float
-    extra_ms: float = 0.0
-    runtime: dict = field(default_factory=runtime_columns)
-
-    PHASES = ("sample", "forward", "backward", "clip", "step", "extra")
-
-    @property
-    def total_ms(self) -> float:
-        return (self.sample_ms + self.forward_ms + self.backward_ms
-                + self.clip_ms + self.step_ms + self.extra_ms)
-
-    def phase_ms(self, phase: str) -> float:
-        return getattr(self, f"{phase}_ms")
-
-
-def measure_step_breakdown(dataset: RecDataset, model_name: str,
-                           epochs: int = 4, batch_size: int = 512,
-                           learning_rate: float = 0.05,
-                           embedding_dim: int = 32, seed: int = 0,
-                           repeats: int = 3,
-                           **model_kwargs) -> dict[str, StepPhaseBreakdown]:
-    """Time each training-step phase in two gradient modes.
-
-    Runs the trainer's exact inner loop (sample / forward / backward /
-    clip / step) phase-by-phase under a wall clock, one full training
-    run per mode from the same seed, and returns
-    ``{"sparse": ..., "dense": ...}``:
-
-    * ``sparse`` — row-sparse gradients: the shipped default;
-    * ``dense`` — the historical dense schedule.
-
-    Both runs do identical numerical work — the bit-reproducibility
-    contract — so the per-phase deltas are pure representation and
-    dispatch cost.
-
-    The modes run in ``repeats`` :func:`compare` rounds; each mode keeps
-    its per-phase minimum.
-    """
-
-    def run_once(mode: str) -> StepPhaseBreakdown:
-        with _sparse_mode(mode == "sparse"):
-            model = create_model(model_name, dataset, seed=seed,
-                                 embedding_dim=embedding_dim,
-                                 **model_kwargs)
-            rng = np.random.default_rng(seed)
-            sampler = BPRSampler(dataset.split.train, dataset.num_items,
-                                 dataset.split.warm_items, rng)
-            optimizer = Adam(model.parameters(), lr=learning_rate)
-            phase_s = dict.fromkeys(StepPhaseBreakdown.PHASES, 0.0)
-            steps = 0
-            for epoch in range(epochs):
-                model.train()
-                model.invalidate()
-                start = time.perf_counter()
-                batches = list(sampler.epoch_batches(batch_size))
-                phase_s["sample"] += time.perf_counter() - start
-                for users, pos, neg in batches:
-                    optimizer.zero_grad()
-                    start = time.perf_counter()
-                    loss = model.loss(users, pos, neg)
-                    phase_s["forward"] += time.perf_counter() - start
-                    start = time.perf_counter()
-                    loss.backward()
-                    phase_s["backward"] += time.perf_counter() - start
-                    start = time.perf_counter()
-                    clip_grad_norm(optimizer.params, GRAD_CLIP)
-                    phase_s["clip"] += time.perf_counter() - start
-                    start = time.perf_counter()
-                    optimizer.step()
-                    phase_s["step"] += time.perf_counter() - start
-                    steps += 1
-                start = time.perf_counter()
-                model.extra_step()
-                model.on_epoch_end(epoch)
-                phase_s["extra"] += time.perf_counter() - start
-            return StepPhaseBreakdown(
-                model=model_name, mode=mode, steps=steps,
-                **{f"{phase}_ms": 1000.0 * seconds / max(steps, 1)
-                   for phase, seconds in phase_s.items()})
-
-    return {mode: replace(runs[0], **{
-                f"{phase}_ms": min(run.phase_ms(phase) for run in runs)
-                for phase in StepPhaseBreakdown.PHASES})
-            for mode, runs in compare(("sparse", "dense"), run_once,
-                                      repeats).items()}
-
-
-def breakdown_rows(breakdowns: dict[str, StepPhaseBreakdown]) -> list[dict]:
-    """Render a per-phase comparison table (sparse vs dense)."""
-    sparse, dense = breakdowns["sparse"], breakdowns["dense"]
-    rows = []
-    for phase in StepPhaseBreakdown.PHASES + ("total",):
-        dense_ms = (dense.total_ms if phase == "total"
-                    else dense.phase_ms(phase))
-        sparse_ms = (sparse.total_ms if phase == "total"
-                     else sparse.phase_ms(phase))
-        row = {
-            "Model": sparse.model,
-            "Phase": phase,
-            "Dense (ms/step)": round(dense_ms, 3),
-            "Sparse (ms/step)": round(sparse_ms, 3),
-            "Speedup": round(dense_ms / max(sparse_ms, 1e-9), 2),
-        }
-        row.update(sparse.runtime)
-        rows.append(row)
-    return rows
-
-
-@dataclass
-class SparseThroughputRow:
-    """Epochs/second with the row-sparse gradient pipeline on vs off.
-
-    The two runs train bit-identical models (sparse off is the dense
-    reference schedule); only wall-clock differs.
-    """
-
-    model: str
-    epochs: int
-    sparse_epochs_per_second: float
-    dense_epochs_per_second: float
-    runtime: dict = field(default_factory=runtime_columns)
-
-    @property
-    def speedup(self) -> float:
-        return self.sparse_epochs_per_second / max(
-            self.dense_epochs_per_second, 1e-12)
-
-    def as_row(self) -> dict:
-        return {
-            "Model": self.model,
-            "Epochs": self.epochs,
-            "Sparse (epochs/s)": round(self.sparse_epochs_per_second, 2),
-            "Dense (epochs/s)": round(self.dense_epochs_per_second, 2),
-            "Sparse speedup": round(self.speedup, 2),
-            **self.runtime,
-        }
-
-
-def measure_sparse_training_throughput(
-        dataset: RecDataset, model_names: tuple = ("BPR",),
-        epochs: int = 12, seed: int = 0, repeats: int = 3,
-        train_config: TrainConfig | None = None,
-        **model_kwargs) -> list[SparseThroughputRow]:
-    """Epochs/second per model, sparse gradient pipeline vs dense.
-
-    Same per-run protocol as :func:`measure_training_throughput` (fresh
-    model per run, one warm-up step outside the timer, final-epoch
-    validation included), toggled over ``REPRO_SPARSE_GRAD``. The
-    (model, mode) pairs run in ``repeats`` :func:`compare` rounds and
-    each keeps its best round, so the ratio the CI floor gates on is
-    free of measurement-order bias.
-    """
-    train_config = train_config or TrainConfig(batch_size=512,
-                                               learning_rate=0.05)
-
-    def run_once(mode: tuple) -> float:
-        name, sparse = mode
-        with _sparse_mode(sparse):
-            return _epochs_per_second(name, dataset, epochs, train_config,
-                                      seed, **model_kwargs)
-
-    runs = compare([(name, sparse) for name in model_names
-                    for sparse in (True, False)], run_once, repeats)
-    return [SparseThroughputRow(
-        model=name, epochs=epochs,
-        sparse_epochs_per_second=max(runs[name, True]),
-        dense_epochs_per_second=max(runs[name, False]),
-    ) for name in model_names]
 
 
 # ----------------------------------------------------------------------

@@ -47,16 +47,13 @@ Commands
     List the named experiment presets, the registered scenario
     transforms, and the artifact store's cached stage counts.
 ``bench``
-    Four benchmarks, one subcommand each, each accepting only the flags
+    Three benchmarks, one subcommand each, each accepting only the flags
     it reads; repeated measurements run in interleaved rounds with the
     starting mode rotated per round. ``bench train``: training
     throughput (epochs/second) per model through the frozen-graph
-    engine (``--min-throughput`` is its CI floor). ``bench sparse``:
-    the row-sparse gradient pipeline vs the dense schedule on the
-    catalog-dominated synthetic fixture (``--min-sparse-speedup``).
-    Both take ``--breakdown`` for the per-phase
-    (sample/forward/backward/clip/step/extra) training-step cost of any
-    model, sparse and dense columns. ``bench serving``: p50/p99
+    engine (``--min-throughput`` is its CI floor); per-phase step costs
+    and the row-sparse pipeline's speedup are the repository
+    benchmark's (``perfbench/``). ``bench serving``: p50/p99
     client-observed latency and throughput of the micro-batched
     admission queue vs sequential single-user queries on a
     catalog-scale synthetic store, also with items ingested beside the
@@ -75,7 +72,9 @@ the same artifact store and a killed training resumes from its
 snapshot. A checkpoint (``--checkpoint``) is an array directory whose
 manifest records the model and the spec that built it; ``evaluate`` and
 ``--checkpoint`` rebuild the model from that spec. A ``.npz`` archive of
-an older release is a usage error.
+an older release, or a checkpoint or ``--store`` path that is missing,
+a file, or a directory without a whole manifest and arrays, is a usage
+error.
 """
 
 from __future__ import annotations
@@ -90,8 +89,9 @@ from .data import load_amazon, load_weixin
 from .eval import evaluate_model
 from .experiments import ExperimentSpec, Runner, comparison_rows
 from .experiments.runner import save_trained
-from .serve import EmbeddingStore, ServingSession
+from .serve import CorruptStoreError, EmbeddingStore, ServingSession
 from .train import TrainConfig
+from .train.snapshot import CorruptSnapshotError
 from .utils.tables import format_table, scenario_rows
 
 DATASETS = ("beauty", "cell_phones", "clothing", "weixin")
@@ -138,10 +138,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=("tiny", "small", "medium", "large",
                                  "xlarge"),
                         default="small")
-    _add_training(parser)
-
-
-def _add_training(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=_positive_int, default=12)
     parser.add_argument("--embedding-dim", type=_positive_int, default=32)
     parser.add_argument("--learning-rate", type=_positive_float, default=0.05)
@@ -200,9 +196,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _checkpointed(runner: Runner, args):
+    """``runner.checkpointed`` of the ``checkpoint`` argument; a path
+    that is not a whole checkpoint directory is a usage error."""
+    try:
+        return runner.checkpointed(args.checkpoint)
+    except CorruptSnapshotError as exc:
+        args.usage_error(str(exc))
+
+
 def cmd_evaluate(args) -> int:
     runner = Runner()
-    spec, name, model = runner.checkpointed(args.checkpoint)
+    spec, name, model = _checkpointed(runner, args)
     scenario = evaluate_model(model, runner.dataset(spec).split,
                               k=args.k or spec.eval_k)
     print(format_table(scenario_rows(name, model_family(name), scenario),
@@ -223,7 +228,7 @@ def _trained_model(args):
     ``export-embeddings`` and ``serve``)."""
     runner = Runner()
     if args.checkpoint:
-        spec, _, model = runner.checkpointed(args.checkpoint)
+        spec, _, model = _checkpointed(runner, args)
     else:
         spec = _spec(args, [args.model])
         model, _ = runner.trained(spec, args.model)
@@ -254,7 +259,10 @@ def cmd_serve(args) -> int:
               file=sys.stderr)
         return 2
     if args.store:
-        store = EmbeddingStore.load(args.store, mmap=args.mmap)
+        try:
+            store = EmbeddingStore.load(args.store, mmap=args.mmap)
+        except (FileNotFoundError, CorruptStoreError) as exc:
+            args.usage_error(str(exc))
     else:
         model, dataset, _ = _trained_model(args)
         store = EmbeddingStore.from_model(model, dataset)
@@ -314,21 +322,6 @@ def _serving_floor_status(rows, floor: float | None) -> int:
                          "single-user queries")
 
 
-def _print_breakdowns(args, dataset) -> None:
-    """``--breakdown``: per-phase training-step cost of each model."""
-    if not args.breakdown:
-        return
-    from .analysis.timing import breakdown_rows, measure_step_breakdown
-    for name in args.models:
-        print(format_table(
-            breakdown_rows(measure_step_breakdown(
-                dataset, name, epochs=min(args.epochs, 4),
-                batch_size=args.batch_size,
-                learning_rate=args.learning_rate,
-                embedding_dim=args.embedding_dim, seed=args.seed)),
-            title=f"{name}: per-phase training-step cost"))
-
-
 def cmd_bench_train(args) -> int:
     from .analysis.timing import measure_training_throughput
     dataset = _load_dataset(args.dataset, args.size)
@@ -338,31 +331,10 @@ def cmd_bench_train(args) -> int:
         embedding_dim=args.embedding_dim)
     print(format_table([row.as_row() for row in rows],
                        title=f"Training throughput on {dataset.name}"))
-    _print_breakdowns(args, dataset)
     slowest = min(rows, key=lambda row: row.epochs_per_second)
     return _floor_status("--min-throughput", args.min_throughput,
                          slowest.epochs_per_second,
                          f"{slowest.model}'s epochs/s")
-
-
-def cmd_bench_sparse(args) -> int:
-    from .analysis.timing import (catalog_dominated_dataset,
-                                  measure_sparse_training_throughput)
-    dataset = catalog_dominated_dataset(scale=args.fixture_scale,
-                                        seed=args.seed)
-    rows = measure_sparse_training_throughput(
-        dataset, model_names=tuple(args.models), epochs=args.epochs,
-        seed=args.seed, train_config=_train_config(args),
-        embedding_dim=args.embedding_dim)
-    print(format_table(
-        [row.as_row() for row in rows],
-        title="Row-sparse gradient pipeline vs dense schedule "
-              f"on {dataset.name}"))
-    _print_breakdowns(args, dataset)
-    worst = min(rows, key=lambda row: row.speedup)
-    return _floor_status("--min-sparse-speedup", args.min_sparse_speedup,
-                         worst.speedup,
-                         f"{worst.model}'s sparse/dense speedup")
 
 
 def cmd_bench_serving(args) -> int:
@@ -584,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--k", type=_positive_int, default=None,
                         help="ranking cutoff (default: the checkpoint "
                              "spec's)")
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=cmd_evaluate, usage_error=p_eval.error)
 
     p_compare = sub.add_parser("compare", help="compare several models")
     p_compare.add_argument("models", nargs="+")
@@ -601,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "of the flags' model")
     p_export.add_argument("--model", default="Firzen")
     _add_common(p_export)
-    p_export.set_defaults(func=cmd_export_embeddings)
+    p_export.set_defaults(func=cmd_export_embeddings,
+                          usage_error=p_export.error)
 
     p_serve = sub.add_parser(
         "serve", help="batched top-k serving with online item onboarding")
@@ -639,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="daemon: grace period for draining "
                               "in-flight requests on shutdown")
     _add_common(p_serve)
-    p_serve.set_defaults(func=cmd_serve)
+    p_serve.set_defaults(func=cmd_serve, usage_error=p_serve.error)
 
     p_run = sub.add_parser(
         "run", help="execute a declarative experiment spec through the "
@@ -678,14 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_experiments.set_defaults(func=cmd_experiments)
 
     p_bench = sub.add_parser(
-        "bench", help="training, sparse-gradient, serving and scaling "
-                      "benchmarks")
+        "bench", help="training, serving and scaling benchmarks")
     bench = p_bench.add_subparsers(dest="benchmark", required=True)
     b_train = bench.add_parser(
         "train", help="training epochs/second per model")
-    b_sparse = bench.add_parser(
-        "sparse", help="row-sparse gradient pipeline vs the dense "
-                       "schedule on the catalog-dominated fixture")
     b_serving = bench.add_parser(
         "serving", help="micro-batched vs sequential serving latency on "
                         "a catalog-scale synthetic store")
@@ -694,30 +663,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "vs streamed, then serving latency on a "
                         "million-item store")
     for b, func in ((b_train, cmd_bench_train),
-                    (b_sparse, cmd_bench_sparse),
                     (b_serving, cmd_bench_serving),
                     (b_scaling, cmd_bench_scaling)):
         b.set_defaults(func=func)
-    for b in (b_train, b_sparse):
-        b.add_argument("--models", nargs="+",
-                       default=["LightGCN", "KGAT", "Firzen"])
-        b.add_argument("--breakdown", action="store_true",
-                       help="also print the per-phase "
-                            "(sample/forward/backward/clip/step) "
-                            "training-step cost, sparse vs dense")
+    b_train.add_argument("--models", nargs="+",
+                         default=["LightGCN", "KGAT", "Firzen"])
     b_train.add_argument("--min-throughput", type=float, default=None,
                          help="exit nonzero when any model trains slower "
                               "than this many epochs/second")
     _add_common(b_train)
-    b_sparse.add_argument("--min-sparse-speedup", type=float, default=None,
-                          help="exit nonzero when the sparse/dense "
-                               "epochs-per-second ratio falls below this "
-                               "floor")
-    b_sparse.add_argument("--fixture-scale", type=_positive_float,
-                          default=1.0,
-                          help="size multiplier for the fixture (smaller "
-                               "is faster; CI uses 0.5)")
-    _add_training(b_sparse)
     b_scaling.add_argument("--scaling-sizes", nargs="+",
                            default=["tiny", "small"],
                            help="scale size presets to measure")

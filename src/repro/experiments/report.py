@@ -1,50 +1,31 @@
-"""Reporting layer: render the paper-style tables from stored artifacts.
+"""Reporting layer: the paper-style comparison rows from stored artifacts.
 
-The benchmark harnesses (and the CLI) build their result tables from
-the runner's eval artifacts through these helpers, so a table can be
-re-rendered at any time without re-running a single model — and a table
-rendered from artifacts is byte-identical to one rendered from a live
-evaluation (metric floats round-trip exactly through the JSON
+The CLI and the benchmark harnesses build their comparison tables from
+the runner's eval artifacts through :func:`comparison_rows`, so a table
+can be re-rendered at any time without re-running a single model — and
+a table rendered from artifacts is byte-identical to one rendered from a
+live evaluation (metric floats round-trip exactly through the JSON
 artifacts).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..baselines import model_family
-from ..eval.reporting import write_text_result
-from ..utils.tables import format_table
+from ..eval.protocol import ScenarioResult
+from ..utils.tables import scenario_rows
 from .runner import Runner
 from .spec import ExperimentSpec
 
 
 def comparison_rows(runner: Runner, spec: ExperimentSpec,
                     models=None) -> list[dict]:
-    """Cold/Warm/HM rows for a model roster (Table II/III layout)."""
+    """Cold/Warm/HM rows for a model roster (Table II/III layout): every
+    model's Cold row, then every Warm row, then every HM row."""
     models = list(models if models is not None else spec.models)
-    rows = {"Cold": [], "Warm": [], "HM": []}
+    per_model = []
     for name in models:
         metrics = runner.evaluation(spec, name)
-        from ..eval.protocol import ScenarioResult
-        result = ScenarioResult(cold=metrics["cold"],
-                                warm=metrics["warm"])
-        for setting, metric in (("Cold", result.cold),
-                                ("Warm", result.warm),
-                                ("HM", result.hm)):
-            row = {"Setting": setting, "Type": model_family(name),
-                   "Method": name}
-            row.update(metric.as_percent_row())
-            rows[setting].append(row)
-    return rows["Cold"] + rows["Warm"] + rows["HM"]
-
-
-def render(rows: list[dict], title: str) -> str:
-    return format_table(rows, title=title)
-
-
-def write_result(results_dir: str | Path, filename: str,
-                 text: str) -> Path:
-    """Write one rendered table into the results directory (exactly one
-    trailing newline, parents created)."""
-    return write_text_result(Path(results_dir) / filename, text)
+        per_model.append(scenario_rows(
+            name, model_family(name),
+            ScenarioResult(cold=metrics["cold"], warm=metrics["warm"])))
+    return [row for setting in zip(*per_model) for row in setting]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -96,22 +94,6 @@ class TestTrainingThroughput:
         # Runtime context is captured at measurement time.
         assert cells["Backend"] == "reference"
         assert cells["Param dtype"] == "float64"
-
-    def test_sparse_ab_runs_interleaved_rotated_rounds(self, tiny_dataset,
-                                                       monkeypatch):
-        calls = []
-
-        def record(*args, **kwargs):
-            calls.append(os.environ["REPRO_SPARSE_GRAD"])
-            return float(len(calls))
-
-        monkeypatch.setattr(timing, "_epochs_per_second", record)
-        (row,) = timing.measure_sparse_training_throughput(
-            tiny_dataset, model_names=("BPR",), repeats=3)
-        assert calls == ["1", "0", "0", "1", "1", "0"]
-        # each mode keeps its best round
-        assert row.sparse_epochs_per_second == 5.0
-        assert row.dense_epochs_per_second == 6.0
 
 
 class TestRankingThroughput:

@@ -9,8 +9,7 @@ class TestReport:
     def test_write_text_result_guarantees_one_trailing_newline(
             self, tmp_path):
         """The single result-writing entry point (shared by the
-        benchmark harnesses, the CLI and the experiment runner's report
-        layer) normalizes the file tail."""
+        benchmark harnesses and the CLI) normalizes the file tail."""
         for text in ("table", "table\n", "table\n\n\n"):
             path = write_text_result(tmp_path / "deep" / "t.txt", text)
             assert path.read_text() == "table\n"

@@ -10,6 +10,8 @@ moment-level check on a pure embedding-table model (BPR).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,73 @@ def test_sparse_path_engages(tiny_dataset, monkeypatch):
     model = create_model("BPR", tiny_dataset, embedding_dim=16, seed=0)
     train_model(model, tiny_dataset, QUICK)
     assert emitted["count"] > 0
+
+
+def test_row_sparse_gradients_reach_the_step(tiny_dataset, monkeypatch):
+    """The row-sparse path stays sparse through backward, clip and step:
+    in the trainer's loop, every optimizer step updates both of BPR's
+    embedding tables by rows and none takes the dense update. Set
+    explicitly, so the dense CI leg runs it too."""
+    # each gather (users, positives, negatives) touches at most half of
+    # its table, so every gather backward may emit a row-sparse gradient
+    assert 2 * QUICK.batch_size <= min(tiny_dataset.num_users,
+                                       tiny_dataset.num_items)
+    monkeypatch.setenv("REPRO_SPARSE_GRAD", "1")
+    steps = []
+    step, row_step, dense_step = Adam.step, Adam._row_step, Adam._dense_step
+
+    def recording_step(self):
+        steps.append([])
+        step(self)
+
+    def recording_row_step(self, idx, mask, grad):
+        steps[-1].append(("rows", idx))
+        row_step(self, idx, mask, grad)
+
+    def recording_dense_step(self, idx, grad):
+        steps[-1].append(("dense", idx))
+        dense_step(self, idx, grad)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    monkeypatch.setattr(Adam, "_row_step", recording_row_step)
+    monkeypatch.setattr(Adam, "_dense_step", recording_dense_step)
+    model = create_model("BPR", tiny_dataset, embedding_dim=16, seed=0)
+    assert [p.data.ndim for p in model.parameters()] == [2, 2]
+    train_model(model, tiny_dataset, QUICK)
+    assert len(steps) >= 2 * (len(tiny_dataset.split.train)
+                              // QUICK.batch_size)
+    for calls in steps:
+        assert sorted(calls) == [("rows", 0), ("rows", 1)]
+
+
+def test_row_stepped_forward_runs_the_dense_forward(tiny_dataset,
+                                                    monkeypatch):
+    """A gather from a row-stepped table reads the parameter as it is
+    (every row update landed in its own step), so BPR's loss makes
+    exactly the calls the dense schedule's makes: no per-gather work
+    creeps into the sparse forward."""
+    batch = tiny_dataset.split.train[:16]
+
+    def forward_calls(sparse):
+        monkeypatch.setenv("REPRO_SPARSE_GRAD", "1" if sparse else "0")
+        model = create_model("BPR", tiny_dataset, embedding_dim=16, seed=0)
+        Adam(model.parameters(), lr=0.05)  # marks the row-stepped tables
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append((frame.f_code.co_filename, frame.f_code.co_name))
+            elif event == "c_call":
+                calls.append(getattr(arg, "__qualname__", repr(arg)))
+
+        sys.setprofile(profile)
+        try:
+            model.loss(batch[:, 0], batch[:, 1], batch[::-1, 1])
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    assert forward_calls(sparse=True) == forward_calls(sparse=False)
 
 
 def test_adam_moments_bit_identical(tiny_dataset, monkeypatch):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,56 @@ class TestParser:
         assert "x.npz" in err and "array directory" in err
         assert not default_store().root.exists()
 
+    PATH_COMMANDS = pytest.mark.parametrize("argv", [
+        ["evaluate", "{path}"],
+        ["export-embeddings", "{out}", "--checkpoint", "{path}"],
+        ["serve", "--checkpoint", "{path}"],
+        ["serve", "--store", "{path}"],
+    ], ids=["evaluate", "export-embeddings", "serve-checkpoint",
+            "serve-store"])
+
+    @PATH_COMMANDS
+    @pytest.mark.parametrize("kind", ["missing", "file", "torn"])
+    def test_path_that_is_not_an_array_directory_is_a_usage_error(
+            self, argv, kind, capsys, tmp_path):
+        path = tmp_path / "model"
+        if kind == "file":
+            path.write_bytes(b"not a directory")
+        elif kind == "torn":  # arrays written, manifest never published
+            path.mkdir()
+            np.save(path / "model.user_emb.npy", np.zeros((2, 2)))
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(path=path, out=tmp_path / "out")
+                  for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert str(path) in line
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @PATH_COMMANDS
+    def test_eio_reading_the_path_propagates(self, argv, monkeypatch,
+                                             tmp_path):
+        path = tmp_path / "model"
+        path.mkdir()
+        read_text = Path.read_text
+
+        def eio_on_manifest(self, *args, **kwargs):
+            if self.name == "manifest.json":
+                raise OSError(errno.EIO, "Input/output error", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", eio_on_manifest)
+        # an I/O error is not a usage error: SystemExit would escape this
+        with pytest.raises(Exception) as excinfo:
+            main([arg.format(path=path, out=tmp_path / "out")
+                  for arg in argv])
+        cause = excinfo.value
+        while not isinstance(cause, OSError):
+            cause = cause.__cause__
+        assert cause.errno == errno.EIO
+
     def test_export_format_flag(self):
         """One store format: there is no --format to choose one."""
         with pytest.raises(SystemExit):
@@ -100,10 +153,9 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["serving", "--min-throughput", "5"],
         ["serving", "--epochs", "3"],
-        ["sparse", "--dataset", "weixin"],
         ["scaling", "--breakdown"],
         ["train", "--clients", "4"],
-    ], ids=["serving-min-throughput", "serving-epochs", "sparse-dataset",
+    ], ids=["serving-min-throughput", "serving-epochs",
             "scaling-breakdown", "train-clients"])
     def test_bench_rejects_flags_it_ignores(self, argv):
         # argparse exits before any measurement runs
@@ -119,7 +171,6 @@ class TestParser:
         ["train", "BPR", "--size", "tiny", "--embedding-dim", "0"],
         ["train", "BPR", "--size", "tiny", "--learning-rate", "0"],
         ["train", "BPR", "--size", "tiny", "--learning-rate", "-1"],
-        ["bench", "sparse", "--fixture-scale", "0.1", "--embedding-dim", "0"],
         ["run", "smoke", "--size", "tiny", "--epochs", "0"],
         ["serve", "--store", "st", "--block-size", "0", "--queries",
          "q.txt"],
@@ -130,15 +181,13 @@ class TestParser:
         ["bench", "scaling", "--clients", "0"],
         ["bench", "serving", "--serving-scale", "0"],
         ["bench", "scaling", "--serving-scale", "-0.1"],
-        ["bench", "sparse", "--fixture-scale", "0"],
     ], ids=["epochs-0", "epochs-abc", "batch-size-0", "k-negative",
             "embedding-dim-0", "learning-rate-0", "learning-rate-negative",
-            "bench-sparse-embedding-dim-0", "run-epochs-0",
+            "run-epochs-0",
             "serve-block-size-0", "serve-max-batch-0",
             "serve-max-queue-negative", "serve-deadline-ms-0",
             "bench-serving-clients-0", "bench-scaling-clients-0",
-            "bench-serving-scale-0", "bench-scaling-scale-negative",
-            "bench-sparse-fixture-scale-0"])
+            "bench-serving-scale-0", "bench-scaling-scale-negative"])
     def test_rejects_non_positive_training_flags(self, argv, capsys,
                                                  monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_ARTIFACTS", str(tmp_path))
